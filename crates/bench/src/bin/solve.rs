@@ -31,14 +31,6 @@
 //! sections are byte-identical, and reports both wall-clocks. Exits
 //! nonzero on mismatch or on any unsolved benchmark.
 //!
-//! `--snapshot FILE` (batch mode) loads a warm template-memo snapshot
-//! before the run and saves the (possibly extended) memo back after it —
-//! crash-safely, via temp-file + atomic rename. A missing, truncated or
-//! corrupted snapshot degrades to a cold cache with a stderr warning and
-//! never changes the synthesized programs; warm-vs-cold shows up only in
-//! the diagnostic `template_hits`/`template_misses` counters (warm runs
-//! report zero misses).
-//!
 //! `--global-deadline SECS` (batch mode) arms admission control: once the
 //! queue cannot plausibly finish within the remaining global budget
 //! (median solve time × remaining waves), the tail of the queue is *shed*
@@ -69,10 +61,8 @@ use rbsyn_bench::harness::{
     batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats,
     format_contention_report, json_escape, run_suite_with, Config,
 };
-use rbsyn_core::snapshot::{load_snapshot_contained, save_snapshot};
 use rbsyn_core::{
-    BatchPolicy, BatchReport, Options, SearchCache, StrategyKind, SynthError, SynthesisProblem,
-    Synthesizer,
+    BatchPolicy, BatchReport, Options, StrategyKind, SynthError, SynthesisProblem, Synthesizer,
 };
 use rbsyn_interp::InterpEnv;
 use rbsyn_lang::persist::atomic_write;
@@ -80,7 +70,6 @@ use rbsyn_suite::{benchmark, benchmarks_from_dir, Benchmark};
 use rbsyn_trace::{schema, Session, TraceConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Cli {
@@ -99,11 +88,6 @@ struct Cli {
     /// escape hatch; programs must be byte-identical either way, while the
     /// effort counters legitimately shrink with pruning on).
     no_obs_equiv: bool,
-    /// `--no-bdd`: disable the BDD-backed guard semantics (A/B escape
-    /// hatch; programs *and* effort counters must be byte-identical either
-    /// way — only `guard_dedup`/`bdd_nodes` drop to zero and the guard
-    /// phase slows down).
-    no_bdd: bool,
     /// `--intra`, when given (overrides `RBSYN_INTRA`).
     intra: Option<usize>,
     /// `--strategy`, when given (overrides `RBSYN_STRATEGY`).
@@ -119,10 +103,6 @@ struct Cli {
     /// `--trace-sample N`: record every N-th per-candidate instant
     /// (default 64).
     trace_sample: Option<u64>,
-    /// `--snapshot FILE` (batch mode): load a warm template-memo snapshot
-    /// before the run, save the extended memo back after it. Corruption
-    /// degrades to a cold cache with a warning.
-    snapshot: Option<String>,
     /// `--global-deadline SECS` (batch mode): admission-control budget for
     /// the whole batch; jobs that cannot fit are shed (exit code 6).
     global_deadline: Option<Duration>,
@@ -138,7 +118,7 @@ fn usage() -> ! {
          [--trace FILE [--trace-sample N]] [--json PATH]\n       \
          solve --all [--spec-dir DIR] [--parallel N] [--intra N] [--strategy paper|cost] \
          [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-cache] [--no-obs-equiv] \
-         [--no-bdd] [--snapshot FILE] [--global-deadline SECS] [--json PATH]"
+         [--global-deadline SECS] [--json PATH]"
     );
     std::process::exit(exit_codes::USAGE);
 }
@@ -152,14 +132,12 @@ fn parse_cli() -> Cli {
         timeout: None,
         no_cache: false,
         no_obs_equiv: false,
-        no_bdd: false,
         intra: None,
         strategy: None,
         spec: None,
         spec_dir: None,
         trace: None,
         trace_sample: None,
-        snapshot: None,
         global_deadline: None,
         json: None,
         single: None,
@@ -203,7 +181,6 @@ fn parse_cli() -> Cli {
             }
             "--no-cache" => cli.no_cache = true,
             "--no-obs-equiv" => cli.no_obs_equiv = true,
-            "--no-bdd" => cli.no_bdd = true,
             "--intra" => cli.intra = Some(value("--intra").parse().unwrap_or_else(|_| usage())),
             "--strategy" => {
                 let name = value("--strategy");
@@ -225,10 +202,6 @@ fn parse_cli() -> Cli {
             "--spec-dir" => {
                 cli.spec_dir = Some(value("--spec-dir"));
                 batch_only.push("--spec-dir");
-            }
-            "--snapshot" => {
-                cli.snapshot = Some(value("--snapshot"));
-                batch_only.push("--snapshot");
             }
             "--global-deadline" => {
                 cli.global_deadline = Some(Duration::from_secs(
@@ -260,12 +233,11 @@ fn parse_cli() -> Cli {
         eprintln!("--trace-sample needs --trace (or RBSYN_TRACE)");
         usage();
     }
-    if cli.compare && (cli.snapshot.is_some() || cli.global_deadline.is_some()) {
-        // A warm cache carried from the baseline into the parallel run, or
-        // wall-clock load shedding, would make the two deterministic
+    if cli.compare && cli.global_deadline.is_some() {
+        // Wall-clock load shedding would make the two deterministic
         // sections legitimately diverge — the byte-compare would be
         // meaningless.
-        eprintln!("--snapshot/--global-deadline do not combine with --compare");
+        eprintln!("--global-deadline does not combine with --compare");
         usage();
     }
     if cli.spec.is_some() && (cli.all || !positional.is_empty() || !batch_only.is_empty()) {
@@ -360,9 +332,6 @@ fn run_one(
     if cli.no_obs_equiv {
         opts.obs_equiv = false;
     }
-    if cli.no_bdd {
-        opts.bdd = false;
-    }
     if let Some(intra) = cli.intra {
         opts.intra_parallelism = intra;
     }
@@ -422,7 +391,7 @@ fn run_one(
                      \"elapsed_secs\": {:.6}, \"generate_secs\": {:.6}, \
                      \"guard_secs\": {:.6}, \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \
                      \"size\": {}, \"paths\": {}, \"tested\": {}, \"obs_pruned\": {}, \
-                     \"vector_hits\": {}, \"guard_dedup\": {}, \"bdd_nodes\": {}}}\n",
+                     \"vector_hits\": {}}}\n",
                     json_escape(label),
                     r.stats.elapsed.as_secs_f64(),
                     r.stats.generate_time.as_secs_f64(),
@@ -434,8 +403,6 @@ fn run_one(
                     r.stats.search.tested,
                     r.stats.search.obs_pruned,
                     r.stats.search.vector_hits,
-                    r.stats.search.guard_dedup,
-                    r.stats.search.bdd_nodes,
                 );
                 atomic_write(Path::new(path), json.as_bytes()).expect("write --json file");
             }
@@ -555,9 +522,6 @@ fn main() {
     if cli.no_obs_equiv {
         cfg.obs_equiv = false;
     }
-    if cli.no_bdd {
-        cfg.bdd = false;
-    }
     if let Some(intra) = cli.intra {
         cfg.intra = intra;
     }
@@ -566,21 +530,8 @@ fn main() {
     }
 
     let benchmarks = batch_benchmarks(&cli, &cfg);
-    // Batch-shared template cache, warmed from `--snapshot` when one is
-    // given and loadable. Any corruption (bad checksum, truncation, bad
-    // version…) degrades to a cold cache with a warning — it must never
-    // abort the run or change the synthesized programs.
-    let snapshot_cache = cli.snapshot.as_ref().map(|path| {
-        let cache = Arc::new(SearchCache::new());
-        match load_snapshot_contained(Path::new(path), &cache) {
-            Ok(n) => eprintln!("snapshot: warmed {n} template entries from {path}"),
-            Err(e) => eprintln!("snapshot: cannot load {path} ({e}); starting cold"),
-        }
-        cache
-    });
     let policy = BatchPolicy {
         global_deadline: cli.global_deadline,
-        cache: snapshot_cache.clone(),
     };
     let run = |cfg: &Config, threads: usize| -> BatchReport {
         run_suite_with(benchmarks.clone(), cfg, threads, &policy)
@@ -635,18 +586,6 @@ fn main() {
             "{}",
             format_contention_report(&rbsyn_lang::contention::snapshot())
         );
-    }
-    if let (Some(path), Some(cache)) = (&cli.snapshot, &snapshot_cache) {
-        // Persist the (possibly extended) template memo for the next run —
-        // atomically, so a crash mid-save leaves the previous snapshot
-        // intact rather than a truncated file.
-        match save_snapshot(cache, Path::new(path)) {
-            Ok(()) => {
-                let (hits, misses) = cache.template_counters();
-                eprintln!("snapshot: saved template memo to {path} (hits {hits}, misses {misses})");
-            }
-            Err(e) => eprintln!("snapshot: cannot save {path}: {e}"),
-        }
     }
     if let Some(path) = &cli.json {
         atomic_write(Path::new(path), batch_stats_json(&report).as_bytes())

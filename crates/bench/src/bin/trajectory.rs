@@ -5,11 +5,9 @@
 //! through the textual frontend), (since PR 5) the
 //! **observational-equivalence ablation** (`no-obs-equiv`), and (since
 //! PR 7) a deterministic **1-in-20 sample of the specgen stress corpus**
-//! (`generated`, 25 of the 500 pinned problems), and (since PR 8) the
-//! **guard-semantics A/B leg** (`no-bdd`) — and writes
-//! one JSON file (`BENCH_pr8.json` in CI) with wall-clocks, effort and
-//! cache counters per configuration (including the guard pool's
-//! `guard_dedup`/`bdd_nodes`), the corpus parse+lower time, and
+//! (`generated`, 25 of the 500 pinned problems) — and writes one JSON
+//! file (`BENCH_pr8.json` in CI) with wall-clocks, effort and cache
+//! counters per configuration, the corpus parse+lower time, and
 //! (since PR 6) a per-run `contention` delta from the per-lock telemetry
 //! in `rbsyn_lang::contention` (all zeros unless built with
 //! `--features contention` — each run row records `contention_enabled`
@@ -42,13 +40,11 @@
 //! The deterministic solution sections of every configuration — including
 //! the corpus run — are byte-compared against the sequential registry
 //! baseline (the `no-obs-equiv` ablation compares programs only, since its
-//! effort counters legitimately differ; the `no-bdd` leg compares the full
-//! solution section *and* the aggregate effort counters, since the BDD
-//! layer must change neither; and the `generated` row is a different
-//! problem set, so its gate is solved-count only); a mismatch (or any
-//! unsolved benchmark) exits nonzero, so the trajectory file doubles as
-//! the parallelism determinism gate, the registry-fidelity gate, the
-//! obs-equiv soundness gate, and the guard-semantics soundness gate.
+//! effort counters legitimately differ, and the `generated` row is a
+//! different problem set, so its gate is solved-count only); a mismatch
+//! (or any unsolved benchmark) exits nonzero, so the trajectory file
+//! doubles as the parallelism determinism gate, the registry-fidelity
+//! gate, and the obs-equiv soundness gate.
 
 use rbsyn_bench::harness::{
     contention_json, format_batch_programs, format_batch_solutions, format_contention_report,
@@ -74,12 +70,6 @@ struct RunSpec {
     /// Disable observational-equivalence pruning (the A/B ablation leg:
     /// programs must match the baseline byte-for-byte, effort may not).
     no_obs_equiv: bool,
-    /// Disable the BDD-backed guard semantics (the A/B leg since PR 8:
-    /// the deterministic solution section *and* the aggregate effort
-    /// counters must match the baseline byte-for-byte — only
-    /// `guard_dedup`/`bdd_nodes` drop to zero and the guard phase
-    /// slows down).
-    no_bdd: bool,
 }
 
 fn json_report(
@@ -95,12 +85,12 @@ fn json_report(
     let wall_speedup = sequential_wall_secs.map_or(1.0, |base| base / wall.max(1e-9));
     format!(
         "    {{\"config\": \"{}\", \"threads\": {}, \"intra\": {}, \"source\": \"{}\", \
-         \"obs_equiv\": {}, \"bdd\": {}, \"contention_enabled\": {},\n     \
+         \"obs_equiv\": {}, \"contention_enabled\": {},\n     \
          \"wall_clock_secs\": {:.6}, \"cpu_time_secs\": {:.6}, \"wall_speedup\": {:.4}, \
          \"cpu_ratio\": {:.4},\n     \
          \"solved\": {}, \"timeouts\": {}, \"failures\": {}, \"tested\": {},\n     \
          \"expand_hits\": {}, \"type_hits\": {}, \"oracle_hits\": {}, \"deduped\": {}, \
-         \"obs_pruned\": {}, \"vector_hits\": {}, \"guard_dedup\": {}, \"bdd_nodes\": {},\n     \
+         \"obs_pruned\": {}, \"vector_hits\": {},\n     \
          \"generate_time_secs\": {:.6}, \"guard_time_secs\": {:.6}, \
          \"merge_time_secs\": {:.6}, \"eval_time_secs\": {:.6},\n     \
          \"contention\": {}}}",
@@ -115,7 +105,6 @@ fn json_report(
             "registry"
         },
         !spec.no_obs_equiv,
-        !spec.no_bdd,
         contention::enabled(),
         wall,
         s.cpu_time.as_secs_f64(),
@@ -131,8 +120,6 @@ fn json_report(
         s.deduped,
         s.obs_pruned,
         s.vector_hits,
-        s.guard_dedup,
-        s.bdd_nodes,
         s.generate_time.as_secs_f64(),
         s.guard_time.as_secs_f64(),
         s.merge_time.as_secs_f64(),
@@ -263,7 +250,6 @@ fn main() {
             corpus: false,
             generated: false,
             no_obs_equiv: false,
-            no_bdd: false,
         },
         RunSpec {
             name: "parallel",
@@ -272,7 +258,6 @@ fn main() {
             corpus: false,
             generated: false,
             no_obs_equiv: false,
-            no_bdd: false,
         },
         RunSpec {
             name: "intra",
@@ -281,7 +266,6 @@ fn main() {
             corpus: false,
             generated: false,
             no_obs_equiv: false,
-            no_bdd: false,
         },
         RunSpec {
             name: "parallel+intra",
@@ -290,7 +274,6 @@ fn main() {
             corpus: false,
             generated: false,
             no_obs_equiv: false,
-            no_bdd: false,
         },
         // The file-driven corpus through the textual frontend must
         // synthesize byte-identical programs (registry fidelity).
@@ -301,7 +284,6 @@ fn main() {
             corpus: true,
             generated: false,
             no_obs_equiv: false,
-            no_bdd: false,
         },
         // Pruning ablation: observational-equivalence dedup off must
         // synthesize byte-identical *programs* (it legitimately tests
@@ -313,19 +295,6 @@ fn main() {
             corpus: false,
             generated: false,
             no_obs_equiv: true,
-            no_bdd: false,
-        },
-        // Guard-semantics A/B: the BDD layer off must synthesize the same
-        // programs with the same effort counters (the canonical-semantics
-        // soundness gate) — only the guard phase gets slower.
-        RunSpec {
-            name: "no-bdd",
-            threads: 1,
-            intra: 1,
-            corpus: false,
-            generated: false,
-            no_obs_equiv: false,
-            no_bdd: true,
         },
         // A deterministic 1-in-20 sample of the specgen stress corpus
         // (since PR 7): different problems than the registry, so no
@@ -338,20 +307,18 @@ fn main() {
             corpus: false,
             generated: true,
             no_obs_equiv: false,
-            no_bdd: false,
         },
     ];
 
     let mut rows: Vec<String> = Vec::new();
     let mut baseline_solutions: Option<String> = None;
     let mut baseline_programs: Option<String> = None;
-    let mut baseline_effort: Option<(u64, u64, u64, u64, u64, u64)> = None;
     let mut sequential_wall: Option<f64> = None;
     let mut parallel_speedup: Option<f64> = None;
     let mut ok = true;
     for spec in &specs {
         eprintln!(
-            "trajectory: {} (threads {}, intra {}{}{})…",
+            "trajectory: {} (threads {}, intra {}{})…",
             spec.name,
             spec.threads,
             spec.intra,
@@ -360,12 +327,10 @@ fn main() {
             } else {
                 ""
             },
-            if spec.no_bdd { ", bdd off" } else { "" }
         );
         let cfg = Config {
             intra: spec.intra,
             obs_equiv: !spec.no_obs_equiv,
-            bdd: !spec.no_bdd,
             ..base.clone()
         };
         let locks_before = contention::snapshot();
@@ -429,63 +394,12 @@ fn main() {
                 }
                 Some(_) => {}
             }
-        } else if spec.no_bdd {
-            // The strongest A/B gate: the BDD layer must change *nothing*
-            // observable — same deterministic solution section, same
-            // aggregate effort counters (`guard_dedup`/`bdd_nodes` are
-            // the BDD's own telemetry and excluded by construction).
-            let solutions = format_batch_solutions(&report);
-            match &baseline_solutions {
-                Some(base_sols) if *base_sols != solutions => {
-                    eprintln!(
-                        "trajectory: MISMATCH — {} diverges from the sequential baseline:\n\
-                         --- sequential ---\n{base_sols}--- {} ---\n{solutions}",
-                        spec.name, spec.name
-                    );
-                    ok = false;
-                }
-                None => {
-                    eprintln!("trajectory: no baseline before the no-bdd leg");
-                    ok = false;
-                }
-                Some(_) => {}
-            }
-            let s = &report.stats;
-            let effort = (
-                s.popped,
-                s.expanded,
-                s.tested,
-                s.deduped,
-                s.obs_pruned,
-                s.vector_hits,
-            );
-            match baseline_effort {
-                Some(base_eff) if base_eff != effort => {
-                    eprintln!(
-                        "trajectory: MISMATCH — {} effort counters differ from the baseline: \
-                         {base_eff:?} vs {effort:?} \
-                         (popped, expanded, tested, deduped, obs_pruned, vector_hits)",
-                        spec.name
-                    );
-                    ok = false;
-                }
-                _ => {}
-            }
         } else {
             let solutions = format_batch_solutions(&report);
             match &baseline_solutions {
                 None => {
                     baseline_solutions = Some(solutions);
                     baseline_programs = Some(format_batch_programs(&report));
-                    let s = &report.stats;
-                    baseline_effort = Some((
-                        s.popped,
-                        s.expanded,
-                        s.tested,
-                        s.deduped,
-                        s.obs_pruned,
-                        s.vector_hits,
-                    ));
                     sequential_wall = Some(report.stats.wall_clock.as_secs_f64());
                 }
                 Some(base_sols) if *base_sols != solutions => {

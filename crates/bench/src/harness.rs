@@ -33,9 +33,6 @@ pub struct Config {
     /// `RBSYN_NO_OBS_EQUIV=1` or `solve --no-obs-equiv` turns it off for
     /// the byte-identity A/B gate.
     pub obs_equiv: bool,
-    /// BDD-backed guard semantics (`Options::bdd`); `RBSYN_NO_BDD=1` or
-    /// `solve --no-bdd` turns it off for the byte-identity A/B gate.
-    pub bdd: bool,
     /// Intra-problem task width (`Options::intra_parallelism`;
     /// `RBSYN_INTRA` / `solve --intra N`). Any width produces
     /// byte-identical programs and effort counters.
@@ -73,7 +70,6 @@ impl Config {
             .unwrap_or_default();
         let cache = !std::env::var("RBSYN_NO_CACHE").is_ok_and(|v| v == "1" || v == "true");
         let obs_equiv = !std::env::var("RBSYN_NO_OBS_EQUIV").is_ok_and(|v| v == "1" || v == "true");
-        let bdd = !std::env::var("RBSYN_NO_BDD").is_ok_and(|v| v == "1" || v == "true");
         let intra = std::env::var("RBSYN_INTRA")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -90,7 +86,6 @@ impl Config {
             ids,
             cache,
             obs_equiv,
-            bdd,
             intra,
             strategy,
         }
@@ -464,7 +459,6 @@ pub fn suite_jobs(
                 timeout: Some(timeout),
                 cache: cfg.cache,
                 obs_equiv: cfg.obs_equiv,
-                bdd: cfg.bdd,
                 intra_parallelism: cfg.intra,
                 strategy: cfg.strategy,
                 ..(b.options)()
@@ -492,8 +486,8 @@ pub fn run_suite_on(benchmarks: Vec<Benchmark>, cfg: &Config, threads: usize) ->
 }
 
 /// Like [`run_suite_on`] with an explicit [`BatchPolicy`] — the entry
-/// point for `solve --snapshot` (batch-shared warm template cache) and
-/// `solve --global-deadline` (admission-control load shedding).
+/// point for `solve --global-deadline` (admission-control load
+/// shedding).
 pub fn run_suite_with(
     benchmarks: Vec<Benchmark>,
     cfg: &Config,
@@ -566,7 +560,7 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
         "batch: {} jobs on {} thread(s) — {} solved, {} timeout, {} failed \
          ({} panicked), {} shed; \
          {} candidates tested; cache hits {} expand / {} type / {} oracle, \
-         {} deduped, {} obs-pruned, {} vector hits, {} guard-dedup ({} bdd nodes); \
+         {} deduped, {} obs-pruned, {} vector hits; \
          phases generate {:.2}s | guard {:.2}s | merge {:.2}s | eval {:.2}s; \
          wall {:.2}s, cpu {:.2}s, cpu-ratio {:.2}x\n",
         s.jobs,
@@ -583,8 +577,6 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
         s.deduped,
         s.obs_pruned,
         s.vector_hits,
-        s.guard_dedup,
-        s.bdd_nodes,
         s.generate_time.as_secs_f64(),
         s.guard_time.as_secs_f64(),
         s.merge_time.as_secs_f64(),
@@ -673,14 +665,6 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
          \"panics\": {}, \"shed\": {},\n",
         s.jobs, s.threads, s.solved, s.timeouts, s.failures, s.panics, s.shed
     ));
-    // Template-memo traffic of the batch-shared cache (`--snapshot`):
-    // diagnostics only, never part of the deterministic effort counters. A
-    // warm start shows zero misses; a cold start shows one miss per
-    // distinct template key.
-    out.push_str(&format!(
-        "  \"template_hits\": {}, \"template_misses\": {},\n",
-        s.template_hits, s.template_misses
-    ));
     out.push_str(&format!(
         "  \"exit_code\": {},\n",
         exit_codes::for_batch(report)
@@ -690,16 +674,9 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
         s.tested, s.expanded, s.popped
     ));
     out.push_str(&format!(
-        "  \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {}, \"guard_dedup\": {}, \
-         \"bdd_nodes\": {}, \"expand_hits\": {}, \"type_hits\": {}, \"oracle_hits\": {},\n",
-        s.deduped,
-        s.obs_pruned,
-        s.vector_hits,
-        s.guard_dedup,
-        s.bdd_nodes,
-        s.expand_hits,
-        s.type_hits,
-        s.oracle_hits
+        "  \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {}, \
+         \"expand_hits\": {}, \"type_hits\": {}, \"oracle_hits\": {},\n",
+        s.deduped, s.obs_pruned, s.vector_hits, s.expand_hits, s.type_hits, s.oracle_hits
     ));
     // `cpu_ratio` is the old `speedup` field renamed: cpu-time over wall
     // time, which a 1-core host can report > 1 while the wall clock is
@@ -746,8 +723,7 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                  \"generate_secs\": {:.6}, \"guard_secs\": {:.6}, \
                  \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \
                  \"size\": {}, \"paths\": {}, \"tested\": {}, \"obs_pruned\": {}, \
-                 \"vector_hits\": {}, \"guard_dedup\": {}, \"bdd_nodes\": {}, \
-                 \"solution\": \"{}\"}}{sep}\n",
+                 \"vector_hits\": {}, \"solution\": \"{}\"}}{sep}\n",
                 json_escape(&o.id),
                 o.elapsed.as_secs_f64(),
                 r.stats.generate_time.as_secs_f64(),
@@ -759,8 +735,6 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                 r.stats.search.tested,
                 r.stats.search.obs_pruned,
                 r.stats.search.vector_hits,
-                r.stats.search.guard_dedup,
-                r.stats.search.bdd_nodes,
                 json_escape(&r.program.body.compact()),
             )),
             Err(e) => out.push_str(&format!(
@@ -812,7 +786,6 @@ mod tests {
             ids: vec!["S1".into()],
             cache: true,
             obs_equiv: true,
-            bdd: true,
             intra: 1,
             strategy: StrategyKind::Paper,
         };

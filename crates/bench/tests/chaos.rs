@@ -1,30 +1,25 @@
 //! Chaos suite: drives the real `solve` binary under injected faults and
-//! corrupted persistence, and pins the robustness contract end to end:
+//! pins the robustness contract end to end:
 //!
 //! * no fault profile ever aborts the process — every failure converts to
 //!   a per-job exit code (`1` contained panic, `4` watchdog/timeout,
 //!   `6` shed);
 //! * jobs *not* hit by a fault synthesize byte-identical programs and
 //!   effort counters, panicking siblings or not;
-//! * pure-delay profiles change nothing at all (stdout byte-identical);
-//! * a missing, truncated or corrupted `--snapshot` degrades to a cold
-//!   cache with a stderr warning — never a panic, never different
-//!   programs; warm-vs-cold is visible only in the diagnostic
-//!   `template_hits`/`template_misses` counters (warm runs report zero
-//!   misses).
+//! * pure-delay profiles change nothing at all (stdout byte-identical).
 //!
-//! The snapshot tests run everywhere; the fault-injection tests need the
-//! `failpoints` feature (`cargo test -p rbsyn-bench --features
-//! failpoints`), which the CI `chaos` job enables.
+//! Fault injection needs the `failpoints` feature (`cargo test -p
+//! rbsyn-bench --features failpoints`), which the CI `chaos` job enables;
+//! without it this suite compiles to nothing.
 
-use std::path::PathBuf;
+#![cfg(feature = "failpoints")]
+
 use std::process::{Command, Output};
 
-/// The fault-matrix subset: fast solvers spanning all three search
-/// features (constant/var solutions, effect-guided writes, branch
-/// merging) — the same set the CI bench smoke uses.
-#[cfg(feature = "failpoints")]
-const IDS: &str = "S1,S2,S3,S4,A7";
+/// The fault-matrix subset: fast solvers spanning the search features —
+/// constant/var solutions (S1, S2), query chains (S3, S4), effect-guided
+/// writes (A7) and branch merging (S5 solves to two paths).
+const IDS: &str = "S1,S2,S3,S4,A7,S5";
 
 fn solve(args: &[&str], failpoints: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_solve"));
@@ -46,261 +41,69 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// A scratch file path unique to this test process.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rbsyn-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+fn baseline() -> String {
+    let out = solve(&["--all", "--ids", IDS, "--parallel", "1"], None);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    stdout_of(&out)
 }
 
-/// Pulls `"field": N` out of the hand-rolled JSON report.
-fn json_counter(json: &str, field: &str) -> u64 {
-    let needle = format!("\"{field}\": ");
-    let at = json.find(&needle).unwrap_or_else(|| {
-        panic!("field {field:?} missing from report:\n{json}");
-    });
-    json[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter parses")
-}
-
-// ── snapshot persistence (no fault injection needed) ─────────────────────
-
-/// Warm round trip through the binary: a cold run saves the template
-/// memo, a warm run reloads it (zero template misses), and every byte of
-/// the deterministic output — programs *and* effort counters — is
-/// identical. Then every corruption we can cheaply produce (truncation,
-/// a flipped byte, garbage) degrades the next run to a cold cache with a
-/// warning instead of a panic, still byte-identical.
+/// Pure-delay profiles at every delay-capable site: synthesis slows
+/// down, nothing else changes — stdout stays byte-identical and the
+/// batch still exits 0.
 #[test]
-fn snapshot_round_trip_and_corruption_degrade_cleanly() {
-    let snap = scratch("round-trip.bin");
-    let json = scratch("round-trip.json");
-    let snap_s = snap.to_str().unwrap();
-    let json_s = json.to_str().unwrap();
-    let args = |extra: &[&str]| -> Vec<String> {
-        let mut v: Vec<String> = ["--all", "--ids", "S1,S2,S3", "--parallel", "1"]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect();
-        v.extend(extra.iter().map(|s| (*s).to_string()));
-        v
-    };
+fn delay_profiles_change_nothing() {
+    let base = baseline();
+    for profile in [
+        "interp::eval=delay(1)%5000",
+        "guards::cover=delay(2)",
+        "executor::spawn=delay(1)%7",
+        "batch::claim=delay(5)",
+    ] {
+        let out = solve(&["--all", "--ids", IDS, "--parallel", "1"], Some(profile));
+        assert_eq!(out.status.code(), Some(0), "{profile}: {}", stderr_of(&out));
+        assert_eq!(
+            base,
+            stdout_of(&out),
+            "{profile}: a delay must not change any output"
+        );
+    }
+}
 
-    // Cold: the snapshot file does not exist yet — that is a warning and
-    // a cold start, not an error.
-    let cold_args = args(&["--snapshot", snap_s, "--json", json_s]);
-    let cold_ref: Vec<&str> = cold_args.iter().map(String::as_str).collect();
-    let cold = solve(&cold_ref, None);
-    assert_eq!(cold.status.code(), Some(0), "{}", stderr_of(&cold));
-    assert!(
-        stderr_of(&cold).contains("starting cold"),
-        "missing snapshot must warn and start cold:\n{}",
-        stderr_of(&cold)
-    );
-    assert!(snap.is_file(), "cold run must save a snapshot");
-    let cold_stdout = stdout_of(&cold);
-    let cold_json = std::fs::read_to_string(&json).unwrap();
-    let cold_misses = json_counter(&cold_json, "template_misses");
-    assert!(cold_misses > 0, "cold run must populate the template memo");
-
-    // Warm: reloads every entry, zero misses, byte-identical output.
-    let warm = solve(&cold_ref, None);
-    assert_eq!(warm.status.code(), Some(0), "{}", stderr_of(&warm));
-    assert!(
-        stderr_of(&warm).contains("snapshot: warmed"),
-        "{}",
-        stderr_of(&warm)
-    );
-    assert_eq!(
-        cold_stdout,
-        stdout_of(&warm),
-        "warm run must not change programs"
-    );
-    let warm_json = std::fs::read_to_string(&json).unwrap();
-    assert_eq!(
-        json_counter(&warm_json, "template_misses"),
-        0,
-        "a warm cache must serve every template without a miss"
-    );
-    assert_eq!(
-        json_counter(&cold_json, "tested"),
-        json_counter(&warm_json, "tested"),
-        "cache state must never change the effort counters"
-    );
-
-    // Corruption matrix: flip a payload byte, truncate, replace with
-    // garbage. Every variant must warn, start cold, and still solve
-    // byte-identically with exit 0.
-    let pristine = std::fs::read(&snap).unwrap();
-    let mut flipped = pristine.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0xff;
-    let corruptions: Vec<(&str, Vec<u8>)> = vec![
-        ("flipped byte", flipped),
-        ("truncated", pristine[..pristine.len() / 3].to_vec()),
-        ("garbage", b"not a snapshot at all".to_vec()),
-        ("empty", Vec::new()),
-    ];
-    for (label, bytes) in corruptions {
-        std::fs::write(&snap, &bytes).unwrap();
-        let run_args = args(&["--snapshot", snap_s]);
-        let run_ref: Vec<&str> = run_args.iter().map(String::as_str).collect();
-        let out = solve(&run_ref, None);
+/// Panic profiles: the job owning the fault fails with a contained
+/// `internal error` (batch exit 1), and every other job's output line
+/// is byte-for-byte the baseline line.
+#[test]
+fn panic_profiles_are_contained_per_job() {
+    let base = baseline();
+    // Sequential dispatch makes hit attribution deterministic:
+    // `batch::claim` hit 2 is the second job (S2); the first
+    // `interp::eval` hit is inside the first job (S1); S4 is the first
+    // job whose merge issues a guard-covering query.
+    for (profile, victim) in [
+        ("batch::claim=panic@2", "S2"),
+        ("interp::eval=panic@1", "S1"),
+        ("guards::cover=panic@1", "S4"),
+    ] {
+        let out = solve(&["--all", "--ids", IDS, "--parallel", "1"], Some(profile));
         assert_eq!(
             out.status.code(),
-            Some(0),
-            "{label}: corruption must not fail the run:\n{}",
+            Some(1),
+            "{profile}: a contained panic is exit 1, not an abort:\n{}",
             stderr_of(&out)
         );
-        assert!(
-            stderr_of(&out).contains("starting cold"),
-            "{label}: must warn and degrade to cold:\n{}",
-            stderr_of(&out)
-        );
-        assert_eq!(
-            cold_stdout,
-            stdout_of(&out),
-            "{label}: corruption must never change the programs"
-        );
-    }
-}
-
-// ── fault injection (needs `--features failpoints`) ──────────────────────
-
-#[cfg(feature = "failpoints")]
-mod faults {
-    use super::*;
-
-    fn baseline() -> String {
-        let out = solve(&["--all", "--ids", IDS, "--parallel", "1"], None);
-        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-        stdout_of(&out)
-    }
-
-    /// Pure-delay profiles at every delay-capable site: synthesis slows
-    /// down, nothing else changes — stdout stays byte-identical and the
-    /// batch still exits 0.
-    #[test]
-    fn delay_profiles_change_nothing() {
-        let base = baseline();
-        for profile in [
-            "interp::eval=delay(1)%5000",
-            "guards::cover=delay(2)",
-            "executor::spawn=delay(1)%7",
-            "batch::claim=delay(5)",
-        ] {
-            let out = solve(&["--all", "--ids", IDS, "--parallel", "1"], Some(profile));
-            assert_eq!(out.status.code(), Some(0), "{profile}: {}", stderr_of(&out));
-            assert_eq!(
-                base,
-                stdout_of(&out),
-                "{profile}: a delay must not change any output"
-            );
-        }
-    }
-
-    /// Panic profiles: the job owning the fault fails with a contained
-    /// `internal error` (batch exit 1), and every other job's output line
-    /// is byte-for-byte the baseline line.
-    #[test]
-    fn panic_profiles_are_contained_per_job() {
-        let base = baseline();
-        // Sequential dispatch makes hit attribution deterministic:
-        // `batch::claim` hit 2 is the second job (S2); the first
-        // `interp::eval` hit is inside the first job (S1).
-        for (profile, victim) in [
-            ("batch::claim=panic@2", "S2"),
-            ("interp::eval=panic@1", "S1"),
-        ] {
-            let out = solve(&["--all", "--ids", IDS, "--parallel", "1"], Some(profile));
-            assert_eq!(
-                out.status.code(),
-                Some(1),
-                "{profile}: a contained panic is exit 1, not an abort:\n{}",
-                stderr_of(&out)
-            );
-            let stdout = stdout_of(&out);
-            for (base_line, line) in base.lines().zip(stdout.lines()) {
-                if line.starts_with(victim) {
-                    assert!(
-                        line.contains("failed  internal error"),
-                        "{profile}: victim must report a contained panic: {line}"
-                    );
-                } else {
-                    assert_eq!(
-                        base_line, line,
-                        "{profile}: jobs not hit by the fault must be unaffected"
-                    );
-                }
+        let stdout = stdout_of(&out);
+        for (base_line, line) in base.lines().zip(stdout.lines()) {
+            if line.starts_with(victim) {
+                assert!(
+                    line.contains("failed  internal error"),
+                    "{profile}: victim must report a contained panic: {line}"
+                );
+            } else {
+                assert_eq!(
+                    base_line, line,
+                    "{profile}: jobs not hit by the fault must be unaffected"
+                );
             }
         }
-    }
-
-    /// A panicking job must not poison the batch-shared snapshot cache:
-    /// the run after the chaotic one still warm-loads and solves
-    /// byte-identically.
-    #[test]
-    fn panic_does_not_corrupt_the_saved_snapshot() {
-        let snap = scratch("post-panic.bin");
-        let snap_s = snap.to_str().unwrap();
-        let args = [
-            "--all",
-            "--ids",
-            IDS,
-            "--parallel",
-            "1",
-            "--snapshot",
-            snap_s,
-        ];
-        // Chaotic cold run: S2 dies, the memo of the surviving jobs is
-        // still saved.
-        let chaotic = solve(&args, Some("batch::claim=panic@2"));
-        assert_eq!(chaotic.status.code(), Some(1), "{}", stderr_of(&chaotic));
-        assert!(
-            snap.is_file(),
-            "snapshot must be saved even after a contained panic"
-        );
-        // Clean warm run: loads what the chaotic run saved, everything
-        // solves, and the output matches a clean cold baseline.
-        let clean = solve(&args[..5], None);
-        let warm = solve(&args, None);
-        assert_eq!(warm.status.code(), Some(0), "{}", stderr_of(&warm));
-        assert!(
-            stderr_of(&warm).contains("snapshot: warmed"),
-            "{}",
-            stderr_of(&warm)
-        );
-        assert_eq!(stdout_of(&clean), stdout_of(&warm));
-    }
-
-    /// An injected I/O error on the snapshot read path degrades to a cold
-    /// start exactly like real corruption does.
-    #[test]
-    fn injected_snapshot_read_error_degrades_to_cold() {
-        let snap = scratch("io-error.bin");
-        let snap_s = snap.to_str().unwrap();
-        let args = [
-            "--all",
-            "--ids",
-            "S1,S2",
-            "--parallel",
-            "1",
-            "--snapshot",
-            snap_s,
-        ];
-        let cold = solve(&args, None);
-        assert_eq!(cold.status.code(), Some(0), "{}", stderr_of(&cold));
-        let out = solve(&args, Some("cache::load=error"));
-        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-        assert!(
-            stderr_of(&out).contains("starting cold"),
-            "an injected read error must degrade to cold:\n{}",
-            stderr_of(&out)
-        );
-        assert_eq!(stdout_of(&cold), stdout_of(&out));
     }
 }

@@ -106,12 +106,12 @@ fn batch_zero_global_deadline_sheds_and_exits_6() {
     );
 }
 
-/// `--snapshot`/`--global-deadline` would make the `--compare` byte-diff
-/// meaningless; the combination is a usage error, not a silent downgrade.
+/// `--global-deadline` would make the `--compare` byte-diff meaningless;
+/// the combination is a usage error, not a silent downgrade.
 #[test]
-fn snapshot_with_compare_exits_2() {
+fn global_deadline_with_compare_exits_2() {
     let out = Command::new(env!("CARGO_BIN_EXE_solve"))
-        .args(["--all", "--compare", "--snapshot", "/tmp/never-written.bin"])
+        .args(["--all", "--compare", "--global-deadline", "5"])
         .output()
         .expect("solve binary runs");
     assert_eq!(

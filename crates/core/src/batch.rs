@@ -143,10 +143,6 @@ pub struct BatchPolicy {
     /// shed with [`SynthError::Shed`] instead of started. `None` (the
     /// default) admits everything.
     pub global_deadline: Option<Duration>,
-    /// The shared cache to run against, letting callers pre-warm it from
-    /// a snapshot ([`crate::snapshot`]) or inspect it afterwards. `None`
-    /// (the default) provisions a fresh cache per batch.
-    pub cache: Option<Arc<SearchCache>>,
 }
 
 /// The shed-or-admit gate of [`BatchPolicy::global_deadline`]. Completed
@@ -268,13 +264,6 @@ pub struct BatchStats {
     /// Jobs refused by the [`BatchPolicy::global_deadline`] admission
     /// gate.
     pub shed: usize,
-    /// Template-memo requests the shared cache answered from its memo
-    /// (diagnostics; varies with cache state by design — a snapshot-warmed
-    /// cache answers everything from here).
-    pub template_hits: u64,
-    /// Template-memo requests the shared cache had to compute fresh
-    /// (zero when a snapshot of an identical batch pre-warmed the cache).
-    pub template_misses: u64,
     /// Candidates tested across all jobs (solved jobs report their search
     /// counters; failed jobs contribute nothing — their stats die with the
     /// error).
@@ -292,13 +281,6 @@ pub struct BatchStats {
     /// Guard requests answered purely from pass/fail bitvectors (solved
     /// jobs).
     pub vector_hits: u64,
-    /// Guard candidates deduplicated into an already-decided semantic
-    /// class of their covering request (solved jobs; zero with
-    /// `--no-bdd`).
-    pub guard_dedup: u64,
-    /// Guard-pool BDD high-water node counts summed over solved jobs
-    /// (zero with `--no-bdd`).
-    pub bdd_nodes: u64,
     /// Expansion lists answered from the shared memo (solved jobs).
     pub expand_hits: u64,
     /// Type-check verdicts answered from the shared memo (solved jobs).
@@ -345,19 +327,11 @@ pub struct BatchReport {
     pub stats: BatchStats,
 }
 
-fn aggregate(
-    outcomes: Vec<BatchOutcome>,
-    wall: Duration,
-    threads: usize,
-    cache: &SearchCache,
-) -> BatchReport {
-    let (template_hits, template_misses) = cache.template_counters();
+fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> BatchReport {
     let mut stats = BatchStats {
         jobs: outcomes.len(),
         wall_clock: wall,
         threads,
-        template_hits,
-        template_misses,
         ..BatchStats::default()
     };
     for o in &outcomes {
@@ -374,8 +348,6 @@ fn aggregate(
                 stats.deduped = stats.deduped.saturating_add(r.stats.search.deduped);
                 stats.obs_pruned = stats.obs_pruned.saturating_add(r.stats.search.obs_pruned);
                 stats.vector_hits = stats.vector_hits.saturating_add(r.stats.search.vector_hits);
-                stats.guard_dedup = stats.guard_dedup.saturating_add(r.stats.search.guard_dedup);
-                stats.bdd_nodes = stats.bdd_nodes.saturating_add(r.stats.search.bdd_nodes);
                 stats.expand_hits = stats.expand_hits.saturating_add(r.stats.search.expand_hits);
                 stats.type_hits = stats.type_hits.saturating_add(r.stats.search.type_hits);
                 stats.oracle_hits = stats.oracle_hits.saturating_add(r.stats.search.oracle_hits);
@@ -443,8 +415,7 @@ pub fn run_batch(jobs: &[BatchJob], threads: usize) -> BatchReport {
 }
 
 /// [`run_batch`] with an explicit [`BatchPolicy`]: a whole-batch
-/// admission-control deadline and/or a caller-provided shared cache (the
-/// snapshot-warmed path of `solve --snapshot`).
+/// admission-control deadline.
 pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -> BatchReport {
     let threads = match threads {
         0 => std::thread::available_parallelism()
@@ -463,12 +434,8 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
     // One cache for the whole batch: jobs over identical environments
     // reuse each other's memoized search work (sound and deterministic —
     // see the module docs). Jobs that opt out via `Options::cache = false`
-    // simply ignore it. The policy may supply a pre-warmed cache
-    // (snapshot restore) instead of a fresh one.
-    let cache = policy
-        .cache
-        .clone()
-        .unwrap_or_else(|| Arc::new(SearchCache::new()));
+    // simply ignore it.
+    let cache = Arc::new(SearchCache::new());
     let gate = AdmissionGate::new(policy.global_deadline, threads, jobs.len());
 
     let started = Instant::now();
@@ -479,7 +446,7 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
             .enumerate()
             .map(|(i, j)| run_gated(j, i, &gate, &cache, None))
             .collect();
-        return aggregate(outcomes, started.elapsed(), 1, &cache);
+        return aggregate(outcomes, started.elapsed(), 1);
     }
 
     // One executor for the whole batch; its serving threads are the scoped
@@ -549,7 +516,7 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
                 })
         })
         .collect();
-    aggregate(outcomes, started.elapsed(), pool, &cache)
+    aggregate(outcomes, started.elapsed(), pool)
 }
 
 #[cfg(test)]
@@ -766,7 +733,6 @@ mod tests {
             .collect();
         let policy = BatchPolicy {
             global_deadline: Some(Duration::ZERO),
-            ..BatchPolicy::default()
         };
         let report = run_batch_with(&jobs, 1, &policy);
         assert_eq!(report.stats.shed, 3);
@@ -784,35 +750,10 @@ mod tests {
             .collect();
         let policy = BatchPolicy {
             global_deadline: Some(Duration::from_secs(3600)),
-            ..BatchPolicy::default()
         };
         let report = run_batch_with(&jobs, 2, &policy);
         assert_eq!(report.stats.shed, 0);
         assert_eq!(report.stats.solved, 4);
-    }
-
-    #[test]
-    fn policy_cache_is_used_and_counts_template_traffic() {
-        let cache = Arc::new(SearchCache::new());
-        let policy = BatchPolicy {
-            cache: Some(Arc::clone(&cache)),
-            ..BatchPolicy::default()
-        };
-        let jobs = vec![trivial_job("a", None)];
-        let cold = run_batch_with(&jobs, 1, &policy);
-        let (_, cold_misses) = cache.template_counters();
-        assert_eq!(
-            cold.stats.template_misses, cold_misses,
-            "stats mirror the cache's counters"
-        );
-        assert!(cold_misses > 0, "a cold cache computes templates");
-        // Second batch over the warm cache: all template traffic hits.
-        let warm = run_batch_with(&jobs, 1, &policy);
-        assert_eq!(
-            warm.stats.template_misses, cold_misses,
-            "warm run adds no new misses"
-        );
-        assert!(warm.stats.template_hits > cold.stats.template_hits);
     }
 
     #[test]

@@ -78,18 +78,6 @@ impl EnvToken {
             ),
         ))
     }
-
-    /// The raw 128-bit token, for serialization
-    /// ([`crate::snapshot`]). Tokens are content-derived, so the bits are
-    /// stable across processes for the same table + options.
-    pub fn to_bits(self) -> u128 {
-        self.0
-    }
-
-    /// Rebuilds a token from [`EnvToken::to_bits`] output.
-    pub fn from_bits(bits: u128) -> EnvToken {
-        EnvToken(bits)
-    }
 }
 
 /// Process-unique identity of one oracle instance.
@@ -161,21 +149,6 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> ShardedMap<K, V> {
-    /// Clones out every entry (snapshot export; order is unspecified).
-    fn entries(&self) -> Vec<(K, V)> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                contention::read(self.site, s)
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-}
-
 /// One memoized expansion result: the candidate's id plus every property
 /// the work-list consults, captured at intern time so the hot loop touches
 /// no further locks per item.
@@ -220,12 +193,6 @@ pub struct SearchCache {
     types: ShardedMap<(EnvToken, u128, ExprId), Option<Ty>>,
     oracle: ShardedMap<(OracleToken, ExprId), OracleOutcome>,
     templates: ShardedMap<(EnvToken, String), Arc<Vec<Expr>>>,
-    /// Template-memo requests answered from this cache / computed fresh.
-    /// Diagnostics only (the snapshot round-trip gate checks that a
-    /// warm-loaded cache reports zero misses); never folded into the
-    /// deterministic effort counters.
-    template_hits: AtomicU64,
-    template_misses: AtomicU64,
 }
 
 impl Default for SearchCache {
@@ -245,8 +212,6 @@ impl SearchCache {
             types: ShardedMap::new(LockSite::CacheTypes),
             oracle: ShardedMap::new(LockSite::CacheOracle),
             templates: ShardedMap::new(LockSite::CacheTemplates),
-            template_hits: AtomicU64::new(0),
-            template_misses: AtomicU64::new(0),
         }
     }
 
@@ -340,42 +305,6 @@ impl SearchCache {
     /// Number of memoized template lists (diagnostics/tests).
     pub fn template_entries(&self) -> usize {
         self.templates.len()
-    }
-
-    /// `(hits, misses)` of the template memo since this cache was created
-    /// (or last loaded from a snapshot). A warm cache restored from a
-    /// snapshot of an identical run answers every request from the memo,
-    /// so its miss count stays zero — the observable "the snapshot
-    /// worked" signal used by the CI round-trip leg. Diagnostics only:
-    /// these counters vary with cache state by design and are never part
-    /// of the deterministic effort counters.
-    pub fn template_counters(&self) -> (u64, u64) {
-        (
-            self.template_hits.load(Ordering::Relaxed),
-            self.template_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Clones out every template entry as raw `(env bits, key, exprs)`
-    /// rows sorted by `(env, key)`, so snapshot bytes are canonical for a
-    /// given cache content ([`crate::snapshot`]).
-    pub fn export_templates(&self) -> Vec<(u128, String, Arc<Vec<Expr>>)> {
-        let mut rows: Vec<(u128, String, Arc<Vec<Expr>>)> = self
-            .templates
-            .entries()
-            .into_iter()
-            .map(|((env, key), v)| (env.to_bits(), key, v))
-            .collect();
-        rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        rows
-    }
-
-    /// Seeds one template entry (snapshot restore). First writer wins, as
-    /// everywhere else in the cache; seeding before first use makes every
-    /// later request a hit.
-    pub fn seed_template(&self, env_bits: u128, key: String, exprs: Vec<Expr>) {
-        self.templates
-            .insert_if_absent((EnvToken::from_bits(env_bits), key), Arc::new(exprs));
     }
 }
 
@@ -552,10 +481,8 @@ impl CacheHandle {
     pub fn templates(&self, key: String, compute: impl FnOnce() -> Vec<Expr>) -> Arc<Vec<Expr>> {
         let k = (self.env, key);
         if let Some(v) = self.shared.templates.get(&k) {
-            self.shared.template_hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        self.shared.template_misses.fetch_add(1, Ordering::Relaxed);
         let v = Arc::new(compute());
         self.shared.templates.insert_if_absent(k, v)
     }

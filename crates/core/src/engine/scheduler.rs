@@ -61,16 +61,6 @@ pub struct SearchStats {
     /// pass/fail bitvectors — no interpreter run (see
     /// [`GuardPool`](crate::guards::GuardPool)).
     pub vector_hits: u64,
-    /// Guard candidates whose footprint-masked evaluation vector landed in
-    /// an already-interned semantic class of the request, so the covering
-    /// verdict was reused instead of re-decided (see
-    /// [`GuardPool`](crate::guards::GuardPool)). Deterministic for a fixed
-    /// [`Options::bdd`](crate::Options) setting (and zero when it is off).
-    pub guard_dedup: u64,
-    /// High-water node count of the guard pool's BDD (0 when
-    /// [`Options::bdd`](crate::Options) is off). Summed across batch jobs
-    /// by [`SearchStats::absorb`]; within one pool it only grows.
-    pub bdd_nodes: u64,
     /// Expansion lists answered from the memo.
     pub expand_hits: u64,
     /// Type-check verdicts answered from the memo.
@@ -95,8 +85,6 @@ impl SearchStats {
         self.deduped = self.deduped.saturating_add(other.deduped);
         self.obs_pruned = self.obs_pruned.saturating_add(other.obs_pruned);
         self.vector_hits = self.vector_hits.saturating_add(other.vector_hits);
-        self.guard_dedup = self.guard_dedup.saturating_add(other.guard_dedup);
-        self.bdd_nodes = self.bdd_nodes.saturating_add(other.bdd_nodes);
         self.expand_hits = self.expand_hits.saturating_add(other.expand_hits);
         self.type_hits = self.type_hits.saturating_add(other.type_hits);
         self.oracle_hits = self.oracle_hits.saturating_add(other.oracle_hits);
@@ -105,7 +93,7 @@ impl SearchStats {
 
     /// The effort counters as named series for a trace counter sample
     /// (the `search-stats` track of `--trace` exports).
-    pub fn counter_sample(&self) -> [(&'static str, u64); 7] {
+    pub fn counter_sample(&self) -> [(&'static str, u64); 6] {
         [
             ("popped", self.popped),
             ("expanded", self.expanded),
@@ -113,18 +101,16 @@ impl SearchStats {
             ("deduped", self.deduped),
             ("obs_pruned", self.obs_pruned),
             ("vector_hits", self.vector_hits),
-            ("guard_dedup", self.guard_dedup),
         ]
     }
 
     /// The cache-independent effort counters `(popped, expanded, tested,
-    /// deduped, obs_pruned, vector_hits, guard_dedup)` — the tuple the
-    /// determinism gates compare across thread counts and cache settings.
-    /// Pruning and guard-covering counters are included: for fixed
-    /// [`Options::obs_equiv`](crate::Options) and
-    /// [`Options::bdd`](crate::Options) settings they are pure functions
-    /// of the problem, never of width or cache state.
-    pub fn effort(&self) -> (u64, u64, u64, u64, u64, u64, u64) {
+    /// deduped, obs_pruned, vector_hits)` — the tuple the determinism gates
+    /// compare across thread counts and cache settings. Pruning and
+    /// guard-covering counters are included: for a fixed
+    /// [`Options::obs_equiv`](crate::Options) setting they are pure
+    /// functions of the problem, never of width or cache state.
+    pub fn effort(&self) -> (u64, u64, u64, u64, u64, u64) {
         (
             self.popped,
             self.expanded,
@@ -132,7 +118,6 @@ impl SearchStats {
             self.deduped,
             self.obs_pruned,
             self.vector_hits,
-            self.guard_dedup,
         )
     }
 }
@@ -305,7 +290,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.popped, u64::MAX);
         assert_eq!(a.tested, 3);
-        assert_eq!(a.effort(), (u64::MAX, 0, 3, 0, 0, 0, 0));
+        assert_eq!(a.effort(), (u64::MAX, 0, 3, 0, 0, 0));
     }
 
     #[test]

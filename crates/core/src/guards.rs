@@ -1,4 +1,4 @@
-//! Branch-condition synthesis (§3.3) and the BDD-backed guard pool.
+//! Branch-condition synthesis (§3.3) and the guard pool.
 //!
 //! A guard for spec set `Ψ₁` against `Ψ₂` is a boolean expression that
 //! evaluates truthy under every setup in `Ψ₁` and falsy under every setup
@@ -34,18 +34,10 @@
 //! `--no-cache`, and it pays none of the shared cache's lock (or
 //! `contention`-probe) overhead on the merge's hottest path.
 //!
-//! **Canonical semantics.** With [`Options::bdd`] (the default), a
-//! request's spec sets and every distinct evaluation vector it observes
-//! are interned into a reduced-ordered BDD over the spec-index domain
-//! ([`rbsyn_bdd`]): semantically equal candidates collapse to one
-//! canonical class per request ([`SearchStats::guard_dedup`]), each
-//! class's covering verdict is decided **once**, as two BDD-difference
-//! satisfiability queries (`Ψ₁ ∖ truthy(c) = ∅ ∧ Ψ₂ ∖ falsy(c) = ∅`),
-//! and bits of literal and negated candidates are *derived* from known
-//! semantics instead of interpreter runs. Programs and effort counters
-//! are byte-identical with `--no-bdd` — only the time differs — which
-//! the CI `no-bdd` determinism leg and the debug assertions comparing
-//! the BDD verdict against word arithmetic both enforce.
+//! **Covering is set inclusion.** A candidate covers a request exactly
+//! when `Ψ₁ ⊆ truthy-ok(c)` and `Ψ₂ ⊆ falsy-ok(c)`, so the verdict reads
+//! straight off the candidate's bits — no second representation of the
+//! spec sets is needed.
 //!
 //! [`search_guards`] (the per-request search the pool replaced on the
 //! merge path) remains for single-shot callers: it collects *several*
@@ -61,7 +53,6 @@ use crate::expand::{simplify, Expander, FillMemo, TemplateStore};
 use crate::generate::{generate_many, GuardOracle, Oracle};
 use crate::infer::{infer_ty, Gamma};
 use crate::options::Options;
-use rbsyn_bdd::{Bdd, IndexDomain, NodeId};
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
 use rbsyn_lang::{Expr, ExprArena, ExprId, FxBuild, Program, Symbol, Ty, Value};
 use rbsyn_trace::Mark;
@@ -74,13 +65,6 @@ use std::time::Instant;
 /// first oracle-passing one. Each pop can test hundreds of candidates, so
 /// this stays small; the odometer only needs a handful of alternatives.
 const EXTRA_GUARD_BUDGET: u64 = 300;
-
-/// Widest strengthening-request footprint (`|Ψ₁| + |Ψ₂|`) the semantic
-/// class memo covers — the compact class key is footprint-relative, two
-/// bits per spec, packed into `u128`s. Wider requests (no merge the
-/// odometer generates comes close) still answer correctly; they just
-/// decide by word arithmetic alone.
-const MAX_SEM_FOOTPRINT: usize = 128;
 
 /// Searches for up to `k` guards satisfying `oracle`, by ascending size.
 /// `sched` carries the deadline, cancellation token and memoization handle,
@@ -96,7 +80,6 @@ pub fn search_guards(
     sched: &Scheduler,
     stats: &mut SearchStats,
 ) -> Result<Vec<Expr>, SynthError> {
-    rbsyn_lang::failpoint::hit("guards::cover");
     match generate_many(
         env,
         method_name,
@@ -170,7 +153,7 @@ pub struct GuardQuery<'a> {
     /// All specs of the problem — bit `i` of every vector refers to
     /// `specs[i]`.
     pub specs: &'a [Spec],
-    /// Search options (guard size bound, pop budget, strategy, BDD mode).
+    /// Search options (guard size bound, pop budget, strategy).
     pub opts: &'a Options,
     /// Deadline/cancellation and the run's memoization handle.
     pub sched: &'a Scheduler,
@@ -278,22 +261,6 @@ impl Bits {
     }
 }
 
-/// How a candidate's spec bits can be *derived* from known semantics
-/// instead of an interpreter run (BDD mode only).
-///
-/// Soundness: a literal body evaluates to itself and cannot raise, so its
-/// outcome is decided by the spec's own setup health (`setup_ok`); and
-/// `!e` evaluates `e` exactly once from the same fresh setup snapshot as
-/// `e` alone — identical world trajectory, identical post-steps — so its
-/// bits are `ok(e)` and `ok(e) ∧ ¬truthy(e)`. (`e || f` is *not*
-/// derived: a write in `e` could change `f`'s world.)
-enum Derived {
-    /// Literal body with the given truthiness.
-    Lit { truthy: bool },
-    /// `!inner`, with `inner`'s already-known bits.
-    Not(Bits),
-}
-
 /// One enumerated evaluable boolean candidate: its hash-consed identity,
 /// the work-list pop that produced it (for per-request stopping budgets),
 /// and its lazily filled bitvector.
@@ -320,95 +287,15 @@ impl TemplateStore for LocalTemplates {
     }
 }
 
-/// The pool's semantic layer: spec-index sets live as canonical nodes in
-/// a shared reduced-ordered BDD, so set inclusion — the covering check —
-/// is a pair of difference-is-unsatisfiable queries, decided once per
-/// distinct evaluation vector.
-struct Semantics {
-    bdd: Bdd,
-    dom: IndexDomain,
-}
-
-impl Semantics {
-    fn new(n_specs: usize) -> Semantics {
-        Semantics {
-            bdd: Bdd::new(),
-            dom: IndexDomain::new(n_specs.max(1)),
-        }
-    }
-
-    /// `Ψ₁ ⊆ truthy-ok(c) ∧ Ψ₂ ⊆ falsy-ok(c)` as satisfiability queries:
-    /// covered iff both BDD differences are the canonical FALSE node.
-    fn decide(&mut self, rs: &ReqSem, bits: &Bits, pos: &[usize], neg: &[usize]) -> bool {
-        let t = self.vector_set(bits, pos, neg, true);
-        let f = self.vector_set(bits, pos, neg, false);
-        let pd = self.bdd.diff(rs.p, t);
-        let nd = self.bdd.diff(rs.n, f);
-        self.bdd.is_false(pd) && self.bdd.is_false(nd)
-    }
-
-    /// The candidate's evaluated footprint specs where `x_r` ran ok and
-    /// was truthy (`want_truthy`) / falsy, as a canonical set node —
-    /// semantically equal vectors intern to the same node.
-    fn vector_set(
-        &mut self,
-        bits: &Bits,
-        pos: &[usize],
-        neg: &[usize],
-        want_truthy: bool,
-    ) -> NodeId {
-        let idxs: Vec<u64> = pos
-            .iter()
-            .chain(neg)
-            .filter(|&&s| bits.evald(s) && bits.ok(s) && bits.truthy(s) == want_truthy)
-            .map(|&s| s as u64)
-            .collect();
-        self.dom.set(&mut self.bdd, idxs)
-    }
-}
-
-/// A request's interned BDD spec sets plus its semantic-class memo: each
-/// footprint-relative evaluation pattern maps to the covering verdict the
-/// BDD decided for that class; every later candidate landing in the class
-/// is a [`SearchStats::guard_dedup`].
-struct ReqSem {
-    p: NodeId,
-    n: NodeId,
-    classes: HashMap<(u128, u128, u128), bool, FxBuild>,
-}
-
-/// The candidate's footprint-relative evaluation pattern `(evaluated,
-/// ok∧truthy, ok∧falsy)` — bit `j` is the request's `j`-th footprint
-/// spec (`pos` then `neg`). Two candidates with equal patterns are
-/// indistinguishable to this request, so they share one verdict.
-fn class_key(bits: &Bits, pos: &[usize], neg: &[usize]) -> (u128, u128, u128) {
-    let (mut e, mut t, mut f) = (0u128, 0u128, 0u128);
-    for (j, &s) in pos.iter().chain(neg).enumerate() {
-        if bits.evald(s) {
-            e |= 1 << j;
-            if bits.ok(s) {
-                if bits.truthy(s) {
-                    t |= 1 << j;
-                } else {
-                    f |= 1 << j;
-                }
-            }
-        }
-    }
-    (e, t, f)
-}
-
 /// A strengthening request's lazy scan state: how far into the shared
-/// candidate stream it has looked, the covering guards found so far,
-/// whether its (per-request) stopping rule has latched, and its BDD-side
-/// state (spec-set nodes + semantic-class memo) when BDD mode is on.
+/// candidate stream it has looked, the covering guards found so far, and
+/// whether its (per-request) stopping rule has latched.
 #[derive(Default)]
 struct ReqState {
     found: Vec<Expr>,
     next_cand: usize,
     first: Option<u64>,
     done: bool,
-    sem: Option<ReqSem>,
 }
 
 /// A strengthening request: spec indices that must be truthy / falsy.
@@ -432,19 +319,12 @@ pub struct GuardPool {
     checks: Vec<CheckSlot>,
     /// Words per bitvector plane: `⌈|specs| / 64⌉`.
     nwords: usize,
-    /// Per-spec setup health learned from interpreter runs: `Some(true)`
-    /// once any candidate reached the assert, `Some(false)` once a
-    /// literal body — which cannot raise — still produced a setup error.
-    /// Feeds literal-bit derivation in BDD mode.
-    setup_ok: Vec<Option<bool>>,
     frontier: Option<Frontier<'static>>,
     seen: HashSet<ExprId, FxBuild>,
     gamma: Option<Gamma>,
     pops: u64,
     exhausted: bool,
     cands: Vec<GuardCand>,
-    /// Hash-consed candidate id → index into `cands` (derivation lookup).
-    cand_idx: HashMap<ExprId, u32, FxBuild>,
     /// Per-request lazy scan state.
     reqs: HashMap<ReqKey, ReqState, FxBuild>,
     /// Bitvectors for ad-hoc expressions (the merge's quick candidates and
@@ -461,8 +341,6 @@ pub struct GuardPool {
     /// bindings) is fixed for its whole lifetime, so `fill_typed` is a
     /// pure function of the goal (see [`FillMemo`]).
     fill_memo: FillMemo,
-    /// BDD semantic layer, present iff [`Options::bdd`].
-    sem: Option<Semantics>,
 }
 
 impl Default for GuardPool {
@@ -473,27 +351,24 @@ impl Default for GuardPool {
 
 impl GuardPool {
     /// An empty pool; all state (prepared checks, the enumeration
-    /// frontier, the BDD) is created lazily on the first request, so
+    /// frontier) is created lazily on the first request, so
     /// merges that never need a guard pay nothing.
     pub fn new() -> GuardPool {
         GuardPool {
             ready: false,
             checks: Vec::new(),
             nwords: 1,
-            setup_ok: Vec::new(),
             frontier: None,
             seen: HashSet::default(),
             gamma: None,
             pops: 0,
             exhausted: false,
             cands: Vec::new(),
-            cand_idx: HashMap::default(),
             reqs: HashMap::default(),
             extra_bits: HashMap::default(),
             arena: ExprArena::new(),
             templates: LocalTemplates::default(),
             fill_memo: FillMemo::new(),
-            sem: None,
         }
     }
 
@@ -514,10 +389,6 @@ impl GuardPool {
             })
             .collect();
         self.nwords = q.specs.len().div_ceil(64).max(1);
-        self.setup_ok = vec![None; q.specs.len()];
-        if q.opts.bdd {
-            self.sem = Some(Semantics::new(q.specs.len()));
-        }
         self.gamma = Some(Gamma::from_params(q.params));
         let root = self.arena.intern(Expr::Hole(Ty::Bool));
         let mut frontier = Frontier::new(q.opts.strategy.strategy());
@@ -575,7 +446,6 @@ impl GuardPool {
             }
             let (size, evaluable) = self.arena.meta(id);
             if evaluable {
-                self.cand_idx.insert(id, self.cands.len() as u32);
                 self.cands.push(GuardCand {
                     expr: Arc::clone(self.arena.get(id)),
                     pop: self.pops,
@@ -593,177 +463,75 @@ impl GuardPool {
         Ok(())
     }
 
-    /// Fills any missing footprint bits of `bits` (by derivation when
-    /// possible, by interpreter run otherwise) and checks the request by
-    /// word arithmetic, short-circuiting on the first violated spec.
-    /// `filled` reports whether any bit was newly determined — the
-    /// tested/vector-hit accounting key, identical whether the bit came
-    /// from a run or a derivation.
-    #[allow(clippy::too_many_arguments)]
+    /// Fills any missing footprint bits of `bits` by interpreter runs and
+    /// checks the request bit by bit, short-circuiting on the first
+    /// violated spec. Returns `(covers, filled)`: `filled` reports whether
+    /// any bit was newly determined — the tested/vector-hit accounting
+    /// key.
     fn fill_and_check(
         checks: &[CheckSlot],
-        setup_ok: &mut [Option<bool>],
-        deriv: Option<&Derived>,
         bits: &mut Bits,
         expr: &Expr,
         q: &GuardQuery<'_>,
         pos: &[usize],
         neg: &[usize],
         stats: &mut SearchStats,
-        filled: &mut bool,
-    ) -> bool {
+    ) -> (bool, bool) {
         let mut program: Option<Program> = None;
+        let mut filled = false;
         for (specs, want_truthy) in [(pos, true), (neg, false)] {
             for &s in specs {
                 if !bits.evald(s) {
                     let check = match &checks[s] {
                         CheckSlot::Ready(p) => p,
-                        CheckSlot::Failed(_) => return false,
+                        CheckSlot::Failed(_) => return (false, filled),
                     };
-                    let mut derived = false;
-                    match deriv {
-                        Some(Derived::Lit { truthy }) => {
-                            if let Some(good) = setup_ok[s] {
-                                // A literal cannot raise: outcome is the
-                                // spec's setup health plus its own
-                                // truthiness.
-                                bits.record(s, good, good && *truthy);
-                                derived = true;
-                            }
-                        }
-                        Some(Derived::Not(inner)) if inner.evald(s) => {
-                            let ok = inner.ok(s);
-                            bits.record(s, ok, ok && !inner.truthy(s));
-                            derived = true;
-                        }
-                        _ => {}
+                    let p = program.get_or_insert_with(|| {
+                        Program::from_parts(
+                            q.name,
+                            q.params.iter().map(|(n, _)| *n).collect(),
+                            expr.clone(),
+                        )
+                    });
+                    let started = Instant::now();
+                    let outcome = check.run(q.env, p);
+                    stats.eval_nanos = stats
+                        .eval_nanos
+                        .saturating_add(started.elapsed().as_nanos() as u64);
+                    match outcome {
+                        SpecOutcome::Passed { .. } => bits.record(s, true, true),
+                        SpecOutcome::Failed { .. } => bits.record(s, true, false),
+                        SpecOutcome::SetupError(_) => bits.record(s, false, false),
                     }
-                    if !derived {
-                        let p = program.get_or_insert_with(|| {
-                            Program::from_parts(
-                                q.name,
-                                q.params.iter().map(|(n, _)| *n).collect(),
-                                expr.clone(),
-                            )
-                        });
-                        let started = Instant::now();
-                        let outcome = check.run(q.env, p);
-                        stats.eval_nanos = stats
-                            .eval_nanos
-                            .saturating_add(started.elapsed().as_nanos() as u64);
-                        match outcome {
-                            SpecOutcome::Passed { .. } => {
-                                bits.record(s, true, true);
-                                setup_ok[s] = Some(true);
-                            }
-                            SpecOutcome::Failed { .. } => {
-                                bits.record(s, true, false);
-                                setup_ok[s] = Some(true);
-                            }
-                            SpecOutcome::SetupError(_) => {
-                                bits.record(s, false, false);
-                                // Only a literal body pins the blame on
-                                // the spec itself — any other candidate
-                                // may have raised on its own.
-                                if matches!(deriv, Some(Derived::Lit { .. })) {
-                                    setup_ok[s] = Some(false);
-                                }
-                            }
-                        }
-                    }
-                    *filled = true;
+                    filled = true;
                 }
                 if !(bits.ok(s) && bits.truthy(s) == want_truthy) {
-                    return false;
+                    return (false, filled);
                 }
             }
         }
-        true
+        (true, filled)
     }
 
-    /// How `e`'s bits can be derived without interpreter runs (BDD mode
-    /// only — `--no-bdd` reproduces the pure-interpreter behavior).
-    fn derive_for(&self, e: &Expr) -> Option<Derived> {
-        self.sem.as_ref()?;
-        match e {
-            Expr::Lit(v) => Some(Derived::Lit { truthy: v.truthy() }),
-            Expr::Not(inner) => self.peek_bits(inner).map(Derived::Not),
-            _ => None,
-        }
-    }
-
-    /// Already-known bits of `e`, wherever they live: the ad-hoc map or
-    /// the candidate stream (via the pool arena's hash-consing).
-    fn peek_bits(&self, e: &Expr) -> Option<Bits> {
-        if let Some(b) = self.extra_bits.get(e) {
-            return Some(b.clone());
-        }
-        let id = self.arena.lookup_hashed(ExprArena::hash_of(e), e)?;
-        let i = *self.cand_idx.get(&id)?;
-        Some(self.cands[i as usize].bits.clone())
-    }
-
-    /// Does candidate `i` cover the request? Fills missing bits, maintains
-    /// the tested/vector-hit counters, and — in BDD mode — interns the
-    /// vector's semantic class so the verdict is decided once per class
-    /// (a pair of BDD satisfiability queries) and reused for every
-    /// semantically equal candidate ([`SearchStats::guard_dedup`]).
+    /// Does candidate `i` cover the request? Fills missing bits and
+    /// maintains the tested/vector-hit counters.
     fn cand_passes(
         &mut self,
         i: usize,
         q: &GuardQuery<'_>,
         pos: &[usize],
         neg: &[usize],
-        rsem: &mut Option<ReqSem>,
         stats: &mut SearchStats,
     ) -> bool {
-        let mut bits = self.cands[i].bits.clone();
+        let GuardCand { expr, bits, .. } = &mut self.cands[i];
         let fresh = !bits.any_evald();
-        let expr = Arc::clone(&self.cands[i].expr);
-        // Derivation lookups hash the candidate structurally — only worth
-        // it when some footprint bit is actually missing.
-        let complete = pos.iter().chain(neg).all(|&s| bits.evald(s));
-        let deriv = if complete {
-            None
-        } else {
-            self.derive_for(&expr)
-        };
-        let mut filled = false;
-        let pass = Self::fill_and_check(
-            &self.checks,
-            &mut self.setup_ok,
-            deriv.as_ref(),
-            &mut bits,
-            &expr,
-            q,
-            pos,
-            neg,
-            stats,
-            &mut filled,
-        );
+        let (pass, filled) = Self::fill_and_check(&self.checks, bits, expr, q, pos, neg, stats);
         if fresh && filled {
             stats.tested += 1;
         } else if !filled {
             stats.vector_hits += 1;
         }
-        let verdict = if let (Some(sem), Some(rs)) = (self.sem.as_mut(), rsem.as_mut()) {
-            let key = class_key(&bits, pos, neg);
-            if let Some(&v) = rs.classes.get(&key) {
-                stats.guard_dedup += 1;
-                debug_assert_eq!(v, pass, "class verdict must match word arithmetic");
-                v
-            } else {
-                let v = sem.decide(rs, &bits, pos, neg);
-                debug_assert_eq!(v, pass, "BDD covering must match word arithmetic");
-                rs.classes.insert(key, v);
-                stats.bdd_nodes = stats.bdd_nodes.max(sem.bdd.node_count() as u64);
-                v
-            }
-        } else {
-            pass
-        };
-        self.cands[i].bits = bits;
-        verdict
+        pass
     }
 
     /// Advances one request's lazy scan over the shared stream until it
@@ -783,17 +551,6 @@ impl GuardPool {
         k: usize,
         stats: &mut SearchStats,
     ) -> Result<(), SynthError> {
-        if let Some(sem) = self.sem.as_mut() {
-            if state.sem.is_none() && pos.len() + neg.len() <= MAX_SEM_FOOTPRINT {
-                let p = sem.dom.set(&mut sem.bdd, pos.iter().map(|&s| s as u64));
-                let n = sem.dom.set(&mut sem.bdd, neg.iter().map(|&s| s as u64));
-                state.sem = Some(ReqSem {
-                    p,
-                    n,
-                    classes: HashMap::default(),
-                });
-            }
-        }
         while state.found.len() < need && !state.done {
             let bound = state.first.map_or(q.opts.max_expansions, |f| {
                 (f + EXTRA_GUARD_BUDGET).min(q.opts.max_expansions)
@@ -819,7 +576,7 @@ impl GuardPool {
                 state.done = true;
                 break;
             }
-            if self.cand_passes(i, q, pos, neg, &mut state.sem, stats) {
+            if self.cand_passes(i, q, pos, neg, stats) {
                 state.found.push((*self.cands[i].expr).clone());
                 if state.found.len() >= k {
                     state.done = true;
@@ -899,8 +656,10 @@ impl GuardPool {
         })
     }
 
-    /// Shared request entry: readiness and the suite-bug panic contract.
+    /// Shared request entry: the `guards::cover` failpoint, readiness and
+    /// the suite-bug panic contract.
     fn prepare_request(&mut self, q: &GuardQuery<'_>, pos: &[usize], neg: &[usize]) {
+        rbsyn_lang::failpoint::hit("guards::cover");
         self.ensure_ready(q);
         for &s in pos.iter().chain(neg) {
             if let CheckSlot::Failed(msg) = &self.checks[s] {
@@ -932,10 +691,9 @@ impl GuardPool {
     }
 
     /// Checks an ad-hoc expression (quick candidate, negation guess)
-    /// against a request, through the same lazily filled bitvectors — and,
-    /// in BDD mode, through bit derivation: a negation guess whose operand
-    /// already has bits never runs the interpreter. Unpreparable specs
-    /// answer `false` (the lenient contract `guard_holds` always had).
+    /// against a request, through the same lazily filled bitvectors.
+    /// Unpreparable specs answer `false` (the lenient contract
+    /// `guard_holds` always had).
     pub fn check_expr(
         &mut self,
         q: &GuardQuery<'_>,
@@ -959,21 +717,7 @@ impl GuardPool {
             .get(e)
             .cloned()
             .unwrap_or_else(|| Bits::new(self.nwords));
-        let complete = pos.iter().chain(neg).all(|&s| bits.evald(s));
-        let deriv = if complete { None } else { self.derive_for(e) };
-        let mut filled = false;
-        let pass = Self::fill_and_check(
-            &self.checks,
-            &mut self.setup_ok,
-            deriv.as_ref(),
-            &mut bits,
-            e,
-            q,
-            pos,
-            neg,
-            stats,
-            &mut filled,
-        );
+        let (pass, filled) = Self::fill_and_check(&self.checks, &mut bits, e, q, pos, neg, stats);
         if !filled {
             // Pure word-op hit: nothing new to store — skip the AST clone
             // and re-hash (this is the merge's hottest re-check loop).
@@ -1260,8 +1004,8 @@ mod tests {
 
     /// A 65-spec problem — one spec past the inline bitvector word — whose
     /// first 32 specs seed a `Post` and whose rest are empty. The same
-    /// unified pool engine (spilled words + BDD semantics) must answer it;
-    /// the eager per-request search is kept only as the reference.
+    /// pool engine (spilled words) must answer it; the eager per-request
+    /// search is kept only as the reference.
     fn oversized_fixture() -> (InterpEnv, Vec<Spec>) {
         let (env, post) = env_with_post();
         let mut specs = Vec::with_capacity(65);
@@ -1364,62 +1108,6 @@ mod tests {
         assert!(pool.check_expr(&q, &negate(&exists), &[64], &[0], &mut stats));
         assert!(pool.check_expr(&q, &true_(), &[0, 64], &[], &mut stats));
         assert!(!pool.check_expr(&q, &false_(), &[0, 64], &[], &mut stats));
-    }
-
-    /// The A/B gate at unit scope: `--no-bdd` must produce the same
-    /// guards and the same effort counters (`guard_dedup`/`bdd_nodes`
-    /// excepted — they are the BDD's own telemetry), on a request wide
-    /// enough to exercise the spilled-word path.
-    #[test]
-    fn bdd_and_word_covering_agree() {
-        let (env, specs) = oversized_fixture();
-        let sched = Scheduler::sequential();
-        let run = |bdd: bool| {
-            let opts = Options {
-                bdd,
-                ..Options::default()
-            };
-            let q = GuardQuery {
-                env: &env,
-                name: Symbol::intern("m"),
-                params: &[],
-                specs: &specs,
-                opts: &opts,
-                sched: &sched,
-            };
-            let mut pool = GuardPool::new();
-            let mut stats = SearchStats::default();
-            let guards = pool
-                .covering_guards(&q, &[0, 31], &[32, 64], 4, &mut stats)
-                .unwrap();
-            let texts: Vec<String> = guards.iter().map(|g| g.compact()).collect();
-            (texts, stats)
-        };
-        let (on, s_on) = run(true);
-        let (off, s_off) = run(false);
-        assert_eq!(on, off, "the BDD decider and word arithmetic agree");
-        assert!(!on.is_empty(), "a separating guard exists");
-        assert_eq!(
-            (
-                s_on.popped,
-                s_on.expanded,
-                s_on.tested,
-                s_on.deduped,
-                s_on.vector_hits
-            ),
-            (
-                s_off.popped,
-                s_off.expanded,
-                s_off.tested,
-                s_off.deduped,
-                s_off.vector_hits
-            ),
-            "effort counters are BDD-mode independent"
-        );
-        assert!(s_on.guard_dedup > 0, "semantically equal candidates dedup");
-        assert!(s_on.bdd_nodes > 0, "the vector forest is populated");
-        assert_eq!(s_off.guard_dedup, 0, "off mode never touches the BDD");
-        assert_eq!(s_off.bdd_nodes, 0);
     }
 
     #[test]

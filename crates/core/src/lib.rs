@@ -45,7 +45,6 @@ pub mod guards;
 pub mod infer;
 pub mod merge;
 pub mod options;
-pub mod snapshot;
 pub mod synthesizer;
 
 pub use batch::{

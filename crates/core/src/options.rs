@@ -119,17 +119,6 @@ pub struct Options {
     /// the work to find them shrinks". `--no-obs-equiv` is the A/B escape
     /// hatch.
     pub obs_equiv: bool,
-    /// BDD-backed guard semantics: the guard pool interns every distinct
-    /// evaluation vector into a reduced-ordered BDD, deduplicates
-    /// semantically equal candidates per covering request
-    /// (`guard_dedup`), derives bits for literal and negated candidates
-    /// without interpreter runs, and answers covering requests as BDD
-    /// satisfiability queries. Defaults to `true`; programs and effort
-    /// counters are byte-identical either way (the CI `no-bdd`
-    /// determinism leg holds this), only the time spent differs.
-    /// `--no-bdd` (or `RBSYN_NO_BDD=1`/`=true`, which flips this
-    /// default) is the A/B escape hatch.
-    pub bdd: bool,
     /// Work-list exploration order (see
     /// [`SearchStrategy`](crate::engine::SearchStrategy)). The default
     /// [`StrategyKind::Paper`] reproduces §4's deterministic ordering;
@@ -161,7 +150,7 @@ pub struct Options {
     /// one `Option` check. Tracing never changes synthesized programs or
     /// effort counters — instrumentation only *reads* engine state — and
     /// the CI `trace` determinism leg byte-compares solve output with
-    /// tracing on vs off, same treatment as `--no-bdd`. Callers that want
+    /// tracing on vs off, same treatment as `--no-cache`. Callers that want
     /// the recorded events attach their own session via
     /// [`Synthesizer::with_tracer`](crate::Synthesizer::with_tracer);
     /// with only this field set the run traces into a private session
@@ -181,7 +170,6 @@ impl Default for Options {
             timeout: Some(Duration::from_secs(300)),
             cache: true,
             obs_equiv: true,
-            bdd: !std::env::var("RBSYN_NO_BDD").is_ok_and(|v| v == "1" || v == "true"),
             strategy: StrategyKind::Paper,
             intra_parallelism: 1,
             watchdog_grace: Some(4.0),
@@ -230,7 +218,6 @@ mod tests {
         assert_eq!(o.strategy, StrategyKind::Paper);
         assert_eq!(o.intra_parallelism, 1, "intra-parallel dispatch is opt-in");
         assert!(o.obs_equiv, "observational-equivalence pruning is on");
-        assert!(o.bdd, "BDD guard semantics are on (RBSYN_NO_BDD unset)");
         assert!(o.trace.is_none(), "tracing is opt-in (zero-cost off)");
     }
 }

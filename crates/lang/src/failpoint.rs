@@ -1,13 +1,12 @@
 //! Fault injection: named failpoints that can deterministically inject
-//! panics, delays and I/O errors into the synthesis pipeline.
+//! panics and delays into the synthesis pipeline.
 //!
 //! A *failpoint* is a named site in production code — `interp::eval`,
-//! `cache::load`, `guards::cover`, `executor::spawn`, `batch::claim` — at
-//! which a test or a chaos harness can make the pipeline misbehave on
-//! purpose. The chaos suite uses them to prove the robustness claims of
-//! the serving path: a panicking candidate evaluation must convert to a
-//! per-job failure, a stalled interpreter must be reaped by the watchdog,
-//! a failing snapshot read must degrade to a cold cache.
+//! `guards::cover`, `executor::spawn`, `batch::claim` — at which a test
+//! or a chaos harness can make the pipeline misbehave on purpose. The
+//! chaos suite uses them to prove the robustness claims of the batch
+//! driver: a panicking candidate evaluation must convert to a per-job
+//! failure, and a stalled interpreter must be reaped by the watchdog.
 //!
 //! The facility is **feature-gated** behind `failpoints` and compiles to
 //! nothing when the feature is off: every helper is an empty inline
@@ -22,14 +21,14 @@
 //! installed programmatically with [`configure`]:
 //!
 //! ```text
-//! interp::eval=panic@3;cache::load=error;guards::cover=delay(5)%2
+//! interp::eval=panic@3;guards::cover=delay(5)%2
 //! ```
 //!
-//! Actions are `panic`, `delay(MILLIS)` and `error` (the latter only
-//! fires at sites that ask for an injectable I/O error via [`io_error`]).
-//! A rule fires on every hit by default; the suffix `@N` restricts it to
-//! exactly the N-th hit of that site (1-based) and `%N` to every N-th
-//! hit. Triggers count *hits per site*, so a profile is deterministic for
+//! Actions are `panic` and `delay(MILLIS)`. A rule fires on every hit by
+//! default; the suffix `@N` restricts it to exactly the N-th hit of that
+//! site (1-based) and `%N` to every N-th hit. An environment profile that
+//! does not parse installs no rules and prints the parse error to stderr.
+//! Triggers count *hits per site*, so a profile is deterministic for
 //! a deterministic execution — the same run hits the same sites in the
 //! same order, which is what lets the chaos suite assert byte-identical
 //! results for unaffected jobs.
@@ -51,8 +50,6 @@ enum Action {
     Panic,
     /// Sleep for the given number of milliseconds.
     Delay(u64),
-    /// Report an injected I/O error from [`io_error`] sites.
-    Error,
 }
 
 /// When a rule fires, relative to the per-site hit counter.
@@ -84,10 +81,13 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 fn registry() -> &'static Mutex<Vec<Rule>> {
     static REGISTRY: OnceLock<Mutex<Vec<Rule>>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let rules = std::env::var("RBSYN_FAILPOINTS")
-            .ok()
-            .and_then(|spec| parse(&spec).ok())
-            .unwrap_or_default();
+        let rules = match std::env::var("RBSYN_FAILPOINTS") {
+            Ok(spec) => parse(&spec).unwrap_or_else(|e| {
+                eprintln!("RBSYN_FAILPOINTS ignored: {e}");
+                Vec::new()
+            }),
+            Err(_) => Vec::new(),
+        };
         ACTIVE.store(!rules.is_empty(), Ordering::Relaxed);
         Mutex::new(rules)
     })
@@ -118,7 +118,6 @@ fn parse(spec: &str) -> Result<Vec<Rule>, String> {
         };
         let action = match action {
             "panic" => Action::Panic,
-            "error" => Action::Error,
             a => {
                 let ms = a
                     .strip_prefix("delay(")
@@ -194,8 +193,7 @@ pub fn clear() {
 }
 
 /// A named failpoint. Panics or sleeps when a matching `panic` / `delay`
-/// rule fires; `error` rules are ignored here (they only answer
-/// [`io_error`]). A no-op without the `failpoints` feature.
+/// rule fires. A no-op without the `failpoints` feature.
 ///
 /// # Panics
 ///
@@ -207,43 +205,12 @@ pub fn hit(site: &str) {
         match fire(site) {
             Some(Action::Panic) => panic!("failpoint {site} injected panic"),
             Some(Action::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-            Some(Action::Error) | None => {}
+            None => {}
         }
     }
     #[cfg(not(feature = "failpoints"))]
     {
         let _ = site;
-    }
-}
-
-/// A named failpoint at an I/O boundary: returns an injected
-/// [`std::io::Error`] when a matching `error` rule fires, and otherwise
-/// behaves like [`hit`] (panics and delays also apply). Always `None`
-/// without the `failpoints` feature.
-///
-/// # Panics
-///
-/// By design, when a matching `panic` rule fires.
-#[inline(always)]
-pub fn io_error(site: &str) -> Option<std::io::Error> {
-    #[cfg(feature = "failpoints")]
-    {
-        match fire(site) {
-            Some(Action::Error) => Some(std::io::Error::other(format!(
-                "failpoint {site} injected i/o error"
-            ))),
-            Some(Action::Panic) => panic!("failpoint {site} injected panic"),
-            Some(Action::Delay(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                None
-            }
-            None => None,
-        }
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = site;
-        None
     }
 }
 
@@ -257,7 +224,7 @@ mod tests {
     #[test]
     fn specs_parse_and_reject() {
         let _g = GATE.lock().unwrap_or_else(|p| p.into_inner());
-        assert!(configure("a=panic;b=delay(5)%2;c=error@3").is_ok());
+        assert!(configure("a=panic;b=delay(5)%2;c=panic@3").is_ok());
         assert!(configure("a").is_err(), "missing `=`");
         assert!(configure("a=explode").is_err(), "unknown action");
         assert!(configure("a=panic@x").is_err(), "bad trigger");
@@ -271,7 +238,6 @@ mod tests {
             let _g = GATE.lock().unwrap_or_else(|p| p.into_inner());
             configure("x=panic").expect("valid spec");
             hit("x"); // must not panic
-            assert!(io_error("x").is_none());
             clear();
         }
     }
@@ -280,16 +246,15 @@ mod tests {
     #[test]
     fn rules_fire_by_site_and_trigger() {
         let _g = GATE.lock().unwrap_or_else(|p| p.into_inner());
-        configure("t::boom=panic@2;t::io=error").expect("valid spec");
+        configure("t::boom=panic@2;t::always=panic").expect("valid spec");
         hit("t::boom"); // first hit: no fire
         let err = std::panic::catch_unwind(|| hit("t::boom")).expect_err("second hit fires");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("t::boom"), "payload names the site: {msg:?}");
         hit("t::boom"); // third hit: @2 is exhausted
-        assert!(io_error("t::io").is_some());
+        assert!(std::panic::catch_unwind(|| hit("t::always")).is_err());
         hit("t::other"); // unknown site: no-op
         clear();
-        hit("t::boom"); // cleared: no-op
-        assert!(io_error("t::io").is_none());
+        hit("t::always"); // cleared: no-op
     }
 }

@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes: temp-file + atomic rename.
 //!
 //! Every artifact the pipeline persists — trace JSON, benchmark reports,
-//! cache snapshots — goes through [`atomic_write`], so a reader can never
+//! generated corpora — goes through [`atomic_write`], so a reader can never
 //! observe a half-written file: the bytes land in a sibling temp file
 //! first and are renamed over the destination only once fully flushed
 //! (`rename(2)` is atomic within a filesystem). A crash mid-write leaves

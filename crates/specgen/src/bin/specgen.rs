@@ -4,9 +4,7 @@
 //! ```text
 //! specgen --out DIR [--count N] [--seed S]   generate a corpus into DIR
 //! specgen --regen [--dir DIR]                regenerate DIR from its MANIFEST.txt
-//! specgen --fuzz N [--seed S] [--target frontend|snapshot]
-//!                                            fuzz the frontend (default) or the
-//!                                            snapshot decoder with N mutants
+//! specgen --fuzz N [--seed S]                fuzz the frontend with N mutants
 //! specgen --gate [--dir DIR] [--sample N]    solve generated problems and check
 //!                                            obs-equivalence vs hidden references
 //! ```
@@ -17,15 +15,15 @@
 
 use rbsyn_core::exit;
 use rbsyn_specgen::{
-    gen_candidate, parse_header, read_manifest, run_fuzz, run_snapshot_fuzz, solve_and_check,
-    write_corpus, Verdict, DEFAULT_COUNT, DEFAULT_SEED,
+    gen_candidate, parse_header, read_manifest, run_fuzz, solve_and_check, write_corpus, Verdict,
+    DEFAULT_COUNT, DEFAULT_SEED,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: specgen --out DIR [--count N] [--seed S]
        specgen --regen [--dir DIR]
-       specgen --fuzz N [--seed S] [--target frontend|snapshot]
+       specgen --fuzz N [--seed S]
        specgen --gate [--dir DIR] [--sample N]";
 
 fn usage() -> ExitCode {
@@ -45,7 +43,6 @@ fn main() -> ExitCode {
     let mut seed: Option<u64> = None;
     let mut sample: Option<usize> = None;
     let mut fuzz: Option<usize> = None;
-    let mut target: Option<String> = None;
     let mut regen = false;
     let mut gate = false;
 
@@ -70,7 +67,6 @@ fn main() -> ExitCode {
             "--seed" => seed = take!(it, "--seed").parse().ok(),
             "--sample" => sample = take!(it, "--sample").parse().ok(),
             "--fuzz" => fuzz = take!(it, "--fuzz").parse().ok(),
-            "--target" => target = Some(take!(it, "--target").clone()),
             "--regen" => regen = true,
             "--gate" => gate = true,
             "--help" | "-h" => {
@@ -86,22 +82,10 @@ fn main() -> ExitCode {
 
     let default_dir = || PathBuf::from("benchmarks/generated");
 
-    if target.is_some() && fuzz.is_none() {
-        eprintln!("specgen: --target only applies to --fuzz");
-        return usage();
-    }
     if let Some(n) = fuzz {
-        let target = target.as_deref().unwrap_or("frontend");
-        let report = match target {
-            "frontend" => run_fuzz(seed.unwrap_or(DEFAULT_SEED), n),
-            "snapshot" => run_snapshot_fuzz(seed.unwrap_or(DEFAULT_SEED), n),
-            other => {
-                eprintln!("specgen: unknown fuzz target `{other}` (try frontend, snapshot)");
-                return usage();
-            }
-        };
+        let report = run_fuzz(seed.unwrap_or(DEFAULT_SEED), n);
         println!(
-            "specgen fuzz ({target}): {} iterations, {} accepted, {} rejected, {} failures",
+            "specgen fuzz: {} iterations, {} accepted, {} rejected, {} failures",
             report.iterations,
             report.accepted,
             report.rejected,

@@ -1424,9 +1424,8 @@ mod tests {
     fn oversized_spec_count_survives_the_pipeline() {
         // 65 specs is one past the guard pool's inline bitvector word:
         // problems this wide must still generate, print, re-load, and
-        // validate. Since PR 8 there is no legacy fallback to hide in —
-        // the pool spills its vectors into heap words and the same BDD
-        // engine answers every spec count.
+        // validate. The guard pool spills its vectors into heap words, so
+        // one engine answers every spec count.
         let mut produced = None;
         'outer: for index in 0..4 {
             for attempt in 0..80 {
@@ -1451,23 +1450,13 @@ mod tests {
         let again = gen_candidate_with(key.seed, key.index, key.attempt, Some(65))
             .expect("same key regenerates");
         assert_eq!(again.text, c.text);
-        // The oversized problem solves through the unified pool engine,
-        // and BDD semantics on/off synthesize byte-identical programs.
-        let mut programs = Vec::new();
-        for bdd in [true, false] {
-            let (env, problem) = c.loaded.build();
-            let mut opts = c.loaded.lowered.options.clone();
-            opts.timeout = None;
-            opts.bdd = bdd;
-            let res = Synthesizer::new(env, problem, opts)
-                .run()
-                .expect("oversized problem solves");
-            programs.push(res.program.body.compact());
-        }
-        assert_eq!(
-            programs[0], programs[1],
-            "bdd on/off must agree on the oversized problem"
-        );
+        // The oversized problem solves through the unified pool engine.
+        let (env, problem) = c.loaded.build();
+        let mut opts = c.loaded.lowered.options.clone();
+        opts.timeout = None;
+        Synthesizer::new(env, problem, opts)
+            .run()
+            .expect("oversized problem solves");
     }
 
     #[test]

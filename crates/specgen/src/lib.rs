@@ -13,10 +13,7 @@
 //!   `MANIFEST.txt`.
 //! - **Fuzzing** ([`fuzz::run_fuzz`]): mutate well-formed files at the
 //!   byte and token level and assert the frontend never panics and every
-//!   rejection carries an in-bounds source span. The snapshot variant
-//!   ([`snapfuzz::run_snapshot_fuzz`], `--fuzz N --target snapshot`)
-//!   applies the same discipline to serialized template-memo snapshots:
-//!   restore never panics, and a rejected mutant leaves the cache cold.
+//!   rejection carries an in-bounds source span.
 //! - **Differential gate** ([`gen::solve_and_check`]): re-derive each
 //!   file's hidden reference from its provenance header, solve the
 //!   problem, and require the solution to be observationally equivalent
@@ -30,11 +27,9 @@
 
 pub mod fuzz;
 pub mod gen;
-pub mod snapfuzz;
 
 pub use fuzz::{run_fuzz, FuzzReport};
 pub use gen::{
     gen_candidate, gen_candidate_with, generate_problem, parse_header, read_manifest,
     solve_and_check, write_corpus, Candidate, GenKey, Verdict, DEFAULT_COUNT, DEFAULT_SEED,
 };
-pub use snapfuzz::run_snapshot_fuzz;

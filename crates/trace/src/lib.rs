@@ -207,6 +207,7 @@ struct Chunk {
     name: String,
     events: Vec<Event>,
     dropped: u64,
+    synthetic: bool,
 }
 
 struct Inner {
@@ -258,6 +259,7 @@ impl LocalBuf {
             name: self.name.clone(),
             events,
             dropped,
+            synthetic: false,
         });
     }
 }
@@ -364,7 +366,8 @@ impl Session {
     /// measured per-phase totals (the run's wall-clock decomposition).
     /// Guarantees every listed phase appears as a span in the export even
     /// when live sampling saw none of its work — e.g. a single-spec
-    /// problem whose merge is instantaneous.
+    /// problem whose merge is instantaneous. The totals restate time the
+    /// live spans already cover, so [`Trace::profile`] skips this track.
     pub fn phase_totals(&self, track: &str, totals: &[(Phase, u64)]) {
         let mut events = Vec::with_capacity(totals.len() * 2);
         let mut at = 0u64;
@@ -392,6 +395,7 @@ impl Session {
                 name: track.to_owned(),
                 events,
                 dropped: 0,
+                synthetic: true,
             });
     }
 
@@ -414,6 +418,7 @@ impl Session {
                     tid: c.tid,
                     name: c.name,
                     events: c.events,
+                    synthetic: c.synthetic,
                 }),
             }
         }
@@ -451,6 +456,8 @@ pub struct ThreadTrack {
     pub name: String,
     /// Events in recording order.
     pub events: Vec<Event>,
+    /// A [`Session::phase_totals`] track rather than a recording thread.
+    pub synthetic: bool,
 }
 
 /// A finished session's collected events, ready for export.
@@ -530,6 +537,7 @@ mod tests {
         let t = s.finish();
         assert_eq!(t.tracks.len(), 1);
         assert_eq!(t.tracks[0].name, "phase-totals");
+        assert!(t.tracks[0].synthetic);
         assert_eq!(t.tracks[0].events.len(), 6, "a begin/end pair per phase");
     }
 }

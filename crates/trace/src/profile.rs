@@ -48,11 +48,12 @@ impl Trace {
     /// counts instant events. Span nesting is resolved per thread: a
     /// parent's self time excludes its children's totals; spans left open
     /// close at their track's last timestamp (mirroring the Chrome
-    /// export's repair).
+    /// export's repair). Synthetic tracks are skipped: their phase totals
+    /// restate time the live spans already count.
     pub fn profile(&self) -> Profile {
         let mut spans: BTreeMap<String, Agg> = BTreeMap::new();
         let mut marks: BTreeMap<String, u64> = BTreeMap::new();
-        for track in &self.tracks {
+        for track in self.tracks.iter().filter(|t| !t.synthetic) {
             let mut stack: Vec<Open> = Vec::new();
             let last_ts = track.events.last().map_or(0, |e| e.ts);
             let close = |stack: &mut Vec<Open>, spans: &mut BTreeMap<String, Agg>, ts: u64| {
@@ -170,6 +171,7 @@ mod tests {
             tracks: vec![ThreadTrack {
                 tid: 0,
                 name: "main".into(),
+                synthetic: false,
                 events: vec![begin(0, "merge"), begin(10, "guard"), end(40), end(100)],
             }],
             dropped: 0,
@@ -189,6 +191,7 @@ mod tests {
             tracks: vec![ThreadTrack {
                 tid: 0,
                 name: "main".into(),
+                synthetic: false,
                 events: vec![
                     Event {
                         ts: 0,
