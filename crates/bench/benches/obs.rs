@@ -1,6 +1,7 @@
 //! Microbenchmarks for the oracle hot path introduced with evaluation
 //! vectors (PR 5): single-test interpreter evaluation (untraced and
-//! traced), copy-on-write world forking, and bitvector guard covering.
+//! traced), copy-on-write world forking, bitvector guard covering, and
+//! the guard pool's per-candidate enumeration cost.
 //! These pin a perf baseline finer than the suite: a regression in any of
 //! them shows up here long before it moves the 19-benchmark wall clock.
 
@@ -12,6 +13,7 @@ use rbsyn_interp::{InterpEnv, PreparedSpec, SetupStep, Spec, WorldState};
 use rbsyn_lang::builder::*;
 use rbsyn_lang::{Program, Symbol, Ty, Value};
 use rbsyn_stdlib::EnvBuilder;
+use std::time::Instant;
 
 fn blog_env() -> (InterpEnv, rbsyn_lang::ClassId) {
     let mut b = EnvBuilder::with_stdlib();
@@ -104,11 +106,9 @@ fn bench_world_fork(c: &mut Criterion) {
     });
 }
 
-/// Bitvector guard covering: the first call pays the enumeration +
-/// interpreter bits; re-requests (what merge backtracking does) are pure
-/// word arithmetic over the pool's vectors.
-fn bench_guard_covering(c: &mut Criterion) {
-    let (env, post) = blog_env();
+/// The two specs a guard over `Post` must separate: a seeded world and an
+/// empty one.
+fn seeded_and_empty(post: rbsyn_lang::ClassId) -> Vec<Spec> {
     let mk = |name: &str, seed: bool| {
         let mut steps = Vec::new();
         if seed {
@@ -124,7 +124,15 @@ fn bench_guard_covering(c: &mut Criterion) {
         });
         Spec::new(name, steps, vec![])
     };
-    let specs = vec![mk("seeded", true), mk("empty", false)];
+    vec![mk("seeded", true), mk("empty", false)]
+}
+
+/// Bitvector guard covering: the first call pays the enumeration +
+/// interpreter bits; re-requests (what merge backtracking does) are pure
+/// word arithmetic over the pool's vectors.
+fn bench_guard_covering(c: &mut Criterion) {
+    let (env, post) = blog_env();
+    let specs = seeded_and_empty(post);
     let opts = Options::default();
     let sched = Scheduler::sequential();
     let q = GuardQuery {
@@ -160,10 +168,57 @@ fn bench_guard_covering(c: &mut Criterion) {
     });
 }
 
+/// Guard-pool enumeration: each iteration, a fresh pool answers a request
+/// no candidate can cover (`x_r` truthy and falsy under the same spec), so
+/// it enumerates exactly `max_expansions` pops and runs every evaluable
+/// candidate once. Reported per iteration and per expanded candidate.
+fn bench_guard_pool_enumerate(c: &mut Criterion) {
+    let (env, post) = blog_env();
+    let specs = seeded_and_empty(post);
+    let opts = Options {
+        max_expansions: 2_000,
+        ..Options::default()
+    };
+    let sched = Scheduler::sequential();
+    let q = GuardQuery {
+        env: &env,
+        name: "m".into(),
+        params: &[],
+        specs: &specs,
+        opts: &opts,
+        sched: &sched,
+    };
+    let enumerate = || {
+        let mut pool = GuardPool::new();
+        let mut stats = SearchStats::default();
+        let g = pool
+            .nth_covering_guard(&q, &[0], &[0], 0, 1, &mut stats)
+            .expect("no deadline");
+        assert!(g.is_none(), "nothing covers a contradictory request");
+        stats.expanded
+    };
+    let expanded = enumerate();
+    c.bench_function("obs/guard_pool_enumerate", |b| b.iter(enumerate));
+    let mut per_cand: Vec<f64> = (0..11)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(enumerate());
+            started.elapsed().as_nanos() as f64 / expanded as f64
+        })
+        .collect();
+    per_cand.sort_by(f64::total_cmp);
+    println!(
+        "bench {:<40} median {:>9.1}ns  ({expanded} expanded per iteration)",
+        "obs/guard_pool_enumerate/candidate",
+        per_cand[per_cand.len() / 2]
+    );
+}
+
 criterion_group!(
     benches,
     bench_prepared_eval,
     bench_world_fork,
-    bench_guard_covering
+    bench_guard_covering,
+    bench_guard_pool_enumerate
 );
 criterion_main!(benches);

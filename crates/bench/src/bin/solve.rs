@@ -390,6 +390,7 @@ fn run_one(
                     "{{\"id\": \"{}\", \"status\": \"solved\", \"exit_code\": 0, \
                      \"elapsed_secs\": {:.6}, \"generate_secs\": {:.6}, \
                      \"guard_secs\": {:.6}, \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \
+                     \"teardown_secs\": {:.6}, \
                      \"size\": {}, \"paths\": {}, \"tested\": {}, \"obs_pruned\": {}, \
                      \"vector_hits\": {}}}\n",
                     json_escape(label),
@@ -398,6 +399,7 @@ fn run_one(
                     r.stats.guard_time.as_secs_f64(),
                     r.stats.merge_time.as_secs_f64(),
                     r.stats.search.eval_nanos as f64 / 1e9,
+                    r.stats.teardown_time.as_secs_f64(),
                     r.stats.solution_size,
                     r.stats.solution_paths,
                     r.stats.search.tested,

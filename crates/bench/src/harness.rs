@@ -716,12 +716,13 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
             // covering, `merge_secs` the rest of the merge call (rewrite
             // rounds, odometer, validation), `eval_secs` the
             // oracle/interpreter time across all phases — no more single
-            // lumped total.
+            // lumped total. `teardown_secs` is the time spent freeing the
+            // run's state after its clock stopped.
             Ok(r) => out.push_str(&format!(
                 "    {{\"id\": \"{}\", \"status\": \"solved\", \"exit_code\": 0, \
                  \"elapsed_secs\": {:.6}, \
                  \"generate_secs\": {:.6}, \"guard_secs\": {:.6}, \
-                 \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \
+                 \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \"teardown_secs\": {:.6}, \
                  \"size\": {}, \"paths\": {}, \"tested\": {}, \"obs_pruned\": {}, \
                  \"vector_hits\": {}, \"solution\": \"{}\"}}{sep}\n",
                 json_escape(&o.id),
@@ -730,6 +731,7 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                 r.stats.guard_time.as_secs_f64(),
                 r.stats.merge_time.as_secs_f64(),
                 r.stats.search.eval_nanos as f64 / 1e9,
+                r.stats.teardown_time.as_secs_f64(),
                 r.stats.solution_size,
                 r.stats.solution_paths,
                 r.stats.search.tested,

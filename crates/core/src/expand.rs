@@ -13,10 +13,8 @@
 
 use crate::infer::Gamma;
 use crate::options::Options;
-use rbsyn_lang::{EffectSet, Expr, FxBuild, Symbol, Ty, Value};
+use rbsyn_lang::{EffectSet, Expr, Symbol, Ty, Value};
 use rbsyn_ty::{is_subtype, ClassTable};
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Source of memoized S-App/S-EffApp call-template lists.
@@ -25,8 +23,9 @@ use std::sync::Arc;
 /// type/effect and the seed set, so *where* they are memoized is a free
 /// choice: the shared [`crate::cache::CacheHandle`] implements this for
 /// normal searches (templates shared across specs, merge attempts and
-/// batch jobs), while the guard pool substitutes a pool-local store so its
-/// single-threaded enumeration never takes a lock.
+/// batch jobs), while the guard pool, which asks for each goal's list once
+/// and keeps the result as hash-consed nodes, computes it unmemoized and
+/// never takes a lock.
 pub trait TemplateStore {
     /// The template list for `key`, computing it via `compute` on a miss.
     fn templates(&self, key: String, compute: &mut dyn FnMut() -> Vec<Expr>) -> Arc<Vec<Expr>>;
@@ -48,34 +47,6 @@ pub struct Expander<'a> {
     /// Search options (guidance switches, hash-literal arity).
     pub opts: &'a Options,
     search: &'a dyn TemplateStore,
-    fill_memo: Option<&'a FillMemo>,
-}
-
-/// Memo of complete `Expander::fill_typed` results per goal type, for
-/// callers whose `Γ` is **fixed** for the expander's whole lifetime.
-///
-/// `fill_typed` is deterministic in `(goal, Γ, Σ, class table, options)`;
-/// when the caller guarantees everything but `goal` is constant — the
-/// guard pool's boolean stream, whose candidates contain no binders, so
-/// `Γ` is never pushed or popped during enumeration — the entire filling
-/// list (constants, variables, hash/symbol literals *and* the call
-/// templates) collapses to a pure function of the goal and can be served
-/// from this map, skipping the per-call subtype scans, seed-set
-/// stringification and memo-key formatting. Callers whose `Γ` changes
-/// between holes (phase-1 `Let` bodies) must NOT pass one.
-pub struct FillMemo(RefCell<HashMap<Ty, Arc<Vec<Expr>>, FxBuild>>);
-
-impl FillMemo {
-    /// An empty memo.
-    pub fn new() -> FillMemo {
-        FillMemo(RefCell::new(HashMap::default()))
-    }
-}
-
-impl Default for FillMemo {
-    fn default() -> FillMemo {
-        FillMemo::new()
-    }
 }
 
 impl<'a> Expander<'a> {
@@ -89,24 +60,6 @@ impl<'a> Expander<'a> {
             table,
             opts,
             search,
-            fill_memo: None,
-        }
-    }
-
-    /// [`Expander::new`] plus a [`FillMemo`] — only sound when the
-    /// caller's `Γ` is identical across every expansion this expander
-    /// (and every other expander sharing `memo`) will perform.
-    pub fn with_fill_memo(
-        table: &'a ClassTable,
-        opts: &'a Options,
-        search: &'a dyn TemplateStore,
-        memo: &'a FillMemo,
-    ) -> Expander<'a> {
-        Expander {
-            table,
-            opts,
-            search,
-            fill_memo: Some(memo),
         }
     }
 
@@ -288,20 +241,6 @@ impl<'a> Expander<'a> {
     /// Fillings of a typed hole `□:τ` (S-Const, S-Var, symbol literals,
     /// hash literals, S-App).
     fn fill_typed(&self, goal: &Ty, gamma: &Gamma) -> Vec<Expr> {
-        if let Some(memo) = self.fill_memo {
-            if let Some(cached) = memo.0.borrow().get(goal) {
-                return cached.as_ref().clone();
-            }
-            let out = self.fill_typed_uncached(goal, gamma);
-            memo.0
-                .borrow_mut()
-                .insert(goal.clone(), Arc::new(out.clone()));
-            return out;
-        }
-        self.fill_typed_uncached(goal, gamma)
-    }
-
-    fn fill_typed_uncached(&self, goal: &Ty, gamma: &Gamma) -> Vec<Expr> {
         let typed = self.opts.guidance.types;
         let h = &self.table.hierarchy;
         let mut out: Vec<Expr> = Vec::new();

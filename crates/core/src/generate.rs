@@ -445,6 +445,17 @@ fn search_loop_parallel<'scope, 'env>(
     )
 }
 
+/// Enqueues a candidate ranked by `(c, size)`.
+fn enqueue(
+    frontier: &mut Frontier<'_>,
+    c: usize,
+    size: usize,
+    id: ExprId,
+    expr: std::sync::Arc<Expr>,
+) {
+    frontier.push(c, size, FrontierItem { c, size, id, expr });
+}
+
 /// The work-list loop behind [`generate_many`].
 #[allow(clippy::too_many_arguments)]
 fn search_loop(
@@ -494,7 +505,7 @@ fn search_loop(
     // could only re-derive work, never change the first solution found.
     let mut obs_seen: HashMap<(u128, Ty), u32, FxBuild> = HashMap::default();
     let root = search.intern_full(Expr::Hole(goal.clone()));
-    frontier.push(0, 1, root.id, root.expr);
+    enqueue(&mut frontier, 0, 1, root.id, root.expr);
 
     let mut solutions: Vec<Expr> = Vec::new();
     let mut first_solution_at: Option<u64> = None;
@@ -700,11 +711,12 @@ fn search_loop(
                     let wrapped = wrap_with_effect(&cand.expr, er, ty);
                     let w = search.intern_full(wrapped);
                     if w.size as usize <= max_size && seen.insert(w.id) {
-                        frontier.push(out.passed, w.size as usize, w.id, w.expr);
+                        enqueue(&mut frontier, out.passed, w.size as usize, w.id, w.expr);
                     }
                 }
             } else if cand.size as usize <= max_size {
-                frontier.push(
+                enqueue(
+                    &mut frontier,
                     item.c,
                     cand.size as usize,
                     cand.id,

@@ -28,11 +28,14 @@
 //! gone.
 //!
 //! The enumeration pipeline is **pool-local and lock-free**: candidates
-//! hash-cons into a private [`ExprArena`] and S-App templates memoize
-//! into a private [`TemplateStore`], so the stream never touches the
-//! shared search cache — it is byte-identical with and without
-//! `--no-cache`, and it pays none of the shared cache's lock (or
-//! `contention`-probe) overhead on the merge's hottest path.
+//! live in a private node arena whose nodes refer to their children by
+//! id, so the stream never touches the shared search
+//! cache — it is byte-identical with and without `--no-cache`, and it
+//! pays none of the shared cache's lock (or `contention`-probe) overhead
+//! on the merge's hottest path. Expanding a candidate re-interns only the
+//! path from its root to the filled hole, types each new node once from
+//! its children's stored types, and builds an [`Expr`] tree only for
+//! candidates the interpreter actually runs.
 //!
 //! **Covering is set inclusion.** A candidate covers a request exactly
 //! when `Ψ₁ ⊆ truthy-ok(c)` and `Ψ₂ ⊆ falsy-ok(c)`, so the verdict reads
@@ -40,24 +43,26 @@
 //! spec sets is needed.
 //!
 //! [`search_guards`] (the per-request search the pool replaced on the
-//! merge path) remains for single-shot callers: it collects *several*
-//! oracle-passing guards because the smallest one can be semantically
-//! wrong for the final program (only running the merged program against
-//! all specs decides, §3.4), so the merge backtracks over alternatives —
-//! the pool's [`GuardPool::covering_guards`] reproduces exactly that
-//! candidate order and stopping rule.
+//! merge path) remains as the test reference for the pool: it collects
+//! *several* oracle-passing guards because the smallest one can be
+//! semantically wrong for the final program (only running the merged
+//! program against all specs decides, §3.4), so the merge backtracks over
+//! alternatives — the pool's [`GuardPool::covering_guards`] reproduces
+//! exactly that candidate order and stopping rule.
 
 use crate::engine::{Frontier, Scheduler, SearchStats};
 use crate::error::SynthError;
-use crate::expand::{simplify, Expander, FillMemo, TemplateStore};
+use crate::expand::{Expander, TemplateStore};
 use crate::generate::{generate_many, GuardOracle, Oracle};
-use crate::infer::{infer_ty, Gamma};
+use crate::infer::{app_ty, hash_ty, hole_ty, ty_of_value, var_ty, Gamma};
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
-use rbsyn_lang::{Expr, ExprArena, ExprId, FxBuild, Program, Symbol, Ty, Value};
+use rbsyn_lang::{Expr, FxBuild, FxHasher, Program, Symbol, Ty, Value};
 use rbsyn_trace::Mark;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use rbsyn_ty::ClassTable;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -261,30 +266,358 @@ impl Bits {
     }
 }
 
-/// One enumerated evaluable boolean candidate: its hash-consed identity,
-/// the work-list pop that produced it (for per-request stopping budgets),
-/// and its lazily filled bitvector.
-struct GuardCand {
-    expr: Arc<Expr>,
-    pop: u64,
-    bits: Bits,
+/// Id of a node in the pool's [`NodeArena`].
+type NodeId = u32;
+
+/// "Absent" in a node's index fields: no type derivation, end of a hash
+/// chain.
+const NONE: u32 = u32::MAX;
+
+/// [`Node::hole`] of a node with no hole below it.
+const NO_HOLE: u16 = u16::MAX;
+
+/// What a guard-stream node is, apart from its children. Each payload is a
+/// [`Symbol`] or an index into one of the arena's side tables, so a kind
+/// hashes and compares as a single word.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Kind {
+    /// A literal (index into [`NodeArena::values`]).
+    Lit(u32),
+    /// A variable.
+    Var(Symbol),
+    /// A typed hole (index into [`NodeArena::tys`]).
+    Hole(u32),
+    /// A call; the children are the receiver, then the arguments.
+    Call(Symbol),
+    /// A hash literal (index into [`NodeArena::keys`]); the children are
+    /// the values, in key order.
+    Hash(u32),
 }
 
-/// Pool-local template memo: the same pure S-App/S-EffApp lists the
-/// shared cache would compute, without its locks (or their `contention`
-/// probes) — the pool enumerates on one thread, so a `RefCell` suffices.
-#[derive(Default)]
-struct LocalTemplates(RefCell<HashMap<String, Arc<Vec<Expr>>, FxBuild>>);
-
-impl TemplateStore for LocalTemplates {
-    fn templates(&self, key: String, compute: &mut dyn FnMut() -> Vec<Expr>) -> Arc<Vec<Expr>> {
-        if let Some(v) = self.0.borrow().get(&key) {
-            return Arc::clone(v);
+impl Kind {
+    /// The kind as two words, for the type memo's keys.
+    fn words(self) -> [u32; 2] {
+        match self {
+            Kind::Lit(v) => [0, v],
+            Kind::Var(x) => [1, x.index()],
+            Kind::Hole(t) => [2, t],
+            Kind::Call(meth) => [3, meth.index()],
+            Kind::Hash(keys) => [4, keys],
         }
-        let v = Arc::new(compute());
-        self.0.borrow_mut().insert(key, Arc::clone(&v));
-        v
     }
+}
+
+/// One hash-consed node and the facts the enumeration asks about it,
+/// computed once when the node is created.
+struct Node {
+    kind: Kind,
+    /// Start of the children in [`NodeArena::kids`].
+    kids: u32,
+    /// Number of children.
+    arity: u16,
+    /// Index of the leftmost child that contains a hole, or [`NO_HOLE`].
+    hole: u16,
+    /// AST node count of the subtree (the frontier's size heuristic).
+    size: u32,
+    /// The subtree's type (index into [`NodeArena::tys`]), or [`NONE`]
+    /// when it has no derivation or type guidance is off.
+    ty: u32,
+    /// Next node whose `(kind, children)` hash is equal, or [`NONE`].
+    next: u32,
+}
+
+/// Dense ids for the few distinct values, types and key lists a stream
+/// uses.
+struct Table<T> {
+    items: Vec<T>,
+    ids: HashMap<T, u32, FxBuild>,
+}
+
+impl<T> Default for Table<T> {
+    fn default() -> Table<T> {
+        Table {
+            items: Vec::new(),
+            ids: HashMap::default(),
+        }
+    }
+}
+
+impl<T: Clone + Eq + Hash> Table<T> {
+    fn id(&mut self, t: T) -> u32 {
+        if let Some(&i) = self.ids.get(&t) {
+            return i;
+        }
+        let i = u32::try_from(self.items.len()).expect("fewer than 2^32 entries");
+        self.items.push(t.clone());
+        self.ids.insert(t, i);
+        i
+    }
+
+    fn get(&self, i: u32) -> &T {
+        &self.items[i as usize]
+    }
+}
+
+/// The typing context of a typed stream: the class table and the pool's
+/// fixed `Γ`. `None` when type guidance is off (no node is typed, and no
+/// candidate is narrowed away).
+type Typing<'a> = Option<(&'a ClassTable, &'a Gamma)>;
+
+/// The request's typing context under the pool's `Γ`.
+fn typing<'a>(q: &GuardQuery<'a>, gamma: &'a Gamma) -> Typing<'a> {
+    q.opts.guidance.types.then_some((&q.env.table, gamma))
+}
+
+/// The guard pool's hash-consing arena.
+///
+/// Nodes are interned by `(kind, child ids)`, so interning a node costs
+/// one hash of a few words, whatever the depth of the tree below it. The
+/// stream only ever contains literals, variables, holes, calls and hash
+/// literals: typed-hole fills are never sequences, effect holes or
+/// binders. That is also why each node can be typed once, from its
+/// children's stored types: with no binder in the stream, `Γ` is the
+/// pool's fixed parameter environment for the node's whole life, so the
+/// type `infer_ty` would give the subtree never changes.
+#[derive(Default)]
+struct NodeArena {
+    nodes: Vec<Node>,
+    kids: Vec<NodeId>,
+    /// First node per `(kind, children)` hash; collisions chain through
+    /// [`Node::next`].
+    heads: HashMap<u64, NodeId, FxBuild>,
+    values: Table<Value>,
+    tys: Table<Ty>,
+    keys: Table<Vec<Symbol>>,
+    /// Node types (ids into `tys`), keyed by a node's kind and its
+    /// children's types (see [`NodeArena::type_of`]).
+    ty_memo: HashMap<Vec<u32>, u32, FxBuild>,
+    /// Scratch child list for [`NodeArena::with_kid`].
+    buf: Vec<NodeId>,
+    /// Scratch key for `ty_memo`.
+    key: Vec<u32>,
+}
+
+impl NodeArena {
+    fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    fn kids_of(&self, n: &Node) -> &[NodeId] {
+        kids_in(&self.kids, n)
+    }
+
+    fn has_hole(&self, id: NodeId) -> bool {
+        let n = self.node(id);
+        n.hole != NO_HOLE || matches!(n.kind, Kind::Hole(_))
+    }
+
+    fn ty(&self, id: NodeId) -> Option<&Ty> {
+        let t = self.node(id).ty;
+        (t != NONE).then(|| self.tys.get(t))
+    }
+
+    /// The node `(kind, kids)`, created (and typed under `typing`) on
+    /// first sight.
+    fn intern(&mut self, kind: Kind, kids: &[NodeId], typing: Typing<'_>) -> NodeId {
+        let mut h = FxHasher::default();
+        kind.hash(&mut h);
+        kids.hash(&mut h);
+        let id = NodeId::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+        let next = match self.heads.entry(h.finish()) {
+            Entry::Occupied(mut head) => {
+                let mut at = *head.get();
+                while at != NONE {
+                    let n = &self.nodes[at as usize];
+                    if n.kind == kind && kids_in(&self.kids, n) == kids {
+                        return at;
+                    }
+                    at = n.next;
+                }
+                std::mem::replace(head.get_mut(), id)
+            }
+            Entry::Vacant(head) => {
+                head.insert(id);
+                NONE
+            }
+        };
+        let arity = u16::try_from(kids.len()).expect("a node has fewer than 2^16 children");
+        let hole = kids
+            .iter()
+            .position(|&k| self.has_hole(k))
+            .map_or(NO_HOLE, |i| i as u16);
+        let size = 1 + kids.iter().map(|&k| self.node(k).size).sum::<u32>();
+        let ty = match typing {
+            Some((table, gamma)) => self.type_of(kind, kids, table, gamma),
+            None => NONE,
+        };
+        self.nodes.push(Node {
+            kind,
+            kids: u32::try_from(self.kids.len()).expect("fewer than 2^32 child slots"),
+            arity,
+            hole,
+            size,
+            ty,
+            next,
+        });
+        self.kids.extend_from_slice(kids);
+        id
+    }
+
+    /// Types a new node from its children's stored types, by the same
+    /// rules [`crate::infer::infer_ty`] applies recursively. A node's type
+    /// depends only on its kind and its children's types, and few such
+    /// combinations occur, so the rules run once per combination.
+    fn type_of(&mut self, kind: Kind, kids: &[NodeId], table: &ClassTable, gamma: &Gamma) -> u32 {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend(kind.words());
+        key.extend(kids.iter().map(|&k| self.node(k).ty));
+        let t = match self.ty_memo.get(key.as_slice()) {
+            Some(&t) => t,
+            None => {
+                let ty = match kind {
+                    Kind::Lit(v) => Some(ty_of_value(table, self.values.get(v))),
+                    Kind::Var(x) => var_ty(gamma, x),
+                    Kind::Hole(t) => Some(hole_ty(self.tys.get(t))),
+                    Kind::Call(meth) => self.ty(kids[0]).and_then(|recv| {
+                        app_ty(table, recv, meth, kids[1..].iter().map(|&k| self.ty(k)))
+                    }),
+                    Kind::Hash(keys) => hash_ty(
+                        self.keys
+                            .get(keys)
+                            .iter()
+                            .zip(kids)
+                            .map(|(&key, &k)| (key, self.ty(k))),
+                    ),
+                };
+                let t = ty.map_or(NONE, |t| self.tys.id(t));
+                self.ty_memo.insert(key.clone(), t);
+                t
+            }
+        };
+        self.key = key;
+        t
+    }
+
+    /// Interns a typed-hole fill.
+    ///
+    /// # Panics
+    ///
+    /// On a sequence, conditional, binder, boolean connective or effect
+    /// hole: typed-hole fills are literals, variables, holes, calls and
+    /// hash literals, and the arena's per-node typing relies on it.
+    fn node_of(&mut self, e: &Expr, typing: Typing<'_>) -> NodeId {
+        match e {
+            Expr::Lit(v) => {
+                let v = self.values.id(v.clone());
+                self.intern(Kind::Lit(v), &[], typing)
+            }
+            Expr::Var(x) => self.intern(Kind::Var(*x), &[], typing),
+            Expr::Hole(t) => {
+                let t = self.tys.id(t.clone());
+                self.intern(Kind::Hole(t), &[], typing)
+            }
+            Expr::Call { recv, meth, args } => {
+                let kids: Vec<NodeId> = std::iter::once(&**recv)
+                    .chain(args)
+                    .map(|a| self.node_of(a, typing))
+                    .collect();
+                self.intern(Kind::Call(*meth), &kids, typing)
+            }
+            Expr::HashLit(entries) => {
+                let keys = self.keys.id(entries.iter().map(|(k, _)| *k).collect());
+                let kids: Vec<NodeId> = entries
+                    .iter()
+                    .map(|(_, v)| self.node_of(v, typing))
+                    .collect();
+                self.intern(Kind::Hash(keys), &kids, typing)
+            }
+            other => panic!(
+                "guard-stream invariant violated: typed-hole fills are literals, variables, \
+                 holes, calls and hash literals, got `{}`",
+                other.compact()
+            ),
+        }
+    }
+
+    /// `parent` with its child `slot` replaced by `child`.
+    fn with_kid(&mut self, parent: NodeId, slot: u16, child: NodeId, typing: Typing<'_>) -> NodeId {
+        let mut buf = std::mem::take(&mut self.buf);
+        let n = self.node(parent);
+        let kind = n.kind;
+        buf.clear();
+        buf.extend_from_slice(self.kids_of(n));
+        buf[slot as usize] = child;
+        let id = self.intern(kind, &buf, typing);
+        self.buf = buf;
+        id
+    }
+
+    /// The node as an expression tree.
+    fn to_expr(&self, id: NodeId) -> Expr {
+        let n = self.node(id);
+        let kids = self.kids_of(n);
+        match n.kind {
+            Kind::Lit(v) => Expr::Lit(self.values.get(v).clone()),
+            Kind::Var(x) => Expr::Var(x),
+            Kind::Hole(t) => Expr::Hole(self.tys.get(t).clone()),
+            Kind::Call(meth) => Expr::Call {
+                recv: Box::new(self.to_expr(kids[0])),
+                meth,
+                args: kids[1..].iter().map(|&k| self.to_expr(k)).collect(),
+            },
+            Kind::Hash(keys) => Expr::HashLit(
+                self.keys
+                    .get(keys)
+                    .iter()
+                    .zip(kids)
+                    .map(|(&key, &k)| (key, self.to_expr(k)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// The children of `n` in the arena's child list.
+fn kids_in<'a>(kids: &'a [NodeId], n: &Node) -> &'a [NodeId] {
+    &kids[n.kids as usize..n.kids as usize + n.arity as usize]
+}
+
+/// A set of node ids, one bit each.
+#[derive(Default)]
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// Adds `id`; `false` when it was already present.
+    fn insert(&mut self, id: NodeId) -> bool {
+        let (w, m) = (id as usize / 64, 1u64 << (id % 64));
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        let fresh = self.0[w] & m == 0;
+        self.0[w] |= m;
+        fresh
+    }
+}
+
+/// The call-template source for the pool's fill lists. Each goal's list
+/// is built once and kept as nodes, so there is nothing to memoize.
+struct Unmemoized;
+
+impl TemplateStore for Unmemoized {
+    fn templates(&self, _key: String, compute: &mut dyn FnMut() -> Vec<Expr>) -> Arc<Vec<Expr>> {
+        Arc::new(compute())
+    }
+}
+
+/// One enumerated evaluable boolean candidate: its node, the work-list
+/// pop that produced it (for per-request stopping budgets), its lazily
+/// filled bitvector, and its expression tree once something needed it.
+struct GuardCand {
+    node: NodeId,
+    pop: u64,
+    bits: Bits,
+    expr: Option<Expr>,
 }
 
 /// A strengthening request's lazy scan state: how far into the shared
@@ -319,8 +652,9 @@ pub struct GuardPool {
     checks: Vec<CheckSlot>,
     /// Words per bitvector plane: `⌈|specs| / 64⌉`.
     nwords: usize,
-    frontier: Option<Frontier<'static>>,
-    seen: HashSet<ExprId, FxBuild>,
+    frontier: Option<Frontier<'static, NodeId>>,
+    /// Candidates already enumerated (the dedup filter).
+    seen: NodeSet,
     gamma: Option<Gamma>,
     pops: u64,
     exhausted: bool,
@@ -333,14 +667,12 @@ pub struct GuardPool {
     /// Pool-private hash-consing arena: the enumeration pipeline never
     /// touches the shared cache, so the stream is identical with and
     /// without it — and lock-free either way.
-    arena: ExprArena,
-    /// Pool-local template memo (see [`LocalTemplates`]).
-    templates: LocalTemplates,
-    /// Complete hole-filling lists per goal type. Sound here because the
-    /// guard stream contains no binders: the pool's `Γ` (the spec
-    /// bindings) is fixed for its whole lifetime, so `fill_typed` is a
-    /// pure function of the goal (see [`FillMemo`]).
-    fill_memo: FillMemo,
+    arena: NodeArena,
+    /// Expansion lists of holes and interior nodes (see
+    /// [`GuardPool::expansions`]). Sound because the guard stream contains
+    /// no binders: the pool's `Γ` is fixed for its whole lifetime, so a
+    /// node's expansions never change.
+    expansions: HashMap<NodeId, Arc<[NodeId]>, FxBuild>,
 }
 
 impl Default for GuardPool {
@@ -359,16 +691,15 @@ impl GuardPool {
             checks: Vec::new(),
             nwords: 1,
             frontier: None,
-            seen: HashSet::default(),
+            seen: NodeSet::default(),
             gamma: None,
             pops: 0,
             exhausted: false,
             cands: Vec::new(),
             reqs: HashMap::default(),
             extra_bits: HashMap::default(),
-            arena: ExprArena::new(),
-            templates: LocalTemplates::default(),
-            fill_memo: FillMemo::new(),
+            arena: NodeArena::default(),
+            expansions: HashMap::default(),
         }
     }
 
@@ -389,10 +720,10 @@ impl GuardPool {
             })
             .collect();
         self.nwords = q.specs.len().div_ceil(64).max(1);
-        self.gamma = Some(Gamma::from_params(q.params));
-        let root = self.arena.intern(Expr::Hole(Ty::Bool));
+        let gamma = self.gamma.insert(Gamma::from_params(q.params));
+        let root = self.arena.node_of(&Expr::Hole(Ty::Bool), typing(q, gamma));
         let mut frontier = Frontier::new(q.opts.strategy.strategy());
-        frontier.push(0, 1, root, Arc::clone(self.arena.get(root)));
+        frontier.push(0, 1, root);
         self.frontier = Some(frontier);
     }
 
@@ -400,14 +731,14 @@ impl GuardPool {
     /// evaluable candidates (unjudged) and re-enqueueing partial ones —
     /// the exact loop body of the per-request search, minus S-Eff (guard
     /// oracles never report effects, so it could never fire), run
-    /// entirely against pool-local state: expansion, simplification,
-    /// type narrowing and hash-consing never take a lock.
+    /// entirely against pool-local state: expansion, type narrowing and
+    /// hash-consing never take a lock.
     fn extend_one_pop(
         &mut self,
         q: &GuardQuery<'_>,
         stats: &mut SearchStats,
     ) -> Result<(), SynthError> {
-        let Some((pri, seq, item)) = self.frontier.as_mut().and_then(|f| f.pop_ranked()) else {
+        let Some((pri, seq, node)) = self.frontier.as_mut().and_then(|f| f.pop_ranked()) else {
             self.exhausted = true;
             return Ok(());
         };
@@ -422,56 +753,95 @@ impl GuardPool {
             self.frontier
                 .as_mut()
                 .expect("pool is ready")
-                .requeue(pri, seq, item);
+                .requeue(pri, seq, node);
             return Err(SynthError::Timeout);
         }
-        let expander =
-            Expander::with_fill_memo(&q.env.table, q.opts, &self.templates, &self.fill_memo);
-        let gamma = self.gamma.as_mut().expect("pool is ready");
-        let subs = expander
-            .expand_first(&item.expr, gamma)
-            .expect("non-evaluable expression must have a hole");
-        stats.expanded += subs.len() as u64;
-        for sub in subs {
-            let sub = simplify(sub);
+        // A popped candidate is never popped again, so its own list is not
+        // memoized; the lists of its subtrees are.
+        let children = self.expand(node, q);
+        stats.expanded += children.len() as u64;
+        let frontier = self.frontier.as_mut().expect("pool is ready");
+        for &id in children.iter() {
             // Type narrowing, as in `expand_compute` — same filter, same
-            // order, pool-local interning.
-            if q.opts.guidance.types && infer_ty(&q.env.table, gamma, &sub).is_none() {
+            // order, read off the node's stored type.
+            if q.opts.guidance.types && self.arena.ty(id).is_none() {
                 continue;
             }
-            let id = self.arena.intern(sub);
             if !self.seen.insert(id) {
                 stats.deduped += 1;
                 continue;
             }
-            let (size, evaluable) = self.arena.meta(id);
-            if evaluable {
+            let size = self.arena.node(id).size as usize;
+            if !self.arena.has_hole(id) {
                 self.cands.push(GuardCand {
-                    expr: Arc::clone(self.arena.get(id)),
+                    node: id,
                     pop: self.pops,
                     bits: Bits::new(self.nwords),
+                    expr: None,
                 });
             } else if size <= q.opts.max_guard_size {
-                self.frontier.as_mut().expect("pool is ready").push(
-                    0,
-                    size,
-                    id,
-                    Arc::clone(self.arena.get(id)),
-                );
+                frontier.push(0, size, id);
             }
         }
         Ok(())
+    }
+
+    /// `node` with its leftmost hole filled in every way the expander
+    /// offers, in the expander's order — what `Expander::expand_first`
+    /// returns for the node's tree. A hole's list is the expander's fill
+    /// list for `□:τ` under the pool's `Γ`; any other node's list is its
+    /// leftmost-hole child's list with each entry put back in place, one
+    /// intern per entry.
+    fn expand(&mut self, node: NodeId, q: &GuardQuery<'_>) -> Arc<[NodeId]> {
+        let n = self.arena.node(node);
+        let (kind, slot) = (n.kind, n.hole);
+        if let Kind::Hole(goal) = kind {
+            let hole = Expr::Hole(self.arena.tys.get(goal).clone());
+            let gamma = self.gamma.as_mut().expect("pool is ready");
+            let fills = Expander::new(&q.env.table, q.opts, &Unmemoized)
+                .expand_first(&hole, gamma)
+                .expect("a hole always expands");
+            let typing = typing(q, gamma);
+            return fills
+                .iter()
+                .map(|e| self.arena.node_of(e, typing))
+                .collect();
+        }
+        let child = self.arena.kids_of(n)[slot as usize];
+        let subs = self.expansions(child, q);
+        let typing = typing(q, self.gamma.as_ref().expect("pool is ready"));
+        subs.iter()
+            .map(|&sub| self.arena.with_kid(node, slot, sub, typing))
+            .collect()
+    }
+
+    /// [`GuardPool::expand`], memoized: the subtrees below the popped
+    /// candidates recur across many of them.
+    fn expansions(&mut self, node: NodeId, q: &GuardQuery<'_>) -> Arc<[NodeId]> {
+        if let Some(list) = self.expansions.get(&node) {
+            return Arc::clone(list);
+        }
+        let list = self.expand(node, q);
+        self.expansions.insert(node, Arc::clone(&list));
+        list
+    }
+
+    /// Candidate `i`'s expression, built on first use.
+    fn cand_expr(&mut self, i: usize) -> &Expr {
+        let GuardCand { node, expr, .. } = &mut self.cands[i];
+        expr.get_or_insert_with(|| self.arena.to_expr(*node))
     }
 
     /// Fills any missing footprint bits of `bits` by interpreter runs and
     /// checks the request bit by bit, short-circuiting on the first
     /// violated spec. Returns `(covers, filled)`: `filled` reports whether
     /// any bit was newly determined — the tested/vector-hit accounting
-    /// key.
+    /// key. `expr` yields the candidate's body, and is called only when
+    /// an interpreter run is needed.
     fn fill_and_check(
         checks: &[CheckSlot],
         bits: &mut Bits,
-        expr: &Expr,
+        mut expr: impl FnMut() -> Expr,
         q: &GuardQuery<'_>,
         pos: &[usize],
         neg: &[usize],
@@ -490,7 +860,7 @@ impl GuardPool {
                         Program::from_parts(
                             q.name,
                             q.params.iter().map(|(n, _)| *n).collect(),
-                            expr.clone(),
+                            expr(),
                         )
                     });
                     let started = Instant::now();
@@ -523,9 +893,13 @@ impl GuardPool {
         neg: &[usize],
         stats: &mut SearchStats,
     ) -> bool {
-        let GuardCand { expr, bits, .. } = &mut self.cands[i];
+        let GuardCand {
+            node, bits, expr, ..
+        } = &mut self.cands[i];
         let fresh = !bits.any_evald();
-        let (pass, filled) = Self::fill_and_check(&self.checks, bits, expr, q, pos, neg, stats);
+        let arena = &self.arena;
+        let body = || expr.get_or_insert_with(|| arena.to_expr(*node)).clone();
+        let (pass, filled) = Self::fill_and_check(&self.checks, bits, body, q, pos, neg, stats);
         if fresh && filled {
             stats.tested += 1;
         } else if !filled {
@@ -577,7 +951,8 @@ impl GuardPool {
                 break;
             }
             if self.cand_passes(i, q, pos, neg, stats) {
-                state.found.push((*self.cands[i].expr).clone());
+                let guard = self.cand_expr(i).clone();
+                state.found.push(guard);
                 if state.found.len() >= k {
                     state.done = true;
                 }
@@ -717,7 +1092,8 @@ impl GuardPool {
             .get(e)
             .cloned()
             .unwrap_or_else(|| Bits::new(self.nwords));
-        let (pass, filled) = Self::fill_and_check(&self.checks, &mut bits, e, q, pos, neg, stats);
+        let (pass, filled) =
+            Self::fill_and_check(&self.checks, &mut bits, || e.clone(), q, pos, neg, stats);
         if !filled {
             // Pure word-op hit: nothing new to store — skip the AST clone
             // and re-hash (this is the merge's hottest re-check loop).
@@ -741,9 +1117,16 @@ pub fn negate(b: &Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheHandle;
+    use crate::engine::StrategyKind;
+    use crate::expand::simplify;
+    use crate::infer::infer_ty;
+    use crate::options::Guidance;
     use rbsyn_interp::SetupStep;
     use rbsyn_lang::builder::*;
+    use rbsyn_lang::ExprArena;
     use rbsyn_stdlib::EnvBuilder;
+    use std::collections::HashSet;
 
     fn env_with_post() -> (InterpEnv, rbsyn_lang::ClassId) {
         let mut b = EnvBuilder::with_stdlib();
@@ -1129,5 +1512,163 @@ mod tests {
         // requests are the rule-6/7 `guard_holds` checks).
         assert!(pool.check_expr(&q, &true_(), &[0, 1], &[], &mut stats));
         assert!(!pool.check_expr(&q, &false_(), &[0, 1], &[], &mut stats));
+    }
+
+    /// What an enumeration produced: each evaluable candidate's compact
+    /// text and pop stamp, in order, and the effort counters.
+    #[derive(Debug, Default, PartialEq)]
+    struct Stream {
+        cands: Vec<(String, u64)>,
+        popped: u64,
+        expanded: u64,
+        deduped: u64,
+    }
+
+    /// The whole-tree pipeline the node arena replaced, kept as the
+    /// reference it must reproduce: expand the tree, simplify it, type it
+    /// whole, hash-cons it whole. Also returns the first duplicate and
+    /// every narrowing rejection, in order.
+    fn reference_stream(
+        q: &GuardQuery<'_>,
+        max_pops: u64,
+    ) -> (Stream, Option<String>, Vec<String>) {
+        let store = CacheHandle::private();
+        let expander = Expander::new(&q.env.table, q.opts, &store);
+        let mut gamma = Gamma::from_params(q.params);
+        let mut arena = ExprArena::new();
+        let mut seen = HashSet::new();
+        let mut frontier = Frontier::new(q.opts.strategy.strategy());
+        frontier.push(0, 1, arena.intern(Expr::Hole(Ty::Bool)));
+        let (mut out, mut first_dup, mut rejected) = (Stream::default(), None, Vec::new());
+        while out.popped < max_pops {
+            let Some(id) = frontier.pop() else { break };
+            out.popped += 1;
+            let e = Arc::clone(arena.get(id));
+            let subs = expander
+                .expand_first(&e, &mut gamma)
+                .expect("a popped candidate has a hole");
+            out.expanded += subs.len() as u64;
+            for sub in subs {
+                let sub = simplify(sub);
+                if q.opts.guidance.types && infer_ty(&q.env.table, &mut gamma, &sub).is_none() {
+                    rejected.push(sub.compact());
+                    continue;
+                }
+                let id = arena.intern(sub);
+                if !seen.insert(id) {
+                    out.deduped += 1;
+                    first_dup.get_or_insert_with(|| arena.get(id).compact());
+                    continue;
+                }
+                let (size, evaluable) = arena.meta(id);
+                if evaluable {
+                    out.cands.push((arena.get(id).compact(), out.popped));
+                } else if size <= q.opts.max_guard_size {
+                    frontier.push(0, size, id);
+                }
+            }
+        }
+        (out, first_dup, rejected)
+    }
+
+    /// The pool's own stream over the same number of pops.
+    fn pool_stream(q: &GuardQuery<'_>, max_pops: u64) -> Stream {
+        let mut pool = GuardPool::new();
+        pool.ensure_ready(q);
+        let mut stats = SearchStats::default();
+        while stats.popped < max_pops && !pool.exhausted {
+            pool.extend_one_pop(q, &mut stats).expect("no deadline");
+        }
+        let cands = pool
+            .cands
+            .iter()
+            .map(|c| (pool.arena.to_expr(c.node).compact(), c.pop))
+            .collect();
+        Stream {
+            cands,
+            popped: stats.popped,
+            expanded: stats.expanded,
+            deduped: stats.deduped,
+        }
+    }
+
+    /// An A3-shaped library: a `User` model (so `where`/`find_by` build
+    /// hash literals), `nil` and `User` among the constants, and a `Str`
+    /// parameter for S-Var.
+    fn a3_env() -> InterpEnv {
+        let mut b = EnvBuilder::with_stdlib();
+        let user = b.define_model(
+            "User",
+            &[
+                ("username", Ty::Str),
+                ("staged", Ty::Bool),
+                ("admin", Ty::Bool),
+            ],
+        );
+        b.add_const(Value::Nil);
+        b.add_const(Value::Class(user));
+        b.finish()
+    }
+
+    #[test]
+    fn pool_stream_matches_the_tree_pipeline() {
+        const POPS: u64 = 20_000;
+        let a3 = a3_env();
+        let (post_env, post_specs) = pool_fixture();
+        let (wide_env, wide_specs) = oversized_fixture();
+        let str_param = [(Symbol::intern("arg0"), Ty::Str)];
+        let cost = Options {
+            strategy: StrategyKind::CostWeighted,
+            ..Options::default()
+        };
+        let untyped = Options::with_guidance(Guidance::effects_only());
+        let paper = Options::default();
+        let sched = Scheduler::sequential();
+        let query = |env, params, specs, opts| GuardQuery {
+            env,
+            name: Symbol::intern("m"),
+            params,
+            specs,
+            opts,
+            sched: &sched,
+        };
+        let fixtures = [
+            ("a3", query(&a3, &str_param, &[], &paper)),
+            ("post", query(&post_env, &[], &post_specs, &paper)),
+            ("65 specs", query(&wide_env, &[], &wide_specs, &paper)),
+            ("cost-weighted", query(&a3, &str_param, &[], &cost)),
+            ("effects only", query(&a3, &str_param, &[], &untyped)),
+        ];
+        let (mut deduped, mut rejected) = (0, 0);
+        for (name, q) in fixtures {
+            let (reference, first_dup, rejections) = reference_stream(&q, POPS);
+            let pool = pool_stream(&q, POPS);
+            assert!(!reference.cands.is_empty(), "{name}: empty stream");
+            assert_eq!(
+                pool.cands.len(),
+                reference.cands.len(),
+                "{name}: candidate count"
+            );
+            for (i, (p, r)) in pool.cands.iter().zip(&reference.cands).enumerate() {
+                assert_eq!(p, r, "{name}: candidate {i} differs");
+            }
+            assert_eq!(pool, reference, "{name}: counters differ");
+            if name == "a3" {
+                // The stream's first duplicate and first narrowing
+                // rejection, as on the A3 benchmark itself.
+                assert_eq!(first_dup.as_deref(), Some("nil.nil?"));
+                assert_eq!(rejections.first().map(String::as_str), Some("User.nil?"));
+            }
+            deduped += reference.deduped;
+            rejected += rejections.len();
+        }
+        assert!(deduped > 0, "no fixture exercises the dedup filter");
+        assert!(rejected > 0, "no fixture exercises type narrowing");
+    }
+
+    #[test]
+    #[should_panic(expected = "guard-stream invariant")]
+    fn fills_outside_the_stream_grammar_are_a_bug() {
+        NodeArena::default().node_of(&seq([int(1), int(2)]), None);
     }
 }

@@ -8,6 +8,7 @@
 
 use rbsyn_lang::{Expr, Symbol, Ty, Value};
 use rbsyn_ty::{is_subtype, ClassTable, MethodKind};
+use std::borrow::Borrow;
 
 /// A typing environment `Γ` (spine of bindings; lookups scan innermost
 /// first to honour shadowing).
@@ -67,12 +68,17 @@ pub fn ty_of_value(table: &ClassTable, v: &Value) -> Ty {
 /// Infers the type of `e` under `Γ`, or `None` when the expression has no
 /// typing derivation (the search discards such candidates when type
 /// guidance is on).
+///
+/// The rules for variables, holes, calls and hash literals live in helpers
+/// that take the children's types (`var_ty`, `hole_ty`, `app_ty`,
+/// `hash_ty`), so a caller that already knows every child's type — the
+/// guard pool, which types each hash-consed node once from its children's
+/// stored types — applies exactly the rules this recursion does.
 pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
     match e {
         // T-Nil / T-True / T-False / T-Obj and friends.
         Expr::Lit(v) => Some(ty_of_value(table, v)),
-        // T-Var.
-        Expr::Var(x) => gamma.get(*x).cloned(),
+        Expr::Var(x) => var_ty(gamma, *x),
         // T-Seq: the sequence has the type of its last expression.
         Expr::Seq(es) => {
             let mut last = Ty::Nil;
@@ -81,21 +87,14 @@ pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
             }
             Some(last)
         }
-        // T-App: receiver class must define the method; arguments must fit
-        // the (possibly comp-resolved) parameter types.
         Expr::Call { recv, meth, args } => {
             let recv_ty = infer_ty(table, gamma, recv)?;
-            let resolved = resolve_call(table, &recv_ty, *meth)?;
-            if resolved.params.len() != args.len() {
-                return None;
-            }
-            for (a, p) in args.iter().zip(&resolved.params) {
-                let at = infer_ty(table, gamma, a)?;
-                if !is_subtype(&table.hierarchy, &at, p) {
-                    return None;
-                }
-            }
-            Some(resolved.ret)
+            app_ty(
+                table,
+                &recv_ty,
+                *meth,
+                args.iter().map(|a| infer_ty(table, gamma, a)),
+            )
         }
         // T-If: the union of the branch types.
         Expr::If { cond, then, els } => {
@@ -113,18 +112,8 @@ pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
             gamma.release(m);
             out
         }
-        // Hash literals synthesize a finite hash type from their entries.
         Expr::HashLit(entries) => {
-            let mut fields = Vec::with_capacity(entries.len());
-            for (k, v) in entries {
-                let vt = infer_ty(table, gamma, v)?;
-                fields.push(rbsyn_lang::types::HashField {
-                    key: *k,
-                    ty: vt,
-                    optional: false,
-                });
-            }
-            Some(Ty::FiniteHash(rbsyn_lang::FiniteHash::new(fields)))
+            hash_ty(entries.iter().map(|(k, v)| (*k, infer_ty(table, gamma, v))))
         }
         // T-NegB / T-OrB.
         Expr::Not(b) => {
@@ -136,12 +125,60 @@ pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
             infer_ty(table, gamma, b)?;
             Some(Ty::Bool)
         }
-        // T-Hole: a hole has its annotated type.
-        Expr::Hole(t) => Some(t.clone()),
+        Expr::Hole(t) => Some(hole_ty(t)),
         // T-EffHole: effect holes type at Obj (top), so they can be filled
         // by a term of any type (§3.2).
         Expr::EffHole(_) => Some(Ty::Obj),
     }
+}
+
+/// T-Var: the innermost binding of `x`.
+pub(crate) fn var_ty(gamma: &Gamma, x: Symbol) -> Option<Ty> {
+    gamma.get(x).cloned()
+}
+
+/// T-Hole: a hole has its annotated type.
+pub(crate) fn hole_ty(t: &Ty) -> Ty {
+    t.clone()
+}
+
+/// T-App from the receiver's and the arguments' types: the receiver class
+/// must define `meth`, the arity must match, and every argument must fit
+/// the (possibly comp-resolved) parameter type. Argument types are pulled
+/// lazily, left to right, and `None` (an untypable argument) fails the
+/// rule.
+pub(crate) fn app_ty<T: Borrow<Ty>>(
+    table: &ClassTable,
+    recv: &Ty,
+    meth: Symbol,
+    args: impl ExactSizeIterator<Item = Option<T>>,
+) -> Option<Ty> {
+    let resolved = resolve_call(table, recv, meth)?;
+    if resolved.params.len() != args.len() {
+        return None;
+    }
+    for (at, p) in args.zip(&resolved.params) {
+        if !is_subtype(&table.hierarchy, at?.borrow(), p) {
+            return None;
+        }
+    }
+    Some(resolved.ret)
+}
+
+/// Hash literals synthesize a finite hash type from their entries' types
+/// (`None` when any entry is untypable).
+pub(crate) fn hash_ty<T: Borrow<Ty>>(
+    entries: impl Iterator<Item = (Symbol, Option<T>)>,
+) -> Option<Ty> {
+    let mut fields = Vec::with_capacity(entries.size_hint().0);
+    for (key, vt) in entries {
+        fields.push(rbsyn_lang::types::HashField {
+            key,
+            ty: vt?.borrow().clone(),
+            optional: false,
+        });
+    }
+    Some(Ty::FiniteHash(rbsyn_lang::FiniteHash::new(fields)))
 }
 
 /// Resolves a method against a receiver *type*, returning parameter and

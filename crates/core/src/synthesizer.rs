@@ -50,6 +50,10 @@ pub struct SynthStats {
     /// merge call's wall-clock *minus* [`guard_time`](Self::guard_time),
     /// so the generate/guard/merge phases stay additive.
     pub merge_time: Duration,
+    /// Wall-clock spent freeing the run's state (the merge context with
+    /// its guard pool, the run-scoped cache handle, the spec oracles)
+    /// after [`elapsed`](Self::elapsed) was read. Not part of `elapsed`.
+    pub teardown_time: Duration,
     /// AST node count of the solution (Table 1 "Meth Size").
     pub solution_size: usize,
     /// Control-flow paths through the solution (Table 1 "# Syn Paths").
@@ -405,6 +409,13 @@ impl Synthesizer {
         stats.merge_time = merge_started.elapsed().saturating_sub(ctx.guard_time);
 
         stats.elapsed = start.elapsed();
+        // Free the run's state here rather than on return, so the time it
+        // takes is reported instead of falling into no phase.
+        let teardown_started = Instant::now();
+        drop(ctx);
+        drop(sched);
+        drop(spec_oracles);
+        stats.teardown_time = teardown_started.elapsed();
         stats.solution_size = program_size(&program);
         stats.solution_paths = program_paths(&program);
         if let Some(t) = &tracer {
