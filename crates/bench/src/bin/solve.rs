@@ -20,10 +20,11 @@
 //! cargo run --release -p rbsyn-bench --bin solve -- --all --compare --parallel 4
 //! ```
 //!
-//! `--intra N` dispatches each problem's per-spec and guard searches as N
-//! concurrent tasks on the shared pool; `--strategy NAME` selects the
-//! work-list exploration order (`paper`, `cost`). Both keep the
-//! deterministic stdout section byte-identical for a fixed strategy.
+//! `--intra N` gives each work-list search N threads (its own included)
+//! that expand and judge the top of its frontier ahead of in-order
+//! consumption; `--strategy NAME` selects the work-list exploration order
+//! (`paper`, `cost`). Both keep the deterministic stdout section
+//! byte-identical for a fixed strategy.
 //!
 //! `--compare` runs a fully sequential baseline first (one thread, intra
 //! 1, same strategy and cache setting), then the requested
@@ -88,7 +89,7 @@ struct Cli {
     /// escape hatch; programs must be byte-identical either way, while the
     /// effort counters legitimately shrink with pruning on).
     no_obs_equiv: bool,
-    /// `--intra`, when given (overrides `RBSYN_INTRA`).
+    /// `--intra`, when given.
     intra: Option<usize>,
     /// `--strategy`, when given (overrides `RBSYN_STRATEGY`).
     strategy: Option<StrategyKind>,
@@ -539,10 +540,10 @@ fn main() {
         run_suite_with(benchmarks.clone(), cfg, threads, &policy)
     };
     if cli.compare {
-        // Baseline: one thread, no intra tasks — the reference pipeline.
+        // Baseline: one thread, no speculation — the reference pipeline.
         // Same strategy (which legitimately shapes the result) and same
         // cache setting (which must not — the determinism CI leg diffs
-        // cache on/off separately); thread counts and task widths must
+        // cache on/off separately); thread counts and speculation widths must
         // never change the deterministic section.
         let baseline_cfg = Config {
             intra: 1,

@@ -33,9 +33,9 @@ pub struct Config {
     /// `RBSYN_NO_OBS_EQUIV=1` or `solve --no-obs-equiv` turns it off for
     /// the byte-identity A/B gate.
     pub obs_equiv: bool,
-    /// Intra-problem task width (`Options::intra_parallelism`;
-    /// `RBSYN_INTRA` / `solve --intra N`). Any width produces
-    /// byte-identical programs and effort counters.
+    /// Intra-problem speculation width (`Options::intra_parallelism`;
+    /// `solve --intra N`). Any width produces byte-identical programs and
+    /// effort counters.
     pub intra: usize,
     /// Work-list exploration order (`Options::strategy`;
     /// `RBSYN_STRATEGY` / `solve --strategy NAME`).
@@ -70,10 +70,6 @@ impl Config {
             .unwrap_or_default();
         let cache = !std::env::var("RBSYN_NO_CACHE").is_ok_and(|v| v == "1" || v == "true");
         let obs_equiv = !std::env::var("RBSYN_NO_OBS_EQUIV").is_ok_and(|v| v == "1" || v == "true");
-        let intra = std::env::var("RBSYN_INTRA")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
         let strategy = std::env::var("RBSYN_STRATEGY")
             .ok()
             .and_then(|v| StrategyKind::parse(&v))
@@ -86,7 +82,7 @@ impl Config {
             ids,
             cache,
             obs_equiv,
-            intra,
+            intra: 1,
             strategy,
         }
     }
@@ -472,8 +468,8 @@ pub fn suite_jobs(
 }
 
 /// Runs the configured suite as a parallel batch (`threads` = 0 means all
-/// cores, 1 means sequential job dispatch — intra-problem tasks still run
-/// at `cfg.intra` on extra pool threads).
+/// cores, 1 means sequential job dispatch — each search still speculates
+/// at `cfg.intra`).
 pub fn run_suite(cfg: &Config, threads: usize) -> BatchReport {
     run_suite_on(cfg.benchmarks(), cfg, threads)
 }

@@ -13,24 +13,21 @@
 //! run-scoped inside each job — see [`crate::cache::CacheHandle`] — so
 //! batch memory stays bounded by the largest single job.)
 //!
-//! Since PR 3 the driver's threads and each job's *intra*-problem tasks
-//! share one [`Executor`] pool:
+//! The driver runs:
 //!
-//! * the pool holds `max(threads, max intra_parallelism)` scoped threads;
-//!   the first `threads` of them claim whole jobs from an atomic cursor
-//!   (work-stealing across skewed job costs, exactly as before), while the
-//!   rest — and every job thread once the cursor runs dry — serve queued
-//!   intra-problem tasks via [`Executor::drive`] (each running search may
-//!   additionally borrow in-search speculation workers from a process-wide
-//!   core-sized budget; see [`crate::engine::SpeculationPool`]);
-//! * results land in a slot indexed by submission order, and each job's
-//!   intra tasks follow the engine's speculative-join protocol, so the
-//!   output is **byte-identical** no matter the thread count or the
-//!   `--intra` width;
+//! * `threads` scoped job threads, each claiming whole jobs from an atomic
+//!   cursor (work-stealing across skewed job costs). A job whose
+//!   `intra_parallelism` exceeds 1 runs its searches with in-search
+//!   speculation workers borrowed from a process-wide core-sized budget
+//!   (see [`crate::engine::SpeculationPool`]);
+//! * results land in a slot indexed by submission order, and speculation
+//!   never changes a search's result, so the output is
+//!   **byte-identical** no matter the thread count or the `--intra`
+//!   width;
 //! * a panicking job is caught and reported as that job's failure
 //!   ([`SynthError::Internal`], exit code 1); it never poisons its
 //!   siblings. Containment is layered: the job body is wrapped in
-//!   `catch_unwind` inside [`BatchJob::run_on`], the whole claim/run/store
+//!   `catch_unwind` inside [`BatchJob::run_shared`], the whole claim/run/store
 //!   iteration of each scoped worker is wrapped again (so even a panic in
 //!   the driver's own bookkeeping converts to a per-job failure), and the
 //!   final slot collection recovers poisoned locks and backfills missing
@@ -50,7 +47,6 @@
 //! on top of this; the driver itself is suite-agnostic.
 
 use crate::cache::SearchCache;
-use crate::engine::Executor;
 use crate::error::SynthError;
 use crate::goal::SynthesisProblem;
 use crate::options::Options;
@@ -59,7 +55,7 @@ use rbsyn_interp::InterpEnv;
 use rbsyn_lang::contention::{self, LockSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Builds a fresh environment + problem for one job. Called once per run,
@@ -74,7 +70,7 @@ pub struct BatchJob {
     /// state.
     pub build: JobBuilder,
     /// Per-job options; `options.timeout` is this job's private deadline
-    /// and `options.intra_parallelism` its task width on the shared pool.
+    /// and `options.intra_parallelism` its speculation width.
     pub options: Options,
 }
 
@@ -98,29 +94,14 @@ impl BatchJob {
     }
 
     /// Runs this job once on the current thread against a shared
-    /// [`SearchCache`].
+    /// [`SearchCache`] — what [`run_batch`] does for every job. A panic in
+    /// the job body becomes [`SynthError::Internal`].
     pub fn run_shared(&self, cache: &Arc<SearchCache>) -> BatchOutcome {
-        self.run_on(cache, None)
-    }
-
-    /// Runs this job against a shared cache, dispatching its intra-problem
-    /// tasks (if `options.intra_parallelism` > 1) to the given executor —
-    /// what [`run_batch`] does for every job.
-    pub fn run_on(
-        &self,
-        cache: &Arc<SearchCache>,
-        executor: Option<&Arc<Executor>>,
-    ) -> BatchOutcome {
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             rbsyn_lang::failpoint::hit("batch::claim");
             let (env, problem) = (self.build)();
-            let mut synth =
-                Synthesizer::with_cache(env, problem, self.options.clone(), Arc::clone(cache));
-            if let Some(exec) = executor {
-                synth = synth.with_executor(Arc::clone(exec));
-            }
-            synth.run()
+            Synthesizer::with_cache(env, problem, self.options.clone(), Arc::clone(cache)).run()
         }))
         .unwrap_or_else(|panic| Err(SynthError::from_panic(&*panic)));
         BatchOutcome {
@@ -202,13 +183,13 @@ impl AdmissionGate {
 }
 
 /// Runs one admitted-or-shed job: the gate decides, then the job runs
-/// through [`BatchJob::run_on`] and its duration feeds the gate's median.
+/// through [`BatchJob::run_shared`] and its duration feeds the gate's
+/// median.
 fn run_gated(
     job: &BatchJob,
     index: usize,
     gate: &AdmissionGate,
     cache: &Arc<SearchCache>,
-    executor: Option<&Arc<Executor>>,
 ) -> BatchOutcome {
     if !gate.admit(index) {
         return BatchOutcome {
@@ -217,7 +198,7 @@ fn run_gated(
             elapsed: Duration::ZERO,
         };
     }
-    let outcome = job.run_on(cache, executor);
+    let outcome = job.run_shared(cache);
     gate.record(outcome.elapsed);
     outcome
 }
@@ -301,7 +282,7 @@ pub struct BatchStats {
     pub wall_clock: Duration,
     /// Sum of per-job wall-clock times — the sequential-run estimate.
     pub cpu_time: Duration,
-    /// Threads in the shared pool (job runners plus task servers).
+    /// Job threads the batch ran on.
     pub threads: usize,
 }
 
@@ -339,9 +320,7 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
         match &o.result {
             Ok(r) => {
                 stats.solved += 1;
-                // Saturating folds: concurrent tasks were already absorbed
-                // per job in deterministic order; the batch fold only adds
-                // per-job totals.
+                // Saturating folds of per-job totals.
                 stats.tested = stats.tested.saturating_add(r.stats.search.tested);
                 stats.expanded = stats.expanded.saturating_add(r.stats.search.expanded);
                 stats.popped = stats.popped.saturating_add(r.stats.search.popped);
@@ -368,15 +347,12 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
     BatchReport { outcomes, stats }
 }
 
-/// Runs `jobs` on a shared pool: `threads` job runners (`0` = all
-/// available cores) plus enough extra serving threads to cover the
-/// largest `intra_parallelism` any job requests.
+/// Runs `jobs` on `threads` job threads (`0` = all available cores).
 ///
 /// Outcomes are returned in submission order regardless of completion
 /// order, and every job runs under its own [`Options::timeout`] deadline —
 /// the report of a batch is a pure function of the jobs, not of the
-/// machine's scheduling. All jobs share one [`SearchCache`] and one
-/// [`Executor`].
+/// machine's scheduling. All jobs share one [`SearchCache`].
 ///
 /// # Example
 ///
@@ -424,12 +400,6 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
         n => n,
     }
     .min(jobs.len().max(1));
-    let intra_max = jobs
-        .iter()
-        .map(|j| j.options.intra_parallelism.max(1))
-        .max()
-        .unwrap_or(1);
-    let pool = threads.max(intra_max);
 
     // One cache for the whole batch: jobs over identical environments
     // reuse each other's memoized search work (sound and deterministic —
@@ -439,59 +409,50 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
     let gate = AdmissionGate::new(policy.global_deadline, threads, jobs.len());
 
     let started = Instant::now();
-    if pool <= 1 {
+    if threads <= 1 {
         // Sequential fast path: same loop, no thread machinery.
         let outcomes: Vec<BatchOutcome> = jobs
             .iter()
             .enumerate()
-            .map(|(i, j)| run_gated(j, i, &gate, &cache, None))
+            .map(|(i, j)| run_gated(j, i, &gate, &cache))
             .collect();
         return aggregate(outcomes, started.elapsed(), 1);
     }
 
-    // One executor for the whole batch; its serving threads are the scoped
-    // threads below, so inter-problem jobs and intra-problem tasks share
-    // one pool.
-    let executor = Executor::new();
     let cursor = AtomicUsize::new(0);
-    let jobs_done = AtomicUsize::new(0);
+    // Every job thread waits here once the cursor runs dry, so none exits
+    // before the last job returns. On a 2-vCPU host, letting them exit
+    // early raised the peak RSS of a two-thread batch of the 19 paper
+    // problems from ~1.1 GB to 1.2–1.4 GB. The rise vanished with the
+    // watchdog disabled: it needs a later job's watchdog thread to start
+    // after a sibling job thread has exited.
+    let all_claimed = Barrier::new(threads);
     let slots: Vec<Mutex<Option<BatchOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for t in 0..pool {
-            let executor = &executor;
+        for _ in 0..threads {
             let cursor = &cursor;
-            let jobs_done = &jobs_done;
+            let all_claimed = &all_claimed;
             let slots = &slots;
             let cache = &cache;
             let gate = &gate;
             scope.spawn(move || {
-                // The first `threads` pool members claim whole jobs; the
-                // rest go straight to serving intra-problem tasks.
-                if t < threads {
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        // Second containment layer: `run_gated` already
-                        // catches panics inside the job body, but a panic
-                        // in the driver's own bookkeeping around it must
-                        // also convert to a per-job failure — an unwinding
-                        // scoped thread would abort the whole batch.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            run_gated(job, i, gate, cache, Some(executor))
-                        }))
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    // Second containment layer: `run_gated` already
+                    // catches panics inside the job body, but a panic in
+                    // the driver's own bookkeeping around it must also
+                    // convert to a per-job failure — an unwinding scoped
+                    // thread would abort the whole batch.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run_gated(job, i, gate, cache)))
                         .unwrap_or_else(|panic| BatchOutcome {
                             id: job.id.clone(),
                             result: Err(SynthError::from_panic(&*panic)),
                             elapsed: Duration::ZERO,
                         });
-                        *contention::lock(LockSite::BatchSlot, &slots[i]) = Some(outcome);
-                        jobs_done.fetch_add(1, Ordering::Release);
-                        executor.poke();
-                    }
+                    *contention::lock(LockSite::BatchSlot, &slots[i]) = Some(outcome);
                 }
-                // Out of jobs (or a dedicated server): run queued intra
-                // tasks until every job has completed.
-                executor.drive(|| jobs_done.load(Ordering::Acquire) == jobs.len());
+                all_claimed.wait();
                 // Worker exit: hand any traced events to their session
                 // before the scoped thread disappears (no-op untraced).
                 rbsyn_trace::flush_current_thread();
@@ -516,7 +477,7 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
                 })
         })
         .collect();
-    aggregate(outcomes, started.elapsed(), pool)
+    aggregate(outcomes, started.elapsed(), threads)
 }
 
 #[cfg(test)]
@@ -613,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn intra_jobs_grow_the_pool_and_match_inline_results() {
+    fn intra_jobs_match_inline_results() {
         let mk = |intra: usize| -> Vec<BatchJob> {
             (0..4)
                 .map(|i| {
@@ -624,13 +585,8 @@ mod tests {
                 .collect()
         };
         let inline = run_batch(&mk(1), 2);
-        let tasked = run_batch(&mk(3), 2);
-        assert_eq!(inline.stats.threads, 2);
-        assert_eq!(
-            tasked.stats.threads, 3,
-            "pool covers the largest intra width"
-        );
-        for (a, b) in inline.outcomes.iter().zip(tasked.outcomes.iter()) {
+        let speculated = run_batch(&mk(3), 2);
+        for (a, b) in inline.outcomes.iter().zip(speculated.outcomes.iter()) {
             let (pa, pb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
             assert_eq!(pa.program.to_string(), pb.program.to_string());
             assert_eq!(

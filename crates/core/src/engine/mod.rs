@@ -1,4 +1,5 @@
-//! The search engine: frontier, strategy, scheduler and executor.
+//! The search engine: frontier, strategy, scheduler and in-search
+//! speculation.
 //!
 //! PR 3 extracted the moving parts of the work-list search out of
 //! [`crate::generate`](mod@crate::generate) into this module so each is a
@@ -11,33 +12,33 @@
 //!   ([`PaperOrder`] reproduces §4's `(c desc, size asc, insertion
 //!   order)`; [`CostWeighted`] trades asserts against size on one scale),
 //!   selected via [`StrategyKind`] on [`Options`](crate::Options);
-//! * [`Scheduler`] — per-run deadlines, cooperative cancellation, the
-//!   memoization handle, task dispatch and deterministic stats
+//! * [`Scheduler`] — per-run deadlines, the watchdog kill flag, the
+//!   memoization handle, the speculation width and deterministic stats
 //!   aggregation ([`SearchStats`]);
-//! * [`Executor`] — one shared work pool serving both inter-problem batch
-//!   jobs and intra-problem tasks (per-spec searches, merge-time guard
-//!   searches).
+//! * [`SpeculationPool`] — scoped worker threads that expand and judge
+//!   the top of one search's frontier ahead of its in-order consumption
+//!   (`--intra N` sets its width);
+//! * [`Watchdog`] — the hard-cancellation backstop behind the
+//!   cooperative deadline.
 //!
-//! **Determinism story.** Parallelism here is *speculative and joined in
-//! program order*: per-spec searches all start concurrently but their
-//! results are adopted in spec order under the same solution-reuse
-//! protocol the sequential pipeline runs, and a speculative search whose
-//! spec turned out to be served by reuse is cancelled and its counters
-//! discarded. Merge-time guard pairs are prefetched two-at-a-time and
-//! adopted only when the sequential rewrite would have searched them.
-//! Every memoized value is a pure function of its key, so cache warm-up
-//! order cannot change any result. Consequently synthesized programs and
-//! effort counters are byte-identical across `--intra` widths and thread
-//! counts; only wall-clock and cache-hit diagnostics vary.
+//! **Determinism story.** The only intra-problem parallelism is
+//! *speculative and consumed in pop order*: pool workers pre-compute
+//! expansion lists (through the run's memo) and oracle outcomes for a
+//! window of frontier items, and the search consumes them exactly where
+//! the sequential loop would have computed them, rolling the window back
+//! when a fresh child outranks it. Phases, specs and guard requests still
+//! run one after another on the run's own thread. Every memoized value is
+//! a pure function of its key, so cache warm-up order cannot change any
+//! result. Consequently synthesized programs and effort counters are
+//! byte-identical across `--intra` widths and thread counts; only
+//! wall-clock and cache-hit diagnostics vary.
 
-pub mod executor;
 pub mod frontier;
 pub mod scheduler;
 pub mod speculate;
 pub mod strategy;
 pub mod watchdog;
 
-pub use executor::{Executor, TaskHandle};
 pub use frontier::{Frontier, FrontierItem};
 pub use scheduler::{Scheduler, SearchStats};
 pub use speculate::{SpecJob, SpeculationPool};

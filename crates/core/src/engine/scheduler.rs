@@ -1,26 +1,23 @@
-//! The search scheduler: deadlines, cancellation, cache handles, task
-//! dispatch and statistics aggregation for one synthesis run.
+//! The search scheduler: deadlines, the watchdog kill flag, cache
+//! handles, the speculation width and statistics aggregation for one
+//! synthesis run.
 //!
 //! A [`Scheduler`] is the per-run bundle every search phase consults:
 //!
 //! * the **deadline** ([`Options::timeout`](crate::Options) materialized
-//!   as an [`Instant`]) and a cooperative **cancellation token** (set when
-//!   a speculative task's result turned out not to be needed) — both
-//!   polled by the work-list loop through [`Scheduler::should_stop`];
+//!   as an [`Instant`]) and the [`Watchdog`](super::Watchdog)'s **kill
+//!   flag** — both polled by the work-list loop through
+//!   [`Scheduler::should_stop`];
 //! * the **memoization handle** ([`CacheHandle`]) shared by every phase of
 //!   the run (or `None` for an uncached run);
-//! * the optional **executor** plus the `intra_parallelism` width, through
-//!   which per-spec searches and merge-time guard searches are dispatched
-//!   as concurrent tasks.
+//! * the `intra_parallelism` **width** of each search's
+//!   [`SpeculationPool`](super::SpeculationPool).
 //!
-//! Statistics from concurrent tasks are folded with
-//! [`SearchStats::absorb`] in a deterministic order chosen by the caller
-//! (spec order, guard-request order), with saturating arithmetic, so
-//! aggregate counters are a pure function of the work performed — never of
-//! thread interleaving.
+//! Effort counters live in [`SearchStats`], which only the run's own
+//! thread updates, so they are a pure function of the work performed —
+//! never of thread interleaving.
 
 use crate::cache::CacheHandle;
-use crate::engine::executor::Executor;
 use rbsyn_trace::Session;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,29 +65,15 @@ pub struct SearchStats {
     /// Oracle verdicts answered from the memo.
     pub oracle_hits: u64,
     /// Wall-clock nanoseconds spent running the interpreter-backed oracle
-    /// on this thread (candidate tests, guard bit evaluation, merged-
-    /// program validation). Timing, not effort: varies run to run.
+    /// (candidate tests, guard bit evaluation, merged-program validation).
+    /// Under `--intra` this is summed over threads: an oracle run a
+    /// speculation worker made counts once the search consumes its
+    /// outcome, and rolled-back speculation counts nothing. Timing, not
+    /// effort: varies run to run.
     pub eval_nanos: u64,
 }
 
 impl SearchStats {
-    /// Folds another task's counters into this one with saturating adds.
-    /// Callers absorb task-local stats in a deterministic order (spec
-    /// order, guard-request order) so aggregates do not depend on thread
-    /// scheduling.
-    pub fn absorb(&mut self, other: &SearchStats) {
-        self.popped = self.popped.saturating_add(other.popped);
-        self.expanded = self.expanded.saturating_add(other.expanded);
-        self.tested = self.tested.saturating_add(other.tested);
-        self.deduped = self.deduped.saturating_add(other.deduped);
-        self.obs_pruned = self.obs_pruned.saturating_add(other.obs_pruned);
-        self.vector_hits = self.vector_hits.saturating_add(other.vector_hits);
-        self.expand_hits = self.expand_hits.saturating_add(other.expand_hits);
-        self.type_hits = self.type_hits.saturating_add(other.type_hits);
-        self.oracle_hits = self.oracle_hits.saturating_add(other.oracle_hits);
-        self.eval_nanos = self.eval_nanos.saturating_add(other.eval_nanos);
-    }
-
     /// The effort counters as named series for a trace counter sample
     /// (the `search-stats` track of `--trace` exports).
     pub fn counter_sample(&self) -> [(&'static str, u64); 6] {
@@ -122,37 +105,33 @@ impl SearchStats {
     }
 }
 
-/// Per-run search coordination: deadline, cancellation, cache handle and
-/// task dispatch (see the [module docs](self)).
+/// Per-run search coordination: deadline, kill flag, cache handle and
+/// speculation width (see the [module docs](self)).
 #[derive(Clone, Default)]
 pub struct Scheduler {
     deadline: Option<Instant>,
     cache: Option<CacheHandle>,
-    executor: Option<Arc<Executor>>,
     intra: usize,
-    cancel: Option<Arc<AtomicBool>>,
     kill: Option<Arc<AtomicBool>>,
     trace: Option<Session>,
 }
 
 impl Scheduler {
     /// A scheduler with a deadline and a memoization handle (either may be
-    /// absent). No executor: every search runs inline on the caller's
+    /// absent) and speculation width 1: every search runs on the caller's
     /// thread.
     pub fn new(deadline: Option<Instant>, cache: Option<CacheHandle>) -> Scheduler {
         Scheduler {
             deadline,
             cache,
-            executor: None,
             intra: 1,
-            cancel: None,
             kill: None,
             trace: None,
         }
     }
 
-    /// A bare scheduler: no deadline, no shared cache, no executor. What
-    /// tests and one-off `generate` calls use.
+    /// A bare scheduler: no deadline, no shared cache, width 1. What tests
+    /// and one-off `generate` calls use.
     pub fn sequential() -> Scheduler {
         Scheduler::default()
     }
@@ -166,11 +145,9 @@ impl Scheduler {
         self
     }
 
-    /// Attaches an executor and the intra-problem task width. A width of 1
-    /// (or `None`) keeps every phase inline and byte-identical to the
-    /// sequential pipeline by construction.
-    pub fn with_executor(mut self, executor: Option<Arc<Executor>>, intra: usize) -> Scheduler {
-        self.executor = executor;
+    /// Sets the speculation width. A width of 1 (or 0) keeps every search
+    /// on the caller's thread.
+    pub fn with_width(mut self, intra: usize) -> Scheduler {
         self.intra = intra.max(1);
         self
     }
@@ -193,22 +170,6 @@ impl Scheduler {
         self
     }
 
-    /// A task-local scheduler for a spawned search: same deadline, cache,
-    /// oracle width and tracing session, a private cancellation token,
-    /// and *no* executor (tasks do not spawn sub-tasks — but their
-    /// searches may still fan out oracle batches at the run's width).
-    pub fn for_task(&self, cancel: Arc<AtomicBool>) -> Scheduler {
-        Scheduler {
-            deadline: self.deadline,
-            cache: self.cache.clone(),
-            executor: None,
-            intra: self.intra,
-            cancel: Some(cancel),
-            kill: self.kill.clone(),
-            trace: self.trace.clone(),
-        }
-    }
-
     /// The run's deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -219,20 +180,8 @@ impl Scheduler {
         self.cache.as_ref()
     }
 
-    /// The executor intra-problem tasks run on, when parallel dispatch is
-    /// enabled.
-    pub fn executor(&self) -> Option<&Arc<Executor>> {
-        if self.intra > 1 {
-            self.executor.as_ref()
-        } else {
-            None
-        }
-    }
-
     /// Width for in-search speculative evaluation
-    /// ([`crate::engine::SpeculationPool`]). Needs no executor — the pool
-    /// uses scoped threads of its own — so spawned task searches keep the
-    /// run's width.
+    /// ([`crate::engine::SpeculationPool`]).
     pub fn oracle_width(&self) -> usize {
         self.intra.max(1)
     }
@@ -242,21 +191,10 @@ impl Scheduler {
         self.trace.as_ref()
     }
 
-    /// Has this search been cancelled (its speculative result is no longer
-    /// needed)?
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// Deadline-or-cancellation poll, called by the work-list loop at its
-    /// check cadence. Also honours the watchdog kill flag, which only
-    /// ever fires *after* the cooperative deadline.
+    /// Kill-flag-or-deadline poll, called by the work-list loop at its
+    /// check cadence. The watchdog kill flag only ever fires *after* the
+    /// cooperative deadline.
     pub fn should_stop(&self) -> bool {
-        if self.cancelled() {
-            return true;
-        }
         if self
             .kill
             .as_ref()
@@ -277,49 +215,22 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn absorb_saturates() {
-        let mut a = SearchStats {
-            popped: u64::MAX - 1,
-            ..SearchStats::default()
-        };
-        let b = SearchStats {
-            popped: 5,
-            tested: 3,
-            ..SearchStats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.popped, u64::MAX);
-        assert_eq!(a.tested, 3);
-        assert_eq!(a.effort(), (u64::MAX, 0, 3, 0, 0, 0));
-    }
-
-    #[test]
-    fn should_stop_covers_deadline_and_cancel() {
+    fn should_stop_covers_deadline_and_kill() {
         assert!(!Scheduler::sequential().should_stop());
         let past = Instant::now() - Duration::from_secs(1);
         assert!(Scheduler::new(Some(past), None).should_stop());
         let future = Instant::now() + Duration::from_secs(600);
-        let sched = Scheduler::new(Some(future), None);
+        let kill = Arc::new(AtomicBool::new(false));
+        let sched = Scheduler::new(Some(future), None).with_kill(Arc::clone(&kill));
         assert!(!sched.should_stop());
-        let token = Arc::new(AtomicBool::new(false));
-        let task = sched.for_task(Arc::clone(&token));
-        assert!(!task.should_stop());
-        token.store(true, Ordering::Relaxed);
-        assert!(task.should_stop());
+        kill.store(true, Ordering::Relaxed);
+        assert!(sched.should_stop());
     }
 
     #[test]
-    fn executor_dispatch_requires_an_executor() {
-        let bare = Scheduler::sequential().with_executor(None, 4);
-        assert!(bare.executor().is_none());
-        assert_eq!(bare.oracle_width(), 4, "speculation needs no executor");
-        let exec = Executor::new();
-        let sched = Scheduler::sequential().with_executor(Some(exec), 4);
-        assert!(sched.executor().is_some());
-        // Task-local schedulers never dispatch further executor tasks but
-        // keep the run's speculation width.
-        let t = sched.for_task(Arc::new(AtomicBool::new(false)));
-        assert!(t.executor().is_none());
-        assert_eq!(t.oracle_width(), 4);
+    fn width_is_clamped_to_one() {
+        assert_eq!(Scheduler::sequential().oracle_width(), 1);
+        assert_eq!(Scheduler::sequential().with_width(0).oracle_width(), 1);
+        assert_eq!(Scheduler::sequential().with_width(4).oracle_width(), 4);
     }
 }

@@ -15,22 +15,22 @@
 //!   (a hit restores the raw expansion count — effort counters stay
 //!   byte-identical to the sequential run);
 //! * workers pre-test every evaluable child and hand back outcomes
-//!   aligned with the memoized list; the consumer applies its normal
-//!   dedup/S-Eff logic and simply never counts or consumes outcomes the
-//!   sequential loop would not have requested;
+//!   aligned with the memoized list, each with the time its oracle run
+//!   took; the consumer applies its normal dedup/S-Eff logic and simply
+//!   never counts or consumes outcomes the sequential loop would not have
+//!   requested (a consumed outcome's time joins
+//!   [`SearchStats::eval_nanos`], as an inline run's would);
 //! * if consuming one item pushes a child that outranks the rest of the
 //!   speculation window, the window is rolled back into the frontier at
 //!   its original ranks and re-popped — speculation can be wasted, never
 //!   wrong.
 //!
-//! The search borrows its oracle and environment, and the workspace
-//! forbids `unsafe`, so this work cannot ride the `'static` task queue of
-//! the shared [`Executor`](crate::engine::Executor). Instead the pool
-//! owns a small set of **scoped** worker threads (`std::thread::scope`)
-//! that may borrow everything the search borrows. Workers are spawned
-//! lazily — searches that never open a speculation window pay nothing —
-//! and sized by the same `intra_parallelism` knob that governs task
-//! dispatch, so `--intra 1` keeps the whole engine on one thread.
+//! The search borrows its oracle and environment, so the pool owns a
+//! small set of **scoped** worker threads (`std::thread::scope`) that may
+//! borrow everything the search borrows. Workers are spawned lazily —
+//! searches that never open a speculation window pay nothing — and sized
+//! by `intra_parallelism`, so `--intra 1` keeps the whole engine on one
+//! thread.
 
 use crate::cache::CacheHandle;
 use crate::engine::SearchStats;
@@ -46,15 +46,16 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
+use std::time::Instant;
 
 /// Process-wide budget of *extra* speculation workers, initialized to the
-/// host's core count on first use. Concurrent searches (a batch job's
-/// spec tasks, a prefetched guard search, nested `--parallel` jobs) each
-/// want `width - 1` workers; without a shared budget the thread count
-/// would compound multiplicatively. Pools acquire what the budget grants
-/// (possibly zero — the coordinating thread always participates, so a
-/// grant of zero just means that search speculates on its own thread) and
-/// release on drop. Worker counts never affect results, only wall-clock.
+/// host's core count on first use. Concurrent searches (the jobs of a
+/// `--parallel` batch) each want `width - 1` workers; without a shared
+/// budget the thread count would grow with the job count times the
+/// width. Pools acquire what the budget grants (possibly zero — the
+/// coordinating thread always participates, so a grant of zero just means
+/// that search speculates on its own thread) and release on drop. Worker
+/// counts never affect results, only wall-clock.
 static WORKER_BUDGET: AtomicIsize = AtomicIsize::new(-1);
 
 fn acquire_workers(want: usize) -> usize {
@@ -97,8 +98,9 @@ pub struct SpecJob {
 }
 
 /// Per-item speculation result: oracle outcomes aligned with the item's
-/// memoized expansion list (`Some` for every evaluable child).
-pub type SpecOutcomes = Vec<Option<OracleOutcome>>;
+/// memoized expansion list (`Some` for every evaluable child), each with
+/// the wall-clock nanoseconds its oracle run took.
+pub type SpecOutcomes = Vec<Option<(OracleOutcome, u64)>>;
 
 struct State {
     jobs: Vec<SpecJob>,
@@ -144,12 +146,14 @@ fn run_job(
         .iter()
         .map(|cand| {
             cand.evaluable.then(|| {
+                let started = Instant::now();
                 let program = Program::from_parts(
                     ctx.method_name,
                     ctx.params.iter().map(|(n, _)| *n).collect(),
                     (*cand.expr).clone(),
                 );
-                ctx.oracle.test(ctx.env, &program)
+                let out = ctx.oracle.test(ctx.env, &program);
+                (out, started.elapsed().as_nanos() as u64)
             })
         })
         .collect()
@@ -358,5 +362,63 @@ mod tests {
         release_workers(got);
         assert_eq!(acquire_workers(0), 0);
         release_workers(0);
+    }
+
+    #[test]
+    fn evaluated_outcomes_carry_their_oracle_time() {
+        use crate::cache::gamma_fingerprint;
+        use crate::generate::SpecOracle;
+        use rbsyn_interp::{SetupStep, Spec};
+        use rbsyn_lang::builder::{call, str_, var};
+        use rbsyn_stdlib::EnvBuilder;
+
+        let env = EnvBuilder::with_stdlib().finish();
+        let spec = Spec::new(
+            "returns its argument",
+            vec![SetupStep::CallTarget {
+                bind: "xr".into(),
+                args: vec![str_("hello")],
+            }],
+            vec![call(var("xr"), "==", [str_("hello")])],
+        );
+        let oracle = SpecOracle::new(&env, &spec);
+        let params: [(Symbol, Ty); 1] = [("arg0".into(), Ty::Str)];
+        let opts = Options::default();
+        let search = CacheHandle::private();
+        let gamma_fp = gamma_fingerprint(Gamma::from_params(&params).bindings());
+        let root = search.intern_full(Expr::Hole(Ty::Str));
+        let outcomes = std::thread::scope(|scope| {
+            let pool = SpeculationPool::new(
+                scope,
+                1,
+                &oracle,
+                &env,
+                Symbol::intern("m"),
+                &params,
+                &opts,
+                &search,
+                gamma_fp,
+                None,
+            );
+            pool.evaluate(vec![SpecJob {
+                id: root.id,
+                expr: root.expr,
+            }])
+        });
+        let mut stats = SearchStats::default();
+        let list = search.expansions(gamma_fp, root.id, &mut stats, |_| {
+            unreachable!("the pool memoized the expansion list")
+        });
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].len(), list.len());
+        let mut judged = 0;
+        for (cand, out) in list.iter().zip(&outcomes[0]) {
+            assert_eq!(cand.evaluable, out.is_some());
+            if let Some((_, eval_nanos)) = out {
+                assert!(*eval_nanos > 0, "an oracle run takes measurable time");
+                judged += 1;
+            }
+        }
+        assert!(judged > 0, "the root hole expands to evaluable candidates");
     }
 }

@@ -15,11 +15,12 @@
 //! the same search region (across specs, guard requests, or batch jobs)
 //! degenerates into table lookups. A scheduler without a handle runs with
 //! a throwaway private cache, which reproduces the uncached search
-//! exactly. Deadlines and cooperative cancellation are polled through the
-//! same scheduler; frontier ordering, deadline handling and task dispatch
-//! all live in [`crate::engine`], not here.
+//! exactly. The deadline and the watchdog's kill flag are polled through
+//! the same scheduler; frontier ordering, deadline handling and in-search
+//! speculation all live in [`crate::engine`], not here.
 
 use crate::cache::{gamma_fingerprint, CacheHandle, OracleToken};
+use crate::engine::speculate::SpecOutcomes;
 use crate::engine::{Frontier, FrontierItem, Priority, Scheduler, SpecJob, SpeculationPool};
 use crate::error::SynthError;
 // Re-exported from its pre-engine home so harness and test code keeps one
@@ -209,7 +210,7 @@ struct Pending {
     pri: Priority,
     seq: u64,
     item: FrontierItem,
-    prejudged: Option<Vec<Option<OracleOutcome>>>,
+    prejudged: Option<SpecOutcomes>,
 }
 
 /// One-step expansion + simplification + §3.1 type narrowing for one
@@ -247,7 +248,7 @@ pub(crate) fn expand_compute(
 /// Algorithm 2: searches for an evaluable expression satisfying `oracle`,
 /// starting from `□:goal` under `params`.
 ///
-/// `sched` carries the run's deadline, cancellation token and memoization
+/// `sched` carries the run's deadline, kill flag and memoization
 /// handle (see [`Scheduler`]); [`Scheduler::sequential`] gives a
 /// self-contained uncached run. Caching never changes the result, only
 /// the work done to reach it.
@@ -644,7 +645,7 @@ fn search_loop(
                 // cost far more than the rare cross-phase hit it could
                 // serve. The memo is consulted where re-judging actually
                 // recurs: solution reuse and merge validation.
-                let out = prejudged
+                let (out, eval_nanos) = prejudged
                     .as_mut()
                     .and_then(|v| v.get_mut(j).and_then(Option::take))
                     .unwrap_or_else(|| {
@@ -652,11 +653,9 @@ fn search_loop(
                             .and_then(|t| t.sampled(stats.tested - 1).then(|| t.span(Phase::Eval)));
                         let started = Instant::now();
                         let out = oracle.test(env, &make_program(&cand.expr));
-                        stats.eval_nanos = stats
-                            .eval_nanos
-                            .saturating_add(started.elapsed().as_nanos() as u64);
-                        out
+                        (out, started.elapsed().as_nanos() as u64)
                     });
+                stats.eval_nanos = stats.eval_nanos.saturating_add(eval_nanos);
                 if out.success {
                     solutions.push((*cand.expr).clone());
                     if solutions.len() >= max_solutions {
@@ -984,7 +983,7 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_stops_the_search() {
+    fn kill_flag_stops_the_search() {
         let (env, _) = blog_env();
         let spec = Spec::new(
             "impossible",
@@ -996,8 +995,8 @@ mod tests {
         );
         let opts = Options::default();
         let mut stats = SearchStats::default();
-        let token = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let sched = Scheduler::sequential().for_task(token);
+        let kill = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let sched = Scheduler::sequential().with_kill(kill);
         let r = generate(
             &env,
             "m",
@@ -1012,7 +1011,7 @@ mod tests {
         assert_eq!(r, Err(SynthError::Timeout));
         assert!(
             stats.popped <= 64,
-            "cancellation must stop within one check window"
+            "the kill flag must stop the search within one check window"
         );
     }
 

@@ -72,8 +72,8 @@ use std::time::Instant;
 const EXTRA_GUARD_BUDGET: u64 = 300;
 
 /// Searches for up to `k` guards satisfying `oracle`, by ascending size.
-/// `sched` carries the deadline, cancellation token and memoization handle,
-/// as in [`crate::generate::generate`].
+/// `sched` carries the deadline, kill flag and memoization handle, as in
+/// [`crate::generate::generate`].
 #[allow(clippy::too_many_arguments)]
 pub fn search_guards(
     env: &InterpEnv,
@@ -160,7 +160,7 @@ pub struct GuardQuery<'a> {
     pub specs: &'a [Spec],
     /// Search options (guard size bound, pop budget, strategy).
     pub opts: &'a Options,
-    /// Deadline/cancellation and the run's memoization handle.
+    /// Deadline, kill flag and the run's memoization handle.
     pub sched: &'a Scheduler,
 }
 

@@ -38,7 +38,6 @@ use rbsyn_lang::{Expr, Program, Symbol, Ty, Value};
 use rbsyn_sat::{is_valid_implication, Formula};
 use rbsyn_trace::Phase;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A merge tuple `⟨e, b, Ψ⟩` (specs by index into the problem).
@@ -94,8 +93,8 @@ type GuardKey = (Vec<usize>, Vec<usize>);
 
 /// Everything the merge needs from the synthesis run.
 pub struct MergeCtx<'a> {
-    /// Interpreter environment (`Arc` so guard searches can run as tasks).
-    pub env: &'a Arc<InterpEnv>,
+    /// Interpreter environment.
+    pub env: &'a InterpEnv,
     /// Method name, pre-interned once per problem.
     pub name: Symbol,
     /// Method parameters.
@@ -104,10 +103,10 @@ pub struct MergeCtx<'a> {
     pub specs: &'a [Spec],
     /// The prepared per-spec oracles (index-aligned with `specs`), shared
     /// with phase 1 so merged-program validation reuses memoized verdicts.
-    pub spec_oracles: &'a [Arc<SpecOracle>],
+    pub spec_oracles: &'a [SpecOracle],
     /// Options (guard bounds).
     pub opts: &'a Options,
-    /// Deadline, cache handle and task dispatch for every guard search.
+    /// Deadline, kill flag and cache handle for every guard search.
     pub sched: &'a Scheduler,
     /// Shared search counters.
     pub stats: &'a mut SearchStats,

@@ -125,12 +125,12 @@ pub struct Options {
     /// alternatives reorder exploration but stay fully deterministic for a
     /// fixed setting.
     pub strategy: StrategyKind,
-    /// Intra-problem task width (`--intra`): how many concurrent tasks one
-    /// synthesis run may dispatch to the shared
-    /// [`Executor`](crate::engine::Executor) — speculative per-spec
-    /// searches in phase 1 and merge-time guard-pair searches. `1` (the
-    /// default) keeps the whole pipeline inline on one thread. Any width
-    /// produces byte-identical programs and effort counters; see the
+    /// Intra-problem speculation width (`--intra`): how many threads each
+    /// phase-1 search's [`SpeculationPool`](crate::engine::SpeculationPool)
+    /// may use (the search's own thread included) to expand and judge the
+    /// top of its frontier ahead of consumption. `1` (the default) keeps
+    /// the whole pipeline on one thread. Any width produces byte-identical
+    /// programs and effort counters; see the
     /// [engine determinism story](crate::engine).
     pub intra_parallelism: usize,
     /// Watchdog grace factor: a run that overruns `timeout × grace` is

@@ -8,19 +8,19 @@
 //! driver shares one across jobs via [`Synthesizer::with_cache`], and
 //! [`Options::cache`]` = false` disables memoization entirely.
 //!
-//! **Intra-problem parallelism** (`Options::intra_parallelism` > 1): the
-//! per-spec searches of phase 1 are dispatched *speculatively* as
-//! concurrent tasks on the shared [`Executor`], then joined in spec order
-//! under exactly the sequential solution-reuse protocol — a spec served by
-//! reuse cancels its speculative search and discards its counters, so
-//! synthesized programs and effort counters are byte-identical to the
-//! sequential pipeline at any width (the merge applies the same discipline
-//! to guard searches; see [`crate::merge`]).
+//! Phase 1 searches the specs one at a time, in spec order, and never
+//! searches a spec an earlier solution already passes (§4 solution
+//! reuse). **Intra-problem parallelism**
+//! (`Options::intra_parallelism` > 1) lives inside each search: its
+//! [`SpeculationPool`](crate::engine::SpeculationPool) judges the top of
+//! the frontier ahead of in-order consumption, so synthesized programs and
+//! effort counters are byte-identical to the sequential pipeline at any
+//! width.
 
 use crate::cache::{CacheHandle, SearchCache};
-use crate::engine::{Executor, Scheduler, SearchStats, TaskHandle, Watchdog};
+use crate::engine::{Scheduler, SearchStats, Watchdog};
 use crate::error::SynthError;
-use crate::generate::{generate, GenerateOutcome, Oracle, SpecOracle};
+use crate::generate::{generate, Oracle, SpecOracle};
 use crate::goal::SynthesisProblem;
 use crate::merge::{merge_program, MergeCtx, Tuple};
 use crate::options::Options;
@@ -29,7 +29,6 @@ use rbsyn_lang::builder::true_;
 use rbsyn_lang::metrics::{program_paths, program_size};
 use rbsyn_lang::{Program, Symbol};
 use rbsyn_trace::{Mark, Phase, Session};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,8 +39,7 @@ pub struct SynthStats {
     pub search: SearchStats,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// Wall-clock spent in phase-1 per-spec searches (sum over adopted
-    /// searches; speculative work that was discarded is not counted).
+    /// Wall-clock spent in phase-1 per-spec searches.
     pub generate_time: Duration,
     /// Wall-clock spent in merge-time guard searches.
     pub guard_time: Duration,
@@ -70,10 +68,6 @@ pub struct SynthResult {
     /// Run statistics.
     pub stats: SynthStats,
 }
-
-/// What a speculative per-spec search task returns: the search outcome,
-/// its task-local counters, and its wall-clock cost.
-type SpecSearchResult = (GenerateOutcome, SearchStats, Duration);
 
 /// Drives the full pipeline for one [`SynthesisProblem`].
 ///
@@ -105,7 +99,6 @@ pub struct Synthesizer {
     problem: SynthesisProblem,
     opts: Options,
     cache: Arc<SearchCache>,
-    executor: Option<Arc<Executor>>,
     tracer: Option<Session>,
 }
 
@@ -144,19 +137,8 @@ impl Synthesizer {
             problem,
             opts,
             cache,
-            executor: None,
             tracer: None,
         }
-    }
-
-    /// Attaches a shared [`Executor`] for intra-problem task dispatch (the
-    /// batch driver passes its pool so inter- and intra-problem work share
-    /// one set of threads). Without this, a run whose
-    /// [`Options::intra_parallelism`] exceeds 1 provisions a private pool
-    /// of background workers for its own duration.
-    pub fn with_executor(mut self, executor: Arc<Executor>) -> Synthesizer {
-        self.executor = Some(executor);
-        self
     }
 
     /// Attaches an externally owned tracing [`Session`] so the caller can
@@ -188,7 +170,6 @@ impl Synthesizer {
             problem,
             opts,
             cache,
-            executor,
             tracer,
         } = self;
         problem.validate()?;
@@ -202,7 +183,6 @@ impl Synthesizer {
         if let Some(dog) = &watchdog {
             env.set_interrupt(dog.kill_flag());
         }
-        let env = Arc::new(env);
         let start = Instant::now();
         let deadline = opts.timeout.map(|t| start + t);
         let mut stats = SynthStats::default();
@@ -228,17 +208,8 @@ impl Synthesizer {
             )
         });
 
-        // Task dispatch: reuse the batch driver's pool when one was
-        // attached, otherwise provision private background workers for the
-        // requested width (the joining thread is the final worker).
-        let width = opts.intra_parallelism.max(1);
-        let exec = if width > 1 {
-            Some(executor.unwrap_or_else(|| Executor::with_workers(width - 1)))
-        } else {
-            None
-        };
         let mut sched = Scheduler::new(deadline, search)
-            .with_executor(exec, width)
+            .with_width(opts.intra_parallelism)
             .with_trace(tracer.clone());
         if let Some(dog) = &watchdog {
             sched = sched.with_kill(dog.kill_flag());
@@ -247,51 +218,11 @@ impl Synthesizer {
 
         // One prepared oracle per spec, shared by the per-spec searches,
         // the solution-reuse check, and merged-program validation.
-        let spec_oracles: Vec<Arc<SpecOracle>> = problem
+        let spec_oracles: Vec<SpecOracle> = problem
             .specs
             .iter()
-            .map(|s| Arc::new(SpecOracle::new(&env, s)))
+            .map(|s| SpecOracle::new(&env, s))
             .collect();
-
-        // Speculative dispatch: start every spec's search now; the join
-        // loop below adopts or discards each in spec order.
-        let mut spec_tasks: Vec<Option<TaskHandle<SpecSearchResult>>> =
-            match (sched.executor(), problem.specs.len()) {
-                (Some(executor), n) if n > 1 => (0..n)
-                    .map(|i| {
-                        let cancel = Arc::new(AtomicBool::new(false));
-                        let task_sched = sched.for_task(Arc::clone(&cancel));
-                        let env = Arc::clone(&env);
-                        let oracle = Arc::clone(&spec_oracles[i]);
-                        let name = problem.name.clone();
-                        let params = problem.params.clone();
-                        let goal = problem.ret.clone();
-                        let opts = opts.clone();
-                        Some(executor.spawn_cancellable(cancel, move || {
-                            // The span lands on the executor thread's
-                            // track; detail = the search's goal type.
-                            let _sp = task_sched
-                                .trace()
-                                .map(|t| t.span_with(Phase::SpecSearch, Some(goal.to_string())));
-                            let started = Instant::now();
-                            let mut st = SearchStats::default();
-                            let r = generate(
-                                &env,
-                                &name,
-                                &params,
-                                &goal,
-                                &*oracle,
-                                &opts,
-                                opts.max_size,
-                                &task_sched,
-                                &mut st,
-                            );
-                            (r, st, started.elapsed())
-                        }))
-                    })
-                    .collect(),
-                _ => problem.specs.iter().map(|_| None).collect(),
-            };
 
         // Phase 1: a solution expression per spec, reusing existing
         // solutions when they already pass (§4: "when confronted with a new
@@ -327,46 +258,25 @@ impl Synthesizer {
                     tr.mark(Mark::CacheHit);
                 }
                 t.specs.push(i);
-                // The speculative search's result is not needed; discard
-                // it (and its counters) so the run matches the sequential
-                // pipeline, which never searches a reused spec.
-                if let Some(task) = spec_tasks[i].take() {
-                    task.cancel();
-                }
                 continue;
             }
-            let outcome = match spec_tasks[i].take() {
-                Some(task) => match task.join() {
-                    Ok((r, st, elapsed)) => {
-                        stats.search.absorb(&st);
-                        stats.generate_time += elapsed;
-                        r
-                    }
-                    // A panic inside a speculative search is contained
-                    // here instead of re-raised: the job fails with
-                    // `Internal` (exit 1) and sibling jobs keep running.
-                    Err(panic) => Err(SynthError::from_panic(&*panic)),
-                },
-                None => {
-                    let _sp = tracer
-                        .as_ref()
-                        .map(|t| t.span_with(Phase::Generate, Some(problem.ret.to_string())));
-                    let started = Instant::now();
-                    let r = generate(
-                        &env,
-                        &problem.name,
-                        &problem.params,
-                        &problem.ret,
-                        &**oracle,
-                        &opts,
-                        opts.max_size,
-                        &sched,
-                        &mut stats.search,
-                    );
-                    stats.generate_time += started.elapsed();
-                    r
-                }
-            };
+            let generate_span = tracer
+                .as_ref()
+                .map(|t| t.span_with(Phase::Generate, Some(problem.ret.to_string())));
+            let started = Instant::now();
+            let outcome = generate(
+                &env,
+                &problem.name,
+                &problem.params,
+                &problem.ret,
+                oracle,
+                &opts,
+                opts.max_size,
+                &sched,
+                &mut stats.search,
+            );
+            stats.generate_time += started.elapsed();
+            drop(generate_span);
             if let Some(t) = &tracer {
                 t.counter("search-stats", &stats.search.counter_sample());
             }
@@ -382,7 +292,6 @@ impl Synthesizer {
                 specs: vec![i],
             });
         }
-        drop(spec_tasks); // any still-pending handles cancel on drop
         stats.tuples = tuples.len();
 
         // Phase 2: merge into a single branching program (Algorithm 1).
@@ -559,8 +468,8 @@ mod tests {
 
     #[test]
     fn intra_parallel_run_matches_sequential() {
-        // The same two-spec merge problem, run sequentially and at width 4
-        // on a self-provisioned pool: programs and effort counters must be
+        // The same two-spec merge problem, run sequentially and at
+        // speculation width 4: programs and effort counters must be
         // identical (the engine determinism contract).
         let build = || {
             let (env, post) = blog_env();

@@ -1,11 +1,10 @@
 //! Engine determinism: programs and effort counters must be a pure
 //! function of the problem and the configured [`StrategyKind`] — never of
-//! the intra-problem task width, the thread pool, or cache state.
+//! the speculation width (`--intra`) or cache state.
 //!
-//! * `--intra 1` vs `--intra 4` over problems exercising every parallel
-//!   dispatch site (multi-spec phase 1 with and without solution reuse,
-//!   Rule-3 guard pairs in the merge) must produce byte-identical
-//!   programs and identical `(popped, expanded, tested, deduped)`;
+//! * `--intra 1` vs `--intra 4` over multi-spec problems (phase 1 with
+//!   and without solution reuse, a Rule-3 guard pair in the merge) must
+//!   produce byte-identical programs and identical effort counters;
 //! * the same holds per strategy when the strategy is fixed — including
 //!   the non-default cost-weighted order;
 //! * a property test sweeps randomized spec sets through both widths.
@@ -26,8 +25,8 @@ fn blog_env() -> (InterpEnv, rbsyn_lang::ClassId) {
     (b.finish(), post)
 }
 
-/// A two-spec problem whose merge needs a Rule-3 guard pair (the parallel
-/// prefetch path) and whose phase 1 has no reuse.
+/// A two-spec problem whose merge needs a Rule-3 guard pair and whose
+/// phase 1 has no reuse.
 fn branching_problem() -> (InterpEnv, SynthesisProblem) {
     let (env, post) = blog_env();
     let seeded = Spec::new(
@@ -63,8 +62,8 @@ fn branching_problem() -> (InterpEnv, SynthesisProblem) {
     (env, problem)
 }
 
-/// A three-spec problem where specs 2 and 3 are served by solution reuse —
-/// the speculative searches for them must be cancelled and discarded.
+/// A three-spec problem where specs 2 and 3 are served by solution reuse,
+/// so phase 1 never searches them at any width.
 fn reuse_problem() -> (InterpEnv, SynthesisProblem) {
     let (env, _) = blog_env();
     let mk = |name: &str| {
@@ -146,7 +145,7 @@ fn solution_reuse_is_width_independent() {
 fn fixed_alternative_strategy_is_width_independent() {
     // The cost-weighted order may synthesize a different program than the
     // paper order — but for a fixed strategy the result must not depend on
-    // the task width.
+    // the speculation width.
     assert_width_independent(&branching_problem, StrategyKind::CostWeighted);
     assert_width_independent(&reuse_problem, StrategyKind::CostWeighted);
 }

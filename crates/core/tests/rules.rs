@@ -10,7 +10,6 @@ use rbsyn_interp::{run_spec, InterpEnv, SetupStep, Spec};
 use rbsyn_lang::builder::*;
 use rbsyn_lang::{Program, Ty, Value};
 use rbsyn_stdlib::EnvBuilder;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn blog() -> (InterpEnv, rbsyn_lang::ClassId) {
@@ -179,11 +178,7 @@ fn merge_rule_1_collapses_identical_solutions() {
     ];
     let opts = Options::default();
     let mut stats = SearchStats::default();
-    let env = Arc::new(env);
-    let spec_oracles: Vec<Arc<SpecOracle>> = specs
-        .iter()
-        .map(|s| Arc::new(SpecOracle::new(&env, s)))
-        .collect();
+    let spec_oracles: Vec<SpecOracle> = specs.iter().map(|s| SpecOracle::new(&env, s)).collect();
     let sched = Scheduler::sequential();
     let mut ctx = MergeCtx {
         env: &env,
@@ -248,11 +243,7 @@ fn merge_strengthens_trivial_conditions_with_rule_3() {
     ];
     let opts = Options::default();
     let mut stats = SearchStats::default();
-    let env = Arc::new(env);
-    let spec_oracles: Vec<Arc<SpecOracle>> = specs
-        .iter()
-        .map(|s| Arc::new(SpecOracle::new(&env, s)))
-        .collect();
+    let spec_oracles: Vec<SpecOracle> = specs.iter().map(|s| SpecOracle::new(&env, s)).collect();
     let sched = Scheduler::sequential();
     let mut ctx = MergeCtx {
         env: &env,

@@ -12,7 +12,6 @@ use rbsyn_interp::{InterpEnv, SetupStep, Spec};
 use rbsyn_lang::builder::*;
 use rbsyn_lang::Ty;
 use rbsyn_stdlib::EnvBuilder;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn env() -> InterpEnv {
@@ -37,7 +36,7 @@ fn expired() -> Option<Instant> {
     Some(Instant::now())
 }
 
-/// A scheduler with an already-expired deadline and no cache/executor.
+/// A scheduler with an already-expired deadline and no cache.
 fn expired_sched() -> Scheduler {
     Scheduler::new(expired(), None)
 }
@@ -66,11 +65,11 @@ fn phase1_generate_surfaces_timeout() {
 
 #[test]
 fn phase2_merge_surfaces_timeout() {
-    let env = Arc::new(env());
+    let env = env();
     let spec = unsatisfiable_spec();
     let opts = Options::default();
     let mut stats = SearchStats::default();
-    let spec_oracles = vec![Arc::new(SpecOracle::new(&env, &spec))];
+    let spec_oracles = vec![SpecOracle::new(&env, &spec)];
     let sched = expired_sched();
     let mut ctx = MergeCtx {
         env: &env,

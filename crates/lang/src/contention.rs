@@ -3,7 +3,7 @@
 //!
 //! The parallel drivers share a handful of synchronized structures — the
 //! global [symbol table](crate::intern), the search cache's arena and memo
-//! stripes, the executor queue, the speculation pool. When threads grind
+//! stripes, the speculation pool. When threads grind
 //! on one of them, wall time *rises* with thread count while CPU time
 //! explodes, and nothing in the solve stats says why. This module gives
 //! every such lock a name ([`LockSite`]) and counts, per site:
@@ -39,8 +39,6 @@ use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub enum LockSite {
     /// Batch-driver result slots (one mutex per job; leaf).
     BatchSlot = 0,
-    /// The shared executor's task queue.
-    ExecutorQueue,
     /// A speculation pool's window state.
     SpeculationPool,
     /// Search-cache expansion-memo stripes.
@@ -59,12 +57,11 @@ pub enum LockSite {
 }
 
 /// Number of [`LockSite`]s (the registry is a fixed array).
-pub const SITE_COUNT: usize = 9;
+pub const SITE_COUNT: usize = 8;
 
 /// Display names, indexed by `LockSite as usize`.
 const SITE_NAMES: [&str; SITE_COUNT] = [
     "batch_slot",
-    "executor_queue",
     "speculation_pool",
     "cache_expand",
     "cache_types",
@@ -310,7 +307,7 @@ mod tests {
         let s = snapshot();
         assert_eq!(s.len(), SITE_COUNT);
         assert_eq!(s[LockSite::InternShard as usize].name, "intern_shard");
-        assert_eq!(s[LockSite::ExecutorQueue as usize].name, "executor_queue");
+        assert_eq!(s[LockSite::BatchSlot as usize].name, "batch_slot");
         assert_eq!(s[LockSite::CacheArena as usize].name, "cache_arena");
     }
 
@@ -321,7 +318,7 @@ mod tests {
         *write(LockSite::CacheTypes, &rw) = 2;
         assert_eq!(*read(LockSite::CacheTypes, &rw), 2);
         let m = Mutex::new(3);
-        assert_eq!(*lock(LockSite::ExecutorQueue, &m), 3);
+        assert_eq!(*lock(LockSite::BatchSlot, &m), 3);
     }
 
     #[test]
@@ -337,7 +334,7 @@ mod tests {
         })
         .join();
         assert!(m.is_poisoned() && rw.is_poisoned());
-        assert_eq!(*lock(LockSite::ExecutorQueue, &m), 7);
+        assert_eq!(*lock(LockSite::BatchSlot, &m), 7);
         assert_eq!(*read(LockSite::CacheTypes, &rw), 8);
         *write(LockSite::CacheTypes, &rw) = 9;
         assert_eq!(*read(LockSite::CacheTypes, &rw), 9);

@@ -2,7 +2,7 @@
 //! panics and delays into the synthesis pipeline.
 //!
 //! A *failpoint* is a named site in production code — `interp::eval`,
-//! `guards::cover`, `executor::spawn`, `batch::claim` — at which a test
+//! `guards::cover`, `batch::claim` — at which a test
 //! or a chaos harness can make the pipeline misbehave on purpose. The
 //! chaos suite uses them to prove the robustness claims of the batch
 //! driver: a panicking candidate evaluation must convert to a per-job

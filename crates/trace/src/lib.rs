@@ -15,8 +15,8 @@
 //! plain `RefCell` access — no atomics, no locks, no allocation beyond
 //! the ring itself. Buffers drain into the session's collector (the only
 //! lock, taken once per flush, never per event) at explicit boundaries:
-//! the end of every executor task, speculation-worker shutdown, batch-job
-//! completion, and [`Session::finish`] on the coordinating thread. The
+//! speculation-worker shutdown, batch job-thread exit, and
+//! [`Session::finish`] on the coordinating thread. The
 //! engine holds the session as an `Option`: with tracing off every
 //! instrumentation site is one `None` check, so tracing off is zero-cost
 //! and — because recording only *reads* engine state — tracing on leaves
@@ -90,8 +90,6 @@ pub enum Phase {
     Eval,
     /// Merging per-spec solutions into one branching program (phase 2).
     Merge,
-    /// A speculative per-spec search task on an executor thread.
-    SpecSearch,
 }
 
 impl Phase {
@@ -103,7 +101,6 @@ impl Phase {
             Phase::Guard => "guard",
             Phase::Eval => "eval",
             Phase::Merge => "merge",
-            Phase::SpecSearch => "spec_search",
         }
     }
 }
@@ -123,7 +120,7 @@ pub enum Mark {
     CacheHit,
     /// A guard-pool covering query (lazy stream advance or count).
     CoveringQuery,
-    /// The deadline/cancellation poll fired and stopped a search.
+    /// The deadline/kill-flag poll fired and stopped a search.
     DeadlineHit,
 }
 
