@@ -22,12 +22,10 @@
 //!
 //! `--intra N` gives each work-list search N threads (its own included)
 //! that expand and judge the top of its frontier ahead of in-order
-//! consumption; `--strategy NAME` selects the work-list exploration order
-//! (`paper`, `cost`). Both keep the deterministic stdout section
-//! byte-identical for a fixed strategy.
+//! consumption; the deterministic stdout section stays byte-identical.
 //!
 //! `--compare` runs a fully sequential baseline first (one thread, intra
-//! 1, same strategy and cache setting), then the requested
+//! 1, same cache setting), then the requested
 //! `--parallel`/`--intra` configuration, verifies the two deterministic
 //! sections are byte-identical, and reports both wall-clocks. Exits
 //! nonzero on mismatch or on any unsolved benchmark.
@@ -59,12 +57,10 @@
 //! appear as `"exit_code"` in `--json` output.
 
 use rbsyn_bench::harness::{
-    batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats,
-    format_contention_report, json_escape, run_suite_with, Config,
+    batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats, json_escape,
+    run_suite_with, Config,
 };
-use rbsyn_core::{
-    BatchPolicy, BatchReport, Options, StrategyKind, SynthError, SynthesisProblem, Synthesizer,
-};
+use rbsyn_core::{BatchPolicy, BatchReport, Options, SynthError, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
 use rbsyn_lang::persist::atomic_write;
 use rbsyn_suite::{benchmark, benchmarks_from_dir, Benchmark};
@@ -91,8 +87,6 @@ struct Cli {
     no_obs_equiv: bool,
     /// `--intra`, when given.
     intra: Option<usize>,
-    /// `--strategy`, when given (overrides `RBSYN_STRATEGY`).
-    strategy: Option<StrategyKind>,
     /// `--spec FILE`: synthesize one problem from a `.rbspec` file.
     spec: Option<String>,
     /// `--spec-dir DIR`: with `--all`, run the file-driven corpus instead
@@ -113,11 +107,10 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: solve <ID> [timeout_secs] [--intra N] [--strategy paper|cost] \
-         [--trace FILE [--trace-sample N]]\n       \
-         solve --spec FILE.rbspec [--timeout SECS] [--intra N] [--strategy paper|cost] \
+        "usage: solve <ID> [timeout_secs] [--intra N] [--trace FILE [--trace-sample N]]\n       \
+         solve --spec FILE.rbspec [--timeout SECS] [--intra N] \
          [--trace FILE [--trace-sample N]] [--json PATH]\n       \
-         solve --all [--spec-dir DIR] [--parallel N] [--intra N] [--strategy paper|cost] \
+         solve --all [--spec-dir DIR] [--parallel N] [--intra N] \
          [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-cache] [--no-obs-equiv] \
          [--global-deadline SECS] [--json PATH]"
     );
@@ -134,7 +127,6 @@ fn parse_cli() -> Cli {
         no_cache: false,
         no_obs_equiv: false,
         intra: None,
-        strategy: None,
         spec: None,
         spec_dir: None,
         trace: None,
@@ -183,13 +175,6 @@ fn parse_cli() -> Cli {
             "--no-cache" => cli.no_cache = true,
             "--no-obs-equiv" => cli.no_obs_equiv = true,
             "--intra" => cli.intra = Some(value("--intra").parse().unwrap_or_else(|_| usage())),
-            "--strategy" => {
-                let name = value("--strategy");
-                cli.strategy = Some(StrategyKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown strategy {name:?} (try paper, cost)");
-                    usage()
-                }))
-            }
             "--spec" => cli.spec = Some(value("--spec")),
             "--trace" => cli.trace = Some(value("--trace")),
             "--trace-sample" => {
@@ -242,7 +227,7 @@ fn parse_cli() -> Cli {
         usage();
     }
     if cli.spec.is_some() && (cli.all || !positional.is_empty() || !batch_only.is_empty()) {
-        eprintln!("--spec runs exactly one file; it combines only with --timeout/--intra/--strategy/--json");
+        eprintln!("--spec runs exactly one file; it combines only with --timeout/--intra/--json");
         usage();
     }
     if cli.all {
@@ -307,8 +292,8 @@ fn export_trace(session: Session, path: &str, label: &str, status: &str) {
 
 /// Synthesizes one problem, prints the outcome (and `--json` if asked),
 /// and exits with the class-specific code. CLI flags override `base` only
-/// when actually given — a `.rbspec` file's `options do … end` (strategy,
-/// intra, cache, timeout) is honoured otherwise. `default_timeout` backs
+/// when actually given — a `.rbspec` file's `options do … end` (intra,
+/// cache, timeout) is honoured otherwise. `default_timeout` backs
 /// the registry path's historical 60 s default; `None` leaves the base
 /// deadline alone (including a file's explicit `timeout_secs: 0` =
 /// unlimited).
@@ -335,9 +320,6 @@ fn run_one(
     }
     if let Some(intra) = cli.intra {
         opts.intra_parallelism = intra;
-    }
-    if let Some(strategy) = cli.strategy {
-        opts.strategy = strategy;
     }
     let trace_cfg = cli
         .trace
@@ -528,9 +510,6 @@ fn main() {
     if let Some(intra) = cli.intra {
         cfg.intra = intra;
     }
-    if let Some(strategy) = cli.strategy {
-        cfg.strategy = strategy;
-    }
 
     let benchmarks = batch_benchmarks(&cli, &cfg);
     let policy = BatchPolicy {
@@ -541,10 +520,9 @@ fn main() {
     };
     if cli.compare {
         // Baseline: one thread, no speculation — the reference pipeline.
-        // Same strategy (which legitimately shapes the result) and same
-        // cache setting (which must not — the determinism CI leg diffs
-        // cache on/off separately); thread counts and speculation widths must
-        // never change the deterministic section.
+        // Same cache setting (the determinism CI leg diffs cache on/off
+        // separately); thread counts and speculation widths must never
+        // change the deterministic section.
         let baseline_cfg = Config {
             intra: 1,
             ..cfg.clone()
@@ -582,14 +560,6 @@ fn main() {
     let report = run(&cfg, cli.parallel);
     print!("{}", format_batch_solutions(&report));
     eprint!("{}", format_batch_stats(&report));
-    // Per-lock wait/hold lines (stderr, like the stats — the stdout
-    // solution section stays byte-comparable); instrumented builds only.
-    if rbsyn_lang::contention::enabled() {
-        eprint!(
-            "{}",
-            format_contention_report(&rbsyn_lang::contention::snapshot())
-        );
-    }
     if let Some(path) = &cli.json {
         atomic_write(Path::new(path), batch_stats_json(&report).as_bytes())
             .expect("write --json file");

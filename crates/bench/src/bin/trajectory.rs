@@ -7,25 +7,18 @@
 //! PR 7) a deterministic **1-in-20 sample of the specgen stress corpus**
 //! (`generated`, 25 of the 500 pinned problems) — and writes one JSON
 //! file (`BENCH_pr8.json` in CI) with wall-clocks, effort and cache
-//! counters per configuration, the corpus parse+lower time, and
-//! (since PR 6) a per-run `contention` delta from the per-lock telemetry
-//! in `rbsyn_lang::contention` (all zeros unless built with
-//! `--features contention` — each run row records `contention_enabled`
-//! so a stored trajectory says which build produced it). Since PR 9 the
-//! top level carries a `host` header (CPU count, OS/arch, toolchain,
-//! effective `RBSYN_INTERN_SHARDS`, contention-probes on/off) so stored
-//! trajectories say what machine and build produced their numbers, and
-//! every timing row includes the `merge` phase next to
-//! generate/guard/eval.
+//! counters per configuration and the corpus parse+lower time. Since PR 9
+//! the top level carries a `host` header (CPU count, OS/arch, toolchain,
+//! effective `RBSYN_INTERN_SHARDS`) so stored trajectories say what
+//! machine and build produced their numbers, and every timing row
+//! includes the `merge` phase next to generate/guard/eval.
 //!
 //! ```text
-//! cargo run --release -p rbsyn-bench --features contention --bin trajectory -- \
+//! cargo run --release -p rbsyn-bench --bin trajectory -- \
 //!     [--json BENCH_pr8.json] [--threads N] [--intra N] [--timeout SECS] \
-//!     [--spec-dir benchmarks] [--contention-json PATH] [--require-speedup]
+//!     [--spec-dir benchmarks] [--require-speedup]
 //! ```
 //!
-//! `--contention-json PATH` additionally writes a standalone contention
-//! report (the CI artifact uploaded next to the trajectory file);
 //! `--require-speedup` makes a multi-core host fail the run when the
 //! inter-problem `parallel` configuration does not beat the sequential
 //! wall clock (`wall_speedup > 1.0`) — a single-core host skips the
@@ -47,11 +40,9 @@
 //! gate, and the obs-equiv soundness gate.
 
 use rbsyn_bench::harness::{
-    contention_json, format_batch_programs, format_batch_solutions, format_contention_report,
-    run_suite, run_suite_on, Config,
+    format_batch_programs, format_batch_solutions, run_suite, run_suite_on, Config,
 };
 use rbsyn_core::BatchReport;
-use rbsyn_lang::contention::{self, SiteReport};
 use rbsyn_suite::Benchmark;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -72,12 +63,7 @@ struct RunSpec {
     no_obs_equiv: bool,
 }
 
-fn json_report(
-    spec: &RunSpec,
-    r: &BatchReport,
-    sequential_wall_secs: Option<f64>,
-    locks: &[SiteReport],
-) -> String {
+fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64>) -> String {
     let s = &r.stats;
     let wall = s.wall_clock.as_secs_f64();
     // Sequential wall over this config's wall: the honest speedup. The
@@ -85,15 +71,14 @@ fn json_report(
     let wall_speedup = sequential_wall_secs.map_or(1.0, |base| base / wall.max(1e-9));
     format!(
         "    {{\"config\": \"{}\", \"threads\": {}, \"intra\": {}, \"source\": \"{}\", \
-         \"obs_equiv\": {}, \"contention_enabled\": {},\n     \
+         \"obs_equiv\": {},\n     \
          \"wall_clock_secs\": {:.6}, \"cpu_time_secs\": {:.6}, \"wall_speedup\": {:.4}, \
          \"cpu_ratio\": {:.4},\n     \
          \"solved\": {}, \"timeouts\": {}, \"failures\": {}, \"tested\": {},\n     \
          \"expand_hits\": {}, \"type_hits\": {}, \"oracle_hits\": {}, \"deduped\": {}, \
          \"obs_pruned\": {}, \"vector_hits\": {},\n     \
          \"generate_time_secs\": {:.6}, \"guard_time_secs\": {:.6}, \
-         \"merge_time_secs\": {:.6}, \"eval_time_secs\": {:.6},\n     \
-         \"contention\": {}}}",
+         \"merge_time_secs\": {:.6}, \"eval_time_secs\": {:.6}}}",
         spec.name,
         spec.threads,
         spec.intra,
@@ -105,7 +90,6 @@ fn json_report(
             "registry"
         },
         !spec.no_obs_equiv,
-        contention::enabled(),
         wall,
         s.cpu_time.as_secs_f64(),
         wall_speedup,
@@ -124,7 +108,6 @@ fn json_report(
         s.guard_time.as_secs_f64(),
         s.merge_time.as_secs_f64(),
         s.eval_time.as_secs_f64(),
-        contention_json(locks, "     "),
     )
 }
 
@@ -176,7 +159,6 @@ fn main() {
     let mut intra: usize = 4;
     let mut timeout: Option<Duration> = None;
     let mut spec_dir = "benchmarks".to_owned();
-    let mut contention_path: Option<String> = None;
     let mut require_speedup = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -209,12 +191,11 @@ fn main() {
                 ))
             }
             "--spec-dir" => spec_dir = value("--spec-dir"),
-            "--contention-json" => contention_path = Some(value("--contention-json")),
             "--require-speedup" => require_speedup = true,
             other => {
                 eprintln!(
                     "unknown argument {other:?} (try --json PATH, --threads N, --intra N, \
-                     --timeout SECS, --spec-dir DIR, --contention-json PATH, --require-speedup)"
+                     --timeout SECS, --spec-dir DIR, --require-speedup)"
                 );
                 std::process::exit(2);
             }
@@ -333,7 +314,6 @@ fn main() {
             obs_equiv: !spec.no_obs_equiv,
             ..base.clone()
         };
-        let locks_before = contention::snapshot();
         let report = if spec.generated {
             let benchmarks = match load_generated_sample(&Path::new(&spec_dir).join("generated")) {
                 Ok(v) => v,
@@ -413,17 +393,11 @@ fn main() {
                 Some(_) => {}
             }
         }
-        // Per-run lock-telemetry delta: the registry counters are
-        // process-wide, so each configuration reports only what it added.
-        let locks = contention::snapshot_since(&locks_before);
-        if contention::enabled() {
-            eprint!("{}", format_contention_report(&locks));
-        }
         if spec.name == "parallel" {
             let wall = report.stats.wall_clock.as_secs_f64();
             parallel_speedup = sequential_wall.map(|base| base / wall.max(1e-9));
         }
-        rows.push(json_report(spec, &report, sequential_wall, &locks));
+        rows.push(json_report(spec, &report, sequential_wall));
     }
 
     // Wall-clocks only mean anything relative to the host's core count
@@ -468,19 +442,17 @@ fn main() {
         );
     let host_json = format!(
         "{{\"cpus\": {host}, \"os\": \"{}\", \"arch\": \"{}\", \"toolchain\": \"{}\", \
-         \"intern_shards\": {}, \"intern_shards_env\": {}, \"contention_probes\": {}}}",
+         \"intern_shards\": {}, \"intern_shards_env\": {}}}",
         std::env::consts::OS,
         std::env::consts::ARCH,
         rbsyn_bench::harness::json_escape(&toolchain),
         rbsyn_lang::intern::global_shard_count(),
         shards_env,
-        contention::enabled(),
     );
     let out = format!(
         "{{\n  \"suite\": \"rbsyn 19-benchmark suite\",\n  \"benchmarks\": {},\n  \
          \"timeout_secs\": {},\n  \"host_parallelism\": {},\n  \"host\": {},\n  \
          \"programs_identical\": {},\n  \
-         \"contention_enabled\": {},\n  \
          \"corpus\": {{\"dir\": \"{}\", \"files\": {}, \"parse_secs\": {:.6}, \
          \"lower_secs\": {:.6}, \"parse_lower_secs\": {:.6}}},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
@@ -489,7 +461,6 @@ fn main() {
         host,
         host_json,
         ok,
-        contention::enabled(),
         rbsyn_bench::harness::json_escape(&spec_dir),
         corpus_cost.files,
         corpus_cost.parse_secs,
@@ -504,17 +475,6 @@ fn main() {
             eprintln!("trajectory written to {path}");
         }
         None => print!("{out}"),
-    }
-    if let Some(path) = &contention_path {
-        // Whole-process totals (every configuration summed) — the CI
-        // artifact a profiling session starts from.
-        let report = format!(
-            "{{\n  \"contention\": {}\n}}\n",
-            contention_json(&contention::snapshot(), "  ")
-        );
-        rbsyn_lang::persist::atomic_write(std::path::Path::new(path), report.as_bytes())
-            .expect("write --contention-json file");
-        eprintln!("contention report written to {path}");
     }
     std::process::exit(if ok { 0 } else { 1 });
 }

@@ -1,10 +1,8 @@
 //! Benchmark execution and table/figure assembly.
 
 use rbsyn_core::{
-    run_batch_with, BatchJob, BatchPolicy, BatchReport, Guidance, Options, StrategyKind,
-    SynthError, Synthesizer,
+    run_batch_with, BatchJob, BatchPolicy, BatchReport, Guidance, Options, SynthError, Synthesizer,
 };
-use rbsyn_lang::contention::{self, SiteReport};
 use rbsyn_suite::{all_benchmarks, Benchmark};
 use rbsyn_ty::EffectPrecision;
 use std::time::Duration;
@@ -12,7 +10,7 @@ use std::time::Duration;
 /// Harness configuration (see crate docs for the environment variables).
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Timed runs per configuration (paper: 11).
+    /// Timed runs per configuration (paper: 11; `RBSYN_RUNS`, at least 1).
     pub runs: usize,
     /// Per-run timeout for full-guidance runs (paper: 300 s).
     pub timeout: Duration,
@@ -37,9 +35,6 @@ pub struct Config {
     /// `solve --intra N`). Any width produces byte-identical programs and
     /// effort counters.
     pub intra: usize,
-    /// Work-list exploration order (`Options::strategy`;
-    /// `RBSYN_STRATEGY` / `solve --strategy NAME`).
-    pub strategy: StrategyKind,
 }
 
 impl Config {
@@ -48,7 +43,8 @@ impl Config {
         let runs = std::env::var("RBSYN_RUNS")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(3);
+            .unwrap_or(3)
+            .max(1);
         let env_secs = |name: &str| -> Option<Duration> {
             std::env::var(name)
                 .ok()
@@ -70,10 +66,6 @@ impl Config {
             .unwrap_or_default();
         let cache = !std::env::var("RBSYN_NO_CACHE").is_ok_and(|v| v == "1" || v == "true");
         let obs_equiv = !std::env::var("RBSYN_NO_OBS_EQUIV").is_ok_and(|v| v == "1" || v == "true");
-        let strategy = std::env::var("RBSYN_STRATEGY")
-            .ok()
-            .and_then(|v| StrategyKind::parse(&v))
-            .unwrap_or_default();
         Config {
             runs,
             timeout,
@@ -83,7 +75,6 @@ impl Config {
             cache,
             obs_equiv,
             intra: 1,
-            strategy,
         }
     }
 
@@ -456,7 +447,6 @@ pub fn suite_jobs(
                 cache: cfg.cache,
                 obs_equiv: cfg.obs_equiv,
                 intra_parallelism: cfg.intra,
-                strategy: cfg.strategy,
                 ..(b.options)()
             };
             // `b.build` is a shared factory closure: cheap to move,
@@ -601,56 +591,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes a contention snapshot (or a [`SiteReport::since`] delta) as
-/// a JSON object: `{"enabled": …, "sites": [{name, acquisitions,
-/// contended, wait_nanos, hold_nanos}, …]}`. Sites with zero acquisitions
-/// are skipped so the `contention` feature being off yields an empty
-/// `sites` list rather than nine rows of zeros. `indent` prefixes every
-/// emitted line so the object nests at any depth of the hand-rolled
-/// reports.
-pub fn contention_json(sites: &[SiteReport], indent: &str) -> String {
-    let mut out = format!("{{\n{indent}  \"enabled\": {},\n", contention::enabled());
-    out.push_str(&format!("{indent}  \"sites\": ["));
-    let live: Vec<&SiteReport> = sites.iter().filter(|s| s.acquisitions > 0).collect();
-    for (i, s) in live.iter().enumerate() {
-        let sep = if i + 1 == live.len() { "" } else { "," };
-        out.push_str(&format!(
-            "\n{indent}    {{\"name\": \"{}\", \"acquisitions\": {}, \"contended\": {}, \
-             \"wait_nanos\": {}, \"hold_nanos\": {}}}{sep}",
-            s.name, s.acquisitions, s.contended, s.wait_nanos, s.hold_nanos
-        ));
-    }
-    if !live.is_empty() {
-        out.push('\n');
-        out.push_str(indent);
-        out.push_str("  ");
-    }
-    out.push_str(&format!("]\n{indent}}}"));
-    out
-}
-
-/// Renders a contention snapshot for humans: one line per touched site
-/// with wait/hold milliseconds and the contended-acquisition rate. Returns
-/// a one-line note instead when the `contention` feature is off.
-pub fn format_contention_report(sites: &[SiteReport]) -> String {
-    if !contention::enabled() {
-        return "contention: telemetry off (build with --features contention)\n".to_string();
-    }
-    let mut out =
-        String::from("contention: site                acquisitions  contended  wait_ms  hold_ms\n");
-    for s in sites.iter().filter(|s| s.acquisitions > 0) {
-        out.push_str(&format!(
-            "contention: {:<20} {:>11} {:>10} {:>8.2} {:>8.2}\n",
-            s.name,
-            s.acquisitions,
-            s.contended,
-            s.wait_nanos as f64 / 1e6,
-            s.hold_nanos as f64 / 1e6,
-        ));
-    }
-    out
-}
-
 /// Serializes a batch report as JSON (hand-rolled — the workspace is
 /// dependency-free). This is the CI bench-smoke artifact format.
 pub fn batch_stats_json(report: &BatchReport) -> String {
@@ -692,12 +632,6 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
         s.guard_time.as_secs_f64(),
         s.merge_time.as_secs_f64(),
         s.eval_time.as_secs_f64(),
-    ));
-    // Per-lock telemetry (process-wide counters; all zeros — and an empty
-    // site list — unless built with `--features contention`).
-    out.push_str(&format!(
-        "  \"contention\": {},\n",
-        contention_json(&contention::snapshot(), "  ")
     ));
     out.push_str("  \"results\": [\n");
     for (i, o) in report.outcomes.iter().enumerate() {
@@ -785,7 +719,6 @@ mod tests {
             cache: true,
             obs_equiv: true,
             intra: 1,
-            strategy: StrategyKind::Paper,
         };
         assert_eq!(base.benchmarks().len(), 1);
         let all = Config {

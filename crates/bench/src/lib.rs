@@ -4,7 +4,8 @@
 //! Configuration comes from environment variables so `cargo bench` stays
 //! hands-free while full paper-scale runs remain possible:
 //!
-//! * `RBSYN_RUNS` — timed runs per benchmark (paper: 11; default: 3);
+//! * `RBSYN_RUNS` — timed runs per benchmark (paper: 11; default: 3;
+//!   at least 1);
 //! * `RBSYN_TIMEOUT_SECS` — per-run timeout (paper: 300; default: 60);
 //! * `RBSYN_BENCH_IDS` — comma-separated subset (default: all 19).
 

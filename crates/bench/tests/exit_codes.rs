@@ -122,6 +122,46 @@ fn global_deadline_with_compare_exits_2() {
     );
 }
 
+/// A timeout no `Instant` can represent means "no deadline", not a
+/// panic: the run solves and exits 0.
+#[test]
+fn unrepresentable_timeout_solves_and_exits_0() {
+    let spec = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmarks/S1.rbspec"
+    ));
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .arg("--spec")
+        .arg(spec)
+        .args(["--timeout", &u64::MAX.to_string()])
+        .output()
+        .expect("solve binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// `RBSYN_RUNS=0` is clamped to one timed run instead of asking for the
+/// median of an empty sample.
+#[test]
+fn table1_with_zero_runs_exits_0() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .env("RBSYN_RUNS", "0")
+        .env("RBSYN_BENCH_IDS", "S1")
+        .output()
+        .expect("table1 binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("S1"));
+}
+
 /// Fault-injected exit-code legs — compiled only with `--features
 /// failpoints` (the production binary carries no injection code).
 #[cfg(feature = "failpoints")]

@@ -52,7 +52,7 @@ use crate::goal::SynthesisProblem;
 use crate::options::Options;
 use crate::synthesizer::{SynthResult, Synthesizer};
 use rbsyn_interp::InterpEnv;
-use rbsyn_lang::contention::{self, LockSite};
+use rbsyn_lang::contention;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -127,8 +127,8 @@ pub struct BatchPolicy {
 }
 
 /// The shed-or-admit gate of [`BatchPolicy::global_deadline`]. Completed
-/// job durations feed the median; the mutex is plain (not a telemetry
-/// site) and poison-recovering like every other lock in the pipeline.
+/// job durations feed the median; the mutex is poison-recovering like
+/// every other lock in the pipeline.
 struct AdmissionGate {
     start: Instant,
     budget: Option<Duration>,
@@ -157,7 +157,7 @@ impl AdmissionGate {
             Some(r) => r,
             None => return false, // budget already spent: shed
         };
-        let durations = self.durations.lock().unwrap_or_else(|p| p.into_inner());
+        let durations = contention::lock(&self.durations);
         if durations.is_empty() {
             // No evidence yet: admit, and let the first completions size
             // the median.
@@ -175,10 +175,7 @@ impl AdmissionGate {
     }
 
     fn record(&self, elapsed: Duration) {
-        self.durations
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(elapsed);
+        contention::lock(&self.durations).push(elapsed);
     }
 }
 
@@ -450,7 +447,7 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
                             result: Err(SynthError::from_panic(&*panic)),
                             elapsed: Duration::ZERO,
                         });
-                    *contention::lock(LockSite::BatchSlot, &slots[i]) = Some(outcome);
+                    *contention::lock(&slots[i]) = Some(outcome);
                 }
                 all_claimed.wait();
                 // Worker exit: hand any traced events to their session

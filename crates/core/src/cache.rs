@@ -41,7 +41,7 @@
 
 use crate::generate::OracleOutcome;
 use crate::options::Options;
-use rbsyn_lang::contention::{self, LockSite};
+use rbsyn_lang::contention;
 use rbsyn_lang::{hash128, Expr, ExprArena, ExprId, FxBuild, FxHasher, Symbol, Ty};
 use rbsyn_ty::ClassTable;
 use std::collections::HashMap;
@@ -109,18 +109,14 @@ pub fn gamma_fingerprint(bindings: &[(Symbol, Ty)]) -> u128 {
 /// here are deterministic functions of their key, so the race is benign).
 struct ShardedMap<K, V> {
     shards: Vec<RwLock<HashMap<K, V, FxBuild>>>,
-    /// Telemetry identity of this table's stripes (see
-    /// [`rbsyn_lang::contention`]).
-    site: LockSite,
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
-    fn new(site: LockSite) -> ShardedMap<K, V> {
+    fn new() -> ShardedMap<K, V> {
         ShardedMap {
             shards: (0..SHARDS)
                 .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
-            site,
         }
     }
 
@@ -131,21 +127,18 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     }
 
     fn get(&self, k: &K) -> Option<V> {
-        contention::read(self.site, self.shard(k)).get(k).cloned()
+        contention::read(self.shard(k)).get(k).cloned()
     }
 
     fn insert_if_absent(&self, k: K, v: V) -> V {
-        contention::write(self.site, self.shard(&k))
+        contention::write(self.shard(&k))
             .entry(k)
             .or_insert(v)
             .clone()
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| contention::read(self.site, s).len())
-            .sum()
+        self.shards.iter().map(|s| contention::read(s).len()).sum()
     }
 }
 
@@ -208,10 +201,10 @@ impl SearchCache {
             arena: (0..SHARDS)
                 .map(|i| RwLock::new(ExprArena::with_stride(i as u32, SHARDS as u32)))
                 .collect(),
-            expand: ShardedMap::new(LockSite::CacheExpand),
-            types: ShardedMap::new(LockSite::CacheTypes),
-            oracle: ShardedMap::new(LockSite::CacheOracle),
-            templates: ShardedMap::new(LockSite::CacheTemplates),
+            expand: ShardedMap::new(),
+            types: ShardedMap::new(),
+            oracle: ShardedMap::new(),
+            templates: ShardedMap::new(),
         }
     }
 
@@ -221,10 +214,10 @@ impl SearchCache {
     pub fn intern(&self, e: Expr) -> ExprId {
         let hash = ExprArena::hash_of(&e);
         let lock = &self.arena[(hash as usize) % SHARDS];
-        if let Some(id) = contention::read(LockSite::CacheArena, lock).lookup_hashed(hash, &e) {
+        if let Some(id) = contention::read(lock).lookup_hashed(hash, &e) {
             return id;
         }
-        contention::write(LockSite::CacheArena, lock).intern_hashed(hash, e)
+        contention::write(lock).intern_hashed(hash, e)
     }
 
     /// [`SearchCache::intern`] plus the interned `Arc` and both precomputed
@@ -233,7 +226,7 @@ impl SearchCache {
         let hash = ExprArena::hash_of(&e);
         let lock = &self.arena[(hash as usize) % SHARDS];
         {
-            let shard = contention::read(LockSite::CacheArena, lock);
+            let shard = contention::read(lock);
             if let Some(id) = shard.lookup_hashed(hash, &e) {
                 let (size, evaluable) = shard.meta(id);
                 return ExpandItem {
@@ -244,7 +237,7 @@ impl SearchCache {
                 };
             }
         }
-        let mut shard = contention::write(LockSite::CacheArena, lock);
+        let mut shard = contention::write(lock);
         let id = shard.intern_hashed(hash, e);
         let (size, evaluable) = shard.meta(id);
         ExpandItem {
@@ -258,33 +251,30 @@ impl SearchCache {
     /// The interned expression behind an id (cheap `Arc` clone).
     pub fn expr(&self, id: ExprId) -> Arc<Expr> {
         let shard = (id.index() as usize) % SHARDS;
-        Arc::clone(contention::read(LockSite::CacheArena, &self.arena[shard]).get(id))
+        Arc::clone(contention::read(&self.arena[shard]).get(id))
     }
 
     /// Precomputed node count of an interned expression.
     pub fn size(&self, id: ExprId) -> usize {
         let shard = (id.index() as usize) % SHARDS;
-        contention::read(LockSite::CacheArena, &self.arena[shard]).size(id)
+        contention::read(&self.arena[shard]).size(id)
     }
 
     /// Precomputed hole-free flag of an interned expression.
     pub fn evaluable(&self, id: ExprId) -> bool {
         let shard = (id.index() as usize) % SHARDS;
-        contention::read(LockSite::CacheArena, &self.arena[shard]).evaluable(id)
+        contention::read(&self.arena[shard]).evaluable(id)
     }
 
     /// Precomputed `(node count, evaluable)` in one shard roundtrip.
     pub fn meta(&self, id: ExprId) -> (usize, bool) {
         let shard = (id.index() as usize) % SHARDS;
-        contention::read(LockSite::CacheArena, &self.arena[shard]).meta(id)
+        contention::read(&self.arena[shard]).meta(id)
     }
 
     /// Number of distinct candidates interned so far (diagnostics/tests).
     pub fn interned_exprs(&self) -> usize {
-        self.arena
-            .iter()
-            .map(|a| contention::read(LockSite::CacheArena, a).len())
-            .sum()
+        self.arena.iter().map(|a| contention::read(a).len()).sum()
     }
 
     /// Number of memoized expansion lists (diagnostics/tests).

@@ -1,5 +1,4 @@
-//! The search engine: frontier, strategy, scheduler and in-search
-//! speculation.
+//! The search engine: frontier, scheduler and in-search speculation.
 //!
 //! PR 3 extracted the moving parts of the work-list search out of
 //! [`crate::generate`](mod@crate::generate) into this module so each is a
@@ -7,11 +6,7 @@
 //! component:
 //!
 //! * [`Frontier`] — the hash-consed candidate priority queue of
-//!   Algorithm 2;
-//! * [`SearchStrategy`] — the pluggable exploration order
-//!   ([`PaperOrder`] reproduces §4's `(c desc, size asc, insertion
-//!   order)`; [`CostWeighted`] trades asserts against size on one scale),
-//!   selected via [`StrategyKind`] on [`Options`](crate::Options);
+//!   Algorithm 2, in §4's `(c desc, size asc, insertion order)`;
 //! * [`Scheduler`] — per-run deadlines, the watchdog kill flag, the
 //!   memoization handle, the speculation width and deterministic stats
 //!   aggregation ([`SearchStats`]);
@@ -36,11 +31,9 @@
 pub mod frontier;
 pub mod scheduler;
 pub mod speculate;
-pub mod strategy;
 pub mod watchdog;
 
-pub use frontier::{Frontier, FrontierItem};
+pub use frontier::{Frontier, FrontierItem, Priority};
 pub use scheduler::{Scheduler, SearchStats};
 pub use speculate::{SpecJob, SpeculationPool};
-pub use strategy::{CostWeighted, PaperOrder, Priority, SearchStrategy, StrategyKind};
 pub use watchdog::Watchdog;

@@ -39,7 +39,7 @@ use crate::generate::{expand_compute, Oracle, OracleOutcome};
 use crate::infer::Gamma;
 use crate::options::Options;
 use rbsyn_interp::InterpEnv;
-use rbsyn_lang::contention::{self, LockSite};
+use rbsyn_lang::contention;
 use rbsyn_lang::{Expr, ExprId, Program, Symbol, Ty};
 use rbsyn_trace::{Phase, Session};
 use std::cell::Cell;
@@ -238,7 +238,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
                     let mut gamma = Gamma::from_params(ctx.params);
                     let mut scratch = SearchStats::default();
                     let mut jobs_done = 0u64;
-                    let mut state = contention::lock(LockSite::SpeculationPool, &shared.state);
+                    let mut state = contention::lock(&shared.state);
                     loop {
                         if state.shutdown {
                             // Drain this worker's trace buffer before the
@@ -260,7 +260,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
                             jobs_done += 1;
                             let out = run_job(&ctx, &mut gamma, &mut scratch, &job);
                             drop(sp);
-                            state = contention::lock(LockSite::SpeculationPool, &shared.state);
+                            state = contention::lock(&shared.state);
                             state.results[i] = Some(out);
                             state.done += 1;
                             if state.done == state.jobs.len() {
@@ -285,7 +285,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
         }
         self.ensure_workers();
         {
-            let mut state = contention::lock(LockSite::SpeculationPool, &self.shared.state);
+            let mut state = contention::lock(&self.shared.state);
             debug_assert!(state.jobs.is_empty(), "one window at a time");
             state.jobs = jobs;
             state.next = 0;
@@ -300,7 +300,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
             let job;
             let i;
             {
-                let mut state = contention::lock(LockSite::SpeculationPool, &self.shared.state);
+                let mut state = contention::lock(&self.shared.state);
                 if state.next >= n {
                     break;
                 }
@@ -312,7 +312,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
                 };
             }
             let out = run_job(&self.ctx, &mut gamma, &mut scratch, &job);
-            let mut state = contention::lock(LockSite::SpeculationPool, &self.shared.state);
+            let mut state = contention::lock(&self.shared.state);
             state.results[i] = Some(out);
             state.done += 1;
             if state.done == n {
@@ -320,7 +320,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
             }
         }
         // …then wait for stragglers running on workers.
-        let mut state = contention::lock(LockSite::SpeculationPool, &self.shared.state);
+        let mut state = contention::lock(&self.shared.state);
         while state.done < n {
             state = self
                 .shared
@@ -340,7 +340,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
 impl Drop for SpeculationPool<'_, '_> {
     fn drop(&mut self) {
         {
-            let mut state = contention::lock(LockSite::SpeculationPool, &self.shared.state);
+            let mut state = contention::lock(&self.shared.state);
             state.shutdown = true;
             self.shared.signal.notify_all();
         }

@@ -47,20 +47,27 @@ pub struct Watchdog {
 impl Watchdog {
     /// Arms a watchdog that sets its kill flag once `budget × grace` has
     /// elapsed. `grace` is clamped to at least 1.0 so the hard deadline
-    /// can never precede the cooperative one.
+    /// can never precede the cooperative one. A product past
+    /// [`Duration::MAX`] saturates, and a deadline [`Instant`] cannot
+    /// represent never fires.
     pub fn arm(budget: Duration, grace: f64) -> Watchdog {
-        let hard = budget.mul_f64(grace.max(1.0));
+        let hard = Duration::try_from_secs_f64(budget.as_secs_f64() * grace.max(1.0))
+            .unwrap_or(Duration::MAX);
         let fired = Arc::new(AtomicBool::new(false));
         let disarm = Arc::new((Mutex::new(false), Condvar::new()));
         let (t_fired, t_disarm) = (Arc::clone(&fired), Arc::clone(&disarm));
         let handle = std::thread::spawn(move || {
             let (lock, cvar) = &*t_disarm;
-            let deadline = Instant::now() + hard;
+            let deadline = Instant::now().checked_add(hard);
             let mut disarmed = lock.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if *disarmed {
                     return;
                 }
+                let Some(deadline) = deadline else {
+                    disarmed = cvar.wait(disarmed).unwrap_or_else(|p| p.into_inner());
+                    continue;
+                };
                 let now = Instant::now();
                 if now >= deadline {
                     t_fired.store(true, Ordering::Relaxed);
@@ -126,6 +133,15 @@ mod tests {
         let dog = Watchdog::arm(Duration::from_secs(3600), 4.0);
         let flag = dog.kill_flag();
         drop(dog); // must not wait out the hour
+        assert!(!flag.load(Ordering::Relaxed), "disarmed, never fired");
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_never_fire() {
+        let dog = Watchdog::arm(Duration::MAX, 4.0);
+        let flag = dog.kill_flag();
+        std::thread::sleep(Duration::from_millis(5));
+        drop(dog);
         assert!(!flag.load(Ordering::Relaxed), "disarmed, never fired");
     }
 

@@ -2,9 +2,8 @@
 //!
 //! Candidates are `(c, e)` pairs: an expression with holes and the number
 //! of assertions its best evaluable ancestor passed. The list — a
-//! [`Frontier`] ordered by the run's
-//! [`SearchStrategy`](crate::engine::SearchStrategy) — defaults to
-//! `c` descending, then AST size ascending, then insertion order (§4).
+//! [`Frontier`] — is ordered `c` descending, then AST size ascending,
+//! then insertion order (§4).
 //! Evaluable expansions are run against the oracle immediately; failures
 //! with impure read effects are wrapped with an effect hole (S-Eff) and
 //! re-enqueued at their fresh assert count.
@@ -447,13 +446,7 @@ fn search_loop_parallel<'scope, 'env>(
 }
 
 /// Enqueues a candidate ranked by `(c, size)`.
-fn enqueue(
-    frontier: &mut Frontier<'_>,
-    c: usize,
-    size: usize,
-    id: ExprId,
-    expr: std::sync::Arc<Expr>,
-) {
+fn enqueue(frontier: &mut Frontier, c: usize, size: usize, id: ExprId, expr: std::sync::Arc<Expr>) {
     frontier.push(c, size, FrontierItem { c, size, id, expr });
 }
 
@@ -491,7 +484,7 @@ fn search_loop(
     let make_program =
         |body: &Expr| Program::from_parts(method_sym, param_syms.clone(), body.clone());
 
-    let mut frontier = Frontier::new(opts.strategy.strategy());
+    let mut frontier = Frontier::new();
     // Dedup filter: the work-list never holds two structurally equal
     // candidates, and a candidate judged once is never re-judged in this
     // call.
@@ -747,7 +740,6 @@ fn wrap_with_effect(e: &Expr, er: EffectSet, ty: Ty) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StrategyKind;
     use rbsyn_interp::SetupStep;
     use rbsyn_lang::builder::*;
     use rbsyn_lang::Value;
@@ -1013,41 +1005,6 @@ mod tests {
             stats.popped <= 64,
             "the kill flag must stop the search within one check window"
         );
-    }
-
-    #[test]
-    fn strategies_explore_in_different_orders_but_both_solve() {
-        let (env, _) = blog_env();
-        let spec = Spec::new(
-            "returns its argument",
-            vec![SetupStep::CallTarget {
-                bind: "xr".into(),
-                args: vec![str_("hello")],
-            }],
-            vec![call(var("xr"), "==", [str_("hello")])],
-        );
-        let solve = |kind: StrategyKind| {
-            let opts = Options {
-                strategy: kind,
-                ..Options::default()
-            };
-            let mut stats = SearchStats::default();
-            generate(
-                &env,
-                "m",
-                &[("arg0".into(), Ty::Str)],
-                &Ty::Str,
-                &SpecOracle::new(&env, &spec),
-                &opts,
-                opts.max_size,
-                &Scheduler::sequential(),
-                &mut stats,
-            )
-            .unwrap()
-            .compact()
-        };
-        assert_eq!(solve(StrategyKind::Paper), "arg0");
-        assert_eq!(solve(StrategyKind::CostWeighted), "arg0");
     }
 
     #[test]

@@ -29,13 +29,12 @@
 //!
 //! The enumeration pipeline is **pool-local and lock-free**: candidates
 //! live in a private node arena whose nodes refer to their children by
-//! id, so the stream never touches the shared search
-//! cache — it is byte-identical with and without `--no-cache`, and it
-//! pays none of the shared cache's lock (or `contention`-probe) overhead
-//! on the merge's hottest path. Expanding a candidate re-interns only the
-//! path from its root to the filled hole, types each new node once from
-//! its children's stored types, and builds an [`Expr`] tree only for
-//! candidates the interpreter actually runs.
+//! id, so the stream never touches the shared search cache — it is
+//! byte-identical with and without `--no-cache`, and it pays none of the
+//! shared cache's lock overhead on the merge's hottest path. Expanding a
+//! candidate re-interns only the path from its root to the filled hole,
+//! types each new node once from its children's stored types, and builds
+//! an [`Expr`] tree only for candidates the interpreter actually runs.
 //!
 //! **Covering is set inclusion.** A candidate covers a request exactly
 //! when `Ψ₁ ⊆ truthy-ok(c)` and `Ψ₂ ⊆ falsy-ok(c)`, so the verdict reads
@@ -158,7 +157,7 @@ pub struct GuardQuery<'a> {
     /// All specs of the problem — bit `i` of every vector refers to
     /// `specs[i]`.
     pub specs: &'a [Spec],
-    /// Search options (guard size bound, pop budget, strategy).
+    /// Search options (guard size bound, pop budget).
     pub opts: &'a Options,
     /// Deadline, kill flag and the run's memoization handle.
     pub sched: &'a Scheduler,
@@ -638,7 +637,7 @@ type ReqKey = (Vec<usize>, Vec<usize>);
 ///
 /// The pool is deterministic by construction: the candidate stream is the
 /// same oracle-independent enumeration every per-request search performed
-/// (same expander, same template lists, same frontier strategy, same
+/// (same expander, same template lists, same frontier order, same
 /// dedup), so [`GuardPool::nth_covering_guard`] returns byte-identical
 /// guards in byte-identical order — it just never re-enumerates or
 /// re-judges anything, and it is **lazy twice over**: the stream extends
@@ -652,7 +651,7 @@ pub struct GuardPool {
     checks: Vec<CheckSlot>,
     /// Words per bitvector plane: `⌈|specs| / 64⌉`.
     nwords: usize,
-    frontier: Option<Frontier<'static, NodeId>>,
+    frontier: Option<Frontier<NodeId>>,
     /// Candidates already enumerated (the dedup filter).
     seen: NodeSet,
     gamma: Option<Gamma>,
@@ -722,7 +721,7 @@ impl GuardPool {
         self.nwords = q.specs.len().div_ceil(64).max(1);
         let gamma = self.gamma.insert(Gamma::from_params(q.params));
         let root = self.arena.node_of(&Expr::Hole(Ty::Bool), typing(q, gamma));
-        let mut frontier = Frontier::new(q.opts.strategy.strategy());
+        let mut frontier = Frontier::new();
         frontier.push(0, 1, root);
         self.frontier = Some(frontier);
     }
@@ -1118,7 +1117,6 @@ pub fn negate(b: &Expr) -> Expr {
 mod tests {
     use super::*;
     use crate::cache::CacheHandle;
-    use crate::engine::StrategyKind;
     use crate::expand::simplify;
     use crate::infer::infer_ty;
     use crate::options::Guidance;
@@ -1537,7 +1535,7 @@ mod tests {
         let mut gamma = Gamma::from_params(q.params);
         let mut arena = ExprArena::new();
         let mut seen = HashSet::new();
-        let mut frontier = Frontier::new(q.opts.strategy.strategy());
+        let mut frontier = Frontier::new();
         frontier.push(0, 1, arena.intern(Expr::Hole(Ty::Bool)));
         let (mut out, mut first_dup, mut rejected) = (Stream::default(), None, Vec::new());
         while out.popped < max_pops {
@@ -1617,10 +1615,6 @@ mod tests {
         let (post_env, post_specs) = pool_fixture();
         let (wide_env, wide_specs) = oversized_fixture();
         let str_param = [(Symbol::intern("arg0"), Ty::Str)];
-        let cost = Options {
-            strategy: StrategyKind::CostWeighted,
-            ..Options::default()
-        };
         let untyped = Options::with_guidance(Guidance::effects_only());
         let paper = Options::default();
         let sched = Scheduler::sequential();
@@ -1636,7 +1630,6 @@ mod tests {
             ("a3", query(&a3, &str_param, &[], &paper)),
             ("post", query(&post_env, &[], &post_specs, &paper)),
             ("65 specs", query(&wide_env, &[], &wide_specs, &paper)),
-            ("cost-weighted", query(&a3, &str_param, &[], &cost)),
             ("effects only", query(&a3, &str_param, &[], &untyped)),
         ];
         let (mut deduped, mut rejected) = (0, 0);

@@ -26,10 +26,10 @@
 //! computed at most once per distinct candidate — per run by default,
 //! across batch jobs when shared, never when `Options::cache` is off.
 //!
-//! The search's moving parts — frontier, exploration strategy, scheduler
-//! and the in-search [`engine::SpeculationPool`] behind intra-problem
-//! (`--intra`) parallelism — live in [`engine`]; inter-problem
-//! (`--parallel`) parallelism is the [`batch`] driver's job threads.
+//! The search's moving parts — frontier, scheduler and the in-search
+//! [`engine::SpeculationPool`] behind intra-problem (`--intra`)
+//! parallelism — live in [`engine`]; inter-problem (`--parallel`)
+//! parallelism is the [`batch`] driver's job threads.
 
 #![deny(missing_docs)]
 
@@ -51,7 +51,7 @@ pub use batch::{
     run_batch, run_batch_with, BatchJob, BatchOutcome, BatchPolicy, BatchReport, BatchStats,
 };
 pub use cache::{CacheHandle, EnvToken, ExpandItem, OracleToken, SearchCache};
-pub use engine::{Scheduler, SearchStats, SearchStrategy, StrategyKind};
+pub use engine::{Scheduler, SearchStats};
 pub use error::SynthError;
 pub use generate::{generate, GenerateOutcome, Oracle};
 pub use goal::{ProblemBuilder, SynthesisProblem};

@@ -1,7 +1,6 @@
 //! Search configuration: guidance modes (§5.3), effect precision (§5.4),
 //! size bounds and budgets.
 
-use crate::engine::StrategyKind;
 use rbsyn_trace::TraceConfig;
 use rbsyn_ty::EffectPrecision;
 use std::time::Duration;
@@ -119,12 +118,6 @@ pub struct Options {
     /// the work to find them shrinks". `--no-obs-equiv` is the A/B escape
     /// hatch.
     pub obs_equiv: bool,
-    /// Work-list exploration order (see
-    /// [`SearchStrategy`](crate::engine::SearchStrategy)). The default
-    /// [`StrategyKind::Paper`] reproduces §4's deterministic ordering;
-    /// alternatives reorder exploration but stay fully deterministic for a
-    /// fixed setting.
-    pub strategy: StrategyKind,
     /// Intra-problem speculation width (`--intra`): how many threads each
     /// phase-1 search's [`SpeculationPool`](crate::engine::SpeculationPool)
     /// may use (the search's own thread included) to expand and judge the
@@ -170,7 +163,6 @@ impl Default for Options {
             timeout: Some(Duration::from_secs(300)),
             cache: true,
             obs_equiv: true,
-            strategy: StrategyKind::Paper,
             intra_parallelism: 1,
             watchdog_grace: Some(4.0),
             trace: None,
@@ -215,7 +207,6 @@ mod tests {
         assert_eq!(o.guidance, Guidance::both());
         assert_eq!(o.precision, EffectPrecision::Precise);
         assert!(o.timeout.is_some());
-        assert_eq!(o.strategy, StrategyKind::Paper);
         assert_eq!(o.intra_parallelism, 1, "intra-parallel dispatch is opt-in");
         assert!(o.obs_equiv, "observational-equivalence pruning is on");
         assert!(o.trace.is_none(), "tracing is opt-in (zero-cost off)");

@@ -184,7 +184,8 @@ impl Synthesizer {
             env.set_interrupt(dog.kill_flag());
         }
         let start = Instant::now();
-        let deadline = opts.timeout.map(|t| start + t);
+        // A deadline `Instant` cannot represent means no deadline.
+        let deadline = opts.timeout.and_then(|t| start.checked_add(t));
         let mut stats = SynthStats::default();
 
         // `Options::trace` is the switch; an externally attached session
@@ -328,18 +329,10 @@ impl Synthesizer {
         stats.solution_size = program_size(&program);
         stats.solution_paths = program_paths(&program);
         if let Some(t) = &tracer {
-            // Final counter sample, the contention registry (all-zero and
-            // skipped unless the `contention` feature is on), and the
-            // synthetic per-phase totals track — the guarantee that every
-            // phase appears as a span even when live sampling saw none of
-            // its work.
+            // Final counter sample and the synthetic per-phase totals
+            // track — the guarantee that every phase appears as a span
+            // even when live sampling saw none of its work.
             t.counter("search-stats", &stats.search.counter_sample());
-            if rbsyn_lang::contention::enabled() {
-                let sites = rbsyn_lang::contention::snapshot();
-                let waits: Vec<(&'static str, u64)> =
-                    sites.iter().map(|s| (s.name, s.wait_nanos)).collect();
-                t.counter("lock-wait-nanos", &waits);
-            }
             t.phase_totals(
                 "phase-totals",
                 &[
@@ -392,6 +385,29 @@ mod tests {
         assert_eq!(out.program.body.compact(), "false");
         assert_eq!(out.stats.solution_paths, 1);
         assert_eq!(out.stats.tuples, 1);
+    }
+
+    #[test]
+    fn unrepresentable_timeout_means_no_deadline() {
+        let (env, _) = blog_env();
+        let problem = SynthesisProblem::builder("m")
+            .returns(Ty::Bool)
+            .base_consts()
+            .spec(rbsyn_interp::Spec::new(
+                "returns false",
+                vec![SetupStep::CallTarget {
+                    bind: "xr".into(),
+                    args: vec![],
+                }],
+                vec![call(var("xr"), "==", [false_()])],
+            ))
+            .build();
+        let opts = Options {
+            timeout: Some(std::time::Duration::MAX),
+            ..Options::default()
+        };
+        let out = Synthesizer::new(env, problem, opts).run().unwrap();
+        assert_eq!(out.program.body.compact(), "false");
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Engine determinism: programs and effort counters must be a pure
-//! function of the problem and the configured [`StrategyKind`] — never of
-//! the speculation width (`--intra`) or cache state.
+//! function of the problem — never of the speculation width (`--intra`)
+//! or cache state.
 //!
 //! * `--intra 1` vs `--intra 4` over multi-spec problems (phase 1 with
 //!   and without solution reuse, a Rule-3 guard pair in the merge) must
 //!   produce byte-identical programs and identical effort counters;
-//! * the same holds per strategy when the strategy is fixed — including
-//!   the non-default cost-weighted order;
 //! * a property test sweeps randomized spec sets through both widths.
 
 use proptest::prelude::*;
-use rbsyn_core::{Options, StrategyKind, SynthResult, SynthesisProblem, Synthesizer};
+use rbsyn_core::{Options, SynthResult, SynthesisProblem, Synthesizer};
 use rbsyn_interp::{InterpEnv, SetupStep, Spec};
 use rbsyn_lang::builder::*;
 use rbsyn_lang::{Ty, Value};
@@ -86,15 +84,10 @@ fn reuse_problem() -> (InterpEnv, SynthesisProblem) {
     (env, problem)
 }
 
-fn run_with(
-    build: &dyn Fn() -> (InterpEnv, SynthesisProblem),
-    intra: usize,
-    strategy: StrategyKind,
-) -> SynthResult {
+fn run_with(build: &dyn Fn() -> (InterpEnv, SynthesisProblem), intra: usize) -> SynthResult {
     let (env, problem) = build();
     let opts = Options {
         intra_parallelism: intra,
-        strategy,
         ..Options::default()
     };
     Synthesizer::new(env, problem, opts)
@@ -102,21 +95,18 @@ fn run_with(
         .expect("determinism problems are solvable")
 }
 
-fn assert_width_independent(
-    build: &dyn Fn() -> (InterpEnv, SynthesisProblem),
-    strategy: StrategyKind,
-) {
-    let seq = run_with(build, 1, strategy);
-    let par = run_with(build, 4, strategy);
+fn assert_width_independent(build: &dyn Fn() -> (InterpEnv, SynthesisProblem)) {
+    let seq = run_with(build, 1);
+    let par = run_with(build, 4);
     assert_eq!(
         seq.program.to_string(),
         par.program.to_string(),
-        "programs must be byte-identical for strategy {strategy:?}"
+        "programs must be byte-identical"
     );
     assert_eq!(
         seq.stats.search.effort(),
         par.stats.search.effort(),
-        "effort counters must be width-independent for strategy {strategy:?}"
+        "effort counters must be width-independent"
     );
     assert_eq!(seq.stats.tuples, par.stats.tuples);
     assert_eq!(seq.stats.solution_size, par.stats.solution_size);
@@ -125,13 +115,13 @@ fn assert_width_independent(
 
 #[test]
 fn guard_pair_merge_is_width_independent() {
-    assert_width_independent(&branching_problem, StrategyKind::Paper);
+    assert_width_independent(&branching_problem);
 }
 
 #[test]
 fn solution_reuse_is_width_independent() {
-    let seq = run_with(&reuse_problem, 1, StrategyKind::Paper);
-    let par = run_with(&reuse_problem, 4, StrategyKind::Paper);
+    let seq = run_with(&reuse_problem, 1);
+    let par = run_with(&reuse_problem, 4);
     assert_eq!(seq.program.to_string(), par.program.to_string());
     assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
     assert_eq!(
@@ -139,15 +129,6 @@ fn solution_reuse_is_width_independent() {
         "specs b and c must reuse spec a's solution"
     );
     assert_eq!(par.stats.tuples, 1);
-}
-
-#[test]
-fn fixed_alternative_strategy_is_width_independent() {
-    // The cost-weighted order may synthesize a different program than the
-    // paper order — but for a fixed strategy the result must not depend on
-    // the speculation width.
-    assert_width_independent(&branching_problem, StrategyKind::CostWeighted);
-    assert_width_independent(&reuse_problem, StrategyKind::CostWeighted);
 }
 
 #[test]
@@ -392,8 +373,8 @@ proptest! {
     #[test]
     fn random_spec_sets_are_width_independent(mask in arb_spec_mask()) {
         let build = move || masked_problem(&mask);
-        let seq = run_with(&build, 1, StrategyKind::Paper);
-        let par = run_with(&build, 4, StrategyKind::Paper);
+        let seq = run_with(&build, 1);
+        let par = run_with(&build, 4);
         prop_assert_eq!(seq.program.to_string(), par.program.to_string());
         prop_assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
     }

@@ -9,7 +9,7 @@
 
 use crate::ast::*;
 use crate::span::{Diagnostic, Span};
-use rbsyn_core::{Options, StrategyKind, SynthesisProblem};
+use rbsyn_core::{Options, SynthesisProblem};
 use rbsyn_interp::eval::{Evaluator, Locals};
 use rbsyn_interp::{InterpEnv, RuntimeError, SetupStep, Spec};
 use rbsyn_lang::types::HashField;
@@ -338,22 +338,6 @@ impl Lowerer {
                         Some(Duration::from_secs(secs as u64))
                     };
                 }
-                "strategy" => match &e.value {
-                    OptValue::Word(w) => {
-                        o.strategy = StrategyKind::parse(w).ok_or_else(|| {
-                            Diagnostic::new(
-                                format!("unknown strategy `{w}` (try `paper`, `cost`)"),
-                                e.value_span,
-                            )
-                        })?;
-                    }
-                    OptValue::Int(_) => {
-                        return Err(Diagnostic::new(
-                            "strategy takes a word (`paper`, `cost`)",
-                            e.value_span,
-                        ))
-                    }
-                },
                 "cache" => match &e.value {
                     OptValue::Word(w) if w == "true" => o.cache = true,
                     OptValue::Word(w) if w == "false" => o.cache = false,
@@ -368,7 +352,7 @@ impl Lowerer {
                     return Err(Diagnostic::new(
                         format!(
                             "unknown option `{other}` (known: max_size, max_guard_size, \
-                             max_hash_keys, max_expansions, timeout_secs, strategy, intra, cache)"
+                             max_hash_keys, max_expansions, timeout_secs, intra, cache)"
                         ),
                         e.key_span,
                     ))

@@ -158,12 +158,6 @@ fn unknown_option_key() {
 }
 
 #[test]
-fn bad_strategy_name() {
-    let src = format!("options do\n  strategy: speedy\nend\n{TAIL}");
-    check(&src, "unknown strategy `speedy`", 2, 13);
-}
-
-#[test]
 fn unknown_group() {
     let src = format!("benchmark do\n  group: Reddit\nend\n{TAIL}");
     check(&src, "unknown group `Reddit`", 2, 10);

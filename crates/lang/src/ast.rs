@@ -318,8 +318,7 @@ impl fmt::Display for Expr {
 ///
 /// `fresh_temp` runs once per S-Eff wrap in the expansion loop; without the
 /// pool each call re-formats and re-interns a name from a tiny fixed set
-/// (tens of millions of symbol-table probes per suite run, per the
-/// `intern_shard` contention counters).
+/// (tens of millions of symbol-table probes per suite run).
 fn temp_symbol(n: usize) -> Symbol {
     const POOL: usize = 32;
     static TEMPS: std::sync::OnceLock<[Symbol; POOL]> = std::sync::OnceLock::new();

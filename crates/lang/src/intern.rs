@@ -20,7 +20,7 @@
 //! dropped.
 
 use crate::ast::Expr;
-use crate::contention::{self, LockSite};
+use crate::contention;
 use crate::metrics::node_count;
 use std::collections::HashMap;
 use std::fmt;
@@ -263,10 +263,10 @@ impl SymbolTable {
     pub fn intern(&self, s: &str) -> u32 {
         let shard_idx = self.shard_of(s);
         let shard = &self.shards[shard_idx];
-        if let Some(&id) = contention::read(LockSite::InternShard, &shard.map).get(s) {
+        if let Some(&id) = contention::read(&shard.map).get(s) {
             return id;
         }
-        let mut map = contention::write(LockSite::InternShard, &shard.map);
+        let mut map = contention::write(&shard.map);
         if let Some(&id) = map.get(s) {
             // A racing intern published this string between our probes.
             return id;

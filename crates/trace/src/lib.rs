@@ -157,7 +157,7 @@ pub enum EventKind {
     Instant(&'static str),
     /// A counter sample: one named track, a snapshot of named values.
     Counter {
-        /// Counter-track name (`search-stats`, `lock-contention`).
+        /// Counter-track name (`search-stats`).
         track: &'static str,
         /// `(series, value)` pairs, exported as the sample's args.
         values: Box<[(&'static str, u64)]>,
