@@ -6,7 +6,7 @@ use rbsyn_bench::harness::{fig7_rows, fig8_rows, format_fig7, format_fig8, Confi
 use std::time::Duration;
 
 fn cfg() -> Config {
-    let mut cfg = Config::from_env();
+    let mut cfg = Config::from_env_or_exit();
     if std::env::var("RBSYN_TIMEOUT_SECS").is_err() {
         cfg.timeout = Duration::from_secs(60);
     }

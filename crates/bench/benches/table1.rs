@@ -42,7 +42,7 @@ fn bench_synthesis(c: &mut Criterion) {
 }
 
 fn regenerate_table(_c: &mut Criterion) {
-    let mut cfg = Config::from_env();
+    let mut cfg = Config::from_env_or_exit();
     if std::env::var("RBSYN_RUNS").is_err() {
         cfg.runs = 1;
     }

@@ -3,7 +3,7 @@
 use rbsyn_bench::harness::{fig7_rows, format_fig7, Config};
 
 fn main() {
-    let cfg = Config::from_env();
+    let cfg = Config::from_env_or_exit();
     eprintln!(
         "fig7: {}s timeout, {} benchmarks × 4 guidance modes",
         cfg.timeout.as_secs(),

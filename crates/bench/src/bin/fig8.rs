@@ -4,7 +4,7 @@
 use rbsyn_bench::harness::{fig8_rows, format_fig8, Config};
 
 fn main() {
-    let cfg = Config::from_env();
+    let cfg = Config::from_env_or_exit();
     eprintln!(
         "fig8: {}s timeout, {} benchmarks × 3 precision levels",
         cfg.timeout.as_secs(),

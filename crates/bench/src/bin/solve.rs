@@ -20,15 +20,17 @@
 //! cargo run --release -p rbsyn-bench --bin solve -- --all --compare --parallel 4
 //! ```
 //!
-//! `--intra N` gives each work-list search N threads (its own included)
-//! that expand and judge the top of its frontier ahead of in-order
-//! consumption; the deterministic stdout section stays byte-identical.
+//! Every synthesis run searches on its own job thread; `--parallel N`
+//! runs N jobs at a time.
 //!
-//! `--compare` runs a fully sequential baseline first (one thread, intra
-//! 1, same cache setting), then the requested
-//! `--parallel`/`--intra` configuration, verifies the two deterministic
-//! sections are byte-identical, and reports both wall-clocks. Exits
-//! nonzero on mismatch or on any unsolved benchmark.
+//! `--compare` runs a sequential baseline first (one job thread, same
+//! cache setting), then the requested `--parallel` configuration,
+//! verifies the two deterministic sections are byte-identical, and
+//! reports both wall-clocks. Exits nonzero on mismatch or on any unsolved
+//! benchmark.
+//!
+//! `--ids` (and `RBSYN_BENCH_IDS`) must name known benchmarks: an unknown
+//! id, or a non-empty list that names none (`--ids ,`), is a usage error.
 //!
 //! `--global-deadline SECS` (batch mode) arms admission control: once the
 //! queue cannot plausibly finish within the remaining global budget
@@ -58,7 +60,7 @@
 
 use rbsyn_bench::harness::{
     batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats, json_escape,
-    run_suite_with, Config,
+    parse_ids, run_suite_with, Config,
 };
 use rbsyn_core::{BatchPolicy, BatchReport, Options, SynthError, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
@@ -78,15 +80,13 @@ struct Cli {
     /// `--timeout` / positional seconds, when given (overrides
     /// `RBSYN_TIMEOUT_SECS`).
     timeout: Option<Duration>,
-    /// `--no-cache`: disable the memoized search (A/B escape hatch; the
+    /// `--no-cache`: disable the template memo (A/B escape hatch; the
     /// deterministic output section must be byte-identical either way).
     no_cache: bool,
     /// `--no-obs-equiv`: disable observational-equivalence pruning (A/B
     /// escape hatch; programs must be byte-identical either way, while the
     /// effort counters legitimately shrink with pruning on).
     no_obs_equiv: bool,
-    /// `--intra`, when given.
-    intra: Option<usize>,
     /// `--spec FILE`: synthesize one problem from a `.rbspec` file.
     spec: Option<String>,
     /// `--spec-dir DIR`: with `--all`, run the file-driven corpus instead
@@ -107,10 +107,10 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: solve <ID> [timeout_secs] [--intra N] [--trace FILE [--trace-sample N]]\n       \
-         solve --spec FILE.rbspec [--timeout SECS] [--intra N] \
+        "usage: solve <ID> [timeout_secs] [--trace FILE [--trace-sample N]]\n       \
+         solve --spec FILE.rbspec [--timeout SECS] \
          [--trace FILE [--trace-sample N]] [--json PATH]\n       \
-         solve --all [--spec-dir DIR] [--parallel N] [--intra N] \
+         solve --all [--spec-dir DIR] [--parallel N] \
          [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-cache] [--no-obs-equiv] \
          [--global-deadline SECS] [--json PATH]"
     );
@@ -126,7 +126,6 @@ fn parse_cli() -> Cli {
         timeout: None,
         no_cache: false,
         no_obs_equiv: false,
-        intra: None,
         spec: None,
         spec_dir: None,
         trace: None,
@@ -156,15 +155,11 @@ fn parse_cli() -> Cli {
                 batch_only.push("--parallel");
             }
             "--ids" => {
-                // Same tolerant parsing as RBSYN_BENCH_IDS in
-                // Config::from_env: trim and drop empty segments.
-                cli.ids = Some(
-                    value("--ids")
-                        .split(',')
-                        .map(|s| s.trim().to_owned())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                );
+                // Same parsing as RBSYN_BENCH_IDS in Config::from_env.
+                cli.ids = Some(parse_ids("--ids", &value("--ids")).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                }));
                 batch_only.push("--ids");
             }
             "--timeout" => {
@@ -174,7 +169,6 @@ fn parse_cli() -> Cli {
             }
             "--no-cache" => cli.no_cache = true,
             "--no-obs-equiv" => cli.no_obs_equiv = true,
-            "--intra" => cli.intra = Some(value("--intra").parse().unwrap_or_else(|_| usage())),
             "--spec" => cli.spec = Some(value("--spec")),
             "--trace" => cli.trace = Some(value("--trace")),
             "--trace-sample" => {
@@ -227,7 +221,7 @@ fn parse_cli() -> Cli {
         usage();
     }
     if cli.spec.is_some() && (cli.all || !positional.is_empty() || !batch_only.is_empty()) {
-        eprintln!("--spec runs exactly one file; it combines only with --timeout/--intra/--json");
+        eprintln!("--spec runs exactly one file; it combines only with --timeout/--json");
         usage();
     }
     if cli.all {
@@ -292,8 +286,8 @@ fn export_trace(session: Session, path: &str, label: &str, status: &str) {
 
 /// Synthesizes one problem, prints the outcome (and `--json` if asked),
 /// and exits with the class-specific code. CLI flags override `base` only
-/// when actually given — a `.rbspec` file's `options do … end` (intra,
-/// cache, timeout) is honoured otherwise. `default_timeout` backs
+/// when actually given — a `.rbspec` file's `options do … end` (cache,
+/// timeout) is honoured otherwise. `default_timeout` backs
 /// the registry path's historical 60 s default; `None` leaves the base
 /// deadline alone (including a file's explicit `timeout_secs: 0` =
 /// unlimited).
@@ -317,9 +311,6 @@ fn run_one(
     }
     if cli.no_obs_equiv {
         opts.obs_equiv = false;
-    }
-    if let Some(intra) = cli.intra {
-        opts.intra_parallelism = intra;
     }
     let trace_cfg = cli
         .trace
@@ -449,9 +440,10 @@ fn run_spec_file(path: &str, cli: &Cli) -> ! {
 }
 
 /// The batch benchmark set: the Rust registry, or — with `--spec-dir` —
-/// the file-driven corpus. Exits with `PARSE` when a corpus file fails.
+/// the file-driven corpus, narrowed to the id list. Exits with `PARSE`
+/// when a corpus file fails and with `USAGE` on an unknown id.
 fn batch_benchmarks(cli: &Cli, cfg: &Config) -> Vec<Benchmark> {
-    let mut benchmarks = match &cli.spec_dir {
+    let pool = match &cli.spec_dir {
         Some(dir) => match benchmarks_from_dir(Path::new(dir)) {
             Ok(v) => v,
             Err(rendered) => {
@@ -461,26 +453,10 @@ fn batch_benchmarks(cli: &Cli, cfg: &Config) -> Vec<Benchmark> {
         },
         None => rbsyn_suite::all_benchmarks(),
     };
-    // A typo'd id list (flag or env) must not shrink to a silently-passing
-    // empty or partial batch — this binary gates CI.
-    let known: Vec<String> = benchmarks.iter().map(|b| b.id.clone()).collect();
-    let unknown: Vec<&str> = cfg
-        .ids
-        .iter()
-        .map(String::as_str)
-        .filter(|i| !known.iter().any(|k| k == i))
-        .collect();
-    if !unknown.is_empty() {
-        eprintln!(
-            "unknown benchmark id(s) {unknown:?} (known: {})",
-            known.join(",")
-        );
-        std::process::exit(exit_codes::USAGE);
-    }
-    if !cfg.ids.is_empty() {
-        benchmarks.retain(|b| cfg.ids.contains(&b.id));
-    }
-    benchmarks
+    cfg.select(pool).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(exit_codes::USAGE)
+    })
 }
 
 fn main() {
@@ -494,7 +470,7 @@ fn main() {
 
     // Flags override the harness env knobs (RBSYN_BENCH_IDS /
     // RBSYN_TIMEOUT_SECS / RBSYN_NO_CACHE); unset flags inherit them.
-    let mut cfg = Config::from_env();
+    let mut cfg = Config::from_env_or_exit();
     if let Some(ids) = cli.ids.clone() {
         cfg.ids = ids;
     }
@@ -507,9 +483,6 @@ fn main() {
     if cli.no_obs_equiv {
         cfg.obs_equiv = false;
     }
-    if let Some(intra) = cli.intra {
-        cfg.intra = intra;
-    }
 
     let benchmarks = batch_benchmarks(&cli, &cfg);
     let policy = BatchPolicy {
@@ -519,20 +492,12 @@ fn main() {
         run_suite_with(benchmarks.clone(), cfg, threads, &policy)
     };
     if cli.compare {
-        // Baseline: one thread, no speculation — the reference pipeline.
-        // Same cache setting (the determinism CI leg diffs cache on/off
-        // separately); thread counts and speculation widths must never
+        // Baseline: one job thread, same cache setting (the determinism
+        // CI leg diffs cache on/off separately); thread counts must never
         // change the deterministic section.
-        let baseline_cfg = Config {
-            intra: 1,
-            ..cfg.clone()
-        };
         eprintln!("compare: sequential baseline…");
-        let seq = run(&baseline_cfg, 1);
-        eprintln!(
-            "compare: parallel run ({} threads, intra {})…",
-            cli.parallel, cfg.intra
-        );
+        let seq = run(&cfg, 1);
+        eprintln!("compare: parallel run ({} threads)…", cli.parallel);
         let par = run(&cfg, cli.parallel);
         let (a, b) = (format_batch_solutions(&seq), format_batch_solutions(&par));
         eprint!("sequential {}", format_batch_stats(&seq));
@@ -545,7 +510,7 @@ fn main() {
         let wall_speedup =
             seq.stats.wall_clock.as_secs_f64() / par.stats.wall_clock.as_secs_f64().max(1e-9);
         eprintln!(
-            "results byte-identical across thread counts/intra widths; \
+            "results byte-identical across thread counts; \
              wall-clock speedup {wall_speedup:.2}x, in-batch estimate {:.2}x",
             par.stats.speedup()
         );

@@ -58,7 +58,7 @@ fn main() {
         let cfg = Config {
             ids: SMOKE_IDS.iter().map(|s| (*s).to_owned()).collect(),
             timeout: SMOKE_TIMEOUT,
-            ..Config::from_env()
+            ..Config::from_env_or_exit()
         };
         eprintln!(
             "table1 --smoke: {} benchmarks, {}s deadline each, {} thread(s)",
@@ -88,7 +88,7 @@ fn main() {
         });
     }
 
-    let cfg = Config::from_env();
+    let cfg = Config::from_env_or_exit();
     eprintln!(
         "table1: {} runs/benchmark, {}s timeout, {} benchmarks",
         cfg.runs,

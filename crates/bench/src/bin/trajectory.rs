@@ -1,21 +1,20 @@
 //! Perf-trajectory snapshot: runs the full benchmark suite under the
 //! execution configurations this repo has grown so far — sequential,
-//! inter-problem parallel (`--parallel`), intra-problem parallel
-//! (`--intra`), both, the **file-driven corpus** (`benchmarks/*.rbspec`
-//! through the textual frontend), (since PR 5) the
+//! inter-problem parallel (`--parallel`), the **file-driven corpus**
+//! (`benchmarks/*.rbspec` through the textual frontend), (since PR 5) the
 //! **observational-equivalence ablation** (`no-obs-equiv`), and (since
 //! PR 7) a deterministic **1-in-20 sample of the specgen stress corpus**
 //! (`generated`, 25 of the 500 pinned problems) — and writes one JSON
-//! file (`BENCH_pr8.json` in CI) with wall-clocks, effort and cache
-//! counters per configuration and the corpus parse+lower time. Since PR 9
-//! the top level carries a `host` header (CPU count, OS/arch, toolchain,
-//! effective `RBSYN_INTERN_SHARDS`) so stored trajectories say what
-//! machine and build produced their numbers, and every timing row
-//! includes the `merge` phase next to generate/guard/eval.
+//! file (`BENCH_pr8.json` in CI) with wall-clocks and effort counters per
+//! configuration and the corpus parse+lower time. Since PR 9 the top
+//! level carries a `host` header (CPU count, OS/arch, toolchain) so
+//! stored trajectories say what machine and build produced their numbers,
+//! and every timing row includes the `merge` phase next to
+//! generate/guard/eval.
 //!
 //! ```text
 //! cargo run --release -p rbsyn-bench --bin trajectory -- \
-//!     [--json BENCH_pr8.json] [--threads N] [--intra N] [--timeout SECS] \
+//!     [--json BENCH_pr8.json] [--threads N] [--timeout SECS] \
 //!     [--spec-dir benchmarks] [--require-speedup]
 //! ```
 //!
@@ -50,7 +49,6 @@ use std::time::{Duration, Instant};
 struct RunSpec {
     name: &'static str,
     threads: usize,
-    intra: usize,
     /// Run over the `.rbspec` corpus instead of the Rust registry.
     corpus: bool,
     /// Run over a deterministic sample of `benchmarks/generated/` (the
@@ -70,18 +68,16 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
     // sequential row itself reports 1.0 by construction.
     let wall_speedup = sequential_wall_secs.map_or(1.0, |base| base / wall.max(1e-9));
     format!(
-        "    {{\"config\": \"{}\", \"threads\": {}, \"intra\": {}, \"source\": \"{}\", \
+        "    {{\"config\": \"{}\", \"threads\": {}, \"source\": \"{}\", \
          \"obs_equiv\": {},\n     \
          \"wall_clock_secs\": {:.6}, \"cpu_time_secs\": {:.6}, \"wall_speedup\": {:.4}, \
          \"cpu_ratio\": {:.4},\n     \
          \"solved\": {}, \"timeouts\": {}, \"failures\": {}, \"tested\": {},\n     \
-         \"expand_hits\": {}, \"type_hits\": {}, \"oracle_hits\": {}, \"deduped\": {}, \
-         \"obs_pruned\": {}, \"vector_hits\": {},\n     \
+         \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {},\n     \
          \"generate_time_secs\": {:.6}, \"guard_time_secs\": {:.6}, \
          \"merge_time_secs\": {:.6}, \"eval_time_secs\": {:.6}}}",
         spec.name,
         spec.threads,
-        spec.intra,
         if spec.generated {
             "generated-sample"
         } else if spec.corpus {
@@ -98,9 +94,6 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
         s.timeouts,
         s.failures,
         s.tested,
-        s.expand_hits,
-        s.type_hits,
-        s.oracle_hits,
         s.deduped,
         s.obs_pruned,
         s.vector_hits,
@@ -156,7 +149,6 @@ fn measure_corpus(dir: &Path) -> Result<CorpusCost, String> {
 fn main() {
     let mut json: Option<String> = None;
     let mut threads: usize = 4;
-    let mut intra: usize = 4;
     let mut timeout: Option<Duration> = None;
     let mut spec_dir = "benchmarks".to_owned();
     let mut require_speedup = false;
@@ -176,12 +168,6 @@ fn main() {
                     std::process::exit(2);
                 })
             }
-            "--intra" => {
-                intra = value("--intra").parse().unwrap_or_else(|_| {
-                    eprintln!("--intra needs a number");
-                    std::process::exit(2);
-                })
-            }
             "--timeout" => {
                 timeout = Some(Duration::from_secs(
                     value("--timeout").parse().unwrap_or_else(|_| {
@@ -194,7 +180,7 @@ fn main() {
             "--require-speedup" => require_speedup = true,
             other => {
                 eprintln!(
-                    "unknown argument {other:?} (try --json PATH, --threads N, --intra N, \
+                    "unknown argument {other:?} (try --json PATH, --threads N, \
                      --timeout SECS, --spec-dir DIR, --require-speedup)"
                 );
                 std::process::exit(2);
@@ -202,7 +188,7 @@ fn main() {
         }
     }
 
-    let mut base = Config::from_env();
+    let mut base = Config::from_env_or_exit();
     if let Some(t) = timeout {
         base.timeout = t;
     }
@@ -227,7 +213,6 @@ fn main() {
         RunSpec {
             name: "sequential",
             threads: 1,
-            intra: 1,
             corpus: false,
             generated: false,
             no_obs_equiv: false,
@@ -235,23 +220,6 @@ fn main() {
         RunSpec {
             name: "parallel",
             threads,
-            intra: 1,
-            corpus: false,
-            generated: false,
-            no_obs_equiv: false,
-        },
-        RunSpec {
-            name: "intra",
-            threads: 1,
-            intra,
-            corpus: false,
-            generated: false,
-            no_obs_equiv: false,
-        },
-        RunSpec {
-            name: "parallel+intra",
-            threads,
-            intra,
             corpus: false,
             generated: false,
             no_obs_equiv: false,
@@ -261,7 +229,6 @@ fn main() {
         RunSpec {
             name: "corpus-files",
             threads,
-            intra: 1,
             corpus: true,
             generated: false,
             no_obs_equiv: false,
@@ -272,7 +239,6 @@ fn main() {
         RunSpec {
             name: "no-obs-equiv",
             threads: 1,
-            intra: 1,
             corpus: false,
             generated: false,
             no_obs_equiv: true,
@@ -284,7 +250,6 @@ fn main() {
         RunSpec {
             name: "generated",
             threads,
-            intra: 1,
             corpus: false,
             generated: true,
             no_obs_equiv: false,
@@ -299,10 +264,9 @@ fn main() {
     let mut ok = true;
     for spec in &specs {
         eprintln!(
-            "trajectory: {} (threads {}, intra {}{})…",
+            "trajectory: {} (threads {}{})…",
             spec.name,
             spec.threads,
-            spec.intra,
             if spec.no_obs_equiv {
                 ", obs-equiv off"
             } else {
@@ -310,7 +274,6 @@ fn main() {
             },
         );
         let cfg = Config {
-            intra: spec.intra,
             obs_equiv: !spec.no_obs_equiv,
             ..base.clone()
         };
@@ -433,21 +396,11 @@ fn main() {
         .ok()
         .filter(|t| !t.is_empty())
         .unwrap_or_else(|| "unknown".to_owned());
-    let shards_env = std::env::var("RBSYN_INTERN_SHARDS")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map_or_else(
-            || "null".to_owned(),
-            |v| format!("\"{}\"", rbsyn_bench::harness::json_escape(&v)),
-        );
     let host_json = format!(
-        "{{\"cpus\": {host}, \"os\": \"{}\", \"arch\": \"{}\", \"toolchain\": \"{}\", \
-         \"intern_shards\": {}, \"intern_shards_env\": {}}}",
+        "{{\"cpus\": {host}, \"os\": \"{}\", \"arch\": \"{}\", \"toolchain\": \"{}\"}}",
         std::env::consts::OS,
         std::env::consts::ARCH,
         rbsyn_bench::harness::json_escape(&toolchain),
-        rbsyn_lang::intern::global_shard_count(),
-        shards_env,
     );
     let out = format!(
         "{{\n  \"suite\": \"rbsyn 19-benchmark suite\",\n  \"benchmarks\": {},\n  \

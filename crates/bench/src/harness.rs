@@ -24,22 +24,42 @@ pub struct Config {
     pub coarse_timeout: Duration,
     /// Benchmark ids to run (empty = all).
     pub ids: Vec<String>,
-    /// Memoized search (`Options::cache`); `RBSYN_NO_CACHE=1` or
+    /// Template memo (`Options::cache`); `RBSYN_NO_CACHE=1` or
     /// `solve --no-cache` turns it off for A/B comparisons.
     pub cache: bool,
     /// Observational-equivalence pruning (`Options::obs_equiv`);
     /// `RBSYN_NO_OBS_EQUIV=1` or `solve --no-obs-equiv` turns it off for
     /// the byte-identity A/B gate.
     pub obs_equiv: bool,
-    /// Intra-problem speculation width (`Options::intra_parallelism`;
-    /// `solve --intra N`). Any width produces byte-identical programs and
-    /// effort counters.
-    pub intra: usize,
+}
+
+/// Parses a comma-separated benchmark-id list (`--ids`,
+/// `RBSYN_BENCH_IDS`), trimming each id. Empty text selects every problem
+/// (an empty list); `source` names the list in the error.
+///
+/// # Errors
+///
+/// A usage message when the text is not empty but names no id (`,`).
+pub fn parse_ids(source: &str, text: &str) -> Result<Vec<String>, String> {
+    let ids: Vec<String> = text
+        .split(',')
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .collect();
+    if ids.is_empty() && !text.is_empty() {
+        return Err(format!("{source} {text:?} names no benchmark id"));
+    }
+    Ok(ids)
 }
 
 impl Config {
     /// Reads configuration from the environment.
-    pub fn from_env() -> Config {
+    ///
+    /// # Errors
+    ///
+    /// A usage message when `RBSYN_BENCH_IDS` is set to a list that names
+    /// no id or names an id the registry does not have.
+    pub fn from_env() -> Result<Config, String> {
         let runs = std::env::var("RBSYN_RUNS")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -56,17 +76,13 @@ impl Config {
             .unwrap_or_else(|| timeout.min(Duration::from_secs(8)));
         let coarse_timeout = env_secs("RBSYN_COARSE_TIMEOUT_SECS")
             .unwrap_or_else(|| timeout.min(Duration::from_secs(20)));
-        let ids = std::env::var("RBSYN_BENCH_IDS")
-            .map(|v| {
-                v.split(',')
-                    .map(|s| s.trim().to_owned())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            })
-            .unwrap_or_default();
+        let ids = match std::env::var("RBSYN_BENCH_IDS") {
+            Ok(v) => parse_ids("RBSYN_BENCH_IDS", &v)?,
+            Err(_) => Vec::new(),
+        };
         let cache = !std::env::var("RBSYN_NO_CACHE").is_ok_and(|v| v == "1" || v == "true");
         let obs_equiv = !std::env::var("RBSYN_NO_OBS_EQUIV").is_ok_and(|v| v == "1" || v == "true");
-        Config {
+        let cfg = Config {
             runs,
             timeout,
             ablation_timeout,
@@ -74,11 +90,48 @@ impl Config {
             ids,
             cache,
             obs_equiv,
-            intra: 1,
-        }
+        };
+        cfg.select(all_benchmarks())?;
+        Ok(cfg)
     }
 
-    /// The benchmarks selected by this configuration.
+    /// [`Config::from_env`] for a binary's `main`: a usage error goes to
+    /// stderr and exits with [`exit_codes::USAGE`].
+    pub fn from_env_or_exit() -> Config {
+        Config::from_env().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(exit_codes::USAGE)
+        })
+    }
+
+    /// The problems of `pool` this configuration selects, in pool order:
+    /// all of them without an id list, else the listed ones.
+    ///
+    /// # Errors
+    ///
+    /// A usage message naming every listed id `pool` does not have, so a
+    /// typo'd list can never shrink to a silently passing run.
+    pub fn select(&self, mut pool: Vec<Benchmark>) -> Result<Vec<Benchmark>, String> {
+        let unknown: Vec<&str> = self
+            .ids
+            .iter()
+            .map(String::as_str)
+            .filter(|i| !pool.iter().any(|b| b.id == *i))
+            .collect();
+        if !unknown.is_empty() {
+            let known: Vec<&str> = pool.iter().map(|b| b.id.as_str()).collect();
+            return Err(format!(
+                "unknown benchmark id(s) {unknown:?} (known: {})",
+                known.join(",")
+            ));
+        }
+        if !self.ids.is_empty() {
+            pool.retain(|b| self.ids.contains(&b.id));
+        }
+        Ok(pool)
+    }
+
+    /// The registry benchmarks selected by this configuration.
     pub fn benchmarks(&self) -> Vec<Benchmark> {
         let all = all_benchmarks();
         if self.ids.is_empty() {
@@ -446,7 +499,6 @@ pub fn suite_jobs(
                 timeout: Some(timeout),
                 cache: cfg.cache,
                 obs_equiv: cfg.obs_equiv,
-                intra_parallelism: cfg.intra,
                 ..(b.options)()
             };
             // `b.build` is a shared factory closure: cheap to move,
@@ -458,8 +510,7 @@ pub fn suite_jobs(
 }
 
 /// Runs the configured suite as a parallel batch (`threads` = 0 means all
-/// cores, 1 means sequential job dispatch — each search still speculates
-/// at `cfg.intra`).
+/// cores, 1 means sequential job dispatch).
 pub fn run_suite(cfg: &Config, threads: usize) -> BatchReport {
     run_suite_on(cfg.benchmarks(), cfg, threads)
 }
@@ -545,8 +596,7 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
     format!(
         "batch: {} jobs on {} thread(s) — {} solved, {} timeout, {} failed \
          ({} panicked), {} shed; \
-         {} candidates tested; cache hits {} expand / {} type / {} oracle, \
-         {} deduped, {} obs-pruned, {} vector hits; \
+         {} candidates tested, {} deduped, {} obs-pruned, {} vector hits; \
          phases generate {:.2}s | guard {:.2}s | merge {:.2}s | eval {:.2}s; \
          wall {:.2}s, cpu {:.2}s, cpu-ratio {:.2}x\n",
         s.jobs,
@@ -557,9 +607,6 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
         s.panics,
         s.shed,
         s.tested,
-        s.expand_hits,
-        s.type_hits,
-        s.oracle_hits,
         s.deduped,
         s.obs_pruned,
         s.vector_hits,
@@ -610,9 +657,8 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
         s.tested, s.expanded, s.popped
     ));
     out.push_str(&format!(
-        "  \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {}, \
-         \"expand_hits\": {}, \"type_hits\": {}, \"oracle_hits\": {},\n",
-        s.deduped, s.obs_pruned, s.vector_hits, s.expand_hits, s.type_hits, s.oracle_hits
+        "  \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {},\n",
+        s.deduped, s.obs_pruned, s.vector_hits
     ));
     // `cpu_ratio` is the old `speedup` field renamed: cpu-time over wall
     // time, which a 1-core host can report > 1 while the wall clock is
@@ -718,14 +764,32 @@ mod tests {
             ids: vec!["S1".into()],
             cache: true,
             obs_equiv: true,
-            intra: 1,
         };
         assert_eq!(base.benchmarks().len(), 1);
+        let typo = Config {
+            ids: vec!["S1".into(), "ZZ".into()],
+            ..base.clone()
+        };
+        let Err(err) = typo.select(all_benchmarks()) else {
+            panic!("an unknown id must be refused");
+        };
+        assert!(err.contains("[\"ZZ\"]"), "{err}");
         let all = Config {
             ids: vec![],
             ..base
         };
         assert_eq!(all.benchmarks().len(), 19);
+    }
+
+    #[test]
+    fn id_lists_parse_or_name_the_problem() {
+        assert_eq!(
+            parse_ids("--ids", "S1, A2,"),
+            Ok(vec!["S1".into(), "A2".into()])
+        );
+        assert_eq!(parse_ids("--ids", ""), Ok(vec![]));
+        let err = parse_ids("RBSYN_BENCH_IDS", " , ").unwrap_err();
+        assert!(err.contains("names no benchmark id"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * `RBSYN_RUNS` — timed runs per benchmark (paper: 11; default: 3;
 //!   at least 1);
 //! * `RBSYN_TIMEOUT_SECS` — per-run timeout (paper: 300; default: 60);
-//! * `RBSYN_BENCH_IDS` — comma-separated subset (default: all 19).
+//! * `RBSYN_BENCH_IDS` — comma-separated subset (default: all 19). An
+//!   unknown id, or a non-empty list that names none, is a usage error
+//!   (exit 2).
 
 pub mod harness;
 

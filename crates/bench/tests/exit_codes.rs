@@ -162,6 +162,38 @@ fn table1_with_zero_runs_exits_0() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("S1"));
 }
 
+/// An id list that selects nothing is a usage error for every binary
+/// that reads one, never a run over zero (or all) problems that exits 0.
+#[test]
+fn table1_unknown_bench_id_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .env("RBSYN_BENCH_IDS", "ZZ")
+        .output()
+        .expect("table1 binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown benchmark id(s) [\"ZZ\"]"));
+}
+
+#[test]
+fn solve_empty_id_list_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(["--all", "--ids", ","])
+        .output()
+        .expect("solve binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("names no benchmark id"));
+}
+
 /// Fault-injected exit-code legs — compiled only with `--features
 /// failpoints` (the production binary carries no injection code).
 #[cfg(feature = "failpoints")]

@@ -9,21 +9,17 @@
 //! each job's environment, so jobs over identical libraries reuse each
 //! other's enumeration work while differing jobs cannot observe one
 //! another, and every cached value is a pure function of its key, so
-//! sharing never changes any job's result. (Candidate-level memos stay
-//! run-scoped inside each job — see [`crate::cache::CacheHandle`] — so
-//! batch memory stays bounded by the largest single job.)
+//! sharing never changes any job's result. (Candidates live in each
+//! search's own node arena, so batch memory stays bounded by the largest
+//! single job.)
 //!
 //! The driver runs:
 //!
 //! * `threads` scoped job threads, each claiming whole jobs from an atomic
-//!   cursor (work-stealing across skewed job costs). A job whose
-//!   `intra_parallelism` exceeds 1 runs its searches with in-search
-//!   speculation workers borrowed from a process-wide core-sized budget
-//!   (see [`crate::engine::SpeculationPool`]);
-//! * results land in a slot indexed by submission order, and speculation
-//!   never changes a search's result, so the output is
-//!   **byte-identical** no matter the thread count or the `--intra`
-//!   width;
+//!   cursor (work-stealing across skewed job costs). A job runs on the
+//!   thread that claimed it;
+//! * results land in a slot indexed by submission order, so the output is
+//!   **byte-identical** no matter the thread count;
 //! * a panicking job is caught and reported as that job's failure
 //!   ([`SynthError::Internal`], exit code 1); it never poisons its
 //!   siblings. Containment is layered: the job body is wrapped in
@@ -69,8 +65,7 @@ pub struct BatchJob {
     /// Environment + problem factory; must not capture shared mutable
     /// state.
     pub build: JobBuilder,
-    /// Per-job options; `options.timeout` is this job's private deadline
-    /// and `options.intra_parallelism` its speculation width.
+    /// Per-job options; `options.timeout` is this job's private deadline.
     pub options: Options,
 }
 
@@ -259,11 +254,14 @@ pub struct BatchStats {
     /// Guard requests answered purely from pass/fail bitvectors (solved
     /// jobs).
     pub vector_hits: u64,
-    /// Expansion lists answered from the shared memo (solved jobs).
+    /// Always 0, as [`SearchStats::expand_hits`](crate::SearchStats).
+    /// Kept because synthbench reads it.
     pub expand_hits: u64,
-    /// Type-check verdicts answered from the shared memo (solved jobs).
+    /// Always 0, as [`SearchStats::type_hits`](crate::SearchStats).
+    /// Kept because synthbench reads it.
     pub type_hits: u64,
-    /// Oracle verdicts answered from the shared memo (solved jobs).
+    /// Always 0, as [`SearchStats::oracle_hits`](crate::SearchStats).
+    /// Kept because synthbench reads it.
     pub oracle_hits: u64,
     /// Phase-1 per-spec search time summed over solved jobs.
     pub generate_time: Duration,
@@ -567,30 +565,6 @@ mod tests {
             let (pa, pb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
             assert_eq!(pa.program.to_string(), pb.program.to_string());
             assert_eq!(pa.stats.search.tested, pb.stats.search.tested);
-        }
-    }
-
-    #[test]
-    fn intra_jobs_match_inline_results() {
-        let mk = |intra: usize| -> Vec<BatchJob> {
-            (0..4)
-                .map(|i| {
-                    let mut j = trivial_job(&format!("j{i}"), None);
-                    j.options.intra_parallelism = intra;
-                    j
-                })
-                .collect()
-        };
-        let inline = run_batch(&mk(1), 2);
-        let speculated = run_batch(&mk(3), 2);
-        for (a, b) in inline.outcomes.iter().zip(speculated.outcomes.iter()) {
-            let (pa, pb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(pa.program.to_string(), pb.program.to_string());
-            assert_eq!(
-                pa.stats.search.effort(),
-                pb.stats.search.effort(),
-                "effort counters are width-independent"
-            );
         }
     }
 

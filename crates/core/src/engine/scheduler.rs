@@ -1,6 +1,5 @@
-//! The search scheduler: deadlines, the watchdog kill flag, cache
-//! handles, the speculation width and statistics aggregation for one
-//! synthesis run.
+//! The search scheduler: deadlines, the watchdog kill flag, the
+//! template-memo handle and statistics aggregation for one synthesis run.
 //!
 //! A [`Scheduler`] is the per-run bundle every search phase consults:
 //!
@@ -8,10 +7,9 @@
 //!   as an [`Instant`]) and the [`Watchdog`](super::Watchdog)'s **kill
 //!   flag** — both polled by the work-list loop through
 //!   [`Scheduler::should_stop`];
-//! * the **memoization handle** ([`CacheHandle`]) shared by every phase of
-//!   the run (or `None` for an uncached run);
-//! * the `intra_parallelism` **width** of each search's
-//!   [`SpeculationPool`](super::SpeculationPool).
+//! * the **template-memo handle** ([`CacheHandle`]) every `generate` call
+//!   of the run expands through (or `None` for an uncached run);
+//! * the **tracing session**, when `--trace` is on.
 //!
 //! Effort counters live in [`SearchStats`], which only the run's own
 //! thread updates, so they are a pure function of the work performed —
@@ -26,20 +24,18 @@ use std::time::Instant;
 /// Search-effort counters, accumulated across the `generate` calls of one
 /// synthesis run.
 ///
-/// The effort counters (`popped`, `expanded`, `tested`, `deduped`) count
-/// *requests*, not computations: a memo hit still counts, so they are
-/// identical with and without caching — and identical across
-/// `intra_parallelism` settings, because speculative work whose result is
-/// discarded is never folded in. The cache counters (`*_hits`) measure how
-/// much of that work the [`CacheHandle`] absorbed and legitimately vary
-/// with cache state and thread interleaving.
+/// The effort counters (`popped`, `expanded`, `tested`, `deduped`,
+/// `obs_pruned`, `vector_hits`) are a pure function of the problem: the
+/// template memo only changes how fast a fill list is built, never what
+/// it holds, so they are identical with and without caching and across
+/// batch thread counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
     /// Work-list pops.
     pub popped: u64,
     /// Candidate expressions produced by expansion (pre type-filter).
     pub expanded: u64,
-    /// Evaluable candidates judged by the oracle (memo hits included).
+    /// Evaluable candidates judged by the oracle.
     /// In the guard pool a candidate counts once — when its evaluation
     /// vector gains its first bits; a later request that *widens* an
     /// existing vector with more spec bits adds interpreter runs but no
@@ -58,18 +54,18 @@ pub struct SearchStats {
     /// pass/fail bitvectors — no interpreter run (see
     /// [`GuardPool`](crate::guards::GuardPool)).
     pub vector_hits: u64,
-    /// Expansion lists answered from the memo.
+    /// Always 0: the run-scoped expansion memo these counted hits of is
+    /// gone. Kept because synthbench reads it.
     pub expand_hits: u64,
-    /// Type-check verdicts answered from the memo.
+    /// Always 0: the run-scoped type memo these counted hits of is gone.
+    /// Kept because synthbench reads it.
     pub type_hits: u64,
-    /// Oracle verdicts answered from the memo.
+    /// Always 0: the run-scoped oracle memo these counted hits of is
+    /// gone. Kept because synthbench reads it.
     pub oracle_hits: u64,
     /// Wall-clock nanoseconds spent running the interpreter-backed oracle
     /// (candidate tests, guard bit evaluation, merged-program validation).
-    /// Under `--intra` this is summed over threads: an oracle run a
-    /// speculation worker made counts once the search consumes its
-    /// outcome, and rolled-back speculation counts nothing. Timing, not
-    /// effort: varies run to run.
+    /// Timing, not effort: varies run to run.
     pub eval_nanos: u64,
 }
 
@@ -87,12 +83,11 @@ impl SearchStats {
         ]
     }
 
-    /// The cache-independent effort counters `(popped, expanded, tested,
-    /// deduped, obs_pruned, vector_hits)` — the tuple the determinism gates
-    /// compare across thread counts and cache settings. Pruning and
-    /// guard-covering counters are included: for a fixed
+    /// The effort counters `(popped, expanded, tested, deduped,
+    /// obs_pruned, vector_hits)` — the tuple the determinism gates compare
+    /// across thread counts and cache settings. For a fixed
     /// [`Options::obs_equiv`](crate::Options) setting they are pure
-    /// functions of the problem, never of width or cache state.
+    /// functions of the problem.
     pub fn effort(&self) -> (u64, u64, u64, u64, u64, u64) {
         (
             self.popped,
@@ -105,51 +100,32 @@ impl SearchStats {
     }
 }
 
-/// Per-run search coordination: deadline, kill flag, cache handle and
-/// speculation width (see the [module docs](self)).
+/// Per-run search coordination: deadline, kill flag, template-memo
+/// handle and tracing session (see the [module docs](self)).
 #[derive(Clone, Default)]
 pub struct Scheduler {
     deadline: Option<Instant>,
     cache: Option<CacheHandle>,
-    intra: usize,
     kill: Option<Arc<AtomicBool>>,
     trace: Option<Session>,
 }
 
 impl Scheduler {
-    /// A scheduler with a deadline and a memoization handle (either may be
-    /// absent) and speculation width 1: every search runs on the caller's
-    /// thread.
+    /// A scheduler with a deadline and a template-memo handle (either may
+    /// be absent).
     pub fn new(deadline: Option<Instant>, cache: Option<CacheHandle>) -> Scheduler {
         Scheduler {
             deadline,
             cache,
-            intra: 1,
             kill: None,
             trace: None,
         }
     }
 
-    /// A bare scheduler: no deadline, no shared cache, width 1. What tests
-    /// and one-off `generate` calls use.
+    /// A bare scheduler: no deadline, no shared cache. What tests and
+    /// one-off `generate` calls use.
     pub fn sequential() -> Scheduler {
         Scheduler::default()
-    }
-
-    /// Replaces the memoization handle — used by parallel searches to
-    /// materialize the throwaway private cache *outside* their worker
-    /// scope so workers can share it (an uncached sequential search builds
-    /// the same private cache internally).
-    pub fn with_cache(mut self, cache: CacheHandle) -> Scheduler {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Sets the speculation width. A width of 1 (or 0) keeps every search
-    /// on the caller's thread.
-    pub fn with_width(mut self, intra: usize) -> Scheduler {
-        self.intra = intra.max(1);
-        self
     }
 
     /// Attaches a tracing session; every search phase holding this
@@ -175,15 +151,9 @@ impl Scheduler {
         self.deadline
     }
 
-    /// The run's memoization handle, if caching is enabled.
+    /// The run's template-memo handle, if caching is enabled.
     pub fn cache(&self) -> Option<&CacheHandle> {
         self.cache.as_ref()
-    }
-
-    /// Width for in-search speculative evaluation
-    /// ([`crate::engine::SpeculationPool`]).
-    pub fn oracle_width(&self) -> usize {
-        self.intra.max(1)
     }
 
     /// The run's tracing session, when `Options::trace` is active.
@@ -225,12 +195,5 @@ mod tests {
         assert!(!sched.should_stop());
         kill.store(true, Ordering::Relaxed);
         assert!(sched.should_stop());
-    }
-
-    #[test]
-    fn width_is_clamped_to_one() {
-        assert_eq!(Scheduler::sequential().oracle_width(), 1);
-        assert_eq!(Scheduler::sequential().with_width(0).oracle_width(), 1);
-        assert_eq!(Scheduler::sequential().with_width(4).oracle_width(), 4);
     }
 }

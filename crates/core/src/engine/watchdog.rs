@@ -7,8 +7,8 @@
 //! long candidate evaluation (a pathological native, an injected delay),
 //! so a stuck eval could overrun the budget indefinitely. The
 //! [`Watchdog`] closes that gap: a detached thread sleeps until the
-//! budget times a grace factor has elapsed, then sets a kill flag that is
-//! checked in two places —
+//! budget times a grace factor ([`GRACE`] for every synthesis run) has
+//! elapsed, then sets a kill flag that is checked in two places —
 //!
 //! * [`Scheduler::should_stop`](super::Scheduler::should_stop), so the
 //!   search loop stops at its next poll;
@@ -35,6 +35,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The grace factor every synthesis run arms its watchdog with: a run
+/// still going at four times its budget is hard-cancelled.
+pub const GRACE: f64 = 4.0;
 
 /// A one-shot hard-cancellation timer for a synthesis run. Dropping the
 /// watchdog disarms it (the run finished in time) and joins its thread.

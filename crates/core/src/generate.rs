@@ -8,47 +8,39 @@
 //! with impure read effects are wrapped with an effect hole (S-Eff) and
 //! re-enqueued at their fresh assert count.
 //!
-//! Candidates are hash-consed ([`rbsyn_lang::ExprId`]) and all expensive
-//! steps — expansion, type narrowing, oracle evaluation — are memoized
-//! through the [`Scheduler`]'s [`CacheHandle`], so repeated exploration of
-//! the same search region (across specs, guard requests, or batch jobs)
-//! degenerates into table lookups. A scheduler without a handle runs with
-//! a throwaway private cache, which reproduces the uncached search
-//! exactly. The deadline and the watchdog's kill flag are polled through
-//! the same scheduler; frontier ordering, deadline handling and in-search
-//! speculation all live in [`crate::engine`], not here.
+//! Candidates live in a per-call node arena (`arena.rs`), the same
+//! representation the guard pool enumerates in: a candidate is a
+//! hash-consed node, expansion re-interns only the path to the filled
+//! hole, each node is typed once from its children's types, and an
+//! [`Expr`] is built only for the oracle run. The arena is dropped when
+//! the call returns. The deadline and the watchdog's kill flag are polled
+//! through the [`Scheduler`], whose cache handle supplies the
+//! batch-shared call-template memo.
 
-use crate::cache::{gamma_fingerprint, CacheHandle, OracleToken};
-use crate::engine::speculate::SpecOutcomes;
-use crate::engine::{Frontier, FrontierItem, Priority, Scheduler, SpecJob, SpeculationPool};
+use crate::arena::{typing, NodeArena, NodeId, NodeSet};
+use crate::cache::CacheHandle;
+use crate::engine::{Frontier, Scheduler};
 use crate::error::SynthError;
 // Re-exported from its pre-engine home so harness and test code keeps one
 // import path for the search API.
 pub use crate::engine::SearchStats;
-use crate::expand::{simplify, Expander};
+use crate::expand::Expander;
 use crate::infer::{infer_ty, Gamma};
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
-use rbsyn_lang::{EffectPair, EffectSet, Expr, ExprId, FxBuild, Program, Symbol, Ty};
+use rbsyn_lang::{EffectPair, EffectSet, Expr, FxBuild, Program, Symbol, Ty};
 use rbsyn_trace::{Mark, Phase};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// What the search asks of a fully concrete candidate.
 ///
-/// Oracles are `Send + Sync`: [`Oracle::test`] is a pure function of the
-/// candidate body (each run clones the prepared world snapshot), so the
-/// engine may evaluate a batch of candidates concurrently — see
-/// [`crate::engine::SpeculationPool`].
-pub trait Oracle: Send + Sync {
+/// [`Oracle::test`] must be a pure function of the candidate body (a spec
+/// oracle clones its prepared world snapshot for every run): the search
+/// judges each distinct candidate once and never re-asks.
+pub trait Oracle {
     /// Tests a candidate program.
     fn test(&self, env: &InterpEnv, program: &Program) -> OracleOutcome;
-
-    /// The memoization identity of this oracle instance (see
-    /// [`OracleToken`]). Verdicts are cached per `(token, candidate)`, so
-    /// an implementation must mint a fresh token at construction and answer
-    /// [`Oracle::test`] as a pure function of the candidate body.
-    fn token(&self) -> OracleToken;
 }
 
 /// Outcome of one oracle query.
@@ -64,8 +56,8 @@ pub struct OracleOutcome {
     /// Evaluation-vector fingerprint of the candidate's behavior on the
     /// oracle's test states (see [`PreparedSpec::run_traced`]), when the
     /// oracle computes one. Drives observational-equivalence pruning;
-    /// `None` (guard oracles, crashed candidates) just disables pruning
-    /// for this candidate.
+    /// `None` (crashed candidates) just disables pruning for this
+    /// candidate.
     pub fp: Option<u128>,
 }
 
@@ -73,7 +65,6 @@ pub struct OracleOutcome {
 /// report the failing assert's effects.
 pub struct SpecOracle {
     prepared: PreparedSpec,
-    token: OracleToken,
 }
 
 impl SpecOracle {
@@ -86,10 +77,7 @@ impl SpecOracle {
     pub fn new(env: &InterpEnv, spec: &Spec) -> SpecOracle {
         let prepared = PreparedSpec::prepare(env, spec)
             .unwrap_or_else(|e| panic!("spec {:?} setup failed: {e}", spec.name));
-        SpecOracle {
-            prepared,
-            token: OracleToken::fresh(),
-        }
+        SpecOracle { prepared }
     }
 }
 
@@ -120,129 +108,10 @@ impl Oracle for SpecOracle {
             },
         }
     }
-
-    fn token(&self) -> OracleToken {
-        self.token
-    }
-}
-
-/// Oracle for branch conditions (§3.3): the boolean program must evaluate
-/// truthy under every `pos` setup and falsy under every `neg` setup.
-/// Effect guidance is never used here ("the asserted expression `x_r` is
-/// pure").
-pub struct GuardOracle {
-    checks: Vec<PreparedSpec>,
-    token: OracleToken,
-}
-
-impl GuardOracle {
-    /// Builds the oracle from positive and negative spec setups.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a spec's own setup raises (a suite bug).
-    pub fn new(env: &InterpEnv, pos: &[&Spec], neg: &[&Spec]) -> GuardOracle {
-        let mut checks = Vec::new();
-        for s in pos {
-            let p = PreparedSpec::prepare(env, s)
-                .unwrap_or_else(|e| panic!("spec {:?} setup failed: {e}", s.name));
-            let xr = p.result_var();
-            checks.push(p.with_asserts(vec![Expr::Var(xr)]));
-        }
-        for s in neg {
-            let p = PreparedSpec::prepare(env, s)
-                .unwrap_or_else(|e| panic!("spec {:?} setup failed: {e}", s.name));
-            let xr = p.result_var();
-            checks.push(p.with_asserts(vec![Expr::Not(Box::new(Expr::Var(xr)))]));
-        }
-        GuardOracle {
-            checks,
-            token: OracleToken::fresh(),
-        }
-    }
-}
-
-impl Oracle for GuardOracle {
-    fn test(&self, env: &InterpEnv, program: &Program) -> OracleOutcome {
-        let mut passed = 0;
-        for c in &self.checks {
-            if c.run(env, program).passed() {
-                passed += 1;
-            } else {
-                return OracleOutcome {
-                    success: false,
-                    passed,
-                    effects: None,
-                    fp: None,
-                };
-            }
-        }
-        OracleOutcome {
-            success: true,
-            passed,
-            effects: None,
-            fp: None,
-        }
-    }
-
-    fn token(&self) -> OracleToken {
-        self.token
-    }
 }
 
 /// The result of a `generate` call, re-exported for harness code.
 pub type GenerateOutcome = Result<Expr, SynthError>;
-
-/// Pops to consume strictly sequentially before opening a speculation
-/// window: short searches (most guard requests, easy specs) finish inside
-/// the warm-up and never pay any pool overhead.
-const SPECULATION_WARMUP_POPS: u64 = 192;
-
-/// Frontier items evaluated per speculation window. Sized so a window
-/// amortizes the pool synchronization while keeping rollback waste small.
-const SPECULATION_WINDOW: usize = 48;
-
-/// A frontier item awaiting in-order consumption: its original rank (for
-/// rollback) and, when it came through the speculation pool, the
-/// pre-judged outcomes of its expansion list.
-struct Pending {
-    pri: Priority,
-    seq: u64,
-    item: FrontierItem,
-    prejudged: Option<SpecOutcomes>,
-}
-
-/// One-step expansion + simplification + §3.1 type narrowing for one
-/// frontier item — the compute function behind the expansion memo, shared
-/// by the sequential loop and the speculation workers. Returns the raw
-/// (pre-filter) count plus the surviving, hash-consed candidates.
-pub(crate) fn expand_compute(
-    expander: &Expander<'_>,
-    gamma: &mut Gamma,
-    env: &InterpEnv,
-    opts: &Options,
-    search: &CacheHandle,
-    expr: &Expr,
-) -> (u64, Vec<crate::cache::ExpandItem>) {
-    let subs = expander
-        .expand_first(expr, gamma)
-        .expect("non-evaluable expression must have a hole");
-    let raw = subs.len() as u64;
-    let mut out = Vec::with_capacity(subs.len());
-    for sub in subs {
-        let sub = simplify(sub);
-        // Type narrowing: discard candidates with no typing derivation
-        // (skipped when type guidance is off). Checked before interning —
-        // ill-typed candidates never reach the arena, and the verdict is
-        // baked into this (memoized) expansion list, so it is computed
-        // once per distinct candidate-in-context.
-        if opts.guidance.types && infer_ty(&env.table, gamma, &sub).is_none() {
-            continue;
-        }
-        out.push(search.intern_full(sub));
-    }
-    (raw, out)
-}
 
 /// Algorithm 2: searches for an evaluable expression satisfying `oracle`,
 /// starting from `□:goal` under `params`.
@@ -298,7 +167,7 @@ pub fn generate(
     sched: &Scheduler,
     stats: &mut SearchStats,
 ) -> GenerateOutcome {
-    let mut out = generate_many(
+    generate_observed(
         env,
         method_name,
         params,
@@ -308,21 +177,15 @@ pub fn generate(
         max_size,
         sched,
         stats,
-        1,
-        u64::MAX,
-    )?;
-    Ok(out.remove(0))
+        &mut |_, _| {},
+    )
 }
 
-/// Like [`generate`], but keeps searching after the first success until
-/// `max_solutions` oracle-passing expressions are found (or
-/// `extra_after_first` additional work-list pops elapse). Used by the merge
-/// to collect alternative branch conditions for backtracking.
-///
-/// Returns at least one solution on `Ok`; a timeout after the first
-/// solution returns the solutions found so far rather than failing.
+/// [`generate`], handing `judged` every candidate it tests with the
+/// number of the pop that produced it (the differential tests compare
+/// that stream).
 #[allow(clippy::too_many_arguments)]
-pub fn generate_many(
+fn generate_observed(
     env: &InterpEnv,
     method_name: &str,
     params: &[(Symbol, Ty)],
@@ -332,163 +195,36 @@ pub fn generate_many(
     max_size: usize,
     sched: &Scheduler,
     stats: &mut SearchStats,
-    max_solutions: usize,
-    extra_after_first: u64,
-) -> Result<Vec<Expr>, SynthError> {
+    judged: &mut dyn FnMut(&Expr, u64),
+) -> GenerateOutcome {
     // Hot path: the oracle builds a `Program` for every candidate it
     // tests, so the method name is interned ONCE here and the (already
     // interned) parameter symbols are reused — no per-candidate trips
     // through the global symbol table.
     let method_sym = Symbol::intern(method_name);
-    let width = sched.oracle_width();
-    if width <= 1 {
-        return search_loop(
-            env,
-            method_name,
-            method_sym,
-            params,
-            goal,
-            oracle,
-            opts,
-            max_size,
-            sched,
-            stats,
-            max_solutions,
-            extra_after_first,
-            None,
-        );
-    }
-    // Parallel run: the speculation workers share the run's memoization
-    // handle, so an uncached run materializes its throwaway cache out here
-    // — before the thread scope — where workers can borrow it. Behaviour
-    // is unchanged: the sequential loop builds the same private cache.
-    let materialized;
-    let sched = if sched.cache().is_some() {
-        sched
-    } else {
-        materialized = sched.clone().with_cache(CacheHandle::private());
-        &materialized
-    };
-    // Scoped workers expand and judge the top of the frontier
-    // speculatively while this thread consumes the results in pop order
-    // (see `SpeculationPool` for why results stay byte-identical).
-    std::thread::scope(|scope| {
-        search_loop_parallel(
-            env,
-            method_name,
-            method_sym,
-            params,
-            goal,
-            oracle,
-            opts,
-            max_size,
-            sched,
-            stats,
-            max_solutions,
-            extra_after_first,
-            scope,
-            width,
-        )
-    })
-}
-
-/// Sets up the [`SpeculationPool`] for a parallel run. Split from
-/// [`generate_many`] so the scoped-pool borrows (memoization handle,
-/// Γ fingerprint) can be established before the pool exists.
-#[allow(clippy::too_many_arguments)]
-fn search_loop_parallel<'scope, 'env>(
-    env: &'scope InterpEnv,
-    method_name: &'scope str,
-    method_sym: Symbol,
-    params: &'scope [(Symbol, Ty)],
-    goal: &Ty,
-    oracle: &'scope dyn Oracle,
-    opts: &'scope Options,
-    max_size: usize,
-    sched: &'scope Scheduler,
-    stats: &mut SearchStats,
-    max_solutions: usize,
-    extra_after_first: u64,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    width: usize,
-) -> Result<Vec<Expr>, SynthError> {
-    let search = sched
-        .cache()
-        .expect("parallel runs always carry a cache handle");
-    let gamma_fp = gamma_fingerprint(Gamma::from_params(params).bindings());
-    let pool = SpeculationPool::new(
-        scope,
-        width - 1,
-        oracle,
-        env,
-        method_sym,
-        params,
-        opts,
-        search,
-        gamma_fp,
-        sched.trace(),
-    );
-    search_loop(
-        env,
-        method_name,
-        method_sym,
-        params,
-        goal,
-        oracle,
-        opts,
-        max_size,
-        sched,
-        stats,
-        max_solutions,
-        extra_after_first,
-        Some(&pool),
-    )
-}
-
-/// Enqueues a candidate ranked by `(c, size)`.
-fn enqueue(frontier: &mut Frontier, c: usize, size: usize, id: ExprId, expr: std::sync::Arc<Expr>) {
-    frontier.push(c, size, FrontierItem { c, size, id, expr });
-}
-
-/// The work-list loop behind [`generate_many`].
-#[allow(clippy::too_many_arguments)]
-fn search_loop(
-    env: &InterpEnv,
-    method_name: &str,
-    method_sym: Symbol,
-    params: &[(Symbol, Ty)],
-    goal: &Ty,
-    oracle: &dyn Oracle,
-    opts: &Options,
-    max_size: usize,
-    sched: &Scheduler,
-    stats: &mut SearchStats,
-    max_solutions: usize,
-    extra_after_first: u64,
-    pool: Option<&SpeculationPool<'_, '_>>,
-) -> Result<Vec<Expr>, SynthError> {
-    // Without a shared handle the search still runs through (its own,
-    // throwaway) cache — one code path, identical behaviour, no reuse.
+    let param_syms: Vec<Symbol> = params.iter().map(|(n, _)| *n).collect();
+    // Without a shared handle the templates go through a throwaway cache:
+    // one code path, identical behaviour, no reuse.
     let local;
-    let search = match sched.cache() {
+    let store = match sched.cache() {
         Some(h) => h,
         None => {
             local = CacheHandle::private();
             &local
         }
     };
-    let expander = Expander::new(&env.table, opts, search);
-    let mut gamma = Gamma::from_params(params);
-    let gamma_fp = gamma_fingerprint(gamma.bindings());
-    let param_syms: Vec<Symbol> = params.iter().map(|(n, _)| *n).collect();
-    let make_program =
-        |body: &Expr| Program::from_parts(method_sym, param_syms.clone(), body.clone());
+    let expander = Expander::new(&env.table, opts, store);
+    let mut arena = NodeArena::default();
+    let root_gamma = Gamma::from_params(params);
+    let root = arena.gamma(root_gamma.clone());
 
-    let mut frontier = Frontier::new();
-    // Dedup filter: the work-list never holds two structurally equal
-    // candidates, and a candidate judged once is never re-judged in this
-    // call.
-    let mut seen: HashSet<ExprId, FxBuild> = HashSet::default();
+    // Work-list entries are `(c, node)`.
+    let mut frontier: Frontier<(usize, NodeId)> = Frontier::new();
+    let hole = arena.hole(goal, root, typing(&expander));
+    frontier.push(0, 1, (0, hole));
+    // Dedup filter: the work-list never holds two equal candidates, and a
+    // candidate judged once is never re-judged in this call.
+    let mut seen = NodeSet::default();
     // Observational-equivalence filter over S-Eff wraps: maps a failing
     // candidate's (evaluation vector, inferred type) to the smallest
     // candidate size already enqueued with that behavior. A later
@@ -497,83 +233,12 @@ fn search_loop(
     // smaller representative's subtree reaches every corresponding
     // completion first under the frontier order — so the pruned subtree
     // could only re-derive work, never change the first solution found.
-    let mut obs_seen: HashMap<(u128, Ty), u32, FxBuild> = HashMap::default();
-    let root = search.intern_full(Expr::Hole(goal.clone()));
-    enqueue(&mut frontier, 0, 1, root.id, root.expr);
-
-    let mut solutions: Vec<Expr> = Vec::new();
-    let mut first_solution_at: Option<u64> = None;
+    let mut obs_seen: HashMap<(u128, Ty), usize, FxBuild> = HashMap::default();
     let mut pops = 0u64;
     // Hoisted once: with tracing off every instrumentation site below is
     // a single `None` check on this copy.
     let tracer = sched.trace();
-    // Speculation window: frontier items popped ahead of consumption, with
-    // their expansion lists memoized and children pre-judged by the pool.
-    let mut window: std::collections::VecDeque<Pending> = std::collections::VecDeque::new();
-    let window_size = pool.map_or(0, |_| SPECULATION_WINDOW);
-    loop {
-        let pending = match window.pop_front() {
-            Some(sp) => {
-                if frontier.outranks(sp.pri) {
-                    // A child pushed while consuming an earlier window item
-                    // outranks the speculation: roll the window back at its
-                    // original ranks and re-pop in true order.
-                    frontier.requeue(sp.pri, sp.seq, sp.item);
-                    for rest in window.drain(..) {
-                        frontier.requeue(rest.pri, rest.seq, rest.item);
-                    }
-                    continue;
-                }
-                sp
-            }
-            None => {
-                if let Some(pool) = pool {
-                    // Only speculate once the search is demonstrably large;
-                    // short searches stay strictly sequential and pay no
-                    // pool overhead.
-                    if pops >= SPECULATION_WARMUP_POPS && frontier.len() > 1 {
-                        let mut ranked: Vec<(Priority, u64, FrontierItem)> = Vec::new();
-                        while ranked.len() < window_size {
-                            match frontier.pop_ranked() {
-                                Some(r) => ranked.push(r),
-                                None => break,
-                            }
-                        }
-                        let jobs: Vec<SpecJob> = ranked
-                            .iter()
-                            .map(|(_, _, item)| SpecJob {
-                                id: item.id,
-                                expr: std::sync::Arc::clone(&item.expr),
-                            })
-                            .collect();
-                        let results = pool.evaluate(jobs);
-                        for ((pri, seq, item), prejudged) in ranked.into_iter().zip(results) {
-                            window.push_back(Pending {
-                                pri,
-                                seq,
-                                item,
-                                prejudged: Some(prejudged),
-                            });
-                        }
-                        if window.is_empty() {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                let Some((pri, seq, item)) = frontier.pop_ranked() else {
-                    break;
-                };
-                Pending {
-                    pri,
-                    seq,
-                    item,
-                    prejudged: None,
-                }
-            }
-        };
-        let item = pending.item;
-        let mut prejudged = pending.prejudged;
+    while let Some((c, node)) = frontier.pop() {
         stats.popped += 1;
         pops += 1;
         if let Some(t) = tracer {
@@ -585,165 +250,159 @@ fn search_loop(
             if let Some(t) = tracer {
                 t.mark(Mark::DeadlineHit);
             }
-            return if solutions.is_empty() {
-                Err(SynthError::Timeout)
-            } else {
-                Ok(solutions)
-            };
+            return Err(SynthError::Timeout);
         }
         if pops > opts.max_expansions {
             break;
         }
-        if let Some(at) = first_solution_at {
-            if pops > at + extra_after_first {
-                break;
-            }
-        }
-
-        // Hole-free items never enter the list: evaluable candidates are
-        // judged (and dropped) at expansion time, and both push sites below
-        // only enqueue expressions that still carry a hole.
-        debug_assert!(item.expr.has_holes());
-        // One-step expansion + simplification + type narrowing (§3.1),
-        // memoized per (environment, Γ, candidate) — a guaranteed hit for
-        // speculated items (the pool computed it through the same handle),
-        // with the raw pre-filter count restored either way.
-        let pre_expand_hits = stats.expand_hits;
-        let expansions = search.expansions(gamma_fp, item.id, stats, |_| {
-            expand_compute(&expander, &mut gamma, env, opts, search, &item.expr)
-        });
+        // Hole-free candidates never enter the list: evaluable candidates
+        // are judged (and dropped) at expansion time.
+        debug_assert!(arena.has_hole(node));
+        // One-step expansion, simplified by construction (§3.1).
+        let children = arena.expand(node, &expander);
+        stats.expanded += children.len() as u64;
         if let Some(t) = tracer {
             if t.sampled(stats.popped - 1) {
                 t.mark(Mark::Expand);
             }
-            if stats.expand_hits > pre_expand_hits {
-                t.mark(Mark::CacheHit);
-            }
         }
-        for (j, cand) in expansions.iter().enumerate() {
-            if !seen.insert(cand.id) {
+        for &id in children.iter() {
+            // Type narrowing: discard candidates with no typing derivation
+            // (skipped when type guidance is off).
+            if opts.guidance.types && arena.ty(id).is_none() {
+                continue;
+            }
+            if !seen.insert(id) {
                 stats.deduped += 1;
                 continue;
             }
-            if cand.evaluable {
-                stats.tested += 1;
-                if let Some(t) = tracer {
-                    if t.sampled(stats.tested - 1) {
-                        t.mark(Mark::OracleRun);
-                    }
+            let size = arena.size(id);
+            if arena.has_hole(id) {
+                if size <= max_size {
+                    frontier.push(c, size, (c, id));
                 }
-                // Fresh candidates are judged directly: within one call the
-                // dedup filter already guarantees single judgement, and
-                // storing a verdict per failing candidate was measured to
-                // cost far more than the rare cross-phase hit it could
-                // serve. The memo is consulted where re-judging actually
-                // recurs: solution reuse and merge validation.
-                let (out, eval_nanos) = prejudged
-                    .as_mut()
-                    .and_then(|v| v.get_mut(j).and_then(Option::take))
-                    .unwrap_or_else(|| {
-                        let _ev = tracer
-                            .and_then(|t| t.sampled(stats.tested - 1).then(|| t.span(Phase::Eval)));
-                        let started = Instant::now();
-                        let out = oracle.test(env, &make_program(&cand.expr));
-                        (out, started.elapsed().as_nanos() as u64)
-                    });
-                stats.eval_nanos = stats.eval_nanos.saturating_add(eval_nanos);
-                if out.success {
-                    solutions.push((*cand.expr).clone());
-                    if solutions.len() >= max_solutions {
-                        return Ok(solutions);
-                    }
-                    first_solution_at.get_or_insert(pops);
-                    continue;
+                continue;
+            }
+            stats.tested += 1;
+            if let Some(t) = tracer {
+                if t.sampled(stats.tested - 1) {
+                    t.mark(Mark::OracleRun);
                 }
-                // S-Eff: wrap the failing candidate with an effect hole for
-                // the unmet read effect. Without effect guidance the wrap
-                // still happens, but unconstrained (◇:*).
-                if let Some(effects) = out.effects {
-                    let er = if opts.guidance.effects {
-                        effects.read
-                    } else {
-                        EffectSet::star()
-                    };
-                    let ty = if opts.guidance.types {
-                        search
-                            .infer(gamma_fp, cand.id, stats, || {
-                                infer_ty(&env.table, &mut gamma, &cand.expr)
-                            })
-                            .unwrap_or_else(|| goal.clone())
-                    } else {
-                        goal.clone()
-                    };
-                    // Observational-equivalence dedup: skip the wrap (and
-                    // with it the whole continuation subtree) when an
-                    // equally-behaving candidate of equal or smaller size
-                    // is already enqueued.
-                    if opts.obs_equiv {
-                        if let Some(fp) = out.fp {
-                            match obs_seen.entry((fp, ty.clone())) {
-                                std::collections::hash_map::Entry::Occupied(mut o) => {
-                                    if cand.size >= *o.get() {
-                                        stats.obs_pruned += 1;
-                                        if let Some(t) = tracer {
-                                            if t.sampled(stats.obs_pruned - 1) {
-                                                t.mark(Mark::ObsPrune);
-                                            }
-                                        }
-                                        continue;
+            }
+            let program = Program::from_parts(method_sym, param_syms.clone(), arena.to_expr(id));
+            judged(&program.body, pops);
+            let out = {
+                let _ev =
+                    tracer.and_then(|t| t.sampled(stats.tested - 1).then(|| t.span(Phase::Eval)));
+                let started = Instant::now();
+                let out = oracle.test(env, &program);
+                stats.eval_nanos = stats
+                    .eval_nanos
+                    .saturating_add(started.elapsed().as_nanos() as u64);
+                out
+            };
+            if out.success {
+                return Ok(program.body);
+            }
+            // S-Eff: wrap the failing candidate with an effect hole for the
+            // unmet read effect. Without effect guidance the wrap still
+            // happens, but unconstrained (◇:*).
+            let Some(effects) = out.effects else {
+                continue;
+            };
+            let er = if opts.guidance.effects {
+                effects.read
+            } else {
+                EffectSet::star()
+            };
+            // The hole keeps the candidate's type; an untyped arena types
+            // nothing, so without type guidance it is the goal.
+            let ty = arena.ty(id).cloned().unwrap_or_else(|| goal.clone());
+            // Observational-equivalence dedup: skip the wrap (and with it
+            // the whole continuation subtree) when an equally-behaving
+            // candidate of equal or smaller size is already enqueued.
+            if opts.obs_equiv {
+                if let Some(fp) = out.fp {
+                    match obs_seen.entry((fp, ty.clone())) {
+                        std::collections::hash_map::Entry::Occupied(mut o) => {
+                            if size >= *o.get() {
+                                stats.obs_pruned += 1;
+                                if let Some(t) = tracer {
+                                    if t.sampled(stats.obs_pruned - 1) {
+                                        t.mark(Mark::ObsPrune);
                                     }
-                                    o.insert(cand.size);
                                 }
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    v.insert(cand.size);
-                                }
+                                continue;
                             }
+                            o.insert(size);
+                        }
+                        std::collections::hash_map::Entry::Vacant(v) => {
+                            v.insert(size);
                         }
                     }
-                    let wrapped = wrap_with_effect(&cand.expr, er, ty);
-                    let w = search.intern_full(wrapped);
-                    if w.size as usize <= max_size && seen.insert(w.id) {
-                        enqueue(&mut frontier, out.passed, w.size as usize, w.id, w.expr);
-                    }
                 }
-            } else if cand.size as usize <= max_size {
-                enqueue(
-                    &mut frontier,
-                    item.c,
-                    cand.size as usize,
-                    cand.id,
-                    std::sync::Arc::clone(&cand.expr),
-                );
+            }
+            let w = wrap_with_effect(
+                &mut arena,
+                &expander,
+                &root_gamma,
+                id,
+                &program.body,
+                er,
+                ty,
+            );
+            let wsize = arena.size(w);
+            if wsize <= max_size && seen.insert(w) {
+                frontier.push(out.passed, wsize, (out.passed, w));
             }
         }
     }
-    if solutions.is_empty() {
-        Err(SynthError::NoSolution {
-            spec: method_name.to_owned(),
-        })
-    } else {
-        Ok(solutions)
-    }
+    Err(SynthError::NoSolution {
+        spec: method_name.to_owned(),
+    })
 }
 
-/// S-Eff (Fig. 5): `e` becomes `let t = e in (◇:ε_r; □:τ)` where `τ` is
-/// `e`'s (pre-resolved) type.
-fn wrap_with_effect(e: &Expr, er: EffectSet, ty: Ty) -> Expr {
+/// S-Eff (Fig. 5): the failing candidate `e` (node `val`) becomes
+/// `let t = e in (◇:ε_r; □:τ)`, with `τ` pre-resolved. The body's `Γ` is
+/// the root `Γ` plus `t` bound at `e`'s type, or `Obj` when `e` has no
+/// derivation — what `Expander::expand_first` binds for a `let` body.
+fn wrap_with_effect(
+    arena: &mut NodeArena,
+    ex: &Expander<'_>,
+    root: &Gamma,
+    val: NodeId,
+    e: &Expr,
+    er: EffectSet,
+    ty: Ty,
+) -> NodeId {
+    let typing = typing(ex);
     let t = e.fresh_temp();
-    Expr::Let {
-        var: t,
-        val: Box::new(e.clone()),
-        body: Box::new(Expr::Seq(vec![Expr::EffHole(er), Expr::Hole(ty)])),
-    }
+    let bound = match arena.ty(val) {
+        Some(vt) => vt.clone(),
+        None => infer_ty(ex.table, &mut root.clone(), e).unwrap_or(Ty::Obj),
+    };
+    let mut body_gamma = root.clone();
+    body_gamma.bind(t, bound);
+    let g = arena.gamma(body_gamma);
+    let eff = arena.eff_hole(&er, g, typing);
+    let hole = arena.hole(&ty, g, typing);
+    let body = arena.seq(&[eff, hole], typing);
+    arena.let_(t, val, body, typing)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expand::simplify;
+    use crate::options::Guidance;
     use rbsyn_interp::SetupStep;
     use rbsyn_lang::builder::*;
-    use rbsyn_lang::Value;
+    use rbsyn_lang::metrics::node_count;
+    use rbsyn_lang::types::HashField;
+    use rbsyn_lang::{FiniteHash, Value};
     use rbsyn_stdlib::EnvBuilder;
+    use rbsyn_ty::EffectPrecision;
+    use std::collections::HashSet;
     use std::time::Instant;
 
     fn blog_env() -> (InterpEnv, rbsyn_lang::ClassId) {
@@ -871,51 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_oracle_distinguishes_setups() {
-        let (env, post) = blog_env();
-        let seeded = Spec::new(
-            "seeded",
-            vec![
-                SetupStep::Exec(call(cls(post), "create", [hash([("slug", str_("x"))])])),
-                SetupStep::CallTarget {
-                    bind: "xr".into(),
-                    args: vec![],
-                },
-            ],
-            vec![],
-        );
-        let empty = Spec::new(
-            "empty",
-            vec![SetupStep::CallTarget {
-                bind: "xr".into(),
-                args: vec![],
-            }],
-            vec![],
-        );
-        let oracle = GuardOracle::new(&env, &[&seeded], &[&empty]);
-        let opts = Options::default();
-        let mut stats = SearchStats::default();
-        let guard = generate(
-            &env,
-            "m",
-            &[],
-            &Ty::Bool,
-            &oracle,
-            &opts,
-            opts.max_guard_size,
-            &Scheduler::sequential(),
-            &mut stats,
-        )
-        .unwrap();
-        // Any emptiness test of the posts table is acceptable
-        // (`Post.count.positive?`, `Post.exists?(…)`, …); re-verify it
-        // against the oracle and check it queries Post.
-        assert!(guard.compact().contains("Post."), "got {}", guard.compact());
-        let p = Program::new("m", [], guard);
-        assert!(oracle.test(&env, &p).success);
-    }
-
-    #[test]
     fn unsatisfiable_specs_exhaust() {
         let (env, _) = blog_env();
         let spec = Spec::new(
@@ -1014,5 +628,382 @@ mod tests {
         let e = call(cls(post), "first", []);
         assert_eq!(e.compact(), "Post.first");
         let _ = env;
+    }
+
+    /// What a search judged: every tested candidate's compact text with
+    /// the pop that produced it, the six effort counters, and the program
+    /// it returned.
+    #[derive(Debug, PartialEq)]
+    struct Judged {
+        cands: Vec<(String, u64)>,
+        effort: (u64, u64, u64, u64, u64, u64),
+        program: Option<String>,
+    }
+
+    /// One differential fixture: a configured environment and a
+    /// single-spec search over it.
+    struct Fixture {
+        env: InterpEnv,
+        params: Vec<(Symbol, Ty)>,
+        goal: Ty,
+        spec: Spec,
+        opts: Options,
+    }
+
+    /// The whole-tree loop the node arena replaced, kept as the reference
+    /// it must reproduce: expand the tree, simplify it, type it whole,
+    /// dedup it structurally, and wrap failures in S-Eff as whole trees.
+    /// Also returns every candidate the dedup filter let through.
+    fn reference_generate(f: &Fixture, oracle: &dyn Oracle) -> (Judged, HashSet<Expr>) {
+        let (env, opts, goal) = (&f.env, &f.opts, &f.goal);
+        let store = CacheHandle::private();
+        let expander = Expander::new(&env.table, opts, &store);
+        let mut gamma = Gamma::from_params(&f.params);
+        let param_syms: Vec<Symbol> = f.params.iter().map(|(n, _)| *n).collect();
+        let mut frontier = Frontier::new();
+        frontier.push(0, 1, (0, Expr::Hole(goal.clone())));
+        let mut seen = HashSet::new();
+        let mut obs_seen: HashMap<(u128, Ty), usize> = HashMap::new();
+        let mut stats = SearchStats::default();
+        let mut cands = Vec::new();
+        let program = 'search: loop {
+            let Some((c, e)) = frontier.pop() else {
+                break None;
+            };
+            stats.popped += 1;
+            if stats.popped > opts.max_expansions {
+                break None;
+            }
+            let subs = expander
+                .expand_first(&e, &mut gamma)
+                .expect("a popped candidate has a hole");
+            stats.expanded += subs.len() as u64;
+            for sub in subs {
+                let sub = simplify(sub);
+                let ty = infer_ty(&env.table, &mut gamma, &sub);
+                if opts.guidance.types && ty.is_none() {
+                    continue;
+                }
+                if !seen.insert(sub.clone()) {
+                    stats.deduped += 1;
+                    continue;
+                }
+                let size = node_count(&sub);
+                if sub.has_holes() {
+                    if size <= opts.max_size {
+                        frontier.push(c, size, (c, sub));
+                    }
+                    continue;
+                }
+                stats.tested += 1;
+                cands.push((sub.compact(), stats.popped));
+                let p = Program::from_parts(Symbol::intern("m"), param_syms.clone(), sub.clone());
+                let out = oracle.test(env, &p);
+                if out.success {
+                    break 'search Some(sub.compact());
+                }
+                let Some(effects) = out.effects else {
+                    continue;
+                };
+                let er = if opts.guidance.effects {
+                    effects.read
+                } else {
+                    EffectSet::star()
+                };
+                let ty = match ty {
+                    Some(t) if opts.guidance.types => t,
+                    _ => goal.clone(),
+                };
+                if opts.obs_equiv {
+                    if let Some(fp) = out.fp {
+                        let best = obs_seen.entry((fp, ty.clone())).or_insert(usize::MAX);
+                        if size >= *best {
+                            stats.obs_pruned += 1;
+                            continue;
+                        }
+                        *best = size;
+                    }
+                }
+                let wrapped = Expr::Let {
+                    var: sub.fresh_temp(),
+                    val: Box::new(sub),
+                    body: Box::new(Expr::Seq(vec![Expr::EffHole(er), Expr::Hole(ty)])),
+                };
+                let wsize = node_count(&wrapped);
+                if wsize <= opts.max_size && seen.insert(wrapped.clone()) {
+                    frontier.push(out.passed, wsize, (out.passed, wrapped));
+                }
+            }
+        };
+        let judged = Judged {
+            cands,
+            effort: stats.effort(),
+            program,
+        };
+        (judged, seen)
+    }
+
+    /// The arena search over the same fixture.
+    fn arena_generate(f: &Fixture, oracle: &dyn Oracle) -> Judged {
+        let mut stats = SearchStats::default();
+        let mut cands = Vec::new();
+        let out = generate_observed(
+            &f.env,
+            "m",
+            &f.params,
+            &f.goal,
+            oracle,
+            &f.opts,
+            f.opts.max_size,
+            &Scheduler::sequential(),
+            &mut stats,
+            &mut |e, pop| cands.push((e.compact(), pop)),
+        );
+        Judged {
+            cands,
+            effort: stats.effort(),
+            program: out.ok().map(|e| e.compact()),
+        }
+    }
+
+    /// `env` configured for a run: effect precision and the constants.
+    fn configure(mut env: InterpEnv, consts: &[Value], precision: EffectPrecision) -> InterpEnv {
+        env.table.set_precision(precision);
+        env.table.clear_consts();
+        for c in consts {
+            env.table.add_const(c.clone());
+        }
+        env
+    }
+
+    /// S6's first spec (Fig. 1): the author changes the title through the
+    /// finite-hash parameter `arg2`, which seeds `Hash#[]` receivers.
+    fn s6_fixture(precision: EffectPrecision, pops: u64) -> Fixture {
+        let mut b = EnvBuilder::with_stdlib();
+        let user = b.define_model("User", &[("name", Ty::Str), ("username", Ty::Str)]);
+        let post = b.define_model(
+            "Post",
+            &[("author", Ty::Str), ("title", Ty::Str), ("slug", Ty::Str)],
+        );
+        let env = configure(
+            b.finish(),
+            &[Value::Class(user), Value::Class(post)],
+            precision,
+        );
+        let mk = |author: &str, slug: &str, title: &str| {
+            call(
+                cls(post),
+                "create",
+                [hash([
+                    ("author", str_(author)),
+                    ("slug", str_(slug)),
+                    ("title", str_(title)),
+                ])],
+            )
+        };
+        let update_hash = Ty::FiniteHash(FiniteHash::new(
+            ["author", "title", "slug"]
+                .into_iter()
+                .map(|k| HashField {
+                    key: k.into(),
+                    ty: Ty::Str,
+                    optional: true,
+                })
+                .collect(),
+        ));
+        let updated = || var("updated");
+        let spec = Spec::new(
+            "author can only change titles",
+            vec![
+                SetupStep::Exec(mk("alice", "alices-post", "On Synthesis")),
+                SetupStep::Bind("post".into(), mk("author", "hello-world", "Hello World")),
+                SetupStep::Exec(mk("carol", "late-post", "Late Post")),
+                SetupStep::CallTarget {
+                    bind: "updated".into(),
+                    args: vec![
+                        str_("author"),
+                        str_("hello-world"),
+                        hash([
+                            ("author", str_("dummy")),
+                            ("title", str_("Foo Bar")),
+                            ("slug", str_("foobar")),
+                        ]),
+                    ],
+                },
+            ],
+            vec![
+                call(
+                    call(updated(), "id", []),
+                    "==",
+                    [call(var("post"), "id", [])],
+                ),
+                call(call(updated(), "author", []), "==", [str_("author")]),
+                call(call(updated(), "title", []), "==", [str_("Foo Bar")]),
+                call(call(updated(), "slug", []), "==", [str_("hello-world")]),
+            ],
+        );
+        Fixture {
+            env,
+            params: vec![
+                ("arg0".into(), Ty::Str),
+                ("arg1".into(), Ty::Str),
+                ("arg2".into(), update_hash),
+            ],
+            goal: Ty::Instance(post),
+            spec,
+            opts: Options {
+                max_size: 48,
+                max_expansions: pops,
+                ..Options::default()
+            },
+        }
+    }
+
+    /// A6's spec: reset every two-factor column of a user, one S-Eff
+    /// `let` per column.
+    fn a6_fixture(guidance: Guidance, precision: EffectPrecision, pops: u64) -> Fixture {
+        let mut b = EnvBuilder::with_stdlib();
+        let user = b.define_model(
+            "User",
+            &[
+                ("username", Ty::Str),
+                ("name", Ty::Str),
+                ("otp_required", Ty::Bool),
+                ("otp_secret", Ty::Str),
+                ("two_factor_enabled", Ty::Bool),
+            ],
+        );
+        let consts = [
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(1),
+            Value::str(""),
+            Value::Class(user),
+        ];
+        let env = configure(b.finish(), &consts, precision);
+        let alice = || call(cls(user), "find_by", [hash([("username", str_("alice"))])]);
+        let updated = || var("updated");
+        let spec = Spec::new(
+            "two-factor state is fully reset",
+            vec![
+                SetupStep::Exec(call(
+                    cls(user),
+                    "create",
+                    [hash([("username", str_("ops")), ("name", str_("Ops Owl"))])],
+                )),
+                SetupStep::Exec(call(
+                    cls(user),
+                    "create",
+                    [hash([("username", str_("alice")), ("name", str_("Alice"))])],
+                )),
+                SetupStep::Exec(call(alice(), "otp_required=", [true_()])),
+                SetupStep::Exec(call(alice(), "otp_secret=", [str_("s3cr3t")])),
+                SetupStep::Exec(call(alice(), "two_factor_enabled=", [true_()])),
+                SetupStep::Bind("user".into(), alice()),
+                SetupStep::CallTarget {
+                    bind: "updated".into(),
+                    args: vec![str_("alice")],
+                },
+            ],
+            vec![
+                call(
+                    call(updated(), "id", []),
+                    "==",
+                    [call(var("user"), "id", [])],
+                ),
+                call(call(updated(), "otp_required", []), "==", [false_()]),
+                call(call(updated(), "otp_secret", []), "==", [str_("")]),
+                call(call(updated(), "two_factor_enabled", []), "==", [false_()]),
+            ],
+        );
+        Fixture {
+            env,
+            params: vec![("arg0".into(), Ty::Str)],
+            goal: Ty::Instance(user),
+            spec,
+            opts: Options {
+                max_size: 44,
+                max_expansions: pops,
+                ..Options::with_guidance(guidance)
+            },
+        }
+    }
+
+    /// Is `e` a `let` whose bound value is itself a `let` (nested S-Eff)?
+    fn nested_let(e: &Expr) -> bool {
+        matches!(e, Expr::Let { val, .. } if matches!(**val, Expr::Let { .. }))
+    }
+
+    /// The body statements of an S-Eff `let` (one for an unwrapped body).
+    fn let_body_len(e: &Expr) -> Option<usize> {
+        match e {
+            Expr::Let { body, .. } => Some(match &**body {
+                Expr::Seq(es) => es.len(),
+                _ => 1,
+            }),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn arena_search_matches_the_tree_pipeline() {
+        let fixtures = [
+            ("S6", s6_fixture(EffectPrecision::Precise, 1_500)),
+            ("S6 purity", s6_fixture(EffectPrecision::Purity, 600)),
+            (
+                "A6",
+                a6_fixture(Guidance::both(), EffectPrecision::Precise, 2_000),
+            ),
+            (
+                "A6 class",
+                a6_fixture(Guidance::both(), EffectPrecision::Class, 2_000),
+            ),
+            (
+                "A6 types only",
+                a6_fixture(Guidance::types_only(), EffectPrecision::Precise, 600),
+            ),
+            (
+                "A6 effects only",
+                a6_fixture(Guidance::effects_only(), EffectPrecision::Precise, 150),
+            ),
+            (
+                "A6 neither",
+                a6_fixture(Guidance::neither(), EffectPrecision::Precise, 150),
+            ),
+        ];
+        let (mut nested, mut spliced, mut unwrapped, mut hash_reads) = (0, 0, 0, 0);
+        let mut solved = Vec::new();
+        for (name, f) in &fixtures {
+            let oracle = SpecOracle::new(&f.env, &f.spec);
+            let (reference, seen) = reference_generate(f, &oracle);
+            let arena = arena_generate(f, &oracle);
+            assert!(!reference.cands.is_empty(), "{name}: nothing tested");
+            for (i, (a, r)) in arena.cands.iter().zip(&reference.cands).enumerate() {
+                assert_eq!(a, r, "{name}: tested candidate {i} differs");
+            }
+            assert_eq!(arena, reference, "{name}: counters or program differ");
+            if let Some(p) = &reference.program {
+                solved.push(format!("{name}: {p}"));
+            }
+            nested += seen.iter().filter(|e| nested_let(e)).count();
+            spliced += seen.iter().filter(|e| let_body_len(e) >= Some(3)).count();
+            unwrapped += seen.iter().filter(|e| let_body_len(e) == Some(1)).count();
+            hash_reads += seen
+                .iter()
+                .filter(|e| e.compact().contains("arg2["))
+                .count();
+        }
+        assert!(nested > 0, "no fixture nests S-Eff lets");
+        assert!(
+            spliced > 0,
+            "no fixture splices an EffApp sequence into a let body"
+        );
+        assert!(unwrapped > 0, "no fixture unwraps a singleton let body");
+        assert!(hash_reads > 0, "no fixture reads the finite-hash parameter");
+        assert!(
+            solved.len() >= 2,
+            "fixtures must return programs: {solved:?}"
+        );
     }
 }

@@ -24,124 +24,43 @@
 //! re-requests, reversed pairs and backtracking re-checks are pure bit
 //! arithmetic ([`SearchStats::vector_hits`]). Vectors hold one `u64`
 //! word inline for ≤64-spec problems and spill to boxed words beyond
-//! that; the old `>64-spec` fallback to eager per-request searches is
-//! gone.
+//! that.
 //!
-//! The enumeration pipeline is **pool-local and lock-free**: candidates
-//! live in a private node arena whose nodes refer to their children by
-//! id, so the stream never touches the shared search cache — it is
-//! byte-identical with and without `--no-cache`, and it pays none of the
-//! shared cache's lock overhead on the merge's hottest path. Expanding a
-//! candidate re-interns only the path from its root to the filled hole,
-//! types each new node once from its children's stored types, and builds
-//! an [`Expr`] tree only for candidates the interpreter actually runs.
+//! The enumeration runs in a pool-local node arena (`arena.rs`, the
+//! representation phase-1 `generate` enumerates in too), so the stream
+//! never touches the batch-shared template memo and never takes a lock. Guard oracles never
+//! report effects, so the stream never wraps a candidate in S-Eff: all its
+//! holes sit under the method's parameters.
 //!
 //! **Covering is set inclusion.** A candidate covers a request exactly
 //! when `Ψ₁ ⊆ truthy-ok(c)` and `Ψ₂ ⊆ falsy-ok(c)`, so the verdict reads
 //! straight off the candidate's bits — no second representation of the
 //! spec sets is needed.
 //!
-//! [`search_guards`] (the per-request search the pool replaced on the
-//! merge path) remains as the test reference for the pool: it collects
-//! *several* oracle-passing guards because the smallest one can be
-//! semantically wrong for the final program (only running the merged
-//! program against all specs decides, §3.4), so the merge backtracks over
-//! alternatives — the pool's [`GuardPool::covering_guards`] reproduces
-//! exactly that candidate order and stopping rule.
+//! A request collects *several* covering guards because the smallest one
+//! can be semantically wrong for the final program (only running the
+//! merged program against all specs decides, §3.4), so the merge
+//! backtracks over alternatives. [`GuardPool::covering_guards`] returns
+//! them in stream order under the request's stopping rule; the tests check
+//! that order against a brute-force walk of a whole-tree stream.
 
+use crate::arena::{NodeArena, NodeId, NodeSet};
 use crate::engine::{Frontier, Scheduler, SearchStats};
 use crate::error::SynthError;
 use crate::expand::{Expander, TemplateStore};
-use crate::generate::{generate_many, GuardOracle, Oracle};
-use crate::infer::{app_ty, hash_ty, hole_ty, ty_of_value, var_ty, Gamma};
+use crate::infer::Gamma;
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
-use rbsyn_lang::{Expr, FxBuild, FxHasher, Program, Symbol, Ty, Value};
+use rbsyn_lang::{Expr, FxBuild, Program, Symbol, Ty, Value};
 use rbsyn_trace::Mark;
-use rbsyn_ty::ClassTable;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Extra work-list pops to spend hunting alternative guards after the
-/// first oracle-passing one. Each pop can test hundreds of candidates, so
-/// this stays small; the odometer only needs a handful of alternatives.
+/// first covering one. Each pop can test hundreds of candidates, so this
+/// stays small; the odometer only needs a handful of alternatives.
 const EXTRA_GUARD_BUDGET: u64 = 300;
-
-/// Searches for up to `k` guards satisfying `oracle`, by ascending size.
-/// `sched` carries the deadline, kill flag and memoization handle, as in
-/// [`crate::generate::generate`].
-#[allow(clippy::too_many_arguments)]
-pub fn search_guards(
-    env: &InterpEnv,
-    method_name: &str,
-    params: &[(Symbol, Ty)],
-    oracle: &GuardOracle,
-    k: usize,
-    opts: &Options,
-    sched: &Scheduler,
-    stats: &mut SearchStats,
-) -> Result<Vec<Expr>, SynthError> {
-    match generate_many(
-        env,
-        method_name,
-        params,
-        &Ty::Bool,
-        oracle,
-        opts,
-        opts.max_guard_size,
-        sched,
-        stats,
-        k,
-        EXTRA_GUARD_BUDGET,
-    ) {
-        Ok(gs) => Ok(gs),
-        Err(SynthError::Timeout) => Err(SynthError::Timeout),
-        Err(_) => Ok(Vec::new()),
-    }
-}
-
-/// Synthesizes a single guard that is truthy under `pos` setups and falsy
-/// under `neg` setups. `known` are previously synthesized conditionals to
-/// try (with their negations) before searching.
-#[allow(clippy::too_many_arguments)]
-pub fn synth_guard(
-    env: &InterpEnv,
-    method_name: &str,
-    params: &[(Symbol, Ty)],
-    pos: &[&Spec],
-    neg: &[&Spec],
-    known: &[Expr],
-    opts: &Options,
-    sched: &Scheduler,
-    stats: &mut SearchStats,
-) -> Result<Expr, SynthError> {
-    let oracle = GuardOracle::new(env, pos, neg);
-    let name_sym = Symbol::intern(method_name);
-    let param_syms: Vec<Symbol> = params.iter().map(|(n, _)| *n).collect();
-
-    // Fast path: constants, known conditionals, and negations thereof.
-    let mut quick: Vec<Expr> = vec![Expr::Lit(Value::Bool(true)), Expr::Lit(Value::Bool(false))];
-    for k in known {
-        quick.push(k.clone());
-        quick.push(negate(k));
-    }
-    for cand in quick {
-        stats.tested += 1;
-        let p = Program::from_parts(name_sym, param_syms.clone(), cand.clone());
-        if oracle.test(env, &p).success {
-            return Ok(cand);
-        }
-    }
-
-    // Fall back to type-guided search at type Bool (effect guidance is
-    // never used for guards; GuardOracle reports no effects, so S-Eff
-    // cannot fire).
-    let mut found = search_guards(env, method_name, params, &oracle, 1, opts, sched, stats)?;
-    found.pop().ok_or(SynthError::GuardNotFound)
-}
 
 /// Everything a [`GuardPool`] needs from the enclosing synthesis run,
 /// passed by reference on every call so the pool itself stays a plain
@@ -159,7 +78,7 @@ pub struct GuardQuery<'a> {
     pub specs: &'a [Spec],
     /// Search options (guard size bound, pop budget).
     pub opts: &'a Options,
-    /// Deadline, kill flag and the run's memoization handle.
+    /// Deadline, kill flag and tracing session.
     pub sched: &'a Scheduler,
 }
 
@@ -168,8 +87,8 @@ enum CheckSlot {
     /// `assert x_r` over the spec's prepared setup.
     Ready(Box<PreparedSpec>),
     /// The spec's own setup failed (a suite bug): the message raised when
-    /// a covering request actually touches this spec, mirroring the panic
-    /// `GuardOracle::new` used to raise at request time.
+    /// a covering request actually touches this spec, as
+    /// [`crate::generate::SpecOracle::new`] does for a phase-1 search.
     Failed(String),
 }
 
@@ -265,340 +184,6 @@ impl Bits {
     }
 }
 
-/// Id of a node in the pool's [`NodeArena`].
-type NodeId = u32;
-
-/// "Absent" in a node's index fields: no type derivation, end of a hash
-/// chain.
-const NONE: u32 = u32::MAX;
-
-/// [`Node::hole`] of a node with no hole below it.
-const NO_HOLE: u16 = u16::MAX;
-
-/// What a guard-stream node is, apart from its children. Each payload is a
-/// [`Symbol`] or an index into one of the arena's side tables, so a kind
-/// hashes and compares as a single word.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Kind {
-    /// A literal (index into [`NodeArena::values`]).
-    Lit(u32),
-    /// A variable.
-    Var(Symbol),
-    /// A typed hole (index into [`NodeArena::tys`]).
-    Hole(u32),
-    /// A call; the children are the receiver, then the arguments.
-    Call(Symbol),
-    /// A hash literal (index into [`NodeArena::keys`]); the children are
-    /// the values, in key order.
-    Hash(u32),
-}
-
-impl Kind {
-    /// The kind as two words, for the type memo's keys.
-    fn words(self) -> [u32; 2] {
-        match self {
-            Kind::Lit(v) => [0, v],
-            Kind::Var(x) => [1, x.index()],
-            Kind::Hole(t) => [2, t],
-            Kind::Call(meth) => [3, meth.index()],
-            Kind::Hash(keys) => [4, keys],
-        }
-    }
-}
-
-/// One hash-consed node and the facts the enumeration asks about it,
-/// computed once when the node is created.
-struct Node {
-    kind: Kind,
-    /// Start of the children in [`NodeArena::kids`].
-    kids: u32,
-    /// Number of children.
-    arity: u16,
-    /// Index of the leftmost child that contains a hole, or [`NO_HOLE`].
-    hole: u16,
-    /// AST node count of the subtree (the frontier's size heuristic).
-    size: u32,
-    /// The subtree's type (index into [`NodeArena::tys`]), or [`NONE`]
-    /// when it has no derivation or type guidance is off.
-    ty: u32,
-    /// Next node whose `(kind, children)` hash is equal, or [`NONE`].
-    next: u32,
-}
-
-/// Dense ids for the few distinct values, types and key lists a stream
-/// uses.
-struct Table<T> {
-    items: Vec<T>,
-    ids: HashMap<T, u32, FxBuild>,
-}
-
-impl<T> Default for Table<T> {
-    fn default() -> Table<T> {
-        Table {
-            items: Vec::new(),
-            ids: HashMap::default(),
-        }
-    }
-}
-
-impl<T: Clone + Eq + Hash> Table<T> {
-    fn id(&mut self, t: T) -> u32 {
-        if let Some(&i) = self.ids.get(&t) {
-            return i;
-        }
-        let i = u32::try_from(self.items.len()).expect("fewer than 2^32 entries");
-        self.items.push(t.clone());
-        self.ids.insert(t, i);
-        i
-    }
-
-    fn get(&self, i: u32) -> &T {
-        &self.items[i as usize]
-    }
-}
-
-/// The typing context of a typed stream: the class table and the pool's
-/// fixed `Γ`. `None` when type guidance is off (no node is typed, and no
-/// candidate is narrowed away).
-type Typing<'a> = Option<(&'a ClassTable, &'a Gamma)>;
-
-/// The request's typing context under the pool's `Γ`.
-fn typing<'a>(q: &GuardQuery<'a>, gamma: &'a Gamma) -> Typing<'a> {
-    q.opts.guidance.types.then_some((&q.env.table, gamma))
-}
-
-/// The guard pool's hash-consing arena.
-///
-/// Nodes are interned by `(kind, child ids)`, so interning a node costs
-/// one hash of a few words, whatever the depth of the tree below it. The
-/// stream only ever contains literals, variables, holes, calls and hash
-/// literals: typed-hole fills are never sequences, effect holes or
-/// binders. That is also why each node can be typed once, from its
-/// children's stored types: with no binder in the stream, `Γ` is the
-/// pool's fixed parameter environment for the node's whole life, so the
-/// type `infer_ty` would give the subtree never changes.
-#[derive(Default)]
-struct NodeArena {
-    nodes: Vec<Node>,
-    kids: Vec<NodeId>,
-    /// First node per `(kind, children)` hash; collisions chain through
-    /// [`Node::next`].
-    heads: HashMap<u64, NodeId, FxBuild>,
-    values: Table<Value>,
-    tys: Table<Ty>,
-    keys: Table<Vec<Symbol>>,
-    /// Node types (ids into `tys`), keyed by a node's kind and its
-    /// children's types (see [`NodeArena::type_of`]).
-    ty_memo: HashMap<Vec<u32>, u32, FxBuild>,
-    /// Scratch child list for [`NodeArena::with_kid`].
-    buf: Vec<NodeId>,
-    /// Scratch key for `ty_memo`.
-    key: Vec<u32>,
-}
-
-impl NodeArena {
-    fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id as usize]
-    }
-
-    fn kids_of(&self, n: &Node) -> &[NodeId] {
-        kids_in(&self.kids, n)
-    }
-
-    fn has_hole(&self, id: NodeId) -> bool {
-        let n = self.node(id);
-        n.hole != NO_HOLE || matches!(n.kind, Kind::Hole(_))
-    }
-
-    fn ty(&self, id: NodeId) -> Option<&Ty> {
-        let t = self.node(id).ty;
-        (t != NONE).then(|| self.tys.get(t))
-    }
-
-    /// The node `(kind, kids)`, created (and typed under `typing`) on
-    /// first sight.
-    fn intern(&mut self, kind: Kind, kids: &[NodeId], typing: Typing<'_>) -> NodeId {
-        let mut h = FxHasher::default();
-        kind.hash(&mut h);
-        kids.hash(&mut h);
-        let id = NodeId::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
-        let next = match self.heads.entry(h.finish()) {
-            Entry::Occupied(mut head) => {
-                let mut at = *head.get();
-                while at != NONE {
-                    let n = &self.nodes[at as usize];
-                    if n.kind == kind && kids_in(&self.kids, n) == kids {
-                        return at;
-                    }
-                    at = n.next;
-                }
-                std::mem::replace(head.get_mut(), id)
-            }
-            Entry::Vacant(head) => {
-                head.insert(id);
-                NONE
-            }
-        };
-        let arity = u16::try_from(kids.len()).expect("a node has fewer than 2^16 children");
-        let hole = kids
-            .iter()
-            .position(|&k| self.has_hole(k))
-            .map_or(NO_HOLE, |i| i as u16);
-        let size = 1 + kids.iter().map(|&k| self.node(k).size).sum::<u32>();
-        let ty = match typing {
-            Some((table, gamma)) => self.type_of(kind, kids, table, gamma),
-            None => NONE,
-        };
-        self.nodes.push(Node {
-            kind,
-            kids: u32::try_from(self.kids.len()).expect("fewer than 2^32 child slots"),
-            arity,
-            hole,
-            size,
-            ty,
-            next,
-        });
-        self.kids.extend_from_slice(kids);
-        id
-    }
-
-    /// Types a new node from its children's stored types, by the same
-    /// rules [`crate::infer::infer_ty`] applies recursively. A node's type
-    /// depends only on its kind and its children's types, and few such
-    /// combinations occur, so the rules run once per combination.
-    fn type_of(&mut self, kind: Kind, kids: &[NodeId], table: &ClassTable, gamma: &Gamma) -> u32 {
-        let mut key = std::mem::take(&mut self.key);
-        key.clear();
-        key.extend(kind.words());
-        key.extend(kids.iter().map(|&k| self.node(k).ty));
-        let t = match self.ty_memo.get(key.as_slice()) {
-            Some(&t) => t,
-            None => {
-                let ty = match kind {
-                    Kind::Lit(v) => Some(ty_of_value(table, self.values.get(v))),
-                    Kind::Var(x) => var_ty(gamma, x),
-                    Kind::Hole(t) => Some(hole_ty(self.tys.get(t))),
-                    Kind::Call(meth) => self.ty(kids[0]).and_then(|recv| {
-                        app_ty(table, recv, meth, kids[1..].iter().map(|&k| self.ty(k)))
-                    }),
-                    Kind::Hash(keys) => hash_ty(
-                        self.keys
-                            .get(keys)
-                            .iter()
-                            .zip(kids)
-                            .map(|(&key, &k)| (key, self.ty(k))),
-                    ),
-                };
-                let t = ty.map_or(NONE, |t| self.tys.id(t));
-                self.ty_memo.insert(key.clone(), t);
-                t
-            }
-        };
-        self.key = key;
-        t
-    }
-
-    /// Interns a typed-hole fill.
-    ///
-    /// # Panics
-    ///
-    /// On a sequence, conditional, binder, boolean connective or effect
-    /// hole: typed-hole fills are literals, variables, holes, calls and
-    /// hash literals, and the arena's per-node typing relies on it.
-    fn node_of(&mut self, e: &Expr, typing: Typing<'_>) -> NodeId {
-        match e {
-            Expr::Lit(v) => {
-                let v = self.values.id(v.clone());
-                self.intern(Kind::Lit(v), &[], typing)
-            }
-            Expr::Var(x) => self.intern(Kind::Var(*x), &[], typing),
-            Expr::Hole(t) => {
-                let t = self.tys.id(t.clone());
-                self.intern(Kind::Hole(t), &[], typing)
-            }
-            Expr::Call { recv, meth, args } => {
-                let kids: Vec<NodeId> = std::iter::once(&**recv)
-                    .chain(args)
-                    .map(|a| self.node_of(a, typing))
-                    .collect();
-                self.intern(Kind::Call(*meth), &kids, typing)
-            }
-            Expr::HashLit(entries) => {
-                let keys = self.keys.id(entries.iter().map(|(k, _)| *k).collect());
-                let kids: Vec<NodeId> = entries
-                    .iter()
-                    .map(|(_, v)| self.node_of(v, typing))
-                    .collect();
-                self.intern(Kind::Hash(keys), &kids, typing)
-            }
-            other => panic!(
-                "guard-stream invariant violated: typed-hole fills are literals, variables, \
-                 holes, calls and hash literals, got `{}`",
-                other.compact()
-            ),
-        }
-    }
-
-    /// `parent` with its child `slot` replaced by `child`.
-    fn with_kid(&mut self, parent: NodeId, slot: u16, child: NodeId, typing: Typing<'_>) -> NodeId {
-        let mut buf = std::mem::take(&mut self.buf);
-        let n = self.node(parent);
-        let kind = n.kind;
-        buf.clear();
-        buf.extend_from_slice(self.kids_of(n));
-        buf[slot as usize] = child;
-        let id = self.intern(kind, &buf, typing);
-        self.buf = buf;
-        id
-    }
-
-    /// The node as an expression tree.
-    fn to_expr(&self, id: NodeId) -> Expr {
-        let n = self.node(id);
-        let kids = self.kids_of(n);
-        match n.kind {
-            Kind::Lit(v) => Expr::Lit(self.values.get(v).clone()),
-            Kind::Var(x) => Expr::Var(x),
-            Kind::Hole(t) => Expr::Hole(self.tys.get(t).clone()),
-            Kind::Call(meth) => Expr::Call {
-                recv: Box::new(self.to_expr(kids[0])),
-                meth,
-                args: kids[1..].iter().map(|&k| self.to_expr(k)).collect(),
-            },
-            Kind::Hash(keys) => Expr::HashLit(
-                self.keys
-                    .get(keys)
-                    .iter()
-                    .zip(kids)
-                    .map(|(&key, &k)| (key, self.to_expr(k)))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// The children of `n` in the arena's child list.
-fn kids_in<'a>(kids: &'a [NodeId], n: &Node) -> &'a [NodeId] {
-    &kids[n.kids as usize..n.kids as usize + n.arity as usize]
-}
-
-/// A set of node ids, one bit each.
-#[derive(Default)]
-struct NodeSet(Vec<u64>);
-
-impl NodeSet {
-    /// Adds `id`; `false` when it was already present.
-    fn insert(&mut self, id: NodeId) -> bool {
-        let (w, m) = (id as usize / 64, 1u64 << (id % 64));
-        if w >= self.0.len() {
-            self.0.resize(w + 1, 0);
-        }
-        let fresh = self.0[w] & m == 0;
-        self.0[w] |= m;
-        fresh
-    }
-}
-
 /// The call-template source for the pool's fill lists. Each goal's list
 /// is built once and kept as nodes, so there is nothing to memoize.
 struct Unmemoized;
@@ -635,17 +220,17 @@ type ReqKey = (Vec<usize>, Vec<usize>);
 
 /// The per-problem guard-covering pool (see the [module docs](self)).
 ///
-/// The pool is deterministic by construction: the candidate stream is the
-/// same oracle-independent enumeration every per-request search performed
-/// (same expander, same template lists, same frontier order, same
-/// dedup), so [`GuardPool::nth_covering_guard`] returns byte-identical
-/// guards in byte-identical order — it just never re-enumerates or
-/// re-judges anything, and it is **lazy twice over**: the stream extends
-/// only as far as the deepest request needs, and a request only scans far
-/// enough to answer the guard index the merge actually consumes. The old
-/// eager per-request search burned its worst time hunting alternatives
-/// #2–#5 plus a 300-pop tail for an odometer that rarely turns; here that
-/// work is deferred until a failed validation actually asks for it.
+/// The pool is deterministic by construction: the candidate stream is
+/// one oracle-independent enumeration (the expander's fill order, the
+/// frontier order, dedup), and every request walks it in order under the
+/// same stopping rule, so [`GuardPool::nth_covering_guard`] returns the
+/// same guards in the same order however requests interleave. It never
+/// re-enumerates or re-judges anything, and it is **lazy twice over**:
+/// the stream extends only as far as the deepest request needs, and a
+/// request only scans far enough to answer the guard index the merge
+/// actually consumes, so alternatives #2–#5 and the
+/// `EXTRA_GUARD_BUDGET` tail are paid for only when a failed validation
+/// asks for them.
 pub struct GuardPool {
     ready: bool,
     checks: Vec<CheckSlot>,
@@ -654,7 +239,6 @@ pub struct GuardPool {
     frontier: Option<Frontier<NodeId>>,
     /// Candidates already enumerated (the dedup filter).
     seen: NodeSet,
-    gamma: Option<Gamma>,
     pops: u64,
     exhausted: bool,
     cands: Vec<GuardCand>,
@@ -663,15 +247,10 @@ pub struct GuardPool {
     /// Bitvectors for ad-hoc expressions (the merge's quick candidates and
     /// rule-6/7 negation guesses), keyed structurally.
     extra_bits: HashMap<Expr, Bits, FxBuild>,
-    /// Pool-private hash-consing arena: the enumeration pipeline never
-    /// touches the shared cache, so the stream is identical with and
+    /// Pool-private hash-consing arena: the enumeration never touches
+    /// the shared template memo, so the stream is identical with and
     /// without it — and lock-free either way.
     arena: NodeArena,
-    /// Expansion lists of holes and interior nodes (see
-    /// [`GuardPool::expansions`]). Sound because the guard stream contains
-    /// no binders: the pool's `Γ` is fixed for its whole lifetime, so a
-    /// node's expansions never change.
-    expansions: HashMap<NodeId, Arc<[NodeId]>, FxBuild>,
 }
 
 impl Default for GuardPool {
@@ -691,14 +270,12 @@ impl GuardPool {
             nwords: 1,
             frontier: None,
             seen: NodeSet::default(),
-            gamma: None,
             pops: 0,
             exhausted: false,
             cands: Vec::new(),
             reqs: HashMap::default(),
             extra_bits: HashMap::default(),
             arena: NodeArena::default(),
-            expansions: HashMap::default(),
         }
     }
 
@@ -719,8 +296,9 @@ impl GuardPool {
             })
             .collect();
         self.nwords = q.specs.len().div_ceil(64).max(1);
-        let gamma = self.gamma.insert(Gamma::from_params(q.params));
-        let root = self.arena.node_of(&Expr::Hole(Ty::Bool), typing(q, gamma));
+        let g = self.arena.gamma(Gamma::from_params(q.params));
+        let typing = q.opts.guidance.types.then_some(&q.env.table);
+        let root = self.arena.hole(&Ty::Bool, g, typing);
         let mut frontier = Frontier::new();
         frontier.push(0, 1, root);
         self.frontier = Some(frontier);
@@ -728,9 +306,8 @@ impl GuardPool {
 
     /// Advances the shared enumeration by one work-list pop, recording
     /// evaluable candidates (unjudged) and re-enqueueing partial ones —
-    /// the exact loop body of the per-request search, minus S-Eff (guard
-    /// oracles never report effects, so it could never fire), run
-    /// entirely against pool-local state: expansion, type narrowing and
+    /// `generate`'s loop body minus the oracle and S-Eff, run entirely
+    /// against pool-local state: expansion, type narrowing and
     /// hash-consing never take a lock.
     fn extend_one_pop(
         &mut self,
@@ -755,14 +332,12 @@ impl GuardPool {
                 .requeue(pri, seq, node);
             return Err(SynthError::Timeout);
         }
-        // A popped candidate is never popped again, so its own list is not
-        // memoized; the lists of its subtrees are.
-        let children = self.expand(node, q);
+        let expander = Expander::new(&q.env.table, q.opts, &Unmemoized);
+        let children = self.arena.expand(node, &expander);
         stats.expanded += children.len() as u64;
         let frontier = self.frontier.as_mut().expect("pool is ready");
         for &id in children.iter() {
-            // Type narrowing, as in `expand_compute` — same filter, same
-            // order, read off the node's stored type.
+            // Type narrowing, read off the node's stored type.
             if q.opts.guidance.types && self.arena.ty(id).is_none() {
                 continue;
             }
@@ -770,7 +345,7 @@ impl GuardPool {
                 stats.deduped += 1;
                 continue;
             }
-            let size = self.arena.node(id).size as usize;
+            let size = self.arena.size(id);
             if !self.arena.has_hole(id) {
                 self.cands.push(GuardCand {
                     node: id,
@@ -783,46 +358,6 @@ impl GuardPool {
             }
         }
         Ok(())
-    }
-
-    /// `node` with its leftmost hole filled in every way the expander
-    /// offers, in the expander's order — what `Expander::expand_first`
-    /// returns for the node's tree. A hole's list is the expander's fill
-    /// list for `□:τ` under the pool's `Γ`; any other node's list is its
-    /// leftmost-hole child's list with each entry put back in place, one
-    /// intern per entry.
-    fn expand(&mut self, node: NodeId, q: &GuardQuery<'_>) -> Arc<[NodeId]> {
-        let n = self.arena.node(node);
-        let (kind, slot) = (n.kind, n.hole);
-        if let Kind::Hole(goal) = kind {
-            let hole = Expr::Hole(self.arena.tys.get(goal).clone());
-            let gamma = self.gamma.as_mut().expect("pool is ready");
-            let fills = Expander::new(&q.env.table, q.opts, &Unmemoized)
-                .expand_first(&hole, gamma)
-                .expect("a hole always expands");
-            let typing = typing(q, gamma);
-            return fills
-                .iter()
-                .map(|e| self.arena.node_of(e, typing))
-                .collect();
-        }
-        let child = self.arena.kids_of(n)[slot as usize];
-        let subs = self.expansions(child, q);
-        let typing = typing(q, self.gamma.as_ref().expect("pool is ready"));
-        subs.iter()
-            .map(|&sub| self.arena.with_kid(node, slot, sub, typing))
-            .collect()
-    }
-
-    /// [`GuardPool::expand`], memoized: the subtrees below the popped
-    /// candidates recur across many of them.
-    fn expansions(&mut self, node: NodeId, q: &GuardQuery<'_>) -> Arc<[NodeId]> {
-        if let Some(list) = self.expansions.get(&node) {
-            return Arc::clone(list);
-        }
-        let list = self.expand(node, q);
-        self.expansions.insert(node, Arc::clone(&list));
-        list
     }
 
     /// Candidate `i`'s expression, built on first use.
@@ -911,8 +446,7 @@ impl GuardPool {
     /// has found `need` guards, hit its per-request stopping rule (`k`
     /// guards, or [`EXTRA_GUARD_BUDGET`] pops past the first one, or the
     /// pop budget, or stream exhaustion), or timed out. The stopping rule
-    /// latches — once a request is done, its guard list is final, exactly
-    /// like the one-shot search it replaces.
+    /// latches — once a request is done, its guard list is final.
     #[allow(clippy::too_many_arguments)]
     fn advance_request(
         &mut self,
@@ -937,7 +471,7 @@ impl GuardPool {
                     Ok(()) => continue,
                     Err(SynthError::Timeout) if !state.found.is_empty() => {
                         // A timeout after the first guard finalizes the
-                        // partial list (the eager search returned it).
+                        // partial list.
                         state.done = true;
                         break;
                     }
@@ -980,16 +514,15 @@ impl GuardPool {
     }
 
     /// The `n`-th (0-based) covering guard for a strengthening request
-    /// (`pos` truthy, `neg` falsy) under the request cap `k` — the same
-    /// guard, in the same position, that the eager per-request search
-    /// would have put at index `n` of its result list. Scans lazily: a
-    /// merge that validates on the first guard never pays for the
-    /// alternatives.
+    /// (`pos` truthy, `neg` falsy) under the request cap `k` — index `n`
+    /// of [`GuardPool::covering_guards`]' list. Scans lazily: a merge that
+    /// validates on the first guard never pays for the alternatives.
     ///
     /// # Panics
     ///
     /// Panics when a requested spec's own setup raises — that is a suite
-    /// bug, not a candidate failure (same contract as `GuardOracle::new`).
+    /// bug, not a candidate failure (same contract as
+    /// [`crate::generate::SpecOracle::new`]).
     pub fn nth_covering_guard(
         &mut self,
         q: &GuardQuery<'_>,
@@ -1042,9 +575,11 @@ impl GuardPool {
         }
     }
 
-    /// Eagerly materializes the ordered covering guards of a request, up
-    /// to `k` — [`search_guards`] semantics served from the pool. Tests
-    /// and one-shot callers use this; the merge goes through the lazy
+    /// Eagerly materializes the ordered covering guards of a request:
+    /// the stream's covering candidates in order, at most `k` of them,
+    /// none found more than `EXTRA_GUARD_BUDGET` (300) pops after the
+    /// first.
+    /// Tests use this; the merge goes through the lazy
     /// [`GuardPool::nth_covering_guard`].
     pub fn covering_guards(
         &mut self,
@@ -1122,7 +657,7 @@ mod tests {
     use crate::options::Guidance;
     use rbsyn_interp::SetupStep;
     use rbsyn_lang::builder::*;
-    use rbsyn_lang::ExprArena;
+    use rbsyn_lang::metrics::node_count;
     use rbsyn_stdlib::EnvBuilder;
     use std::collections::HashSet;
 
@@ -1140,124 +675,6 @@ mod tests {
             args: vec![],
         });
         Spec::new(name, steps, vec![])
-    }
-
-    #[test]
-    fn trivial_guard_is_true() {
-        let (env, _) = env_with_post();
-        let s = call_spec("s", vec![]);
-        let mut stats = SearchStats::default();
-        let g = synth_guard(
-            &env,
-            "m",
-            &[],
-            &[&s],
-            &[],
-            &[],
-            &Options::default(),
-            &Scheduler::sequential(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(g.compact(), "true");
-    }
-
-    #[test]
-    fn known_negations_are_tried_first() {
-        let (env, post) = env_with_post();
-        let seeded = call_spec(
-            "seeded",
-            vec![SetupStep::Exec(call(cls(post), "create", [hash([])]))],
-        );
-        let empty = call_spec("empty", vec![]);
-        let known = vec![call(cls(post), "exists?", [])];
-        let mut stats = SearchStats::default();
-        // Guard for `empty` against `seeded`: !Post.exists? — found via the
-        // negation fast path without search.
-        let g = synth_guard(
-            &env,
-            "m",
-            &[],
-            &[&empty],
-            &[&seeded],
-            &known,
-            &Options::default(),
-            &Scheduler::sequential(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(g.compact(), "!Post.exists?");
-        assert!(stats.popped == 0, "no search was needed");
-    }
-
-    #[test]
-    fn searches_when_quick_candidates_fail() {
-        let (env, post) = env_with_post();
-        let alice = call_spec(
-            "alice",
-            vec![SetupStep::Exec(call(
-                cls(post),
-                "create",
-                [hash([("author", str_("alice"))])],
-            ))],
-        );
-        let empty = call_spec("none", vec![]);
-        let mut stats = SearchStats::default();
-        let g = synth_guard(
-            &env,
-            "m",
-            &[],
-            &[&alice],
-            &[&empty],
-            &[],
-            &Options::default(),
-            &Scheduler::sequential(),
-            &mut stats,
-        )
-        .unwrap();
-        // Any Post-emptiness test works (`Post.count.positive?`,
-        // `Post.exists?(…)`); verify semantically.
-        assert!(g.compact().contains("Post."), "got {}", g.compact());
-        let oracle = GuardOracle::new(&env, &[&alice], &[&empty]);
-        let p = Program::new("m", [], g);
-        assert!(oracle.test(&env, &p).success);
-    }
-
-    #[test]
-    fn search_guards_returns_alternatives() {
-        let (env, post) = env_with_post();
-        let alice = call_spec(
-            "alice",
-            vec![SetupStep::Exec(call(
-                cls(post),
-                "create",
-                [hash([("author", str_("alice"))])],
-            ))],
-        );
-        let empty = call_spec("none", vec![]);
-        let oracle = GuardOracle::new(&env, &[&alice], &[&empty]);
-        let mut stats = SearchStats::default();
-        let gs = search_guards(
-            &env,
-            "m",
-            &[],
-            &oracle,
-            4,
-            &Options::default(),
-            &Scheduler::sequential(),
-            &mut stats,
-        )
-        .unwrap();
-        assert!(gs.len() >= 2, "expected several guards, got {gs:?}");
-        // All of them pass the oracle.
-        for g in &gs {
-            let p = Program::new("m", [], g.clone());
-            assert!(oracle.test(&env, &p).success, "bad guard {}", g.compact());
-        }
-        // And they are distinct.
-        let mut keys: Vec<String> = gs.iter().map(|g| g.compact()).collect();
-        keys.dedup();
-        assert_eq!(keys.len(), gs.len());
     }
 
     #[test]
@@ -1309,28 +726,16 @@ mod tests {
             opts: &opts,
             sched: &sched,
         };
-        // Reference: the eager per-request search.
-        let oracle = GuardOracle::new(&env, &[&specs[0]], &[&specs[1]]);
-        let mut ref_stats = SearchStats::default();
-        let reference = search_guards(
-            &env,
-            "m",
-            &[],
-            &oracle,
-            4,
-            &opts,
-            &Scheduler::sequential(),
-            &mut ref_stats,
-        )
-        .unwrap();
+        let reference = reference_covering(&q, &[0], &[1], 4);
+        assert!(reference.len() > 1, "the request has alternatives");
         // Pool: same guards, same order — eager and lazy agree.
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
         let pooled = pool.covering_guards(&q, &[0], &[1], 4, &mut stats).unwrap();
         assert_eq!(
             pooled.iter().map(|g| g.compact()).collect::<Vec<_>>(),
-            reference.iter().map(|g| g.compact()).collect::<Vec<_>>(),
-            "pool covering must reproduce the per-request search"
+            reference,
+            "pool covering must reproduce the brute-force request"
         );
         for (n, g) in pooled.iter().enumerate() {
             let nth = pool
@@ -1385,8 +790,7 @@ mod tests {
 
     /// A 65-spec problem — one spec past the inline bitvector word — whose
     /// first 32 specs seed a `Post` and whose rest are empty. The same
-    /// pool engine (spilled words) must answer it; the eager per-request
-    /// search is kept only as the reference.
+    /// pool engine (spilled words) must answer it.
     fn oversized_fixture() -> (InterpEnv, Vec<Spec>) {
         let (env, post) = env_with_post();
         let mut specs = Vec::with_capacity(65);
@@ -1421,20 +825,7 @@ mod tests {
             opts: &opts,
             sched: &sched,
         };
-        // Reference: the eager per-request search on the same request.
-        let oracle = GuardOracle::new(&env, &[&specs[0]], &[&specs[64]]);
-        let mut ref_stats = SearchStats::default();
-        let reference = search_guards(
-            &env,
-            "m",
-            &[],
-            &oracle,
-            4,
-            &opts,
-            &Scheduler::sequential(),
-            &mut ref_stats,
-        )
-        .unwrap();
+        let reference = reference_covering(&q, &[0], &[64], 4);
         assert!(!reference.is_empty(), "a separating guard exists");
 
         let mut pool = GuardPool::new();
@@ -1444,8 +835,8 @@ mod tests {
             .unwrap();
         assert_eq!(
             pooled.iter().map(|g| g.compact()).collect::<Vec<_>>(),
-            reference.iter().map(|g| g.compact()).collect::<Vec<_>>(),
-            "the unified engine must reproduce the per-request search"
+            reference,
+            "the spilled bitvectors must reproduce the brute-force request"
         );
         // The request latches: nth/count answer from the stored scan
         // without extending the stream.
@@ -1522,51 +913,107 @@ mod tests {
         deduped: u64,
     }
 
+    /// A whole-tree enumeration and what it saw on the way.
+    struct Reference {
+        stream: Stream,
+        /// The evaluable candidates, in `stream.cands` order.
+        exprs: Vec<Expr>,
+        /// The first candidate the dedup filter dropped.
+        first_dup: Option<String>,
+        /// Every candidate type narrowing rejected, in order.
+        rejected: Vec<String>,
+    }
+
     /// The whole-tree pipeline the node arena replaced, kept as the
     /// reference it must reproduce: expand the tree, simplify it, type it
-    /// whole, hash-cons it whole. Also returns the first duplicate and
-    /// every narrowing rejection, in order.
-    fn reference_stream(
-        q: &GuardQuery<'_>,
-        max_pops: u64,
-    ) -> (Stream, Option<String>, Vec<String>) {
+    /// whole, dedup it structurally.
+    fn reference_stream(q: &GuardQuery<'_>, max_pops: u64) -> Reference {
         let store = CacheHandle::private();
         let expander = Expander::new(&q.env.table, q.opts, &store);
         let mut gamma = Gamma::from_params(q.params);
-        let mut arena = ExprArena::new();
         let mut seen = HashSet::new();
         let mut frontier = Frontier::new();
-        frontier.push(0, 1, arena.intern(Expr::Hole(Ty::Bool)));
-        let (mut out, mut first_dup, mut rejected) = (Stream::default(), None, Vec::new());
-        while out.popped < max_pops {
-            let Some(id) = frontier.pop() else { break };
-            out.popped += 1;
-            let e = Arc::clone(arena.get(id));
+        frontier.push(0, 1, Expr::Hole(Ty::Bool));
+        let mut out = Reference {
+            stream: Stream::default(),
+            exprs: Vec::new(),
+            first_dup: None,
+            rejected: Vec::new(),
+        };
+        let s = &mut out.stream;
+        while s.popped < max_pops {
+            let Some(e) = frontier.pop() else { break };
+            s.popped += 1;
             let subs = expander
                 .expand_first(&e, &mut gamma)
                 .expect("a popped candidate has a hole");
-            out.expanded += subs.len() as u64;
+            s.expanded += subs.len() as u64;
             for sub in subs {
                 let sub = simplify(sub);
                 if q.opts.guidance.types && infer_ty(&q.env.table, &mut gamma, &sub).is_none() {
-                    rejected.push(sub.compact());
+                    out.rejected.push(sub.compact());
                     continue;
                 }
-                let id = arena.intern(sub);
-                if !seen.insert(id) {
-                    out.deduped += 1;
-                    first_dup.get_or_insert_with(|| arena.get(id).compact());
+                if !seen.insert(sub.clone()) {
+                    s.deduped += 1;
+                    out.first_dup.get_or_insert_with(|| sub.compact());
                     continue;
                 }
-                let (size, evaluable) = arena.meta(id);
-                if evaluable {
-                    out.cands.push((arena.get(id).compact(), out.popped));
+                let size = node_count(&sub);
+                if sub.evaluable() {
+                    s.cands.push((sub.compact(), s.popped));
+                    out.exprs.push(sub);
                 } else if size <= q.opts.max_guard_size {
-                    frontier.push(0, size, id);
+                    frontier.push(0, size, sub);
                 }
             }
         }
-        (out, first_dup, rejected)
+        out
+    }
+
+    /// A request answered by brute force over the whole-tree stream: judge
+    /// each candidate in order with fresh `assert x_r` checks for `pos`
+    /// and `assert !x_r` checks for `neg`, keep at most `k` covering
+    /// guards, and stop [`EXTRA_GUARD_BUDGET`] pops after the first.
+    fn reference_covering(
+        q: &GuardQuery<'_>,
+        pos: &[usize],
+        neg: &[usize],
+        k: usize,
+    ) -> Vec<String> {
+        const POPS: u64 = 5_000;
+        let checks: Vec<PreparedSpec> = pos
+            .iter()
+            .map(|&s| (s, true))
+            .chain(neg.iter().map(|&s| (s, false)))
+            .map(|(s, truthy)| {
+                let p = PreparedSpec::prepare(q.env, &q.specs[s]).expect("fixture setups run");
+                let xr = Expr::Var(p.result_var());
+                p.with_asserts(vec![if truthy { xr } else { Expr::Not(Box::new(xr)) }])
+            })
+            .collect();
+        let params: Vec<Symbol> = q.params.iter().map(|(n, _)| *n).collect();
+        let reference = reference_stream(q, POPS);
+        let mut found = Vec::new();
+        let mut first = None;
+        for (e, &(ref text, pop)) in reference.exprs.iter().zip(&reference.stream.cands) {
+            if first.is_some_and(|f| pop > f + EXTRA_GUARD_BUDGET) {
+                return found;
+            }
+            let program = Program::from_parts(q.name, params.clone(), e.clone());
+            if checks.iter().all(|c| c.run(q.env, &program).passed()) {
+                found.push(text.clone());
+                first.get_or_insert(pop);
+                if found.len() == k {
+                    return found;
+                }
+            }
+        }
+        assert!(
+            reference.stream.popped < POPS,
+            "the reference stream ended before the request's stopping rule"
+        );
+        found
     }
 
     /// The pool's own stream over the same number of pops.
@@ -1634,7 +1081,12 @@ mod tests {
         ];
         let (mut deduped, mut rejected) = (0, 0);
         for (name, q) in fixtures {
-            let (reference, first_dup, rejections) = reference_stream(&q, POPS);
+            let Reference {
+                stream: reference,
+                first_dup,
+                rejected: rejections,
+                ..
+            } = reference_stream(&q, POPS);
             let pool = pool_stream(&q, POPS);
             assert!(!reference.cands.is_empty(), "{name}: empty stream");
             assert_eq!(
@@ -1657,11 +1109,5 @@ mod tests {
         }
         assert!(deduped > 0, "no fixture exercises the dedup filter");
         assert!(rejected > 0, "no fixture exercises type narrowing");
-    }
-
-    #[test]
-    #[should_panic(expected = "guard-stream invariant")]
-    fn fills_outside_the_stream_grammar_are_a_bug() {
-        NodeArena::default().node_of(&seq([int(1), int(2)]), None);
     }
 }

@@ -12,7 +12,7 @@ use std::borrow::Borrow;
 
 /// A typing environment `Γ` (spine of bindings; lookups scan innermost
 /// first to honour shadowing).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Gamma {
     binds: Vec<(Symbol, Ty)>,
 }
@@ -69,11 +69,11 @@ pub fn ty_of_value(table: &ClassTable, v: &Value) -> Ty {
 /// typing derivation (the search discards such candidates when type
 /// guidance is on).
 ///
-/// The rules for variables, holes, calls and hash literals live in helpers
-/// that take the children's types (`var_ty`, `hole_ty`, `app_ty`,
-/// `hash_ty`), so a caller that already knows every child's type — the
-/// guard pool, which types each hash-consed node once from its children's
-/// stored types — applies exactly the rules this recursion does.
+/// The rules for variables, calls and hash literals live in helpers that
+/// take the children's types (`var_ty`, `app_ty`, `hash_ty`), so a caller
+/// that already knows every child's type — the node arena (`arena.rs`),
+/// which types each hash-consed node once from its children's stored
+/// types — applies exactly the rules this recursion does.
 pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
     match e {
         // T-Nil / T-True / T-False / T-Obj and friends.
@@ -125,7 +125,8 @@ pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
             infer_ty(table, gamma, b)?;
             Some(Ty::Bool)
         }
-        Expr::Hole(t) => Some(hole_ty(t)),
+        // T-Hole: a hole has its annotated type.
+        Expr::Hole(t) => Some(t.clone()),
         // T-EffHole: effect holes type at Obj (top), so they can be filled
         // by a term of any type (§3.2).
         Expr::EffHole(_) => Some(Ty::Obj),
@@ -135,11 +136,6 @@ pub fn infer_ty(table: &ClassTable, gamma: &mut Gamma, e: &Expr) -> Option<Ty> {
 /// T-Var: the innermost binding of `x`.
 pub(crate) fn var_ty(gamma: &Gamma, x: Symbol) -> Option<Ty> {
     gamma.get(x).cloned()
-}
-
-/// T-Hole: a hole has its annotated type.
-pub(crate) fn hole_ty(t: &Ty) -> Ty {
-    t.clone()
 }
 
 /// T-App from the receiver's and the arguments' types: the receiver class

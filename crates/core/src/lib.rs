@@ -21,18 +21,19 @@
 //! ablation ([`rbsyn_ty::EffectPrecision`]) are configuration switches on
 //! [`Options`].
 //!
-//! All of the above runs through a memoized [`SearchCache`] ([`cache`]):
-//! candidates are hash-consed, and expansion / type-check / oracle work is
-//! computed at most once per distinct candidate — per run by default,
-//! across batch jobs when shared, never when `Options::cache` is off.
+//! Both searches — method bodies and branch conditions — enumerate in one
+//! hash-consing node arena (`arena.rs`), private to each search, and build
+//! their call templates through the template memo [`SearchCache`]
+//! ([`cache`]): per run by default, across batch jobs when shared, never
+//! when `Options::cache` is off.
 //!
-//! The search's moving parts — frontier, scheduler and the in-search
-//! [`engine::SpeculationPool`] behind intra-problem (`--intra`)
-//! parallelism — live in [`engine`]; inter-problem (`--parallel`)
-//! parallelism is the [`batch`] driver's job threads.
+//! The search's moving parts — frontier, scheduler and watchdog — live in
+//! [`engine`]. A synthesis run searches on one thread; the only
+//! parallelism is the [`batch`] driver's job threads (`--parallel`).
 
 #![deny(missing_docs)]
 
+mod arena;
 pub mod batch;
 pub mod cache;
 pub mod engine;
@@ -50,7 +51,7 @@ pub mod synthesizer;
 pub use batch::{
     run_batch, run_batch_with, BatchJob, BatchOutcome, BatchPolicy, BatchReport, BatchStats,
 };
-pub use cache::{CacheHandle, EnvToken, ExpandItem, OracleToken, SearchCache};
+pub use cache::{CacheHandle, EnvToken, SearchCache};
 pub use engine::{Scheduler, SearchStats};
 pub use error::SynthError;
 pub use generate::{generate, GenerateOutcome, Oracle};

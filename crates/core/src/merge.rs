@@ -22,11 +22,9 @@
 //! problem's shared [`GuardPool`]: one lazily extended enumeration of the
 //! boolean candidate stream, one pass/fail bitvector per candidate, and a
 //! request is `AND`/`NOT` over `u64` words instead of a fresh work-list
-//! search re-running the interpreter (see [`crate::guards`]). The guards a
-//! request yields — content and order — are byte-identical to the
-//! per-request searches this replaced, so merged programs are unchanged;
-//! only the oracle work collapses. Quick candidates and the rule-6/7
-//! negation guesses go through the same bitvectors.
+//! search re-running the interpreter (see [`crate::guards`]). Quick
+//! candidates and the rule-6/7 negation guesses go through the same
+//! bitvectors.
 
 use crate::engine::{Scheduler, SearchStats};
 use crate::error::SynthError;
@@ -102,11 +100,11 @@ pub struct MergeCtx<'a> {
     /// All specs of the problem.
     pub specs: &'a [Spec],
     /// The prepared per-spec oracles (index-aligned with `specs`), shared
-    /// with phase 1 so merged-program validation reuses memoized verdicts.
+    /// with phase 1.
     pub spec_oracles: &'a [SpecOracle],
     /// Options (guard bounds).
     pub opts: &'a Options,
-    /// Deadline, kill flag and cache handle for every guard search.
+    /// Deadline, kill flag and tracing session for every guard search.
     pub sched: &'a Scheduler,
     /// Shared search counters.
     pub stats: &'a mut SearchStats,
@@ -148,26 +146,14 @@ impl<'a> MergeCtx<'a> {
         }
     }
 
-    /// Does `body` pass every spec of the problem? Verdicts go through the
-    /// oracle memo (keyed by the per-spec tokens shared with phase 1), so
-    /// backtracking attempts that rebuild the same body cost one lookup per
-    /// spec.
+    /// Does `body` pass every spec of the problem?
     fn passes_all_specs(&mut self, body: &Expr) -> bool {
         let p = self.program(body.clone());
         let started = Instant::now();
-        let valid = match self.sched.cache().cloned() {
-            Some(h) => {
-                let id = h.intern(body.clone());
-                self.spec_oracles.iter().all(|o| {
-                    h.oracle_verdict(o.token(), id, self.stats, || o.test(self.env, &p))
-                        .success
-                })
-            }
-            None => self
-                .spec_oracles
-                .iter()
-                .all(|o| o.test(self.env, &p).success),
-        };
+        let valid = self
+            .spec_oracles
+            .iter()
+            .all(|o| o.test(self.env, &p).success);
         self.stats.eval_nanos = self
             .stats
             .eval_nanos
@@ -682,5 +668,75 @@ mod tests {
         assert_eq!((sel[&k1], sel[&k2]), (1, 1));
         assert!(!bump(&mut sel));
         assert!(queried >= 4, "digit bases are supplied lazily per bump");
+    }
+
+    #[test]
+    fn known_negations_answer_guard_requests_without_search() {
+        use crate::engine::Scheduler;
+        use rbsyn_interp::SetupStep;
+        use rbsyn_stdlib::EnvBuilder;
+
+        let mut b = EnvBuilder::with_stdlib();
+        let post = b.define_model("Post", &[("author", Ty::Str)]);
+        b.add_const(Value::Class(post));
+        let env = b.finish();
+        let returns = |n: i64| vec![call(var("xr"), "==", [int(n)])];
+        let target = SetupStep::CallTarget {
+            bind: "xr".into(),
+            args: vec![],
+        };
+        let seeded = Spec::new(
+            "seeded",
+            vec![
+                SetupStep::Exec(call(cls(post), "create", [hash([])])),
+                target.clone(),
+            ],
+            returns(1),
+        );
+        let empty = Spec::new("empty", vec![target], returns(0));
+        let specs = [seeded, empty];
+        let spec_oracles: Vec<SpecOracle> =
+            specs.iter().map(|s| SpecOracle::new(&env, s)).collect();
+        let opts = Options::default();
+        let sched = Scheduler::sequential();
+        let mut stats = SearchStats::default();
+        let exists = call(cls(post), "exists?", []);
+        let mut ctx = MergeCtx {
+            env: &env,
+            name: Symbol::intern("m"),
+            params: &[],
+            specs: &specs,
+            spec_oracles: &spec_oracles,
+            opts: &opts,
+            sched: &sched,
+            stats: &mut stats,
+            guard_time: Duration::ZERO,
+            known_conds: vec![exists.clone()],
+            guards: GuardPool::new(),
+        };
+        let tuples = vec![
+            Tuple {
+                expr: int(1),
+                cond: true_(),
+                specs: vec![0],
+            },
+            Tuple {
+                expr: int(0),
+                cond: true_(),
+                specs: vec![1],
+            },
+        ];
+        let program = merge_program(&mut ctx, tuples).unwrap();
+        // Both Rule-3 requests are answered by the known conditional or
+        // its negation (§4), so the guard stream is never enumerated.
+        let Expr::If { cond, .. } = &program.body else {
+            panic!("expected a branch, got {}", program.body.compact());
+        };
+        assert!(
+            **cond == exists || **cond == negate(&exists),
+            "{}",
+            cond.compact()
+        );
+        assert_eq!(stats.popped, 0, "no search was needed");
     }
 }

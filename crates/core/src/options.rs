@@ -98,15 +98,19 @@ pub struct Options {
     /// exhaustion backstop).
     pub max_expansions: u64,
     /// Wall-clock budget for the whole synthesis run (the paper uses 300 s
-    /// in §5). `None` disables the deadline.
+    /// in §5). `None` disables the deadline. A run still going at
+    /// [`GRACE`](crate::engine::watchdog::GRACE) times the budget is
+    /// hard-cancelled by a [`Watchdog`](crate::engine::Watchdog), and
+    /// surfaces as the same
+    /// [`SynthError::Timeout`](crate::SynthError::Timeout) a cooperative
+    /// stop produces.
     pub timeout: Option<Duration>,
-    /// Memoize search work (candidate dedup stays on either way). `true`
-    /// shares hash-consed candidates, expansion lists, type-check verdicts
-    /// and oracle outcomes across specs, merge attempts and batch jobs;
-    /// `false` (the `--no-cache` escape hatch) gives every search call a
-    /// throwaway cache. Caching never changes the synthesized program —
-    /// memoized values are pure functions of their keys — only the time
-    /// spent finding it.
+    /// Memoize the S-App / S-EffApp call-template lists. `true` shares
+    /// them across specs, merge attempts and batch jobs over identical
+    /// libraries; `false` (the `--no-cache` escape hatch) gives every
+    /// search call a throwaway memo. Caching never changes the synthesized
+    /// program — a template list is a pure function of its key — only the
+    /// time spent finding it.
     pub cache: bool,
     /// Observational-equivalence pruning: candidates whose evaluation
     /// vector (result value, effect trace, post-run state hash on the
@@ -118,24 +122,6 @@ pub struct Options {
     /// the work to find them shrinks". `--no-obs-equiv` is the A/B escape
     /// hatch.
     pub obs_equiv: bool,
-    /// Intra-problem speculation width (`--intra`): how many threads each
-    /// phase-1 search's [`SpeculationPool`](crate::engine::SpeculationPool)
-    /// may use (the search's own thread included) to expand and judge the
-    /// top of its frontier ahead of consumption. `1` (the default) keeps
-    /// the whole pipeline on one thread. Any width produces byte-identical
-    /// programs and effort counters; see the
-    /// [engine determinism story](crate::engine).
-    pub intra_parallelism: usize,
-    /// Watchdog grace factor: a run that overruns `timeout × grace` is
-    /// hard-cancelled by a [`Watchdog`](crate::engine::Watchdog) thread
-    /// (kill flag checked by the scheduler *and* on the interpreter's
-    /// fuel counter), surfacing as the same
-    /// [`SynthError::Timeout`](crate::SynthError::Timeout) a cooperative
-    /// stop produces. Values below 1.0 are clamped to 1.0, so the hard
-    /// deadline never precedes the cooperative one and determinism gates
-    /// are unaffected. `None` disables the watchdog; it is also inert
-    /// when `timeout` is `None`.
-    pub watchdog_grace: Option<f64>,
     /// Search-event tracing (`--trace`): `Some` activates the
     /// [`rbsyn_trace`] session threaded through every phase — phase
     /// spans, sampled candidate-lifecycle instants, counter samples.
@@ -163,8 +149,6 @@ impl Default for Options {
             timeout: Some(Duration::from_secs(300)),
             cache: true,
             obs_equiv: true,
-            intra_parallelism: 1,
-            watchdog_grace: Some(4.0),
             trace: None,
         }
     }
@@ -207,7 +191,6 @@ mod tests {
         assert_eq!(o.guidance, Guidance::both());
         assert_eq!(o.precision, EffectPrecision::Precise);
         assert!(o.timeout.is_some());
-        assert_eq!(o.intra_parallelism, 1, "intra-parallel dispatch is opt-in");
         assert!(o.obs_equiv, "observational-equivalence pruning is on");
         assert!(o.trace.is_none(), "tracing is opt-in (zero-cost off)");
     }

@@ -1,24 +1,20 @@
 //! The top-level synthesis pipeline: per-spec solutions (with the §4
 //! solution-reuse optimization), then merging.
 //!
-//! Both phases share one [`SearchCache`]: spec 2's search replays spec 1's
-//! expansion and type-check work from the memo, and the merge re-validates
-//! candidate bodies against per-spec oracles through the same verdict
-//! tables. By default each [`Synthesizer`] owns a private cache; the batch
-//! driver shares one across jobs via [`Synthesizer::with_cache`], and
-//! [`Options::cache`]` = false` disables memoization entirely.
+//! Every `generate` call of a run builds its call templates through one
+//! [`SearchCache`], the template memo: by default each [`Synthesizer`]
+//! owns a private one, the batch driver shares one across jobs via
+//! [`Synthesizer::with_cache`], and [`Options::cache`]` = false` gives
+//! each call a throwaway one. Candidates themselves live in each call's
+//! own node arena and are freed when it returns.
 //!
-//! Phase 1 searches the specs one at a time, in spec order, and never
-//! searches a spec an earlier solution already passes (§4 solution
-//! reuse). **Intra-problem parallelism**
-//! (`Options::intra_parallelism` > 1) lives inside each search: its
-//! [`SpeculationPool`](crate::engine::SpeculationPool) judges the top of
-//! the frontier ahead of in-order consumption, so synthesized programs and
-//! effort counters are byte-identical to the sequential pipeline at any
-//! width.
+//! Phase 1 searches the specs one at a time, in spec order, on the run's
+//! own thread, and never searches a spec an earlier solution already
+//! passes (§4 solution reuse).
 
 use crate::cache::{CacheHandle, SearchCache};
-use crate::engine::{Scheduler, SearchStats, Watchdog};
+use crate::engine::watchdog::{self, Watchdog};
+use crate::engine::{Scheduler, SearchStats};
 use crate::error::SynthError;
 use crate::generate::{generate, Oracle, SpecOracle};
 use crate::goal::SynthesisProblem;
@@ -49,8 +45,8 @@ pub struct SynthStats {
     /// so the generate/guard/merge phases stay additive.
     pub merge_time: Duration,
     /// Wall-clock spent freeing the run's state (the merge context with
-    /// its guard pool, the run-scoped cache handle, the spec oracles)
-    /// after [`elapsed`](Self::elapsed) was read. Not part of `elapsed`.
+    /// its guard pool, the scheduler, the spec oracles) after
+    /// [`elapsed`](Self::elapsed) was read. Not part of `elapsed`.
     pub teardown_time: Duration,
     /// AST node count of the solution (Table 1 "Meth Size").
     pub solution_size: usize,
@@ -110,9 +106,8 @@ impl Synthesizer {
     }
 
     /// Configures a run against a shared [`SearchCache`] (the batch driver
-    /// passes one cache to every job). The shared cache carries the
-    /// library-template memo across runs; candidate-level memos live in a
-    /// run-scoped cache so their memory is reclaimed per run.
+    /// passes one cache to every job), which carries the library-template
+    /// memo across runs.
     ///
     /// The environment's class table is reset *symmetrically* from this
     /// run's configuration: the effect precision comes from `opts` and the
@@ -176,10 +171,9 @@ impl Synthesizer {
         // Hard-cancellation backstop for runs stuck past the cooperative
         // deadline (see [`Watchdog`]). Held for the whole run; dropping it
         // on any exit path disarms the timer.
-        let watchdog = match (opts.timeout, opts.watchdog_grace) {
-            (Some(budget), Some(grace)) => Some(Watchdog::arm(budget, grace)),
-            _ => None,
-        };
+        let watchdog = opts
+            .timeout
+            .map(|budget| Watchdog::arm(budget, watchdog::GRACE));
         if let Some(dog) = &watchdog {
             env.set_interrupt(dog.kill_flag());
         }
@@ -194,24 +188,15 @@ impl Synthesizer {
         let tracer: Option<Session> = tracer.or_else(|| opts.trace.clone().map(Session::new));
         let _solve_span = tracer.as_ref().map(|t| t.span(Phase::Solve));
 
-        // The memoization handle shared by every phase of this run: a
-        // run-scoped candidate cache (reclaimed when this run ends) plus
-        // the template cache passed in at construction (shared with
-        // sibling batch jobs). `--no-cache` drops the handle: each search
-        // call below then runs with its own throwaway cache, reproducing
-        // the uncached search.
-        let search: Option<CacheHandle> = opts.cache.then(|| {
-            CacheHandle::bind(
-                Arc::new(SearchCache::new()),
-                Arc::clone(&cache),
-                &env.table,
-                &opts,
-            )
-        });
+        // The template memo every search of this run expands through (the
+        // cache passed in at construction, shared with sibling batch jobs).
+        // `--no-cache` drops the handle: each search call below then runs
+        // with its own throwaway one.
+        let search: Option<CacheHandle> = opts
+            .cache
+            .then(|| CacheHandle::bind(Arc::clone(&cache), &env.table, &opts));
 
-        let mut sched = Scheduler::new(deadline, search)
-            .with_width(opts.intra_parallelism)
-            .with_trace(tracer.clone());
+        let mut sched = Scheduler::new(deadline, search).with_trace(tracer.clone());
         if let Some(dog) = &watchdog {
             sched = sched.with_kill(dog.kill_flag());
         }
@@ -237,16 +222,7 @@ impl Synthesizer {
             let reuse_span = tracer.as_ref().map(|t| t.span(Phase::Eval));
             let reused = tuples.iter_mut().find(|t| {
                 let p = Program::from_parts(name_sym, param_syms.clone(), t.expr.clone());
-                match sched.cache() {
-                    Some(h) => {
-                        let id = h.intern(t.expr.clone());
-                        h.oracle_verdict(oracle.token(), id, &mut stats.search, || {
-                            oracle.test(&env, &p)
-                        })
-                        .success
-                    }
-                    None => oracle.test(&env, &p).success,
-                }
+                oracle.test(&env, &p).success
             });
             drop(reuse_span);
             stats.search.eval_nanos = stats
@@ -480,64 +456,6 @@ mod tests {
         // Post table.
         let s = out.program.body.compact();
         assert!(s.contains("Post."), "expected a Post query in {s}");
-    }
-
-    #[test]
-    fn intra_parallel_run_matches_sequential() {
-        // The same two-spec merge problem, run sequentially and at
-        // speculation width 4: programs and effort counters must be
-        // identical (the engine determinism contract).
-        let build = || {
-            let (env, post) = blog_env();
-            let seeded = rbsyn_interp::Spec::new(
-                "seeded returns true",
-                vec![
-                    SetupStep::Exec(call(
-                        cls(post),
-                        "create",
-                        [hash([("author", str_("alice"))])],
-                    )),
-                    SetupStep::CallTarget {
-                        bind: "xr".into(),
-                        args: vec![],
-                    },
-                ],
-                vec![call(var("xr"), "==", [true_()])],
-            );
-            let empty = rbsyn_interp::Spec::new(
-                "empty returns false",
-                vec![SetupStep::CallTarget {
-                    bind: "xr".into(),
-                    args: vec![],
-                }],
-                vec![call(var("xr"), "==", [false_()])],
-            );
-            let problem = SynthesisProblem::builder("m")
-                .returns(Ty::Bool)
-                .base_consts()
-                .constant(Value::Class(post))
-                .spec(seeded)
-                .spec(empty)
-                .build();
-            (env, problem)
-        };
-        let run = |intra: usize| {
-            let (env, problem) = build();
-            let opts = Options {
-                intra_parallelism: intra,
-                ..Options::default()
-            };
-            Synthesizer::new(env, problem, opts).run().unwrap()
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(
-            seq.program.to_string(),
-            par.program.to_string(),
-            "programs must be byte-identical across intra widths"
-        );
-        assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
-        assert_eq!(seq.stats.tuples, par.stats.tuples);
     }
 
     #[test]

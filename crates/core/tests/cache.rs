@@ -1,6 +1,6 @@
-//! Cache semantics: memoization must be invisible in results.
+//! Cache semantics: the template memo must be invisible in results.
 //!
-//! * a property test drives `generate` over random problems, once with a
+//! * a property test drives `generate` over random problems, twice with a
 //!   shared [`CacheHandle`] and once uncached, and demands identical
 //!   programs *and* identical effort counters;
 //! * batch tests check that sharing one [`SearchCache`] across jobs (the
@@ -128,14 +128,9 @@ fn solve_once(p: &RandomProblem, search: Option<&CacheHandle>) -> (String, Searc
 fn check_cached_uncached_agreement(p: RandomProblem) {
     let (env, _) = blog_env();
     let opts = Options::default();
-    let shared = CacheHandle::bind(
-        Arc::new(SearchCache::new()),
-        Arc::new(SearchCache::new()),
-        &env.table,
-        &opts,
-    );
-    // Two cached runs against the SAME handle: the second replays the
-    // first from the memo.
+    let shared = CacheHandle::bind(Arc::new(SearchCache::new()), &env.table, &opts);
+    // Two cached runs against the SAME handle: the second builds its fill
+    // lists from the first's templates.
     let (cached1, s1) = solve_once(&p, Some(&shared));
     let (cached2, s2) = solve_once(&p, Some(&shared));
     let (uncached, s0) = solve_once(&p, None);
@@ -147,11 +142,11 @@ fn check_cached_uncached_agreement(p: RandomProblem) {
         assert_eq!(a.tested, b.tested);
         assert_eq!(a.deduped, b.deduped);
     }
-    // And the warm run actually hit the memo when there was anything
-    // to expand (trivial 1-pop searches may resolve before any miss).
-    if s0.popped > 1 {
-        assert!(s2.expand_hits > 0, "warm run must replay expansions");
-    }
+    // And the runs actually went through the memo.
+    assert!(
+        shared.shared_cache().template_entries() > 0,
+        "cached runs must store their templates"
+    );
 }
 
 proptest! {

@@ -1,11 +1,11 @@
 //! Engine determinism: programs and effort counters must be a pure
-//! function of the problem — never of the speculation width (`--intra`)
-//! or cache state.
+//! function of the problem — never of the template memo's state or of
+//! tracing.
 //!
-//! * `--intra 1` vs `--intra 4` over multi-spec problems (phase 1 with
-//!   and without solution reuse, a Rule-3 guard pair in the merge) must
-//!   produce byte-identical programs and identical effort counters;
-//! * a property test sweeps randomized spec sets through both widths.
+//! * the memo on vs off (`--no-cache`) over multi-spec problems (phase 1
+//!   with and without solution reuse, a Rule-3 guard pair in the merge)
+//!   must produce byte-identical programs and identical effort counters;
+//! * a property test sweeps randomized spec sets through both settings.
 
 use proptest::prelude::*;
 use rbsyn_core::{Options, SynthResult, SynthesisProblem, Synthesizer};
@@ -61,7 +61,7 @@ fn branching_problem() -> (InterpEnv, SynthesisProblem) {
 }
 
 /// A three-spec problem where specs 2 and 3 are served by solution reuse,
-/// so phase 1 never searches them at any width.
+/// so phase 1 never searches them.
 fn reuse_problem() -> (InterpEnv, SynthesisProblem) {
     let (env, _) = blog_env();
     let mk = |name: &str| {
@@ -84,10 +84,10 @@ fn reuse_problem() -> (InterpEnv, SynthesisProblem) {
     (env, problem)
 }
 
-fn run_with(build: &dyn Fn() -> (InterpEnv, SynthesisProblem), intra: usize) -> SynthResult {
+fn run_with(build: &dyn Fn() -> (InterpEnv, SynthesisProblem), cache: bool) -> SynthResult {
     let (env, problem) = build();
     let opts = Options {
-        intra_parallelism: intra,
+        cache,
         ..Options::default()
     };
     Synthesizer::new(env, problem, opts)
@@ -95,9 +95,9 @@ fn run_with(build: &dyn Fn() -> (InterpEnv, SynthesisProblem), intra: usize) -> 
         .expect("determinism problems are solvable")
 }
 
-fn assert_width_independent(build: &dyn Fn() -> (InterpEnv, SynthesisProblem)) {
-    let seq = run_with(build, 1);
-    let par = run_with(build, 4);
+fn assert_cache_independent(build: &dyn Fn() -> (InterpEnv, SynthesisProblem)) {
+    let seq = run_with(build, true);
+    let par = run_with(build, false);
     assert_eq!(
         seq.program.to_string(),
         par.program.to_string(),
@@ -106,7 +106,7 @@ fn assert_width_independent(build: &dyn Fn() -> (InterpEnv, SynthesisProblem)) {
     assert_eq!(
         seq.stats.search.effort(),
         par.stats.search.effort(),
-        "effort counters must be width-independent"
+        "effort counters must be cache-independent"
     );
     assert_eq!(seq.stats.tuples, par.stats.tuples);
     assert_eq!(seq.stats.solution_size, par.stats.solution_size);
@@ -114,14 +114,14 @@ fn assert_width_independent(build: &dyn Fn() -> (InterpEnv, SynthesisProblem)) {
 }
 
 #[test]
-fn guard_pair_merge_is_width_independent() {
-    assert_width_independent(&branching_problem);
+fn guard_pair_merge_is_cache_independent() {
+    assert_cache_independent(&branching_problem);
 }
 
 #[test]
-fn solution_reuse_is_width_independent() {
-    let seq = run_with(&reuse_problem, 1);
-    let par = run_with(&reuse_problem, 4);
+fn solution_reuse_is_cache_independent() {
+    let seq = run_with(&reuse_problem, true);
+    let par = run_with(&reuse_problem, false);
     assert_eq!(seq.program.to_string(), par.program.to_string());
     assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
     assert_eq!(
@@ -192,39 +192,35 @@ proptest! {
 }
 
 #[test]
-fn tracing_is_invisible_at_any_width() {
+fn tracing_is_invisible() {
     // The `--trace` invariant: instrumentation only *reads* engine state,
     // so tracing on vs off must synthesize byte-identical programs with
-    // identical effort counters — sequentially and at `--intra 4`, where
-    // speculation workers and task threads record on their own tracks.
-    // The full-benchmark version of this gate is the CI `trace`
-    // determinism leg (it diffs `solve` stdout and `--json` output).
-    let run = |intra: usize, trace: bool| {
+    // identical effort counters. The full-benchmark version of this gate
+    // is the CI `trace` determinism leg (it diffs `solve` stdout and
+    // `--json` output).
+    let run = |trace: bool| {
         let (env, problem) = branching_problem();
         let opts = Options {
-            intra_parallelism: intra,
             trace: trace.then(|| rbsyn_trace::TraceConfig::with_sample(1)),
             ..Options::default()
         };
         Synthesizer::new(env, problem, opts).run().unwrap()
     };
-    for intra in [1, 4] {
-        let off = run(intra, false);
-        let on = run(intra, true);
-        assert_eq!(
-            off.program.to_string(),
-            on.program.to_string(),
-            "tracing must not change the program (intra {intra})"
-        );
-        assert_eq!(
-            off.stats.search.effort(),
-            on.stats.search.effort(),
-            "tracing must not change effort counters (intra {intra})"
-        );
-        assert_eq!(off.stats.tuples, on.stats.tuples);
-        assert_eq!(off.stats.solution_size, on.stats.solution_size);
-        assert_eq!(off.stats.solution_paths, on.stats.solution_paths);
-    }
+    let off = run(false);
+    let on = run(true);
+    assert_eq!(
+        off.program.to_string(),
+        on.program.to_string(),
+        "tracing must not change the program"
+    );
+    assert_eq!(
+        off.stats.search.effort(),
+        on.stats.search.effort(),
+        "tracing must not change effort counters"
+    );
+    assert_eq!(off.stats.tuples, on.stats.tuples);
+    assert_eq!(off.stats.solution_size, on.stats.solution_size);
+    assert_eq!(off.stats.solution_paths, on.stats.solution_paths);
 }
 
 #[test]
@@ -270,35 +266,8 @@ fn attached_tracer_records_the_run_without_changing_it() {
     );
 }
 
-#[test]
-fn caching_is_invisible_at_any_width() {
-    let run = |intra: usize, cache: bool| {
-        let (env, problem) = branching_problem();
-        let opts = Options {
-            intra_parallelism: intra,
-            cache,
-            ..Options::default()
-        };
-        Synthesizer::new(env, problem, opts).run().unwrap()
-    };
-    let reference = run(1, true);
-    for (intra, cache) in [(1, false), (4, true), (4, false)] {
-        let r = run(intra, cache);
-        assert_eq!(
-            reference.program.to_string(),
-            r.program.to_string(),
-            "intra {intra}, cache {cache}"
-        );
-        assert_eq!(
-            reference.stats.search.effort(),
-            r.stats.search.effort(),
-            "intra {intra}, cache {cache}"
-        );
-    }
-}
-
 /// Randomized spec sets: any subset/ordering of these specs must solve
-/// identically at both widths (programs and effort counters).
+/// identically with the memo on and off (programs and effort counters).
 fn arb_spec_mask() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..4, 1..4)
 }
@@ -371,10 +340,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn random_spec_sets_are_width_independent(mask in arb_spec_mask()) {
+    fn random_spec_sets_are_cache_independent(mask in arb_spec_mask()) {
         let build = move || masked_problem(&mask);
-        let seq = run_with(&build, 1);
-        let par = run_with(&build, 4);
+        let seq = run_with(&build, true);
+        let par = run_with(&build, false);
         prop_assert_eq!(seq.program.to_string(), par.program.to_string());
         prop_assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
     }

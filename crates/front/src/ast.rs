@@ -148,7 +148,7 @@ pub struct EffPath {
 /// One `key: value` entry of `options do … end`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct OptionEntry {
-    /// Option key (`max_size`, `timeout_secs`, `intra`, …).
+    /// Option key (`max_size`, `timeout_secs`, `cache`, …).
     pub key: String,
     /// Span of the key.
     pub key_span: Span,

@@ -329,7 +329,6 @@ impl Lowerer {
                 "max_guard_size" => o.max_guard_size = int("max_guard_size")? as usize,
                 "max_hash_keys" => o.max_hash_keys = int("max_hash_keys")? as usize,
                 "max_expansions" => o.max_expansions = int("max_expansions")? as u64,
-                "intra" => o.intra_parallelism = (int("intra")? as usize).max(1),
                 "timeout_secs" => {
                     let secs = int("timeout_secs")?;
                     o.timeout = if secs == 0 {
@@ -352,7 +351,7 @@ impl Lowerer {
                     return Err(Diagnostic::new(
                         format!(
                             "unknown option `{other}` (known: max_size, max_guard_size, \
-                             max_hash_keys, max_expansions, timeout_secs, intra, cache)"
+                             max_hash_keys, max_expansions, timeout_secs, cache)"
                         ),
                         e.key_span,
                     ))

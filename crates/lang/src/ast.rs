@@ -14,9 +14,8 @@ use std::fmt;
 
 /// A λ_syn expression.
 ///
-/// `Expr` is structurally hashable so candidates can be hash-consed into an
-/// [`crate::intern::ExprArena`]; two expressions are equal exactly when
-/// their ASTs are.
+/// `Expr` is structurally hashable, so expressions can key hash tables;
+/// two expressions are equal exactly when their ASTs are.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// A literal value: `nil`, `true`, `false`, integers, strings, symbols,

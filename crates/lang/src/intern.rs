@@ -1,5 +1,5 @@
-//! Interners: the global string interner and the hash-consing
-//! expression arena.
+//! The global string interner and the hasher behind the synthesizer's
+//! hash tables.
 //!
 //! Identifiers (variables, method names, hash keys, effect regions, class
 //! names) appear everywhere in the synthesizer's inner loop, so they are
@@ -10,31 +10,23 @@
 //! comparison hits) is a lock-free indexed load from an append-only
 //! segment arena. Interning the same string twice returns the same handle
 //! for the lifetime of the process.
-//!
-//! Candidate *expressions* get the same treatment via [`ExprArena`]:
-//! structurally equal [`Expr`]s are hash-consed to one [`ExprId`], so the
-//! search can deduplicate its work-list, compare candidates, and key memo
-//! tables on a `Copy` integer instead of re-rendering or re-walking ASTs.
-//! Unlike the string interner, expression arenas are *instantiable* (one
-//! per search cache), so their memory is reclaimed when the cache is
-//! dropped.
 
-use crate::ast::Expr;
 use crate::contention;
-use crate::metrics::node_count;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// The rustc-style multiply-xor hasher (FxHash).
 ///
-/// Candidate interning and memo lookups hash whole expression trees on the
-/// search's hottest path; a keyed SipHash there costs more than the table
-/// operations it guards. This hasher trades DoS resistance (irrelevant for
-/// an in-process search cache) for ~5× faster tree hashing. Deterministic
-/// within a process — do not persist its output.
+/// Node interning and memo lookups sit on the search's hottest path; a
+/// keyed SipHash there costs more than the table operations it guards.
+/// This hasher trades DoS resistance (irrelevant for in-process search
+/// tables) for ~5× faster hashing. Its multiply carries input bits only
+/// upwards: feed it one small id per word, not two packed into one, if
+/// the low bits of the hash must tell them apart. Deterministic within a
+/// process — do not persist its output.
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
@@ -108,7 +100,7 @@ pub type FxBuild = BuildHasherDefault<FxHasher>;
 /// values are reproducible within a process) over `(tag, lane, content)`.
 ///
 /// Used wherever a content fingerprint doubles as a cache key — class-table
-/// identity, search-environment tokens, `Γ` fingerprints — where 64 bits
+/// identity, search-environment tokens — where 64 bits
 /// would leave accidental collisions within reach of a long-running
 /// service. Do not persist the output: it is stable per process, not per
 /// toolchain.
@@ -211,10 +203,9 @@ impl Shard {
 /// recovers the owning stripe. The encoding (and therefore the raw
 /// [`Symbol::index`] values) varies with the shard count, but nothing
 /// observable does: symbols compare, order, print and observation-hash by
-/// string content. The process-wide table reads `RBSYN_INTERN_SHARDS`
-/// once (power of two, clamped to `1..=64`, default 16); the determinism
-/// CI matrix pins shard counts 1/4/16 against each other to enforce the
-/// "layout is unobservable" contract end to end.
+/// string content. The process-wide table uses 16 stripes;
+/// `intern_stress.rs` pins the "layout is unobservable" contract across
+/// every layout from 1 to 16 stripes.
 ///
 /// The table is instantiable for tests; everything else goes through the
 /// process-wide instance behind [`Symbol::intern`].
@@ -301,24 +292,13 @@ impl SymbolTable {
     }
 }
 
-/// The process-wide table behind [`Symbol`]. Shard count comes from
-/// `RBSYN_INTERN_SHARDS`, read exactly once.
+/// Stripe count of the process-wide symbol table.
+const GLOBAL_SHARDS: usize = 16;
+
+/// The process-wide table behind [`Symbol`].
 fn global() -> &'static SymbolTable {
     static GLOBAL: OnceLock<SymbolTable> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let shards = std::env::var("RBSYN_INTERN_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(16);
-        SymbolTable::with_shards(shards)
-    })
-}
-
-/// The effective stripe count of the process-wide symbol table (after the
-/// `RBSYN_INTERN_SHARDS` clamp-and-round) — host metadata for benchmark
-/// reports. Forces table initialization on first call.
-pub fn global_shard_count() -> usize {
-    global().shard_count()
+    GLOBAL.get_or_init(|| SymbolTable::with_shards(GLOBAL_SHARDS))
 }
 
 impl Symbol {
@@ -381,227 +361,6 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// A hash-consed expression handle.
-///
-/// Two candidates intern to the same id in a given [`ExprArena`] exactly
-/// when they are structurally equal; ids from *different* arenas are
-/// unrelated and must not be mixed. Ids are `Copy` and hash/compare in
-/// O(1), which is what makes them suitable as work-list entries and memo
-/// keys.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ExprId(u32);
-
-impl ExprId {
-    /// Raw handle; exposed for dense indexing and sharding.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
-/// A hash-consing arena for [`Expr`]s.
-///
-/// Interning stores one shared copy of each distinct expression and
-/// precomputes the two properties the search asks about on every work-list
-/// operation: [`node_count`] (the size heuristic) and `evaluable` (the
-/// hole-free predicate of Fig. 12). Candidates are interned *whole*; the
-/// arena does not decompose subtrees.
-///
-/// Several arenas can interleave their id spaces via
-/// [`ExprArena::with_stride`], which is how a sharded, thread-safe cache
-/// hands out globally unique ids from independently locked shards.
-///
-/// # Example
-///
-/// ```
-/// use rbsyn_lang::builder::*;
-/// use rbsyn_lang::intern::ExprArena;
-///
-/// let mut arena = ExprArena::new();
-/// let a = arena.intern(call(var("x"), "first", []));
-/// let b = arena.intern(call(var("x"), "first", []));
-/// let c = arena.intern(var("x"));
-/// assert_eq!(a, b, "structurally equal candidates share an id");
-/// assert_ne!(a, c);
-/// assert_eq!(arena.size(c), 1);
-/// assert!(arena.evaluable(a));
-/// assert_eq!(arena.len(), 2);
-/// ```
-#[derive(Debug, Default)]
-pub struct ExprArena {
-    // Buckets keyed by the precomputed structural hash; values are entry
-    // slots with that hash. One tree walk ([`ExprArena::hash_of`]) serves
-    // shard selection, lookup and insertion alike — with 64-bit hashes the
-    // chains are essentially always length one, and equality is confirmed
-    // structurally on the rare collision.
-    map: HashMap<u64, Bucket, FxBuild>,
-    entries: Vec<ArenaEntry>,
-    offset: u32,
-    stride: u32,
-}
-
-/// A hash bucket that stays allocation-free in the overwhelmingly common
-/// single-entry case (millions of buckets exist during a hard search).
-#[derive(Debug)]
-enum Bucket {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl Bucket {
-    fn slots(&self) -> &[u32] {
-        match self {
-            Bucket::One(s) => std::slice::from_ref(s),
-            Bucket::Many(v) => v,
-        }
-    }
-
-    fn push(&mut self, slot: u32) {
-        match self {
-            Bucket::One(s) => *self = Bucket::Many(vec![*s, slot]),
-            Bucket::Many(v) => v.push(slot),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct ArenaEntry {
-    expr: Arc<Expr>,
-    size: u32,
-    evaluable: bool,
-}
-
-impl ExprArena {
-    /// An empty arena with the dense id space `0, 1, 2, …`.
-    pub fn new() -> ExprArena {
-        ExprArena::with_stride(0, 1)
-    }
-
-    /// An empty arena handing out ids `offset, offset+stride, …`.
-    ///
-    /// Shard `i` of an `n`-way sharded cache uses `with_stride(i, n)`, so
-    /// ids remain globally unique and `id.index() % n` recovers the shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stride` is zero or `offset >= stride`.
-    pub fn with_stride(offset: u32, stride: u32) -> ExprArena {
-        assert!(stride > 0 && offset < stride, "invalid arena stride");
-        ExprArena {
-            map: HashMap::default(),
-            entries: Vec::new(),
-            offset,
-            stride,
-        }
-    }
-
-    /// The structural hash used by this arena's buckets (one tree walk).
-    /// Compute it once and pass it to the `*_hashed` operations when both
-    /// a pre-check and an insert may happen.
-    pub fn hash_of(e: &Expr) -> u64 {
-        let mut h = FxHasher::default();
-        std::hash::Hash::hash(e, &mut h);
-        h.finish()
-    }
-
-    /// Interns an expression, returning its stable handle.
-    pub fn intern(&mut self, e: Expr) -> ExprId {
-        let hash = Self::hash_of(&e);
-        self.intern_hashed(hash, e)
-    }
-
-    /// [`ExprArena::intern`] with the [`ExprArena::hash_of`] value already
-    /// in hand.
-    pub fn intern_hashed(&mut self, hash: u64, e: Expr) -> ExprId {
-        let slot = match self.map.entry(hash) {
-            std::collections::hash_map::Entry::Occupied(mut occ) => {
-                if let Some(&slot) = occ
-                    .get()
-                    .slots()
-                    .iter()
-                    .find(|&&slot| *self.entries[slot as usize].expr == e)
-                {
-                    return ExprId(self.offset + slot * self.stride);
-                }
-                let slot = self.entries.len() as u32;
-                occ.get_mut().push(slot);
-                slot
-            }
-            std::collections::hash_map::Entry::Vacant(vac) => {
-                let slot = self.entries.len() as u32;
-                vac.insert(Bucket::One(slot));
-                slot
-            }
-        };
-        let size = node_count(&e).min(u32::MAX as usize) as u32;
-        let evaluable = e.evaluable();
-        self.entries.push(ArenaEntry {
-            expr: Arc::new(e),
-            size,
-            evaluable,
-        });
-        ExprId(self.offset + slot * self.stride)
-    }
-
-    /// Looks an expression up without interning it.
-    pub fn lookup(&self, e: &Expr) -> Option<ExprId> {
-        self.lookup_hashed(Self::hash_of(e), e)
-    }
-
-    /// [`ExprArena::lookup`] with the [`ExprArena::hash_of`] value already
-    /// in hand.
-    pub fn lookup_hashed(&self, hash: u64, e: &Expr) -> Option<ExprId> {
-        self.map.get(&hash).and_then(|bucket| {
-            bucket
-                .slots()
-                .iter()
-                .find(|&&slot| *self.entries[slot as usize].expr == *e)
-                .map(|&slot| ExprId(self.offset + slot * self.stride))
-        })
-    }
-
-    fn slot(&self, id: ExprId) -> usize {
-        debug_assert_eq!(id.0 % self.stride, self.offset, "foreign ExprId");
-        ((id.0 - self.offset) / self.stride) as usize
-    }
-
-    /// The interned expression behind a handle (cheaply clonable `Arc`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` was produced by a different arena.
-    pub fn get(&self, id: ExprId) -> &Arc<Expr> {
-        &self.entries[self.slot(id)].expr
-    }
-
-    /// Precomputed [`node_count`] of the interned expression.
-    pub fn size(&self, id: ExprId) -> usize {
-        self.entries[self.slot(id)].size as usize
-    }
-
-    /// Precomputed `evaluable` (hole-free) flag of the interned expression.
-    pub fn evaluable(&self, id: ExprId) -> bool {
-        self.entries[self.slot(id)].evaluable
-    }
-
-    /// Both precomputed properties in one lookup: `(node count,
-    /// evaluable)`. The work-list consults both per candidate, and behind
-    /// a lock one roundtrip matters.
-    pub fn meta(&self, id: ExprId) -> (usize, bool) {
-        let e = &self.entries[self.slot(id)];
-        (e.size as usize, e.evaluable)
-    }
-
-    /// Number of distinct expressions interned.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the arena empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,80 +404,5 @@ mod tests {
         let a: Symbol = "x".into();
         let b: Symbol = String::from("x").into();
         assert_eq!(a, b);
-    }
-
-    mod arena {
-        use super::super::*;
-        use crate::builder::*;
-        use crate::types::Ty;
-
-        #[test]
-        fn equal_exprs_share_an_id() {
-            let mut a = ExprArena::new();
-            let e1 = a.intern(call(var("x"), "m", [int(1)]));
-            let e2 = a.intern(call(var("x"), "m", [int(1)]));
-            assert_eq!(e1, e2);
-            assert_eq!(a.len(), 1, "one entry despite two interns");
-        }
-
-        #[test]
-        fn distinct_exprs_get_distinct_ids() {
-            let mut a = ExprArena::new();
-            let ids = [
-                a.intern(var("x")),
-                a.intern(var("y")),
-                a.intern(str_("x")),
-                a.intern(hole(Ty::Str)),
-                a.intern(call(var("x"), "m", [])),
-            ];
-            for (i, x) in ids.iter().enumerate() {
-                for y in &ids[i + 1..] {
-                    assert_ne!(x, y);
-                }
-            }
-            assert_eq!(a.len(), 5);
-        }
-
-        #[test]
-        fn get_roundtrips_and_metrics_are_precomputed() {
-            let mut a = ExprArena::new();
-            let e = seq([hole(Ty::Int), call(var("x"), "m", [int(2)])]);
-            let id = a.intern(e.clone());
-            assert_eq!(**a.get(id), e);
-            assert_eq!(a.size(id), node_count(&e));
-            assert!(!a.evaluable(id), "expression has a hole");
-            let done = a.intern(var("x"));
-            assert!(a.evaluable(done));
-        }
-
-        #[test]
-        fn lookup_does_not_intern() {
-            let mut a = ExprArena::new();
-            assert!(a.is_empty());
-            assert_eq!(a.lookup(&var("x")), None);
-            let id = a.intern(var("x"));
-            assert_eq!(a.lookup(&var("x")), Some(id));
-            assert_eq!(a.len(), 1);
-        }
-
-        #[test]
-        fn strided_arenas_interleave_id_spaces() {
-            let mut shard0 = ExprArena::with_stride(0, 4);
-            let mut shard3 = ExprArena::with_stride(3, 4);
-            let a = shard0.intern(var("a"));
-            let b = shard0.intern(var("b"));
-            let c = shard3.intern(var("c"));
-            assert_eq!(a.index() % 4, 0);
-            assert_eq!(b.index() % 4, 0);
-            assert_eq!(c.index() % 4, 3);
-            assert_ne!(a, b);
-            assert_eq!(**shard3.get(c), var("c"));
-        }
-
-        #[test]
-        #[should_panic(expected = "invalid arena stride")]
-        fn bad_stride_is_rejected() {
-            let _ = ExprArena::with_stride(4, 4);
-        }
     }
 }

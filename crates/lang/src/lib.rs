@@ -51,7 +51,7 @@ pub mod value;
 
 pub use ast::{Expr, Program};
 pub use effects::{Effect, EffectPair, EffectSet};
-pub use intern::{hash128, ExprArena, ExprId, FxBuild, FxHasher, Symbol, SymbolTable};
+pub use intern::{hash128, FxBuild, FxHasher, Symbol, SymbolTable};
 pub use obs::{unordered_obs_fold, ObsHasher};
 pub use types::{FiniteHash, HashField, Ty};
 pub use value::{ClassId, ObjRef, Value};

@@ -154,8 +154,8 @@ fn segment_growth_survives_thousands_of_symbols_per_shard() {
 
 #[test]
 fn global_symbols_order_by_content_not_layout() {
-    // The process-wide table may run at any RBSYN_INTERN_SHARDS; ordering
-    // must come from string contents alone.
+    // Whatever the process-wide table's layout, ordering must come from
+    // string contents alone.
     let mut syms: Vec<Symbol> = ["zeta", "alpha", "mu", "beta"]
         .iter()
         .map(|s| Symbol::intern(s))
