@@ -31,7 +31,6 @@ fn bench_synthesis(c: &mut Criterion) {
                     Guidance::both(),
                     EffectPrecision::Precise,
                     Duration::from_secs(120),
-                    true,
                 );
                 assert!(out.succeeded(), "{} must synthesize", b.id);
                 out.time

@@ -23,8 +23,8 @@
 //! Every synthesis run searches on its own job thread; `--parallel N`
 //! runs N jobs at a time.
 //!
-//! `--compare` runs a sequential baseline first (one job thread, same
-//! cache setting), then the requested `--parallel` configuration,
+//! `--compare` runs a sequential baseline first (one job thread), then
+//! the requested `--parallel` configuration,
 //! verifies the two deterministic sections are byte-identical, and
 //! reports both wall-clocks. Exits nonzero on mismatch or on any unsolved
 //! benchmark.
@@ -38,6 +38,10 @@
 //! (exit code 6) instead of dragging every job into a timeout.
 //! `--global-deadline 0` sheds everything — useful for exercising the
 //! shed path deterministically.
+//!
+//! `--json PATH` writes the outcome (batch mode: the batch report) as
+//! JSON. A `--json` or `--trace` path that cannot be written exits 1
+//! with `cannot write --<flag> file <path>: <error>` on stderr.
 //!
 //! `--trace FILE` (single-benchmark and `--spec` modes only; the env
 //! fallback `RBSYN_TRACE=FILE` is ignored in batch mode) records a
@@ -60,11 +64,10 @@
 
 use rbsyn_bench::harness::{
     batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats, json_escape,
-    parse_ids, run_suite_with, Config,
+    parse_ids, run_suite_with, write_output_or_exit, Config,
 };
 use rbsyn_core::{BatchPolicy, BatchReport, Options, SynthError, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
-use rbsyn_lang::persist::atomic_write;
 use rbsyn_suite::{benchmark, benchmarks_from_dir, Benchmark};
 use rbsyn_trace::{schema, Session, TraceConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,9 +83,6 @@ struct Cli {
     /// `--timeout` / positional seconds, when given (overrides
     /// `RBSYN_TIMEOUT_SECS`).
     timeout: Option<Duration>,
-    /// `--no-cache`: disable the template memo (A/B escape hatch; the
-    /// deterministic output section must be byte-identical either way).
-    no_cache: bool,
     /// `--no-obs-equiv`: disable observational-equivalence pruning (A/B
     /// escape hatch; programs must be byte-identical either way, while the
     /// effort counters legitimately shrink with pruning on).
@@ -111,7 +111,7 @@ fn usage() -> ! {
          solve --spec FILE.rbspec [--timeout SECS] \
          [--trace FILE [--trace-sample N]] [--json PATH]\n       \
          solve --all [--spec-dir DIR] [--parallel N] \
-         [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-cache] [--no-obs-equiv] \
+         [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-obs-equiv] \
          [--global-deadline SECS] [--json PATH]"
     );
     std::process::exit(exit_codes::USAGE);
@@ -124,7 +124,6 @@ fn parse_cli() -> Cli {
         parallel: 0,
         ids: None,
         timeout: None,
-        no_cache: false,
         no_obs_equiv: false,
         spec: None,
         spec_dir: None,
@@ -167,7 +166,6 @@ fn parse_cli() -> Cli {
                     value("--timeout").parse().unwrap_or_else(|_| usage()),
                 ))
             }
-            "--no-cache" => cli.no_cache = true,
             "--no-obs-equiv" => cli.no_obs_equiv = true,
             "--spec" => cli.spec = Some(value("--spec")),
             "--trace" => cli.trace = Some(value("--trace")),
@@ -273,10 +271,7 @@ fn export_trace(session: Session, path: &str, label: &str, status: &str) {
             std::process::exit(exit_codes::OTHER);
         }
     };
-    if let Err(e) = atomic_write(Path::new(path), json.as_bytes()) {
-        eprintln!("cannot write --trace file {path}: {e}");
-        std::process::exit(exit_codes::OTHER);
-    }
+    write_output_or_exit("--trace", path, json.as_bytes());
     eprint!("{}", trace.profile().render());
     eprintln!(
         "trace: {} events on {} thread(s) ({} dropped) -> {path}",
@@ -286,8 +281,8 @@ fn export_trace(session: Session, path: &str, label: &str, status: &str) {
 
 /// Synthesizes one problem, prints the outcome (and `--json` if asked),
 /// and exits with the class-specific code. CLI flags override `base` only
-/// when actually given — a `.rbspec` file's `options do … end` (cache,
-/// timeout) is honoured otherwise. `default_timeout` backs
+/// when actually given — a `.rbspec` file's `options do … end` (timeout,
+/// size bounds) is honoured otherwise. `default_timeout` backs
 /// the registry path's historical 60 s default; `None` leaves the base
 /// deadline alone (including a file's explicit `timeout_secs: 0` =
 /// unlimited).
@@ -305,9 +300,6 @@ fn run_one(
         (Some(t), _) => opts.timeout = Some(t),
         (None, Some(d)) => opts.timeout = Some(d),
         (None, None) => {}
-    }
-    if cli.no_cache {
-        opts.cache = false;
     }
     if cli.no_obs_equiv {
         opts.obs_equiv = false;
@@ -380,7 +372,7 @@ fn run_one(
                     r.stats.search.obs_pruned,
                     r.stats.search.vector_hits,
                 );
-                atomic_write(Path::new(path), json.as_bytes()).expect("write --json file");
+                write_output_or_exit("--json", path, json.as_bytes());
             }
             std::process::exit(exit_codes::OK);
         }
@@ -401,7 +393,7 @@ fn run_one(
                     json_escape(label),
                     json_escape(&e.to_string()),
                 );
-                atomic_write(Path::new(path), json.as_bytes()).expect("write --json file");
+                write_output_or_exit("--json", path, json.as_bytes());
             }
             std::process::exit(code);
         }
@@ -469,16 +461,13 @@ fn main() {
     }
 
     // Flags override the harness env knobs (RBSYN_BENCH_IDS /
-    // RBSYN_TIMEOUT_SECS / RBSYN_NO_CACHE); unset flags inherit them.
+    // RBSYN_TIMEOUT_SECS / RBSYN_NO_OBS_EQUIV); unset flags inherit them.
     let mut cfg = Config::from_env_or_exit();
     if let Some(ids) = cli.ids.clone() {
         cfg.ids = ids;
     }
     if let Some(t) = cli.timeout {
         cfg.timeout = t;
-    }
-    if cli.no_cache {
-        cfg.cache = false;
     }
     if cli.no_obs_equiv {
         cfg.obs_equiv = false;
@@ -492,9 +481,8 @@ fn main() {
         run_suite_with(benchmarks.clone(), cfg, threads, &policy)
     };
     if cli.compare {
-        // Baseline: one job thread, same cache setting (the determinism
-        // CI leg diffs cache on/off separately); thread counts must never
-        // change the deterministic section.
+        // Baseline: one job thread; thread counts must never change the
+        // deterministic section.
         eprintln!("compare: sequential baseline…");
         let seq = run(&cfg, 1);
         eprintln!("compare: parallel run ({} threads)…", cli.parallel);
@@ -516,8 +504,7 @@ fn main() {
         );
         print!("{a}");
         if let Some(path) = &cli.json {
-            atomic_write(Path::new(path), batch_stats_json(&par).as_bytes())
-                .expect("write --json file");
+            write_output_or_exit("--json", path, batch_stats_json(&par).as_bytes());
         }
         std::process::exit(exit_codes::for_batch(&seq));
     }
@@ -526,8 +513,7 @@ fn main() {
     print!("{}", format_batch_solutions(&report));
     eprint!("{}", format_batch_stats(&report));
     if let Some(path) = &cli.json {
-        atomic_write(Path::new(path), batch_stats_json(&report).as_bytes())
-            .expect("write --json file");
+        write_output_or_exit("--json", path, batch_stats_json(&report).as_bytes());
     }
     std::process::exit(exit_codes::for_batch(&report));
 }

@@ -17,7 +17,7 @@
 
 use rbsyn_bench::harness::{
     batch_stats_json, format_batch_solutions, format_batch_stats, format_table1, run_suite,
-    table1_rows, Config,
+    table1_rows, write_output_or_exit, Config,
 };
 use std::time::Duration;
 
@@ -74,11 +74,7 @@ fn main() {
         print!("{}", format_batch_solutions(&report));
         eprint!("{}", format_batch_stats(&report));
         if let Some(path) = &json {
-            rbsyn_lang::persist::atomic_write(
-                std::path::Path::new(path),
-                batch_stats_json(&report).as_bytes(),
-            )
-            .expect("write --json file");
+            write_output_or_exit("--json", path, batch_stats_json(&report).as_bytes());
             eprintln!("stats written to {path}");
         }
         std::process::exit(if report.stats.solved == report.stats.jobs {
@@ -120,8 +116,7 @@ fn main() {
             ));
         }
         out.push_str("  ]\n}\n");
-        rbsyn_lang::persist::atomic_write(std::path::Path::new(path), out.as_bytes())
-            .expect("write --json file");
+        write_output_or_exit("--json", path, out.as_bytes());
         eprintln!("stats written to {path}");
     }
 }

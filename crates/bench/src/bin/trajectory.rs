@@ -39,7 +39,8 @@
 //! gate, and the obs-equiv soundness gate.
 
 use rbsyn_bench::harness::{
-    format_batch_programs, format_batch_solutions, run_suite, run_suite_on, Config,
+    format_batch_programs, format_batch_solutions, run_suite, run_suite_on, write_output_or_exit,
+    Config,
 };
 use rbsyn_core::BatchReport;
 use rbsyn_suite::Benchmark;
@@ -73,7 +74,8 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
          \"wall_clock_secs\": {:.6}, \"cpu_time_secs\": {:.6}, \"wall_speedup\": {:.4}, \
          \"cpu_ratio\": {:.4},\n     \
          \"solved\": {}, \"timeouts\": {}, \"failures\": {}, \"tested\": {},\n     \
-         \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {},\n     \
+         \"popped\": {}, \"expanded\": {}, \"deduped\": {}, \"obs_pruned\": {}, \
+         \"vector_hits\": {},\n     \
          \"generate_time_secs\": {:.6}, \"guard_time_secs\": {:.6}, \
          \"merge_time_secs\": {:.6}, \"eval_time_secs\": {:.6}}}",
         spec.name,
@@ -94,6 +96,8 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
         s.timeouts,
         s.failures,
         s.tested,
+        s.popped,
+        s.expanded,
         s.deduped,
         s.obs_pruned,
         s.vector_hits,
@@ -423,8 +427,7 @@ fn main() {
     );
     match &json {
         Some(path) => {
-            rbsyn_lang::persist::atomic_write(std::path::Path::new(path), out.as_bytes())
-                .expect("write --json file");
+            write_output_or_exit("--json", path, out.as_bytes());
             eprintln!("trajectory written to {path}");
         }
         None => print!("{out}"),

@@ -3,8 +3,10 @@
 use rbsyn_core::{
     run_batch_with, BatchJob, BatchPolicy, BatchReport, Guidance, Options, SynthError, Synthesizer,
 };
+use rbsyn_lang::persist::atomic_write;
 use rbsyn_suite::{all_benchmarks, Benchmark};
 use rbsyn_ty::EffectPrecision;
+use std::path::Path;
 use std::time::Duration;
 
 /// Harness configuration (see crate docs for the environment variables).
@@ -24,9 +26,6 @@ pub struct Config {
     pub coarse_timeout: Duration,
     /// Benchmark ids to run (empty = all).
     pub ids: Vec<String>,
-    /// Template memo (`Options::cache`); `RBSYN_NO_CACHE=1` or
-    /// `solve --no-cache` turns it off for A/B comparisons.
-    pub cache: bool,
     /// Observational-equivalence pruning (`Options::obs_equiv`);
     /// `RBSYN_NO_OBS_EQUIV=1` or `solve --no-obs-equiv` turns it off for
     /// the byte-identity A/B gate.
@@ -52,35 +51,46 @@ pub fn parse_ids(source: &str, text: &str) -> Result<Vec<String>, String> {
     Ok(ids)
 }
 
+/// Reads an unsigned-integer environment variable: `None` when it is
+/// unset or empty.
+///
+/// # Errors
+///
+/// A usage message naming the variable and its value when it holds
+/// anything but an unsigned integer (`1.5`, `abc`, `-1`).
+fn env_uint(name: &str) -> Result<Option<u64>, String> {
+    match std::env::var_os(name) {
+        None => Ok(None),
+        Some(v) if v.is_empty() => Ok(None),
+        Some(v) => v
+            .to_str()
+            .and_then(|s| s.parse().ok())
+            .map(Some)
+            .ok_or_else(|| format!("{name}={v:?} is not an unsigned integer")),
+    }
+}
+
 impl Config {
     /// Reads configuration from the environment.
     ///
     /// # Errors
     ///
-    /// A usage message when `RBSYN_BENCH_IDS` is set to a list that names
-    /// no id or names an id the registry does not have.
+    /// A usage message when a numeric variable (`RBSYN_RUNS`, the
+    /// `*_TIMEOUT_SECS` ones) is set to anything but an unsigned integer,
+    /// or when `RBSYN_BENCH_IDS` is set to a list that names no id or
+    /// names an id the registry does not have.
     pub fn from_env() -> Result<Config, String> {
-        let runs = std::env::var("RBSYN_RUNS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3)
-            .max(1);
-        let env_secs = |name: &str| -> Option<Duration> {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .map(Duration::from_secs)
-        };
-        let timeout = env_secs("RBSYN_TIMEOUT_SECS").unwrap_or(Duration::from_secs(60));
-        let ablation_timeout = env_secs("RBSYN_ABLATION_TIMEOUT_SECS")
+        let runs = env_uint("RBSYN_RUNS")?.unwrap_or(3).max(1) as usize;
+        let env_secs = |name: &str| Ok::<_, String>(env_uint(name)?.map(Duration::from_secs));
+        let timeout = env_secs("RBSYN_TIMEOUT_SECS")?.unwrap_or(Duration::from_secs(60));
+        let ablation_timeout = env_secs("RBSYN_ABLATION_TIMEOUT_SECS")?
             .unwrap_or_else(|| timeout.min(Duration::from_secs(8)));
-        let coarse_timeout = env_secs("RBSYN_COARSE_TIMEOUT_SECS")
+        let coarse_timeout = env_secs("RBSYN_COARSE_TIMEOUT_SECS")?
             .unwrap_or_else(|| timeout.min(Duration::from_secs(20)));
         let ids = match std::env::var("RBSYN_BENCH_IDS") {
             Ok(v) => parse_ids("RBSYN_BENCH_IDS", &v)?,
             Err(_) => Vec::new(),
         };
-        let cache = !std::env::var("RBSYN_NO_CACHE").is_ok_and(|v| v == "1" || v == "true");
         let obs_equiv = !std::env::var("RBSYN_NO_OBS_EQUIV").is_ok_and(|v| v == "1" || v == "true");
         let cfg = Config {
             runs,
@@ -88,7 +98,6 @@ impl Config {
             ablation_timeout,
             coarse_timeout,
             ids,
-            cache,
             obs_equiv,
         };
         cfg.select(all_benchmarks())?;
@@ -166,22 +175,18 @@ impl RunOutcome {
     }
 }
 
-/// Runs one benchmark once under the given guidance/precision. `cache`
-/// toggles the memoized search ([`Options::cache`]); every harness path
-/// honours `Config::cache`, so `RBSYN_NO_CACHE=1` A/B runs are real.
+/// Runs one benchmark once under the given guidance/precision.
 pub fn run_benchmark(
     b: &Benchmark,
     guidance: Guidance,
     precision: EffectPrecision,
     timeout: Duration,
-    cache: bool,
 ) -> RunOutcome {
     let (env, problem) = (b.build)();
     let opts = Options {
         guidance,
         precision,
         timeout: Some(timeout),
-        cache,
         ..(b.options)()
     };
     let started = std::time::Instant::now();
@@ -265,13 +270,7 @@ fn median_of_mode(
     let mut size = 0;
     let mut paths = 0;
     for _ in 0..cfg.runs {
-        let out = run_benchmark(
-            b,
-            guidance,
-            EffectPrecision::Precise,
-            cfg.timeout,
-            cfg.cache,
-        );
+        let out = run_benchmark(b, guidance, EffectPrecision::Precise, cfg.timeout);
         if !out.succeeded() {
             return (None, Duration::ZERO, 0, 0);
         }
@@ -294,13 +293,7 @@ pub fn table1_rows(cfg: &Config) -> Vec<Table1Row> {
             // Ablations: a single run each (they either finish fast or time
             // out; the paper reports medians with tiny SIQRs).
             let one = |g: Guidance| {
-                let out = run_benchmark(
-                    b,
-                    g,
-                    EffectPrecision::Precise,
-                    cfg.ablation_timeout,
-                    cfg.cache,
-                );
+                let out = run_benchmark(b, g, EffectPrecision::Precise, cfg.ablation_timeout);
                 out.succeeded().then_some(out.time)
             };
             let asserts = (b.expected.asserts_min, b.expected.asserts_max);
@@ -384,7 +377,7 @@ pub fn fig7_rows(cfg: &Config) -> Vec<Fig7Row> {
             let mut times: Vec<Duration> = benchmarks
                 .iter()
                 .filter_map(|b| {
-                    let out = run_benchmark(b, g, EffectPrecision::Precise, timeout, cfg.cache);
+                    let out = run_benchmark(b, g, EffectPrecision::Precise, timeout);
                     out.succeeded().then_some(out.time)
                 })
                 .collect();
@@ -442,7 +435,7 @@ pub fn fig8_rows(cfg: &Config) -> Vec<Fig8Row> {
                 } else {
                     cfg.coarse_timeout
                 };
-                let out = run_benchmark(b, Guidance::both(), p, timeout, cfg.cache);
+                let out = run_benchmark(b, Guidance::both(), p, timeout);
                 out.succeeded().then_some(out.time)
             });
             Fig8Row {
@@ -481,8 +474,7 @@ pub fn format_fig8(rows: &[Fig8Row]) -> String {
 
 /// Converts the configured benchmark selection into [`BatchJob`]s for
 /// [`rbsyn_core::run_batch`], one per benchmark, each with its own
-/// `timeout` deadline. `cache` toggles the memoized search
-/// (`Options::cache`).
+/// `timeout` deadline and `cfg`'s pruning setting.
 pub fn suite_jobs(
     benchmarks: Vec<Benchmark>,
     guidance: Guidance,
@@ -497,7 +489,6 @@ pub fn suite_jobs(
                 guidance,
                 precision,
                 timeout: Some(timeout),
-                cache: cfg.cache,
                 obs_equiv: cfg.obs_equiv,
                 ..(b.options)()
             };
@@ -548,6 +539,17 @@ pub fn run_suite_with(
 /// watchdog kills), `5` search exhausted without a program, `6` shed by
 /// admission control.
 pub use rbsyn_core::exit as exit_codes;
+
+/// Writes `bytes` to `path`, the file an output flag (`--json`,
+/// `--trace`) names, atomically. A path that cannot be written is
+/// reported as `cannot write <flag> file <path>: <error>` on stderr and
+/// exits with [`exit_codes::OTHER`] rather than panicking.
+pub fn write_output_or_exit(flag: &str, path: &str, bytes: &[u8]) {
+    if let Err(e) = atomic_write(Path::new(path), bytes) {
+        eprintln!("cannot write {flag} file {path}: {e}");
+        std::process::exit(exit_codes::OTHER);
+    }
+}
 
 /// Renders a batch report's *deterministic* section: one line per job with
 /// id, status, solution text and search counters — no wall-clock times.
@@ -762,7 +764,6 @@ mod tests {
             ablation_timeout: Duration::from_secs(1),
             coarse_timeout: Duration::from_secs(1),
             ids: vec!["S1".into()],
-            cache: true,
             obs_equiv: true,
         };
         assert_eq!(base.benchmarks().len(), 1);
@@ -800,7 +801,6 @@ mod tests {
             Guidance::both(),
             EffectPrecision::Precise,
             Duration::from_secs(30),
-            true,
         );
         assert!(out.succeeded());
         assert_eq!(out.solution.as_deref(), Some("arg0"));

@@ -194,6 +194,63 @@ fn solve_empty_id_list_exits_2() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("names no benchmark id"));
 }
 
+/// A `--json` path under `name`, in a directory that does not exist.
+fn unwritable_json(name: &str) -> std::path::PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("missing-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("d").join("x.json")
+}
+
+/// An output file that cannot be written is reported after the run —
+/// exit 1 with the path on stderr — never a panic (exit 101).
+fn assert_unwritable_output_exits_1(out: &std::process::Output, path: &Path) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot write --json file {}", path.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+}
+
+#[test]
+fn solve_unwritable_json_path_exits_1() {
+    let path = unwritable_json("solve");
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(["--all", "--ids", "S1", "--json"])
+        .arg(&path)
+        .output()
+        .expect("solve binary runs");
+    assert_unwritable_output_exits_1(&out, &path);
+}
+
+#[test]
+fn table1_unwritable_json_path_exits_1() {
+    let path = unwritable_json("table1");
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .env("RBSYN_BENCH_IDS", "S1")
+        .env("RBSYN_RUNS", "1")
+        .arg("--json")
+        .arg(&path)
+        .output()
+        .expect("table1 binary runs");
+    assert_unwritable_output_exits_1(&out, &path);
+}
+
+/// A numeric environment variable that does not parse is a usage error,
+/// not a silent fall-back to its default.
+#[test]
+fn table1_malformed_timeout_env_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .env("RBSYN_TIMEOUT_SECS", "1.5")
+        .env("RBSYN_BENCH_IDS", "S1")
+        .output()
+        .expect("table1 binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("RBSYN_TIMEOUT_SECS"), "{stderr}");
+}
+
 /// Fault-injected exit-code legs — compiled only with `--features
 /// failpoints` (the production binary carries no injection code).
 #[cfg(feature = "failpoints")]

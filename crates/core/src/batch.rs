@@ -3,15 +3,10 @@
 //! ordering.
 //!
 //! Per-spec search is embarrassingly parallel across *problems*: every job
-//! builds its own environment (class table + fresh world), so jobs share no
-//! mutable state — except one [`SearchCache`], which is deliberately
-//! shared: the library-template memo is keyed by a content fingerprint of
-//! each job's environment, so jobs over identical libraries reuse each
-//! other's enumeration work while differing jobs cannot observe one
-//! another, and every cached value is a pure function of its key, so
-//! sharing never changes any job's result. (Candidates live in each
-//! search's own node arena, so batch memory stays bounded by the largest
-//! single job.)
+//! builds its own environment (class table + fresh world) and searches in
+//! its own node arenas, so jobs share no mutable state but the global
+//! symbol interner, whose symbols order by their text. A job's result is
+//! therefore the same on any thread, in any batch, at any width.
 //!
 //! The driver runs:
 //!
@@ -23,7 +18,7 @@
 //! * a panicking job is caught and reported as that job's failure
 //!   ([`SynthError::Internal`], exit code 1); it never poisons its
 //!   siblings. Containment is layered: the job body is wrapped in
-//!   `catch_unwind` inside [`BatchJob::run_shared`], the whole claim/run/store
+//!   `catch_unwind` inside [`BatchJob::run`], the whole claim/run/store
 //!   iteration of each scoped worker is wrapped again (so even a panic in
 //!   the driver's own bookkeeping converts to a per-job failure), and the
 //!   final slot collection recovers poisoned locks and backfills missing
@@ -42,7 +37,6 @@
 //! The experiment harness (`rbsyn-bench`) layers Table 1 / suite reporting
 //! on top of this; the driver itself is suite-agnostic.
 
-use crate::cache::SearchCache;
 use crate::error::SynthError;
 use crate::goal::SynthesisProblem;
 use crate::options::Options;
@@ -51,7 +45,7 @@ use rbsyn_interp::InterpEnv;
 use rbsyn_lang::contention;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Builds a fresh environment + problem for one job. Called once per run,
@@ -83,20 +77,15 @@ impl BatchJob {
         }
     }
 
-    /// Runs this job once on the current thread with a private cache.
+    /// Runs this job once on the current thread — what [`run_batch`] does
+    /// for every job. A panic in the job body becomes
+    /// [`SynthError::Internal`].
     pub fn run(&self) -> BatchOutcome {
-        self.run_shared(&Arc::new(SearchCache::new()))
-    }
-
-    /// Runs this job once on the current thread against a shared
-    /// [`SearchCache`] — what [`run_batch`] does for every job. A panic in
-    /// the job body becomes [`SynthError::Internal`].
-    pub fn run_shared(&self, cache: &Arc<SearchCache>) -> BatchOutcome {
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             rbsyn_lang::failpoint::hit("batch::claim");
             let (env, problem) = (self.build)();
-            Synthesizer::with_cache(env, problem, self.options.clone(), Arc::clone(cache)).run()
+            Synthesizer::new(env, problem, self.options.clone()).run()
         }))
         .unwrap_or_else(|panic| Err(SynthError::from_panic(&*panic)));
         BatchOutcome {
@@ -175,14 +164,8 @@ impl AdmissionGate {
 }
 
 /// Runs one admitted-or-shed job: the gate decides, then the job runs
-/// through [`BatchJob::run_shared`] and its duration feeds the gate's
-/// median.
-fn run_gated(
-    job: &BatchJob,
-    index: usize,
-    gate: &AdmissionGate,
-    cache: &Arc<SearchCache>,
-) -> BatchOutcome {
+/// through [`BatchJob::run`] and its duration feeds the gate's median.
+fn run_gated(job: &BatchJob, index: usize, gate: &AdmissionGate) -> BatchOutcome {
     if !gate.admit(index) {
         return BatchOutcome {
             id: job.id.clone(),
@@ -190,7 +173,7 @@ fn run_gated(
             elapsed: Duration::ZERO,
         };
     }
-    let outcome = job.run_shared(cache);
+    let outcome = job.run();
     gate.record(outcome.elapsed);
     outcome
 }
@@ -347,7 +330,7 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
 /// Outcomes are returned in submission order regardless of completion
 /// order, and every job runs under its own [`Options::timeout`] deadline —
 /// the report of a batch is a pure function of the jobs, not of the
-/// machine's scheduling. All jobs share one [`SearchCache`].
+/// machine's scheduling.
 ///
 /// # Example
 ///
@@ -396,11 +379,6 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
     }
     .min(jobs.len().max(1));
 
-    // One cache for the whole batch: jobs over identical environments
-    // reuse each other's memoized search work (sound and deterministic —
-    // see the module docs). Jobs that opt out via `Options::cache = false`
-    // simply ignore it.
-    let cache = Arc::new(SearchCache::new());
     let gate = AdmissionGate::new(policy.global_deadline, threads, jobs.len());
 
     let started = Instant::now();
@@ -409,7 +387,7 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
         let outcomes: Vec<BatchOutcome> = jobs
             .iter()
             .enumerate()
-            .map(|(i, j)| run_gated(j, i, &gate, &cache))
+            .map(|(i, j)| run_gated(j, i, &gate))
             .collect();
         return aggregate(outcomes, started.elapsed(), 1);
     }
@@ -428,7 +406,6 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
             let cursor = &cursor;
             let all_claimed = &all_claimed;
             let slots = &slots;
-            let cache = &cache;
             let gate = &gate;
             scope.spawn(move || {
                 loop {
@@ -439,7 +416,7 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
                     // the driver's own bookkeeping around it must also
                     // convert to a per-job failure — an unwinding scoped
                     // thread would abort the whole batch.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| run_gated(job, i, gate, cache)))
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run_gated(job, i, gate)))
                         .unwrap_or_else(|panic| BatchOutcome {
                             id: job.id.clone(),
                             result: Err(SynthError::from_panic(&*panic)),

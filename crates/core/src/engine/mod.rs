@@ -7,19 +7,18 @@
 //! * [`Frontier`] — the candidate priority queue of Algorithm 2, in §4's
 //!   `(c desc, size asc, insertion order)`;
 //! * [`Scheduler`] — per-run deadlines, the watchdog kill flag, the
-//!   template-memo handle, the tracing session and deterministic stats
-//!   aggregation ([`SearchStats`]);
+//!   tracing session and deterministic stats aggregation
+//!   ([`SearchStats`]);
 //! * [`Watchdog`] — the hard-cancellation backstop behind the
 //!   cooperative deadline.
 //!
 //! **Determinism story.** A synthesis run searches on one thread: phases,
 //! specs, guard requests and every work-list pop run one after another on
 //! the run's own thread, in a fixed order. The only state shared beyond
-//! the run is the batch's call-template memo, and every memoized template
-//! list is a pure function of its key, so warm-up order cannot change any
-//! result. Consequently synthesized programs and effort counters are
-//! byte-identical across batch thread counts and cache settings; only
-//! wall-clock varies.
+//! the run is the global symbol interner, and symbols compare, order and
+//! hash by their text, so interning order cannot change any result.
+//! Consequently synthesized programs and effort counters are
+//! byte-identical across batch thread counts; only wall-clock varies.
 
 pub mod frontier;
 pub mod scheduler;

@@ -1,5 +1,5 @@
-//! The search scheduler: deadlines, the watchdog kill flag, the
-//! template-memo handle and statistics aggregation for one synthesis run.
+//! The search scheduler: deadlines, the watchdog kill flag, tracing and
+//! statistics aggregation for one synthesis run.
 //!
 //! A [`Scheduler`] is the per-run bundle every search phase consults:
 //!
@@ -7,15 +7,12 @@
 //!   as an [`Instant`]) and the [`Watchdog`](super::Watchdog)'s **kill
 //!   flag** — both polled by the work-list loop through
 //!   [`Scheduler::should_stop`];
-//! * the **template-memo handle** ([`CacheHandle`]) every `generate` call
-//!   of the run expands through (or `None` for an uncached run);
 //! * the **tracing session**, when `--trace` is on.
 //!
 //! Effort counters live in [`SearchStats`], which only the run's own
 //! thread updates, so they are a pure function of the work performed —
 //! never of thread interleaving.
 
-use crate::cache::CacheHandle;
 use rbsyn_trace::Session;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,10 +22,9 @@ use std::time::Instant;
 /// synthesis run.
 ///
 /// The effort counters (`popped`, `expanded`, `tested`, `deduped`,
-/// `obs_pruned`, `vector_hits`) are a pure function of the problem: the
-/// template memo only changes how fast a fill list is built, never what
-/// it holds, so they are identical with and without caching and across
-/// batch thread counts.
+/// `obs_pruned`, `vector_hits`) are a pure function of the problem: a run
+/// searches on one thread and shares no search state with other batch
+/// jobs, so they are identical across batch thread counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
     /// Work-list pops.
@@ -85,7 +81,7 @@ impl SearchStats {
 
     /// The effort counters `(popped, expanded, tested, deduped,
     /// obs_pruned, vector_hits)` — the tuple the determinism gates compare
-    /// across thread counts and cache settings. For a fixed
+    /// across batch widths and tracing. For a fixed
     /// [`Options::obs_equiv`](crate::Options) setting they are pure
     /// functions of the problem.
     pub fn effort(&self) -> (u64, u64, u64, u64, u64, u64) {
@@ -100,30 +96,27 @@ impl SearchStats {
     }
 }
 
-/// Per-run search coordination: deadline, kill flag, template-memo
-/// handle and tracing session (see the [module docs](self)).
+/// Per-run search coordination: deadline, kill flag and tracing session
+/// (see the [module docs](self)).
 #[derive(Clone, Default)]
 pub struct Scheduler {
     deadline: Option<Instant>,
-    cache: Option<CacheHandle>,
     kill: Option<Arc<AtomicBool>>,
     trace: Option<Session>,
 }
 
 impl Scheduler {
-    /// A scheduler with a deadline and a template-memo handle (either may
-    /// be absent).
-    pub fn new(deadline: Option<Instant>, cache: Option<CacheHandle>) -> Scheduler {
+    /// A scheduler with a deadline (`None`: no deadline).
+    pub fn new(deadline: Option<Instant>) -> Scheduler {
         Scheduler {
             deadline,
-            cache,
             kill: None,
             trace: None,
         }
     }
 
-    /// A bare scheduler: no deadline, no shared cache. What tests and
-    /// one-off `generate` calls use.
+    /// A bare scheduler: no deadline, no kill flag, no tracing. What tests
+    /// and one-off `generate` calls use.
     pub fn sequential() -> Scheduler {
         Scheduler::default()
     }
@@ -149,11 +142,6 @@ impl Scheduler {
     /// The run's deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// The run's template-memo handle, if caching is enabled.
-    pub fn cache(&self) -> Option<&CacheHandle> {
-        self.cache.as_ref()
     }
 
     /// The run's tracing session, when `Options::trace` is active.
@@ -188,10 +176,10 @@ mod tests {
     fn should_stop_covers_deadline_and_kill() {
         assert!(!Scheduler::sequential().should_stop());
         let past = Instant::now() - Duration::from_secs(1);
-        assert!(Scheduler::new(Some(past), None).should_stop());
+        assert!(Scheduler::new(Some(past)).should_stop());
         let future = Instant::now() + Duration::from_secs(600);
         let kill = Arc::new(AtomicBool::new(false));
-        let sched = Scheduler::new(Some(future), None).with_kill(Arc::clone(&kill));
+        let sched = Scheduler::new(Some(future)).with_kill(Arc::clone(&kill));
         assert!(!sched.should_stop());
         kill.store(true, Ordering::Relaxed);
         assert!(sched.should_stop());

@@ -15,60 +15,25 @@ use crate::infer::Gamma;
 use crate::options::Options;
 use rbsyn_lang::{EffectSet, Expr, Symbol, Ty, Value};
 use rbsyn_ty::{is_subtype, ClassTable};
-use std::sync::Arc;
-
-/// Source of memoized S-App/S-EffApp call-template lists.
-///
-/// Template lists are pure functions of the class table, the goal
-/// type/effect and the seed set, so *where* they are memoized is a free
-/// choice: the shared [`crate::cache::CacheHandle`] implements this for
-/// normal searches (templates shared across specs, merge attempts and
-/// batch jobs), while the guard pool, which asks for each goal's list once
-/// and keeps the result as hash-consed nodes, computes it unmemoized and
-/// never takes a lock.
-pub trait TemplateStore {
-    /// The template list for `key`, computing it via `compute` on a miss.
-    fn templates(&self, key: String, compute: &mut dyn FnMut() -> Vec<Expr>) -> Arc<Vec<Expr>>;
-}
 
 /// One-step expander over a class table.
 ///
-/// Candidate enumeration (instantiating every library method at every
-/// model class, S-App / S-EffApp) is the hot path of the search; the
-/// resulting call templates are memoized through the [`TemplateStore`] per
-/// goal type / effect and seed set, which is sound because the template
-/// list is a pure function of the class table — the shared store's
-/// environment token fingerprints the table, so templates are shared
-/// across every search over the same library (other specs, other batch
-/// jobs) and never leak between different configurations.
+/// The S-App / S-EffApp call templates (every library method at every
+/// model class whose return type fits the hole, or whose write effect
+/// subsumes it) are enumerated each time a fill list is asked for. There
+/// is no memo: each search's node arena keeps the fill lists of the
+/// holes it expands, so a search builds few lists.
 pub struct Expander<'a> {
     /// Class table (with `Σ` configured).
     pub table: &'a ClassTable,
     /// Search options (guidance switches, hash-literal arity).
     pub opts: &'a Options,
-    search: &'a dyn TemplateStore,
 }
 
 impl<'a> Expander<'a> {
-    /// Builds an expander memoizing through `search`.
-    pub fn new(
-        table: &'a ClassTable,
-        opts: &'a Options,
-        search: &'a dyn TemplateStore,
-    ) -> Expander<'a> {
-        Expander {
-            table,
-            opts,
-            search,
-        }
-    }
-
-    fn seeds_key(seeds: &[Ty]) -> String {
-        seeds
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(";")
+    /// Builds an expander over `table` under `opts`.
+    pub fn new(table: &'a ClassTable, opts: &'a Options) -> Expander<'a> {
+        Expander { table, opts }
     }
 
     /// All one-step rewrites of the leftmost hole of `e`, or `None` when
@@ -281,26 +246,18 @@ impl<'a> Expander<'a> {
             }
         }
 
-        // S-App: method-call templates with the right return type
-        // (memoized per goal/seed set).
+        // S-App: method-call templates with the right return type.
         let seeds = self.seeds(gamma);
-        let key = format!("ret|{goal}|{}|{typed}", Self::seeds_key(&seeds));
-        let templates = self.search.templates(key, &mut || {
-            let cands = if typed {
-                self.table.candidates_returning(goal, &seeds)
-            } else {
-                self.table.enumerate_candidates(&seeds)
-            };
-            cands
-                .into_iter()
-                .map(|c| Expr::Call {
-                    recv: Box::new(Expr::Hole(c.recv_ty)),
-                    meth: c.name,
-                    args: c.params.into_iter().map(Expr::Hole).collect(),
-                })
-                .collect()
-        });
-        out.extend(templates.iter().cloned());
+        let cands = if typed {
+            self.table.candidates_returning(goal, &seeds)
+        } else {
+            self.table.enumerate_candidates(&seeds)
+        };
+        out.extend(cands.into_iter().map(|c| Expr::Call {
+            recv: Box::new(Expr::Hole(c.recv_ty)),
+            meth: c.name,
+            args: c.params.into_iter().map(Expr::Hole).collect(),
+        }));
         out
     }
 
@@ -323,30 +280,25 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// Fillings of an effect hole `◇:ε` (S-EffNil, S-EffApp), memoized per
-    /// effect/seed set.
+    /// Fillings of an effect hole `◇:ε` (S-EffNil, S-EffApp).
     fn fill_effect(&self, eps: &EffectSet, gamma: &Gamma) -> Vec<Expr> {
         let seeds = self.seeds(gamma);
-        let key = format!("eff|{eps}|{}", Self::seeds_key(&seeds));
-        let templates = self.search.templates(key, &mut || {
-            let mut v = vec![Expr::Lit(Value::Nil)]; // S-EffNil
-            for c in self.table.candidates_writing(eps, &seeds) {
-                let callee = Expr::Call {
-                    recv: Box::new(Expr::Hole(c.recv_ty)),
-                    meth: c.name,
-                    args: c.params.into_iter().map(Expr::Hole).collect(),
-                };
-                // S-EffApp: the method's own read effect may need
-                // fixing first.
-                if c.read.is_pure() {
-                    v.push(callee);
-                } else {
-                    v.push(Expr::Seq(vec![Expr::EffHole(c.read), callee]));
-                }
+        let mut out = vec![Expr::Lit(Value::Nil)]; // S-EffNil
+        for c in self.table.candidates_writing(eps, &seeds) {
+            let callee = Expr::Call {
+                recv: Box::new(Expr::Hole(c.recv_ty)),
+                meth: c.name,
+                args: c.params.into_iter().map(Expr::Hole).collect(),
+            };
+            // S-EffApp: the method's own read effect may need fixing
+            // first.
+            if c.read.is_pure() {
+                out.push(callee);
+            } else {
+                out.push(Expr::Seq(vec![Expr::EffHole(c.read), callee]));
             }
-            v
-        });
-        templates.iter().cloned().collect()
+        }
+        out
     }
 }
 
@@ -443,7 +395,6 @@ pub fn simplify(e: Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheHandle;
     use rbsyn_lang::builder::*;
     use rbsyn_stdlib::EnvBuilder;
 
@@ -459,8 +410,7 @@ mod tests {
     fn evaluable_expressions_do_not_expand() {
         let (table, _) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         assert!(ex.expand_first(&int(1), &mut Gamma::new()).is_none());
     }
 
@@ -468,8 +418,7 @@ mod tests {
     fn typed_holes_offer_consts_vars_and_calls() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let mut g = Gamma::new();
         g.bind(Symbol::intern("arg0"), Ty::Instance(post));
         let fills = ex.expand_first(&hole(Ty::Instance(post)), &mut g).unwrap();
@@ -487,8 +436,7 @@ mod tests {
     fn singleton_class_holes_accept_the_constant() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let fills = ex
             .expand_first(&hole(Ty::SingletonClass(post)), &mut Gamma::new())
             .unwrap();
@@ -501,8 +449,7 @@ mod tests {
     fn hash_holes_expand_to_key_subsets() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let schema = table.hierarchy.schema(post).unwrap();
         let fh = Ty::FiniteHash(rbsyn_lang::FiniteHash::new(
             schema
@@ -528,8 +475,7 @@ mod tests {
     fn symlit_holes_expand_to_literals() {
         let (table, _) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let t = Ty::union(vec![
             Ty::SymLit(Symbol::intern("author")),
             Ty::SymLit(Symbol::intern("title")),
@@ -546,8 +492,7 @@ mod tests {
     fn effect_holes_offer_nil_and_writers() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let want = rbsyn_stdlib::eff::region(post, "title");
         let fills = ex.expand_first(&effhole(want), &mut Gamma::new()).unwrap();
         let keys: Vec<String> = fills.iter().map(|e| e.compact()).collect();
@@ -565,8 +510,7 @@ mod tests {
     fn effapp_prepends_read_effect_holes() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let want = rbsyn_stdlib::eff::class_star(post);
         let fills = ex.expand_first(&effhole(want), &mut Gamma::new()).unwrap();
         // `create` reads self.* too, so its template is ◇:Post.*; call.
@@ -580,8 +524,7 @@ mod tests {
     fn leftmost_hole_is_expanded_first() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let e = call(hole(Ty::SingletonClass(post)), "where", [hole(Ty::Obj)]);
         let fills = ex.expand_first(&e, &mut Gamma::new()).unwrap();
         // Receiver (leftmost) was expanded: the argument hole survives.
@@ -592,8 +535,7 @@ mod tests {
     fn let_bindings_are_visible_in_bodies() {
         let (table, post) = blog();
         let opts = Options::default();
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let e = let_("t0", call(cls(post), "first", []), hole(Ty::Instance(post)));
         let fills = ex.expand_first(&e, &mut Gamma::new()).unwrap();
         assert!(
@@ -606,8 +548,7 @@ mod tests {
     fn untyped_mode_ignores_goal_types() {
         let (table, _) = blog();
         let opts = Options::with_guidance(crate::Guidance::effects_only());
-        let search = CacheHandle::private();
-        let ex = Expander::new(&table, &opts, &search);
+        let ex = Expander::new(&table, &opts);
         let mut g = Gamma::new();
         g.bind(Symbol::intern("x"), Ty::Str);
         let fills = ex.expand_first(&hole(Ty::Int), &mut g).unwrap();

@@ -14,11 +14,9 @@
 //! hole, each node is typed once from its children's types, and an
 //! [`Expr`] is built only for the oracle run. The arena is dropped when
 //! the call returns. The deadline and the watchdog's kill flag are polled
-//! through the [`Scheduler`], whose cache handle supplies the
-//! batch-shared call-template memo.
+//! through the [`Scheduler`].
 
 use crate::arena::{typing, NodeArena, NodeId, NodeSet};
-use crate::cache::CacheHandle;
 use crate::engine::{Frontier, Scheduler};
 use crate::error::SynthError;
 // Re-exported from its pre-engine home so harness and test code keeps one
@@ -116,10 +114,9 @@ pub type GenerateOutcome = Result<Expr, SynthError>;
 /// Algorithm 2: searches for an evaluable expression satisfying `oracle`,
 /// starting from `□:goal` under `params`.
 ///
-/// `sched` carries the run's deadline, kill flag and memoization
-/// handle (see [`Scheduler`]); [`Scheduler::sequential`] gives a
-/// self-contained uncached run. Caching never changes the result, only
-/// the work done to reach it.
+/// `sched` carries the run's deadline, kill flag and tracing session
+/// (see [`Scheduler`]); [`Scheduler::sequential`] gives a run with none
+/// of them.
 ///
 /// # Example
 ///
@@ -203,17 +200,7 @@ fn generate_observed(
     // through the global symbol table.
     let method_sym = Symbol::intern(method_name);
     let param_syms: Vec<Symbol> = params.iter().map(|(n, _)| *n).collect();
-    // Without a shared handle the templates go through a throwaway cache:
-    // one code path, identical behaviour, no reuse.
-    let local;
-    let store = match sched.cache() {
-        Some(h) => h,
-        None => {
-            local = CacheHandle::private();
-            &local
-        }
-    };
-    let expander = Expander::new(&env.table, opts, store);
+    let expander = Expander::new(&env.table, opts);
     let mut arena = NodeArena::default();
     let root_gamma = Gamma::from_params(params);
     let root = arena.gamma(root_gamma.clone());
@@ -582,7 +569,7 @@ mod tests {
             &SpecOracle::new(&env, &spec),
             &opts,
             20,
-            &Scheduler::new(Some(past), None),
+            &Scheduler::new(Some(past)),
             &mut stats,
         );
         assert_eq!(r, Err(SynthError::Timeout));
@@ -656,8 +643,7 @@ mod tests {
     /// Also returns every candidate the dedup filter let through.
     fn reference_generate(f: &Fixture, oracle: &dyn Oracle) -> (Judged, HashSet<Expr>) {
         let (env, opts, goal) = (&f.env, &f.opts, &f.goal);
-        let store = CacheHandle::private();
-        let expander = Expander::new(&env.table, opts, &store);
+        let expander = Expander::new(&env.table, opts);
         let mut gamma = Gamma::from_params(&f.params);
         let param_syms: Vec<Symbol> = f.params.iter().map(|(n, _)| *n).collect();
         let mut frontier = Frontier::new();

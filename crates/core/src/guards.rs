@@ -28,9 +28,9 @@
 //!
 //! The enumeration runs in a pool-local node arena (`arena.rs`, the
 //! representation phase-1 `generate` enumerates in too), so the stream
-//! never touches the batch-shared template memo and never takes a lock. Guard oracles never
-//! report effects, so the stream never wraps a candidate in S-Eff: all its
-//! holes sit under the method's parameters.
+//! shares no state with other searches and never takes a lock. Guard
+//! oracles never report effects, so the stream never wraps a candidate in
+//! S-Eff: all its holes sit under the method's parameters.
 //!
 //! **Covering is set inclusion.** A candidate covers a request exactly
 //! when `Ψ₁ ⊆ truthy-ok(c)` and `Ψ₂ ⊆ falsy-ok(c)`, so the verdict reads
@@ -47,14 +47,13 @@
 use crate::arena::{NodeArena, NodeId, NodeSet};
 use crate::engine::{Frontier, Scheduler, SearchStats};
 use crate::error::SynthError;
-use crate::expand::{Expander, TemplateStore};
+use crate::expand::Expander;
 use crate::infer::Gamma;
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
 use rbsyn_lang::{Expr, FxBuild, Program, Symbol, Ty, Value};
 use rbsyn_trace::Mark;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Extra work-list pops to spend hunting alternative guards after the
@@ -184,16 +183,6 @@ impl Bits {
     }
 }
 
-/// The call-template source for the pool's fill lists. Each goal's list
-/// is built once and kept as nodes, so there is nothing to memoize.
-struct Unmemoized;
-
-impl TemplateStore for Unmemoized {
-    fn templates(&self, _key: String, compute: &mut dyn FnMut() -> Vec<Expr>) -> Arc<Vec<Expr>> {
-        Arc::new(compute())
-    }
-}
-
 /// One enumerated evaluable boolean candidate: its node, the work-list
 /// pop that produced it (for per-request stopping budgets), its lazily
 /// filled bitvector, and its expression tree once something needed it.
@@ -247,9 +236,8 @@ pub struct GuardPool {
     /// Bitvectors for ad-hoc expressions (the merge's quick candidates and
     /// rule-6/7 negation guesses), keyed structurally.
     extra_bits: HashMap<Expr, Bits, FxBuild>,
-    /// Pool-private hash-consing arena: the enumeration never touches
-    /// the shared template memo, so the stream is identical with and
-    /// without it — and lock-free either way.
+    /// Pool-private hash-consing arena: the enumeration shares no state
+    /// with other searches and takes no lock.
     arena: NodeArena,
 }
 
@@ -332,7 +320,7 @@ impl GuardPool {
                 .requeue(pri, seq, node);
             return Err(SynthError::Timeout);
         }
-        let expander = Expander::new(&q.env.table, q.opts, &Unmemoized);
+        let expander = Expander::new(&q.env.table, q.opts);
         let children = self.arena.expand(node, &expander);
         stats.expanded += children.len() as u64;
         let frontier = self.frontier.as_mut().expect("pool is ready");
@@ -651,7 +639,6 @@ pub fn negate(b: &Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheHandle;
     use crate::expand::simplify;
     use crate::infer::infer_ty;
     use crate::options::Guidance;
@@ -928,8 +915,7 @@ mod tests {
     /// reference it must reproduce: expand the tree, simplify it, type it
     /// whole, dedup it structurally.
     fn reference_stream(q: &GuardQuery<'_>, max_pops: u64) -> Reference {
-        let store = CacheHandle::private();
-        let expander = Expander::new(&q.env.table, q.opts, &store);
+        let expander = Expander::new(&q.env.table, q.opts);
         let mut gamma = Gamma::from_params(q.params);
         let mut seen = HashSet::new();
         let mut frontier = Frontier::new();

@@ -23,9 +23,8 @@
 //!
 //! Both searches — method bodies and branch conditions — enumerate in one
 //! hash-consing node arena (`arena.rs`), private to each search, and build
-//! their call templates through the template memo [`SearchCache`]
-//! ([`cache`]): per run by default, across batch jobs when shared, never
-//! when `Options::cache` is off.
+//! each call-template list where the [`expand::Expander`] is asked for it:
+//! nothing is memoized across searches or shared between batch jobs.
 //!
 //! The search's moving parts — frontier, scheduler and watchdog — live in
 //! [`engine`]. A synthesis run searches on one thread; the only
@@ -35,7 +34,6 @@
 
 mod arena;
 pub mod batch;
-pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod exit;
@@ -51,7 +49,6 @@ pub mod synthesizer;
 pub use batch::{
     run_batch, run_batch_with, BatchJob, BatchOutcome, BatchPolicy, BatchReport, BatchStats,
 };
-pub use cache::{CacheHandle, EnvToken, SearchCache};
 pub use engine::{Scheduler, SearchStats};
 pub use error::SynthError;
 pub use generate::{generate, GenerateOutcome, Oracle};

@@ -105,13 +105,6 @@ pub struct Options {
     /// [`SynthError::Timeout`](crate::SynthError::Timeout) a cooperative
     /// stop produces.
     pub timeout: Option<Duration>,
-    /// Memoize the S-App / S-EffApp call-template lists. `true` shares
-    /// them across specs, merge attempts and batch jobs over identical
-    /// libraries; `false` (the `--no-cache` escape hatch) gives every
-    /// search call a throwaway memo. Caching never changes the synthesized
-    /// program — a template list is a pure function of its key — only the
-    /// time spent finding it.
-    pub cache: bool,
     /// Observational-equivalence pruning: candidates whose evaluation
     /// vector (result value, effect trace, post-run state hash on the
     /// spec's test states) matches an already-enqueued candidate of equal
@@ -129,7 +122,7 @@ pub struct Options {
     /// one `Option` check. Tracing never changes synthesized programs or
     /// effort counters — instrumentation only *reads* engine state — and
     /// the CI `trace` determinism leg byte-compares solve output with
-    /// tracing on vs off, same treatment as `--no-cache`. Callers that want
+    /// tracing on vs off. Callers that want
     /// the recorded events attach their own session via
     /// [`Synthesizer::with_tracer`](crate::Synthesizer::with_tracer);
     /// with only this field set the run traces into a private session
@@ -147,7 +140,6 @@ impl Default for Options {
             max_hash_keys: 2,
             max_expansions: 2_000_000,
             timeout: Some(Duration::from_secs(300)),
-            cache: true,
             obs_equiv: true,
             trace: None,
         }

@@ -1,18 +1,14 @@
 //! The top-level synthesis pipeline: per-spec solutions (with the §4
 //! solution-reuse optimization), then merging.
 //!
-//! Every `generate` call of a run builds its call templates through one
-//! [`SearchCache`], the template memo: by default each [`Synthesizer`]
-//! owns a private one, the batch driver shares one across jobs via
-//! [`Synthesizer::with_cache`], and [`Options::cache`]` = false` gives
-//! each call a throwaway one. Candidates themselves live in each call's
-//! own node arena and are freed when it returns.
+//! Each phase-1 `generate` call enumerates in its own node arena, freed
+//! when the call returns; the merge's guard pool enumerates in another,
+//! freed with the pool. Runs share no search state.
 //!
 //! Phase 1 searches the specs one at a time, in spec order, on the run's
 //! own thread, and never searches a spec an earlier solution already
 //! passes (§4 solution reuse).
 
-use crate::cache::{CacheHandle, SearchCache};
 use crate::engine::watchdog::{self, Watchdog};
 use crate::engine::{Scheduler, SearchStats};
 use crate::error::SynthError;
@@ -25,7 +21,6 @@ use rbsyn_lang::builder::true_;
 use rbsyn_lang::metrics::{program_paths, program_size};
 use rbsyn_lang::{Program, Symbol};
 use rbsyn_trace::{Mark, Phase, Session};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Search-effort and outcome statistics for one synthesis run.
@@ -94,34 +89,18 @@ pub struct Synthesizer {
     env: InterpEnv,
     problem: SynthesisProblem,
     opts: Options,
-    cache: Arc<SearchCache>,
     tracer: Option<Session>,
 }
 
 impl Synthesizer {
-    /// Configures a run with a private [`SearchCache`] (see
-    /// [`Synthesizer::with_cache`] for sharing one across runs).
-    pub fn new(env: InterpEnv, problem: SynthesisProblem, opts: Options) -> Synthesizer {
-        Synthesizer::with_cache(env, problem, opts, Arc::new(SearchCache::new()))
-    }
-
-    /// Configures a run against a shared [`SearchCache`] (the batch driver
-    /// passes one cache to every job), which carries the library-template
-    /// memo across runs.
+    /// Configures a run.
     ///
     /// The environment's class table is reset *symmetrically* from this
     /// run's configuration: the effect precision comes from `opts` and the
     /// constant set `Σ` is cleared and rebuilt from `problem.consts`, so a
     /// reused or cloned environment can never leak the previous problem's
-    /// precision or constants into this run. The cache needs no such reset
-    /// — its entries are keyed by a content fingerprint of the configured
-    /// table, so stale entries are simply unreachable.
-    pub fn with_cache(
-        mut env: InterpEnv,
-        problem: SynthesisProblem,
-        opts: Options,
-        cache: Arc<SearchCache>,
-    ) -> Synthesizer {
+    /// precision or constants into this run.
+    pub fn new(mut env: InterpEnv, problem: SynthesisProblem, opts: Options) -> Synthesizer {
         env.table.set_precision(opts.precision);
         env.table.clear_consts();
         for c in &problem.consts {
@@ -131,7 +110,6 @@ impl Synthesizer {
             env,
             problem,
             opts,
-            cache,
             tracer: None,
         }
     }
@@ -164,7 +142,6 @@ impl Synthesizer {
             mut env,
             problem,
             opts,
-            cache,
             tracer,
         } = self;
         problem.validate()?;
@@ -188,15 +165,7 @@ impl Synthesizer {
         let tracer: Option<Session> = tracer.or_else(|| opts.trace.clone().map(Session::new));
         let _solve_span = tracer.as_ref().map(|t| t.span(Phase::Solve));
 
-        // The template memo every search of this run expands through (the
-        // cache passed in at construction, shared with sibling batch jobs).
-        // `--no-cache` drops the handle: each search call below then runs
-        // with its own throwaway one.
-        let search: Option<CacheHandle> = opts
-            .cache
-            .then(|| CacheHandle::bind(Arc::clone(&cache), &env.table, &opts));
-
-        let mut sched = Scheduler::new(deadline, search).with_trace(tracer.clone());
+        let mut sched = Scheduler::new(deadline).with_trace(tracer.clone());
         if let Some(dog) = &watchdog {
             sched = sched.with_kill(dog.kill_flag());
         }
@@ -326,7 +295,7 @@ impl Synthesizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbsyn_interp::SetupStep;
+    use rbsyn_interp::{SetupStep, Spec};
     use rbsyn_lang::builder::*;
     use rbsyn_lang::{Ty, Value};
     use rbsyn_stdlib::EnvBuilder;
@@ -481,5 +450,64 @@ mod tests {
             r,
             Err(SynthError::Timeout) | Err(SynthError::NoSolution { .. })
         ));
+    }
+
+    /// Regression: `Synthesizer::new` must reset effect precision *and* the
+    /// constant set symmetrically from the new run's configuration, so an
+    /// environment that already carries a previous problem's configuration
+    /// cannot leak it into this run.
+    #[test]
+    fn synthesizer_reuse_resets_precision_and_consts() {
+        let (env, _) = blog_env();
+        // Simulate a previous problem's residue: coarse precision, stray Σ.
+        let mut dirty = env.clone();
+        dirty.table.set_precision(rbsyn_ty::EffectPrecision::Purity);
+        dirty.table.add_const(Value::str("stale"));
+        dirty.table.add_const(Value::Int(999));
+
+        let problem = || {
+            SynthesisProblem::builder("m")
+                .returns(Ty::Bool)
+                .base_consts()
+                .spec(Spec::new(
+                    "returns true",
+                    vec![SetupStep::CallTarget {
+                        bind: "xr".into(),
+                        args: vec![],
+                    }],
+                    vec![call(var("xr"), "==", [true_()])],
+                ))
+                .build()
+        };
+        let opts = Options::default();
+
+        let from_dirty = Synthesizer::new(dirty, problem(), opts.clone());
+        // The configured table reflects THIS run, not the residue.
+        assert_eq!(
+            from_dirty.env().table.precision(),
+            rbsyn_ty::EffectPrecision::Precise
+        );
+        let consts: Vec<&Value> = from_dirty
+            .env()
+            .table
+            .consts()
+            .iter()
+            .map(|(v, _)| v)
+            .collect();
+        assert_eq!(
+            consts.len(),
+            5,
+            "exactly the problem's base consts: {consts:?}"
+        );
+        assert!(!consts.contains(&&Value::str("stale")));
+
+        // And the run behaves exactly as from a pristine environment — same
+        // program, same effort.
+        let clean = Synthesizer::new(blog_env().0, problem(), opts)
+            .run()
+            .unwrap();
+        let dirty_run = from_dirty.run().unwrap();
+        assert_eq!(dirty_run.program.to_string(), clean.program.to_string());
+        assert_eq!(dirty_run.stats.search.tested, clean.stats.search.tested);
     }
 }

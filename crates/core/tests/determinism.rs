@@ -1,14 +1,18 @@
 //! Engine determinism: programs and effort counters must be a pure
-//! function of the problem — never of the template memo's state or of
-//! tracing.
+//! function of the problem — never of the batch it runs in, the batch's
+//! width, or tracing.
 //!
-//! * the memo on vs off (`--no-cache`) over multi-spec problems (phase 1
-//!   with and without solution reuse, a Rule-3 guard pair in the merge)
-//!   must produce byte-identical programs and identical effort counters;
-//! * a property test sweeps randomized spec sets through both settings.
+//! * multi-spec problems (phase 1 with and without solution reuse, a
+//!   Rule-3 guard pair in the merge) are submitted twice to one batch, run
+//!   at one and at two job threads, and every outcome must equal a lone
+//!   `Synthesizer` run: program text, effort counters, tuples, size and
+//!   paths;
+//! * a property test sweeps randomized spec sets through the same check;
+//! * observational-equivalence pruning and tracing must leave programs
+//!   unchanged.
 
 use proptest::prelude::*;
-use rbsyn_core::{Options, SynthResult, SynthesisProblem, Synthesizer};
+use rbsyn_core::{run_batch, BatchJob, Options, SynthResult, SynthesisProblem, Synthesizer};
 use rbsyn_interp::{InterpEnv, SetupStep, Spec};
 use rbsyn_lang::builder::*;
 use rbsyn_lang::{Ty, Value};
@@ -84,51 +88,60 @@ fn reuse_problem() -> (InterpEnv, SynthesisProblem) {
     (env, problem)
 }
 
-fn run_with(build: &dyn Fn() -> (InterpEnv, SynthesisProblem), cache: bool) -> SynthResult {
+/// Solves the problem `build` makes once on its own, then submits it
+/// twice to one batch at one and at two job threads, and demands that
+/// every batch outcome equal the lone run. Returns the lone run.
+fn assert_batch_width_independent<F>(build: F) -> SynthResult
+where
+    F: Fn() -> (InterpEnv, SynthesisProblem) + Clone + Send + Sync + 'static,
+{
     let (env, problem) = build();
-    let opts = Options {
-        cache,
-        ..Options::default()
-    };
-    Synthesizer::new(env, problem, opts)
+    let lone = Synthesizer::new(env, problem, Options::default())
         .run()
-        .expect("determinism problems are solvable")
-}
-
-fn assert_cache_independent(build: &dyn Fn() -> (InterpEnv, SynthesisProblem)) {
-    let seq = run_with(build, true);
-    let par = run_with(build, false);
-    assert_eq!(
-        seq.program.to_string(),
-        par.program.to_string(),
-        "programs must be byte-identical"
-    );
-    assert_eq!(
-        seq.stats.search.effort(),
-        par.stats.search.effort(),
-        "effort counters must be cache-independent"
-    );
-    assert_eq!(seq.stats.tuples, par.stats.tuples);
-    assert_eq!(seq.stats.solution_size, par.stats.solution_size);
-    assert_eq!(seq.stats.solution_paths, par.stats.solution_paths);
+        .expect("determinism problems are solvable");
+    let jobs: Vec<BatchJob> = ["first", "second"]
+        .into_iter()
+        .map(|id| BatchJob::new(id, build.clone(), Options::default()))
+        .collect();
+    for threads in [1, 2] {
+        let report = run_batch(&jobs, threads);
+        assert_eq!(report.stats.threads, threads);
+        for o in &report.outcomes {
+            let r = o
+                .result
+                .as_ref()
+                .expect("determinism problems are solvable");
+            let at = format!("job {} at {threads} job thread(s)", o.id);
+            assert_eq!(
+                r.program.to_string(),
+                lone.program.to_string(),
+                "programs must be byte-identical: {at}"
+            );
+            assert_eq!(
+                r.stats.search.effort(),
+                lone.stats.search.effort(),
+                "effort counters must not depend on the batch: {at}"
+            );
+            assert_eq!(r.stats.tuples, lone.stats.tuples, "{at}");
+            assert_eq!(r.stats.solution_size, lone.stats.solution_size, "{at}");
+            assert_eq!(r.stats.solution_paths, lone.stats.solution_paths, "{at}");
+        }
+    }
+    lone
 }
 
 #[test]
-fn guard_pair_merge_is_cache_independent() {
-    assert_cache_independent(&branching_problem);
+fn guard_pair_merge_is_batch_width_independent() {
+    assert_batch_width_independent(branching_problem);
 }
 
 #[test]
-fn solution_reuse_is_cache_independent() {
-    let seq = run_with(&reuse_problem, true);
-    let par = run_with(&reuse_problem, false);
-    assert_eq!(seq.program.to_string(), par.program.to_string());
-    assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
+fn solution_reuse_is_batch_width_independent() {
+    let lone = assert_batch_width_independent(reuse_problem);
     assert_eq!(
-        seq.stats.tuples, 1,
+        lone.stats.tuples, 1,
         "specs b and c must reuse spec a's solution"
     );
-    assert_eq!(par.stats.tuples, 1);
 }
 
 #[test]
@@ -267,7 +280,8 @@ fn attached_tracer_records_the_run_without_changing_it() {
 }
 
 /// Randomized spec sets: any subset/ordering of these specs must solve
-/// identically with the memo on and off (programs and effort counters).
+/// identically alone and in a batch at any width (programs and effort
+/// counters).
 fn arb_spec_mask() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..4, 1..4)
 }
@@ -340,11 +354,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn random_spec_sets_are_cache_independent(mask in arb_spec_mask()) {
-        let build = move || masked_problem(&mask);
-        let seq = run_with(&build, true);
-        let par = run_with(&build, false);
-        prop_assert_eq!(seq.program.to_string(), par.program.to_string());
-        prop_assert_eq!(seq.stats.search.effort(), par.stats.search.effort());
+    fn random_spec_sets_are_batch_width_independent(mask in arb_spec_mask()) {
+        assert_batch_width_independent(move || masked_problem(&mask));
     }
 }

@@ -38,7 +38,7 @@ fn expired() -> Option<Instant> {
 
 /// A scheduler with an already-expired deadline and no cache.
 fn expired_sched() -> Scheduler {
-    Scheduler::new(expired(), None)
+    Scheduler::new(expired())
 }
 
 #[test]

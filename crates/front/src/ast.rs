@@ -148,7 +148,7 @@ pub struct EffPath {
 /// One `key: value` entry of `options do … end`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct OptionEntry {
-    /// Option key (`max_size`, `timeout_secs`, `cache`, …).
+    /// Option key (`max_size`, `timeout_secs`, …).
     pub key: String,
     /// Span of the key.
     pub key_span: Span,
@@ -163,7 +163,7 @@ pub struct OptionEntry {
 pub enum OptValue {
     /// Integer value.
     Int(i64),
-    /// Bare word (`paper`, `cost`, `true`, `false`).
+    /// Bare word (`true`). No option takes one, so lowering rejects it.
     Word(String),
 }
 

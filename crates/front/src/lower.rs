@@ -337,21 +337,11 @@ impl Lowerer {
                         Some(Duration::from_secs(secs as u64))
                     };
                 }
-                "cache" => match &e.value {
-                    OptValue::Word(w) if w == "true" => o.cache = true,
-                    OptValue::Word(w) if w == "false" => o.cache = false,
-                    _ => {
-                        return Err(Diagnostic::new(
-                            "cache takes `true` or `false`",
-                            e.value_span,
-                        ))
-                    }
-                },
                 other => {
                     return Err(Diagnostic::new(
                         format!(
                             "unknown option `{other}` (known: max_size, max_guard_size, \
-                             max_hash_keys, max_expansions, timeout_secs, cache)"
+                             max_hash_keys, max_expansions, timeout_secs)"
                         ),
                         e.key_span,
                     ))

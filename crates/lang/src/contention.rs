@@ -3,9 +3,10 @@
 //! Every named lock in the synthesis pipeline (the lock hierarchy in
 //! `CONCURRENCY.md`) is taken through [`read()`], [`write()`] or [`lock()`].
 //! Poisoned locks are recovered, not propagated: every structure behind
-//! these locks is valid at rest (inserts either complete or don't), so a
-//! panic elsewhere at worst loses one in-flight memo entry — always safe
-//! to recompute.
+//! these locks (the interner's insert maps, the batch result slots, the
+//! admission gate's samples) is valid at rest — an insert or a store
+//! either completes or does not — so a panic elsewhere cannot leave a
+//! half-updated value for a later reader.
 
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

@@ -116,7 +116,8 @@ pub enum Mark {
     ObsPrune,
     /// An interpreter-backed oracle judgement (sampled).
     OracleRun,
-    /// A memo answered a search request (expansion list, verdict, …).
+    /// §4 solution reuse: an earlier spec's solution already passes this
+    /// spec, so the spec is not searched.
     CacheHit,
     /// A guard-pool covering query (lazy stream advance or count).
     CoveringQuery,

@@ -191,12 +191,10 @@ impl ClassTable {
     /// constant set `Σ`, and the configured [`EffectPrecision`].
     ///
     /// Two tables with equal fingerprints answer every enumeration and
-    /// typing query identically, so search caches key memoized expansion
-    /// and type-check results on this value: identical environments share
-    /// entries (across batch jobs, across repeated runs), while a problem
-    /// that swaps constants or precision gets a fresh key — nothing leaks
-    /// between configurations. 128 bits keep accidental collisions out of
-    /// reach.
+    /// typing query identically. The registry/`.rbspec` fidelity tests
+    /// and the frontend's round-trip tests compare fingerprints to show
+    /// that two independently built environments are the same. 128 bits
+    /// keep accidental collisions out of reach.
     ///
     /// The fingerprint hashes the deterministic `Vec`-backed parts only
     /// (never the `HashMap` dispatch index, whose iteration order is
@@ -471,14 +469,20 @@ mod tests {
         let mut with_const = ct.clone();
         with_const.add_const(Value::Class(post));
         assert_ne!(ct.fingerprint(), with_const.fingerprint());
+        let seeded = with_const.fingerprint();
         with_const.clear_consts();
+        assert_ne!(
+            seeded,
+            with_const.fingerprint(),
+            "clearing a non-empty Σ changes the fingerprint"
+        );
         assert_eq!(ct.fingerprint(), with_const.fingerprint());
         let mut coarse = ct.clone();
         coarse.set_precision(EffectPrecision::Purity);
         assert_ne!(
             ct.fingerprint(),
             coarse.fingerprint(),
-            "precision must separate cache keys"
+            "precision must separate fingerprints"
         );
     }
 
