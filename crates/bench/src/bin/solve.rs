@@ -32,13 +32,6 @@
 //! `--ids` (and `RBSYN_BENCH_IDS`) must name known benchmarks: an unknown
 //! id, or a non-empty list that names none (`--ids ,`), is a usage error.
 //!
-//! `--global-deadline SECS` (batch mode) arms admission control: once the
-//! queue cannot plausibly finish within the remaining global budget
-//! (median solve time × remaining waves), the tail of the queue is *shed*
-//! (exit code 6) instead of dragging every job into a timeout.
-//! `--global-deadline 0` sheds everything — useful for exercising the
-//! shed path deterministically.
-//!
 //! `--json PATH` writes the outcome (batch mode: the batch report) as
 //! JSON. A `--json` or `--trace` path that cannot be written exits 1
 //! with `cannot write --<flag> file <path>: <error>` on stderr.
@@ -57,16 +50,16 @@
 //!
 //! `0` solved · `1` other failure (including panics contained by the
 //! supervisor) · `2` usage · `3` `.rbspec` parse/lower error · `4` timeout
-//! (including watchdog kills) · `5` search exhausted with no solution ·
-//! `6` shed by admission control. Batch runs exit with the dominant
-//! failing class (timeout > no-solution > shed > other); the same codes
-//! appear as `"exit_code"` in `--json` output.
+//! (cooperative or hard deadline) · `5` search exhausted with no
+//! solution. Batch runs exit with the dominant failing class (timeout >
+//! no-solution > other); the same codes appear as `"exit_code"` in
+//! `--json` output.
 
 use rbsyn_bench::harness::{
     batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats, json_escape,
-    parse_ids, run_suite_with, write_output_or_exit, Config,
+    parse_ids, run_suite_on, write_output_or_exit, Config,
 };
-use rbsyn_core::{BatchPolicy, BatchReport, Options, SynthError, SynthesisProblem, Synthesizer};
+use rbsyn_core::{BatchReport, Options, SynthError, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
 use rbsyn_suite::{benchmark, benchmarks_from_dir, Benchmark};
 use rbsyn_trace::{schema, Session, TraceConfig};
@@ -98,9 +91,6 @@ struct Cli {
     /// `--trace-sample N`: record every N-th per-candidate instant
     /// (default 64).
     trace_sample: Option<u64>,
-    /// `--global-deadline SECS` (batch mode): admission-control budget for
-    /// the whole batch; jobs that cannot fit are shed (exit code 6).
-    global_deadline: Option<Duration>,
     json: Option<String>,
     single: Option<String>,
 }
@@ -112,7 +102,7 @@ fn usage() -> ! {
          [--trace FILE [--trace-sample N]] [--json PATH]\n       \
          solve --all [--spec-dir DIR] [--parallel N] \
          [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-obs-equiv] \
-         [--global-deadline SECS] [--json PATH]"
+         [--json PATH]"
     );
     std::process::exit(exit_codes::USAGE);
 }
@@ -129,7 +119,6 @@ fn parse_cli() -> Cli {
         spec_dir: None,
         trace: None,
         trace_sample: None,
-        global_deadline: None,
         json: None,
         single: None,
     };
@@ -181,14 +170,6 @@ fn parse_cli() -> Cli {
                 cli.spec_dir = Some(value("--spec-dir"));
                 batch_only.push("--spec-dir");
             }
-            "--global-deadline" => {
-                cli.global_deadline = Some(Duration::from_secs(
-                    value("--global-deadline")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                ));
-                batch_only.push("--global-deadline");
-            }
             "--json" => cli.json = Some(value("--json")),
             "--help" | "-h" => usage(),
             _ if a.starts_with("--") => usage(),
@@ -211,13 +192,6 @@ fn parse_cli() -> Cli {
         eprintln!("--trace-sample needs --trace (or RBSYN_TRACE)");
         usage();
     }
-    if cli.compare && cli.global_deadline.is_some() {
-        // Wall-clock load shedding would make the two deterministic
-        // sections legitimately diverge — the byte-compare would be
-        // meaningless.
-        eprintln!("--global-deadline does not combine with --compare");
-        usage();
-    }
     if cli.spec.is_some() && (cli.all || !positional.is_empty() || !batch_only.is_empty()) {
         eprintln!("--spec runs exactly one file; it combines only with --timeout/--json");
         usage();
@@ -235,6 +209,10 @@ fn parse_cli() -> Cli {
         // benchmark that exits 0 — this binary gates CI.
         if !batch_only.is_empty() {
             eprintln!("{} require(s) --all", batch_only.join(", "));
+            usage();
+        }
+        if let Some(extra) = positional.get(2) {
+            eprintln!("unexpected argument {extra:?}: solve takes <ID> [timeout_secs]");
             usage();
         }
         cli.single = Some(
@@ -474,11 +452,8 @@ fn main() {
     }
 
     let benchmarks = batch_benchmarks(&cli, &cfg);
-    let policy = BatchPolicy {
-        global_deadline: cli.global_deadline,
-    };
     let run = |cfg: &Config, threads: usize| -> BatchReport {
-        run_suite_with(benchmarks.clone(), cfg, threads, &policy)
+        run_suite_on(benchmarks.clone(), cfg, threads)
     };
     if cli.compare {
         // Baseline: one job thread; thread counts must never change the

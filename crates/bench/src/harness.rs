@@ -1,8 +1,6 @@
 //! Benchmark execution and table/figure assembly.
 
-use rbsyn_core::{
-    run_batch_with, BatchJob, BatchPolicy, BatchReport, Guidance, Options, SynthError, Synthesizer,
-};
+use rbsyn_core::{run_batch, BatchJob, BatchReport, Guidance, Options, SynthError, Synthesizer};
 use rbsyn_lang::persist::atomic_write;
 use rbsyn_suite::{all_benchmarks, Benchmark};
 use rbsyn_ty::EffectPrecision;
@@ -510,18 +508,6 @@ pub fn run_suite(cfg: &Config, threads: usize) -> BatchReport {
 /// for file-driven corpora (`solve --spec-dir`), where the benchmarks come
 /// from `.rbspec` files instead of the Rust registry.
 pub fn run_suite_on(benchmarks: Vec<Benchmark>, cfg: &Config, threads: usize) -> BatchReport {
-    run_suite_with(benchmarks, cfg, threads, &BatchPolicy::default())
-}
-
-/// Like [`run_suite_on`] with an explicit [`BatchPolicy`] — the entry
-/// point for `solve --global-deadline` (admission-control load
-/// shedding).
-pub fn run_suite_with(
-    benchmarks: Vec<Benchmark>,
-    cfg: &Config,
-    threads: usize,
-    policy: &BatchPolicy,
-) -> BatchReport {
     let jobs = suite_jobs(
         benchmarks,
         Guidance::both(),
@@ -529,15 +515,14 @@ pub fn run_suite_with(
         cfg.timeout,
         cfg,
     );
-    run_batch_with(&jobs, threads, policy)
+    run_batch(&jobs, threads)
 }
 
 /// Process exit codes for synthesis outcomes — re-exported from
 /// [`rbsyn_core::exit`] so `solve`, `speccheck` and `specgen` share one
 /// contract: `0` solved, `1` other failure (including contained panics),
-/// `2` usage error, `3` spec parse/lower error, `4` timeout (including
-/// watchdog kills), `5` search exhausted without a program, `6` shed by
-/// admission control.
+/// `2` usage error, `3` spec parse/lower error, `4` timeout (cooperative
+/// or hard deadline), `5` search exhausted without a program.
 pub use rbsyn_core::exit as exit_codes;
 
 /// Writes `bytes` to `path`, the file an output flag (`--json`,
@@ -597,7 +582,7 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
     let s = &report.stats;
     format!(
         "batch: {} jobs on {} thread(s) — {} solved, {} timeout, {} failed \
-         ({} panicked), {} shed; \
+         ({} panicked); \
          {} candidates tested, {} deduped, {} obs-pruned, {} vector hits; \
          phases generate {:.2}s | guard {:.2}s | merge {:.2}s | eval {:.2}s; \
          wall {:.2}s, cpu {:.2}s, cpu-ratio {:.2}x\n",
@@ -607,7 +592,6 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
         s.timeouts,
         s.failures,
         s.panics,
-        s.shed,
         s.tested,
         s.deduped,
         s.obs_pruned,
@@ -647,8 +631,8 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"jobs\": {}, \"threads\": {}, \"solved\": {}, \"timeouts\": {}, \"failures\": {}, \
-         \"panics\": {}, \"shed\": {},\n",
-        s.jobs, s.threads, s.solved, s.timeouts, s.failures, s.panics, s.shed
+         \"panics\": {},\n",
+        s.jobs, s.threads, s.solved, s.timeouts, s.failures, s.panics
     ));
     out.push_str(&format!(
         "  \"exit_code\": {},\n",
@@ -721,10 +705,10 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                 "    {{\"id\": \"{}\", \"status\": \"{}\", \"exit_code\": {}, \
                  \"elapsed_secs\": {:.6}, \"error\": \"{}\"}}{sep}\n",
                 json_escape(&o.id),
-                match exit_codes::for_error(e) {
-                    exit_codes::TIMEOUT => "timeout",
-                    exit_codes::SHED => "shed",
-                    _ => "failed",
+                if exit_codes::for_error(e) == exit_codes::TIMEOUT {
+                    "timeout"
+                } else {
+                    "failed"
                 },
                 exit_codes::for_error(e),
                 o.elapsed.as_secs_f64(),

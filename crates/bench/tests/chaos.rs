@@ -2,8 +2,7 @@
 //! pins the robustness contract end to end:
 //!
 //! * no fault profile ever aborts the process — every failure converts to
-//!   a per-job exit code (`1` contained panic, `4` watchdog/timeout,
-//!   `6` shed);
+//!   a per-job exit code (`1` contained panic, `4` timeout);
 //! * jobs *not* hit by a fault synthesize byte-identical programs and
 //!   effort counters, panicking siblings or not;
 //! * pure-delay profiles change nothing at all (stdout byte-identical).

@@ -24,15 +24,10 @@
 //!   final slot collection recovers poisoned locks and backfills missing
 //!   outcomes instead of aborting the process;
 //! * each job's deadline comes from its own [`Options::timeout`], so one
-//!   problem exhausting its budget cannot starve another;
-//! * a [`BatchPolicy::global_deadline`] adds whole-batch admission
-//!   control: before a job starts, the projected completion time of the
-//!   remaining queue (median completed-job duration × remaining depth,
-//!   divided across the job-runner threads) is checked against the
-//!   remaining budget, and jobs that cannot fit are *shed* —
-//!   [`SynthError::Shed`], exit code 6 — instead of started, so an
-//!   overloaded batch degrades predictably rather than blowing through
-//!   its budget.
+//!   problem exhausting its budget cannot starve another.
+//!
+//! The job threads are the only threads synthesis starts: a run
+//! enforces its deadlines by reading the clock on its own thread.
 //!
 //! The experiment harness (`rbsyn-bench`) layers Table 1 / suite reporting
 //! on top of this; the driver itself is suite-agnostic.
@@ -45,7 +40,7 @@ use rbsyn_interp::InterpEnv;
 use rbsyn_lang::contention;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Builds a fresh environment + problem for one job. Called once per run,
@@ -96,87 +91,11 @@ impl BatchJob {
     }
 }
 
-/// Batch-wide execution policy: everything [`run_batch_with`] applies on
-/// top of the per-job [`Options`].
+/// Batch-wide execution policy. It has no settings; it remains, with
+/// [`run_batch_with`], because synthbench passes
+/// `&BatchPolicy::default()` to that function.
 #[derive(Clone, Default)]
-pub struct BatchPolicy {
-    /// Whole-batch wall-clock budget for admission control. Before a job
-    /// starts, its projected queue-completion time (median completed-job
-    /// duration × remaining queue depth, divided across job threads) is
-    /// checked against what is left of this budget; jobs that cannot fit
-    /// — or that would start after the budget has already elapsed — are
-    /// shed with [`SynthError::Shed`] instead of started. `None` (the
-    /// default) admits everything.
-    pub global_deadline: Option<Duration>,
-}
-
-/// The shed-or-admit gate of [`BatchPolicy::global_deadline`]. Completed
-/// job durations feed the median; the mutex is poison-recovering like
-/// every other lock in the pipeline.
-struct AdmissionGate {
-    start: Instant,
-    budget: Option<Duration>,
-    threads: usize,
-    total: usize,
-    durations: Mutex<Vec<Duration>>,
-}
-
-impl AdmissionGate {
-    fn new(budget: Option<Duration>, threads: usize, total: usize) -> AdmissionGate {
-        AdmissionGate {
-            start: Instant::now(),
-            budget,
-            threads: threads.max(1),
-            total,
-            durations: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// May the job at queue position `index` start now?
-    fn admit(&self, index: usize) -> bool {
-        let Some(budget) = self.budget else {
-            return true;
-        };
-        let remaining_budget = match budget.checked_sub(self.start.elapsed()) {
-            Some(r) => r,
-            None => return false, // budget already spent: shed
-        };
-        let durations = contention::lock(&self.durations);
-        if durations.is_empty() {
-            // No evidence yet: admit, and let the first completions size
-            // the median.
-            return true;
-        }
-        let mut sorted = durations.clone();
-        drop(durations);
-        sorted.sort();
-        let median = sorted[sorted.len() / 2];
-        // Jobs not yet finished with this one at the queue head, spread
-        // across the job-runner threads (ceiling division).
-        let remaining_depth = self.total.saturating_sub(index).max(1);
-        let waves = remaining_depth.div_ceil(self.threads) as u32;
-        median.saturating_mul(waves) <= remaining_budget
-    }
-
-    fn record(&self, elapsed: Duration) {
-        contention::lock(&self.durations).push(elapsed);
-    }
-}
-
-/// Runs one admitted-or-shed job: the gate decides, then the job runs
-/// through [`BatchJob::run`] and its duration feeds the gate's median.
-fn run_gated(job: &BatchJob, index: usize, gate: &AdmissionGate) -> BatchOutcome {
-    if !gate.admit(index) {
-        return BatchOutcome {
-            id: job.id.clone(),
-            result: Err(SynthError::Shed),
-            elapsed: Duration::ZERO,
-        };
-    }
-    let outcome = job.run();
-    gate.record(outcome.elapsed);
-    outcome
-}
+pub struct BatchPolicy {}
 
 /// The result of one batch job.
 #[derive(Clone, Debug)]
@@ -217,9 +136,6 @@ pub struct BatchStats {
     /// Jobs whose panic was contained at the job boundary
     /// ([`SynthError::Internal`]); a subset of `failures`.
     pub panics: usize,
-    /// Jobs refused by the [`BatchPolicy::global_deadline`] admission
-    /// gate.
-    pub shed: usize,
     /// Candidates tested across all jobs (solved jobs report their search
     /// counters; failed jobs contribute nothing — their stats die with the
     /// error).
@@ -314,7 +230,6 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
                 stats.eval_time += Duration::from_nanos(r.stats.search.eval_nanos);
             }
             Err(SynthError::Timeout) => stats.timeouts += 1,
-            Err(SynthError::Shed) => stats.shed += 1,
             Err(SynthError::Internal(_)) => {
                 stats.failures += 1;
                 stats.panics += 1;
@@ -365,12 +280,6 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
 /// assert_eq!(report.outcomes[0].id, "a"); // submission order, always
 /// ```
 pub fn run_batch(jobs: &[BatchJob], threads: usize) -> BatchReport {
-    run_batch_with(jobs, threads, &BatchPolicy::default())
-}
-
-/// [`run_batch`] with an explicit [`BatchPolicy`]: a whole-batch
-/// admission-control deadline.
-pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -> BatchReport {
     let threads = match threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -379,52 +288,38 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
     }
     .min(jobs.len().max(1));
 
-    let gate = AdmissionGate::new(policy.global_deadline, threads, jobs.len());
-
     let started = Instant::now();
     if threads <= 1 {
         // Sequential fast path: same loop, no thread machinery.
-        let outcomes: Vec<BatchOutcome> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| run_gated(j, i, &gate))
-            .collect();
+        let outcomes: Vec<BatchOutcome> = jobs.iter().map(BatchJob::run).collect();
         return aggregate(outcomes, started.elapsed(), 1);
     }
 
     let cursor = AtomicUsize::new(0);
-    // Every job thread waits here once the cursor runs dry, so none exits
-    // before the last job returns. On a 2-vCPU host, letting them exit
-    // early raised the peak RSS of a two-thread batch of the 19 paper
-    // problems from ~1.1 GB to 1.2–1.4 GB. The rise vanished with the
-    // watchdog disabled: it needs a later job's watchdog thread to start
-    // after a sibling job thread has exited.
-    let all_claimed = Barrier::new(threads);
     let slots: Vec<Mutex<Option<BatchOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let cursor = &cursor;
-            let all_claimed = &all_claimed;
             let slots = &slots;
-            let gate = &gate;
             scope.spawn(move || {
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    // Second containment layer: `run_gated` already
+                    // Second containment layer: `BatchJob::run` already
                     // catches panics inside the job body, but a panic in
                     // the driver's own bookkeeping around it must also
                     // convert to a per-job failure — an unwinding scoped
                     // thread would abort the whole batch.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| run_gated(job, i, gate)))
-                        .unwrap_or_else(|panic| BatchOutcome {
-                            id: job.id.clone(),
-                            result: Err(SynthError::from_panic(&*panic)),
-                            elapsed: Duration::ZERO,
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| job.run())).unwrap_or_else(|panic| {
+                            BatchOutcome {
+                                id: job.id.clone(),
+                                result: Err(SynthError::from_panic(&*panic)),
+                                elapsed: Duration::ZERO,
+                            }
                         });
                     *contention::lock(&slots[i]) = Some(outcome);
                 }
-                all_claimed.wait();
                 // Worker exit: hand any traced events to their session
                 // before the scoped thread disappears (no-op untraced).
                 rbsyn_trace::flush_current_thread();
@@ -450,6 +345,12 @@ pub fn run_batch_with(jobs: &[BatchJob], threads: usize, policy: &BatchPolicy) -
         })
         .collect();
     aggregate(outcomes, started.elapsed(), threads)
+}
+
+/// [`run_batch`]; the [`BatchPolicy`] has no settings. It remains
+/// because synthbench calls it.
+pub fn run_batch_with(jobs: &[BatchJob], threads: usize, _policy: &BatchPolicy) -> BatchReport {
+    run_batch(jobs, threads)
 }
 
 #[cfg(test)]
@@ -628,36 +529,6 @@ mod tests {
             programs(&chaotic),
             "unaffected jobs must be byte-identical"
         );
-    }
-
-    #[test]
-    fn zero_global_deadline_sheds_everything() {
-        let jobs: Vec<BatchJob> = (0..3)
-            .map(|i| trivial_job(&format!("j{i}"), None))
-            .collect();
-        let policy = BatchPolicy {
-            global_deadline: Some(Duration::ZERO),
-        };
-        let report = run_batch_with(&jobs, 1, &policy);
-        assert_eq!(report.stats.shed, 3);
-        assert_eq!(report.stats.solved, 0);
-        for o in &report.outcomes {
-            assert!(matches!(o.result, Err(SynthError::Shed)), "{:?}", o.result);
-        }
-        assert_eq!(crate::exit::for_batch(&report), crate::exit::SHED);
-    }
-
-    #[test]
-    fn generous_global_deadline_admits_everything() {
-        let jobs: Vec<BatchJob> = (0..4)
-            .map(|i| trivial_job(&format!("j{i}"), None))
-            .collect();
-        let policy = BatchPolicy {
-            global_deadline: Some(Duration::from_secs(3600)),
-        };
-        let report = run_batch_with(&jobs, 2, &policy);
-        assert_eq!(report.stats.shed, 0);
-        assert_eq!(report.stats.solved, 4);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The search engine: frontier, scheduler and watchdog.
+//! The search engine: frontier and scheduler.
 //!
 //! PR 3 extracted the moving parts of the work-list search out of
 //! [`crate::generate`](mod@crate::generate) into this module so each is a
@@ -6,11 +6,8 @@
 //!
 //! * [`Frontier`] — the candidate priority queue of Algorithm 2, in §4's
 //!   `(c desc, size asc, insertion order)`;
-//! * [`Scheduler`] — per-run deadlines, the watchdog kill flag, the
-//!   tracing session and deterministic stats aggregation
-//!   ([`SearchStats`]);
-//! * [`Watchdog`] — the hard-cancellation backstop behind the
-//!   cooperative deadline.
+//! * [`Scheduler`] — the per-run deadline, the tracing session and
+//!   deterministic stats aggregation ([`SearchStats`]).
 //!
 //! **Determinism story.** A synthesis run searches on one thread: phases,
 //! specs, guard requests and every work-list pop run one after another on
@@ -22,8 +19,6 @@
 
 pub mod frontier;
 pub mod scheduler;
-pub mod watchdog;
 
 pub use frontier::{Frontier, Priority};
 pub use scheduler::{Scheduler, SearchStats};
-pub use watchdog::Watchdog;

@@ -1,12 +1,13 @@
-//! The search scheduler: deadlines, the watchdog kill flag, tracing and
-//! statistics aggregation for one synthesis run.
+//! The search scheduler: the deadline, tracing and statistics
+//! aggregation for one synthesis run.
 //!
 //! A [`Scheduler`] is the per-run bundle every search phase consults:
 //!
 //! * the **deadline** ([`Options::timeout`](crate::Options) materialized
-//!   as an [`Instant`]) and the [`Watchdog`](super::Watchdog)'s **kill
-//!   flag** — both polled by the work-list loop through
-//!   [`Scheduler::should_stop`];
+//!   as an [`Instant`]), polled by the work-list loop through
+//!   [`Scheduler::should_stop`]. The run's *hard* deadline is not here:
+//!   the interpreter checks it mid-candidate (see
+//!   [`GRACE`](crate::synthesizer::GRACE));
 //! * the **tracing session**, when `--trace` is on.
 //!
 //! Effort counters live in [`SearchStats`], which only the run's own
@@ -14,8 +15,6 @@
 //! never of thread interleaving.
 
 use rbsyn_trace::Session;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Search-effort counters, accumulated across the `generate` calls of one
@@ -96,12 +95,11 @@ impl SearchStats {
     }
 }
 
-/// Per-run search coordination: deadline, kill flag and tracing session
-/// (see the [module docs](self)).
+/// Per-run search coordination: deadline and tracing session (see the
+/// [module docs](self)).
 #[derive(Clone, Default)]
 pub struct Scheduler {
     deadline: Option<Instant>,
-    kill: Option<Arc<AtomicBool>>,
     trace: Option<Session>,
 }
 
@@ -110,13 +108,12 @@ impl Scheduler {
     pub fn new(deadline: Option<Instant>) -> Scheduler {
         Scheduler {
             deadline,
-            kill: None,
             trace: None,
         }
     }
 
-    /// A bare scheduler: no deadline, no kill flag, no tracing. What tests
-    /// and one-off `generate` calls use.
+    /// A bare scheduler: no deadline, no tracing. What tests and one-off
+    /// `generate` calls use.
     pub fn sequential() -> Scheduler {
         Scheduler::default()
     }
@@ -126,16 +123,6 @@ impl Scheduler {
     /// instrumentation site to a single `Option` check.
     pub fn with_trace(mut self, trace: Option<Session>) -> Scheduler {
         self.trace = trace;
-        self
-    }
-
-    /// Attaches a watchdog kill flag (see
-    /// [`Watchdog`](super::Watchdog)): once set, [`should_stop`]
-    /// reports `true` regardless of the cooperative deadline.
-    ///
-    /// [`should_stop`]: Scheduler::should_stop
-    pub fn with_kill(mut self, kill: Arc<AtomicBool>) -> Scheduler {
-        self.kill = Some(kill);
         self
     }
 
@@ -149,21 +136,9 @@ impl Scheduler {
         self.trace.as_ref()
     }
 
-    /// Kill-flag-or-deadline poll, called by the work-list loop at its
-    /// check cadence. The watchdog kill flag only ever fires *after* the
-    /// cooperative deadline.
+    /// Deadline poll, called by the work-list loop at its check cadence.
     pub fn should_stop(&self) -> bool {
-        if self
-            .kill
-            .as_ref()
-            .is_some_and(|k| k.load(Ordering::Relaxed))
-        {
-            return true;
-        }
-        match self.deadline {
-            Some(d) => Instant::now() >= d,
-            None => false,
-        }
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -173,15 +148,11 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn should_stop_covers_deadline_and_kill() {
+    fn should_stop_covers_deadline() {
         assert!(!Scheduler::sequential().should_stop());
         let past = Instant::now() - Duration::from_secs(1);
         assert!(Scheduler::new(Some(past)).should_stop());
         let future = Instant::now() + Duration::from_secs(600);
-        let kill = Arc::new(AtomicBool::new(false));
-        let sched = Scheduler::new(Some(future)).with_kill(Arc::clone(&kill));
-        assert!(!sched.should_stop());
-        kill.store(true, Ordering::Relaxed);
-        assert!(sched.should_stop());
+        assert!(!Scheduler::new(Some(future)).should_stop());
     }
 }

@@ -24,11 +24,6 @@ pub enum SynthError {
     /// one faulty job can never abort its batch (see
     /// [`crate::batch::run_batch`]).
     Internal(String),
-    /// The batch's admission-control gate refused to start this job: the
-    /// projected completion time of the remaining queue exceeded the
-    /// global deadline, so the job was shed instead of started (see
-    /// [`crate::batch::BatchPolicy`]).
-    Shed,
 }
 
 impl SynthError {
@@ -58,7 +53,6 @@ impl fmt::Display for SynthError {
             SynthError::GuardNotFound => write!(f, "no branch condition distinguishes the specs"),
             SynthError::BadProblem(msg) => write!(f, "malformed synthesis problem: {msg}"),
             SynthError::Internal(msg) => write!(f, "internal error: {msg}"),
-            SynthError::Shed => write!(f, "shed by admission control (global deadline)"),
         }
     }
 }

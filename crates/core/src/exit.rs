@@ -1,9 +1,8 @@
 //! Process exit codes for synthesis outcomes, shared by `solve`,
 //! `speccheck` and `specgen` so scripts and CI can tell failure classes
 //! apart: `0` solved, `1` other failure (including contained panics), `2`
-//! usage error, `3` spec parse/lower error, `4` timeout (per-job deadline
-//! or watchdog kill), `5` search exhausted without a program, `6` job(s)
-//! shed by batch admission control.
+//! usage error, `3` spec parse/lower error, `4` timeout (cooperative or
+//! hard deadline), `5` search exhausted without a program.
 
 use crate::batch::BatchReport;
 use crate::error::SynthError;
@@ -21,10 +20,6 @@ pub const TIMEOUT: i32 = 4;
 /// The bounded search space was exhausted with no solution (no
 /// per-spec solution, merge failure, or missing guard).
 pub const NO_SOLUTION: i32 = 5;
-/// One or more jobs were refused by batch admission control: queue
-/// depth × median solve time exceeded the global deadline, so the batch
-/// shed load instead of blowing its budget.
-pub const SHED: i32 = 6;
 
 /// The exit code for one synthesis error.
 pub fn for_error(e: &SynthError) -> i32 {
@@ -34,13 +29,12 @@ pub fn for_error(e: &SynthError) -> i32 {
             NO_SOLUTION
         }
         SynthError::BadProblem(_) | SynthError::Internal(_) => OTHER,
-        SynthError::Shed => SHED,
     }
 }
 
 /// The exit code for a whole batch: `OK` when every job solved, else
 /// the most specific failing class (timeout before no-solution before
-/// shed before other), so CI logs name the dominant failure.
+/// other), so CI logs name the dominant failure.
 pub fn for_batch(report: &BatchReport) -> i32 {
     let codes: Vec<i32> = report
         .outcomes
@@ -53,9 +47,55 @@ pub fn for_batch(report: &BatchReport) -> i32 {
         TIMEOUT
     } else if codes.contains(&NO_SOLUTION) {
         NO_SOLUTION
-    } else if codes.contains(&SHED) {
-        SHED
     } else {
         OTHER
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{BatchOutcome, BatchStats};
+    use crate::synthesizer::{SynthResult, SynthStats};
+    use rbsyn_lang::{builder::true_, Program, Symbol};
+    use std::time::Duration;
+
+    /// A report with one job per entry: `None` solved, `Some(e)` failed
+    /// with `e`.
+    fn report(jobs: &[Option<SynthError>]) -> BatchReport {
+        let outcomes = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| BatchOutcome {
+                id: format!("j{i}"),
+                result: match e {
+                    None => Ok(SynthResult {
+                        program: Program::from_parts(Symbol::intern("m"), vec![], true_()),
+                        stats: SynthStats::default(),
+                    }),
+                    Some(e) => Err(e.clone()),
+                },
+                elapsed: Duration::ZERO,
+            })
+            .collect();
+        BatchReport {
+            outcomes,
+            stats: BatchStats::default(),
+        }
+    }
+
+    #[test]
+    fn batch_code_names_the_dominant_failure() {
+        let timeout = Some(SynthError::Timeout);
+        let no_solution = Some(SynthError::NoSolution { spec: "s".into() });
+        let internal = Some(SynthError::Internal("boom".into()));
+        let all = [timeout, no_solution.clone(), internal.clone(), None];
+        assert_eq!(for_batch(&report(&all)), TIMEOUT);
+        assert_eq!(
+            for_batch(&report(&[no_solution, internal.clone()])),
+            NO_SOLUTION
+        );
+        assert_eq!(for_batch(&report(&[None, internal])), OTHER);
+        assert_eq!(for_batch(&report(&[None, None])), OK);
     }
 }

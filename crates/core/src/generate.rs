@@ -13,8 +13,7 @@
 //! hash-consed node, expansion re-interns only the path to the filled
 //! hole, each node is typed once from its children's types, and an
 //! [`Expr`] is built only for the oracle run. The arena is dropped when
-//! the call returns. The deadline and the watchdog's kill flag are polled
-//! through the [`Scheduler`].
+//! the call returns. The deadline is polled through the [`Scheduler`].
 
 use crate::arena::{typing, NodeArena, NodeId, NodeSet};
 use crate::engine::{Frontier, Scheduler};
@@ -114,7 +113,7 @@ pub type GenerateOutcome = Result<Expr, SynthError>;
 /// Algorithm 2: searches for an evaluable expression satisfying `oracle`,
 /// starting from `□:goal` under `params`.
 ///
-/// `sched` carries the run's deadline, kill flag and tracing session
+/// `sched` carries the run's deadline and tracing session
 /// (see [`Scheduler`]); [`Scheduler::sequential`] gives a run with none
 /// of them.
 ///
@@ -573,39 +572,6 @@ mod tests {
             &mut stats,
         );
         assert_eq!(r, Err(SynthError::Timeout));
-    }
-
-    #[test]
-    fn kill_flag_stops_the_search() {
-        let (env, _) = blog_env();
-        let spec = Spec::new(
-            "impossible",
-            vec![SetupStep::CallTarget {
-                bind: "xr".into(),
-                args: vec![],
-            }],
-            vec![false_()],
-        );
-        let opts = Options::default();
-        let mut stats = SearchStats::default();
-        let kill = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let sched = Scheduler::sequential().with_kill(kill);
-        let r = generate(
-            &env,
-            "m",
-            &[],
-            &Ty::Bool,
-            &SpecOracle::new(&env, &spec),
-            &opts,
-            20,
-            &sched,
-            &mut stats,
-        );
-        assert_eq!(r, Err(SynthError::Timeout));
-        assert!(
-            stats.popped <= 64,
-            "the kill flag must stop the search within one check window"
-        );
     }
 
     #[test]

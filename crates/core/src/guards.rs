@@ -77,7 +77,7 @@ pub struct GuardQuery<'a> {
     pub specs: &'a [Spec],
     /// Search options (guard size bound, pop budget).
     pub opts: &'a Options,
-    /// Deadline, kill flag and tracing session.
+    /// Deadline and tracing session.
     pub sched: &'a Scheduler,
 }
 

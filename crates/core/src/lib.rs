@@ -26,9 +26,10 @@
 //! each call-template list where the [`expand::Expander`] is asked for it:
 //! nothing is memoized across searches or shared between batch jobs.
 //!
-//! The search's moving parts — frontier, scheduler and watchdog — live in
-//! [`engine`]. A synthesis run searches on one thread; the only
-//! parallelism is the [`batch`] driver's job threads (`--parallel`).
+//! The search's moving parts — frontier and scheduler — live in
+//! [`engine`]. A synthesis run searches on one thread and starts no
+//! other: the only threads are the [`batch`] driver's job threads
+//! (`--parallel`).
 
 #![deny(missing_docs)]
 

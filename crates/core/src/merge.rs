@@ -104,7 +104,7 @@ pub struct MergeCtx<'a> {
     pub spec_oracles: &'a [SpecOracle],
     /// Options (guard bounds).
     pub opts: &'a Options,
-    /// Deadline, kill flag and tracing session for every guard search.
+    /// Deadline and tracing session for every guard search.
     pub sched: &'a Scheduler,
     /// Shared search counters.
     pub stats: &'a mut SearchStats,

@@ -98,10 +98,9 @@ pub struct Options {
     /// exhaustion backstop).
     pub max_expansions: u64,
     /// Wall-clock budget for the whole synthesis run (the paper uses 300 s
-    /// in §5). `None` disables the deadline. A run still going at
-    /// [`GRACE`](crate::engine::watchdog::GRACE) times the budget is
-    /// hard-cancelled by a [`Watchdog`](crate::engine::Watchdog), and
-    /// surfaces as the same
+    /// in §5). `None` disables the deadline. A candidate still being
+    /// evaluated at [`GRACE`](crate::synthesizer::GRACE) times the budget
+    /// is hard-cancelled, and the run surfaces as the same
     /// [`SynthError::Timeout`](crate::SynthError::Timeout) a cooperative
     /// stop produces.
     pub timeout: Option<Duration>,

@@ -9,7 +9,6 @@
 //! own thread, and never searches a spec an earlier solution already
 //! passes (§4 solution reuse).
 
-use crate::engine::watchdog::{self, Watchdog};
 use crate::engine::{Scheduler, SearchStats};
 use crate::error::SynthError;
 use crate::generate::{generate, Oracle, SpecOracle};
@@ -22,6 +21,19 @@ use rbsyn_lang::metrics::{program_paths, program_size};
 use rbsyn_lang::{Program, Symbol};
 use rbsyn_trace::{Mark, Phase, Session};
 use std::time::{Duration, Instant};
+
+/// The grace factor of every run's hard deadline.
+///
+/// The search polls the cooperative deadline ([`Options::timeout`])
+/// between candidates, never inside one long candidate evaluation. So a
+/// run also sets its environment's hard deadline to `GRACE` times the
+/// budget after its start; the evaluator compares it with the clock every
+/// [`rbsyn_interp::eval::INTERRUPT_CHECK_STRIDE`] steps and fails a
+/// candidate still running with [`rbsyn_interp::RuntimeError::Interrupted`],
+/// and the search then stops at its next poll with [`SynthError::Timeout`].
+/// Coming after the cooperative deadline, it cannot change the result of
+/// a run that stops there.
+pub const GRACE: f64 = 4.0;
 
 /// Search-effort and outcome statistics for one synthesis run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -145,18 +157,17 @@ impl Synthesizer {
             tracer,
         } = self;
         problem.validate()?;
-        // Hard-cancellation backstop for runs stuck past the cooperative
-        // deadline (see [`Watchdog`]). Held for the whole run; dropping it
-        // on any exit path disarms the timer.
-        let watchdog = opts
-            .timeout
-            .map(|budget| Watchdog::arm(budget, watchdog::GRACE));
-        if let Some(dog) = &watchdog {
-            env.set_interrupt(dog.kill_flag());
-        }
         let start = Instant::now();
-        // A deadline `Instant` cannot represent means no deadline.
+        // A deadline `Instant` cannot represent means no deadline, hard
+        // or cooperative.
         let deadline = opts.timeout.and_then(|t| start.checked_add(t));
+        let hard_deadline = opts
+            .timeout
+            .and_then(|t| Duration::try_from_secs_f64(t.as_secs_f64() * GRACE).ok())
+            .and_then(|t| start.checked_add(t));
+        if let Some(hard) = hard_deadline {
+            env.set_hard_deadline(hard);
+        }
         let mut stats = SynthStats::default();
 
         // `Options::trace` is the switch; an externally attached session
@@ -165,11 +176,7 @@ impl Synthesizer {
         let tracer: Option<Session> = tracer.or_else(|| opts.trace.clone().map(Session::new));
         let _solve_span = tracer.as_ref().map(|t| t.span(Phase::Solve));
 
-        let mut sched = Scheduler::new(deadline).with_trace(tracer.clone());
-        if let Some(dog) = &watchdog {
-            sched = sched.with_kill(dog.kill_flag());
-        }
-        let sched = sched;
+        let sched = Scheduler::new(deadline).with_trace(tracer.clone());
 
         // One prepared oracle per spec, shared by the per-spec searches,
         // the solution-reuse check, and merged-program validation.
@@ -353,6 +360,67 @@ mod tests {
         };
         let out = Synthesizer::new(env, problem, opts).run().unwrap();
         assert_eq!(out.program.body.compact(), "false");
+    }
+
+    /// The run's hard deadline is `GRACE` times its budget after the
+    /// start, and an unrepresentable or absent budget sets none. A probe
+    /// method called from the spec setup reads it off the environment.
+    #[test]
+    fn hard_deadline_is_grace_times_the_budget() {
+        use rbsyn_ty::{EnumerateAt, MethodKind};
+        use std::sync::{Arc, Mutex};
+        let seen: Arc<Mutex<Vec<Option<Instant>>>> = Arc::default();
+        let run = |timeout: Option<Duration>| {
+            let mut b = EnvBuilder::with_stdlib();
+            let probe = b.hierarchy_mut().define("Probe", None);
+            let sink = Arc::clone(&seen);
+            b.method(
+                probe,
+                MethodKind::Singleton,
+                "probe",
+                vec![],
+                Ty::Nil,
+                rbsyn_lang::EffectPair::default(),
+                EnumerateAt::Never,
+                Arc::new(move |env, _, _, _| {
+                    sink.lock().unwrap().push(env.hard_deadline());
+                    Ok(Value::Nil)
+                }),
+            );
+            let problem = SynthesisProblem::builder("m")
+                .returns(Ty::Bool)
+                .base_consts()
+                .spec(Spec::new(
+                    "returns false",
+                    vec![
+                        SetupStep::Exec(call(cls(probe), "probe", [])),
+                        SetupStep::CallTarget {
+                            bind: "xr".into(),
+                            args: vec![],
+                        },
+                    ],
+                    vec![call(var("xr"), "==", [false_()])],
+                ))
+                .build();
+            let opts = Options {
+                timeout,
+                ..Options::default()
+            };
+            seen.lock().unwrap().clear();
+            let before = Instant::now();
+            Synthesizer::new(b.finish(), problem, opts).run().unwrap();
+            let after = Instant::now();
+            let seen = seen.lock().unwrap();
+            assert!(!seen.is_empty(), "the probe ran");
+            assert!(seen.iter().all(|d| *d == seen[0]), "one deadline per run");
+            (before, seen[0], after)
+        };
+        let budget = Duration::from_secs(10);
+        let (before, hard, after) = run(Some(budget));
+        let hard = hard.expect("a budget sets a hard deadline");
+        assert!(before + budget.mul_f64(GRACE) <= hard && hard <= after + budget.mul_f64(GRACE));
+        assert_eq!(run(Some(Duration::MAX)).1, None, "unrepresentable");
+        assert_eq!(run(None).1, None, "no budget");
     }
 
     #[test]

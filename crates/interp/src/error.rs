@@ -46,9 +46,9 @@ pub enum RuntimeError {
     /// Evaluation step budget exhausted (guards against pathological
     /// candidates).
     FuelExhausted,
-    /// Evaluation was interrupted by the deadline watchdog: the run's
-    /// hard deadline passed while this candidate was still executing, so
-    /// the evaluator aborted it mid-run (checked every
+    /// Evaluation was interrupted at the run's hard deadline: it passed
+    /// while this candidate was still executing, so the evaluator aborted
+    /// it mid-run (checked every
     /// [`crate::eval::INTERRUPT_CHECK_STRIDE`] steps). The search treats
     /// the candidate as rejected and stops at its next deadline poll.
     Interrupted,
@@ -80,7 +80,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnboundVar(x) => write!(f, "undefined local variable `{x}`"),
             RuntimeError::HoleEvaluated => write!(f, "attempted to evaluate a hole"),
             RuntimeError::FuelExhausted => write!(f, "evaluation step budget exhausted"),
-            RuntimeError::Interrupted => write!(f, "evaluation interrupted by watchdog"),
+            RuntimeError::Interrupted => write!(f, "evaluation interrupted at the hard deadline"),
             RuntimeError::RecordError(msg) => write!(f, "record error: {msg}"),
             RuntimeError::Other(msg) => write!(f, "{msg}"),
         }

@@ -5,6 +5,7 @@ use crate::error::RuntimeError;
 use crate::world::{InterpEnv, WorldState};
 use rbsyn_lang::{EffectPair, Expr, Program, Symbol, Value};
 use rbsyn_ty::MethodKind;
+use std::time::Instant;
 
 /// Lexically scoped local variables (a shadowing stack; lookups scan from
 /// the innermost binding outward).
@@ -48,10 +49,11 @@ impl Locals {
 /// guards against pathological interactions.
 const DEFAULT_FUEL: u64 = 1_000_000;
 
-/// How many evaluation steps pass between watchdog-interrupt checks. A
-/// power of two so the check is a mask, not a division; small enough that
-/// a hard-cancelled evaluation dies within microseconds of the flag, large
-/// enough that un-watched runs pay one branch per step and nothing else.
+/// How many evaluation steps pass between hard-deadline checks. A power
+/// of two so the check is a mask, not a division; small enough that a
+/// hard-cancelled evaluation dies within microseconds of its deadline,
+/// large enough that each step pays one branch and each stride one clock
+/// read.
 pub const INTERRUPT_CHECK_STRIDE: u64 = 1024;
 
 /// A single-run evaluator over a [`WorldState`].
@@ -96,11 +98,12 @@ impl<'a> Evaluator<'a> {
             return Err(RuntimeError::FuelExhausted);
         }
         self.fuel -= 1;
-        // Watchdog hook on the eval hot path: a run whose hard deadline
-        // passed is aborted mid-candidate, not just between candidates.
+        // Hard-deadline check on the eval hot path: a run whose hard
+        // deadline passed is aborted mid-candidate, not just between
+        // candidates.
         if self.fuel & (INTERRUPT_CHECK_STRIDE - 1) == 0 {
-            if let Some(flag) = self.env.interrupt_flag() {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
+            if let Some(deadline) = self.env.hard_deadline() {
+                if Instant::now() >= deadline {
                     return Err(RuntimeError::Interrupted);
                 }
             }
@@ -272,24 +275,23 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_flag_aborts_a_running_eval() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let mut env = plain_env();
-        let flag = Arc::new(AtomicBool::new(true));
-        env.set_interrupt(Arc::clone(&flag));
-        let mut state = WorldState::fresh(&env);
+    fn hard_deadline_aborts_a_running_eval() {
+        use std::time::Duration;
         // A long sequence guarantees the evaluator crosses at least one
         // stride boundary before finishing.
         let steps: Vec<_> = (0..2 * INTERRUPT_CHECK_STRIDE).map(|_| int(1)).collect();
         let e = seq(steps);
+        let mut env = plain_env();
+        env.set_hard_deadline(Instant::now() - Duration::from_secs(1));
+        let mut state = WorldState::fresh(&env);
         let mut ev = Evaluator::new(&env, &mut state);
         assert_eq!(
             ev.eval(&mut Locals::new(), &e),
             Err(RuntimeError::Interrupted),
-            "a set flag kills the eval at a stride check"
+            "a passed deadline kills the eval at a stride check"
         );
-        // Unset flag: the same program completes with fuel to spare.
-        flag.store(false, Ordering::Relaxed);
+        // A future deadline: the same program completes with fuel to spare.
+        env.set_hard_deadline(Instant::now() + Duration::from_secs(600));
         let mut ev = Evaluator::new(&env, &mut state);
         assert_eq!(ev.eval(&mut Locals::new(), &e).unwrap(), Value::Int(1));
     }

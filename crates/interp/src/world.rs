@@ -6,8 +6,8 @@ use rbsyn_db::{Database, RowId, TableId};
 use rbsyn_lang::{unordered_obs_fold, ClassId, ObjRef, ObsHasher, Symbol, Value};
 use rbsyn_ty::{ClassTable, MethodKind};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Implementation of a native (library) method.
 ///
@@ -34,11 +34,11 @@ pub struct InterpEnv {
     models: HashMap<ClassId, TableId>,
     /// Database template cloned into every fresh [`WorldState`].
     pub db_template: Database,
-    /// Watchdog kill flag: when set, evaluators over this environment
+    /// Hard deadline: once it passes, evaluators over this environment
     /// abort with [`RuntimeError::Interrupted`] at their next stride
     /// check (see [`crate::eval::Evaluator`]). `None` (the default) costs
     /// nothing on the eval path beyond the stride branch.
-    interrupt: Option<Arc<AtomicBool>>,
+    hard_deadline: Option<Instant>,
 }
 
 impl InterpEnv {
@@ -49,21 +49,21 @@ impl InterpEnv {
             natives: HashMap::new(),
             models: HashMap::new(),
             db_template,
-            interrupt: None,
+            hard_deadline: None,
         }
     }
 
-    /// Attaches a watchdog kill flag: evaluation under this environment
-    /// aborts with [`RuntimeError::Interrupted`] soon after the flag is
-    /// set, even mid-candidate. The synthesizer installs the run's
-    /// watchdog flag here before sharing the environment with its tasks.
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
+    /// Sets a hard deadline: evaluation under this environment aborts
+    /// with [`RuntimeError::Interrupted`] soon after it passes, even
+    /// mid-candidate. The synthesizer sets the run's hard deadline here
+    /// before it builds the spec oracles.
+    pub fn set_hard_deadline(&mut self, deadline: Instant) {
+        self.hard_deadline = Some(deadline);
     }
 
-    /// The installed watchdog kill flag, if any.
-    pub fn interrupt_flag(&self) -> Option<&Arc<AtomicBool>> {
-        self.interrupt.as_ref()
+    /// The hard deadline, if any.
+    pub fn hard_deadline(&self) -> Option<Instant> {
+        self.hard_deadline
     }
 
     /// Registers the body of a method; the annotation must be registered

@@ -6,7 +6,7 @@
 //! or a chaos harness can make the pipeline misbehave on purpose. The
 //! chaos suite uses them to prove the robustness claims of the batch
 //! driver: a panicking candidate evaluation must convert to a per-job
-//! failure, and a stalled interpreter must be reaped by the watchdog.
+//! failure, and a stalled interpreter must still end in a timeout.
 //!
 //! The facility is **feature-gated** behind `failpoints` and compiles to
 //! nothing when the feature is off: every helper is an empty inline

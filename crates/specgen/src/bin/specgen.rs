@@ -58,15 +58,30 @@ fn main() -> ExitCode {
         };
     }
 
+    // A numeric flag whose value is not an unsigned integer is a usage
+    // error, never a silent fall-back to the default.
+    macro_rules! number {
+        ($it:expr, $flag:expr) => {{
+            let v = take!($it, $flag);
+            match v.parse() {
+                Ok(n) => Some(n),
+                Err(_) => {
+                    eprintln!("specgen: {} expects an unsigned integer, got `{v}`", $flag);
+                    return usage();
+                }
+            }
+        }};
+    }
+
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => out = Some(PathBuf::from(take!(it, "--out"))),
             "--dir" => dir = Some(PathBuf::from(take!(it, "--dir"))),
-            "--count" => count = take!(it, "--count").parse().ok(),
-            "--seed" => seed = take!(it, "--seed").parse().ok(),
-            "--sample" => sample = take!(it, "--sample").parse().ok(),
-            "--fuzz" => fuzz = take!(it, "--fuzz").parse().ok(),
+            "--count" => count = number!(it, "--count"),
+            "--seed" => seed = number!(it, "--seed"),
+            "--sample" => sample = number!(it, "--sample"),
+            "--fuzz" => fuzz = number!(it, "--fuzz"),
             "--regen" => regen = true,
             "--gate" => gate = true,
             "--help" | "-h" => {

@@ -121,7 +121,7 @@ pub enum Mark {
     CacheHit,
     /// A guard-pool covering query (lazy stream advance or count).
     CoveringQuery,
-    /// The deadline/kill-flag poll fired and stopped a search.
+    /// The deadline poll fired and stopped a search.
     DeadlineHit,
 }
 
