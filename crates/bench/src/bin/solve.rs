@@ -31,6 +31,9 @@
 //!
 //! `--ids` (and `RBSYN_BENCH_IDS`) must name known benchmarks: an unknown
 //! id, or a non-empty list that names none (`--ids ,`), is a usage error.
+//! So is an unknown flag, or a `--parallel`, `--timeout` or
+//! `--trace-sample` value that is not an unsigned integer; the message
+//! names the flag and the value.
 //!
 //! `--json PATH` writes the outcome (batch mode: the batch report) as
 //! JSON. A `--json` or `--trace` path that cannot be written exits 1
@@ -107,6 +110,15 @@ fn usage() -> ! {
     std::process::exit(exit_codes::USAGE);
 }
 
+/// `value` parsed as the number `flag` takes, or a usage error naming
+/// both.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} expects an unsigned integer, got {value:?}");
+        usage()
+    })
+}
+
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         all: false,
@@ -139,7 +151,7 @@ fn parse_cli() -> Cli {
                 batch_only.push("--compare");
             }
             "--parallel" => {
-                cli.parallel = value("--parallel").parse().unwrap_or_else(|_| usage());
+                cli.parallel = parse_flag("--parallel", &value("--parallel"));
                 batch_only.push("--parallel");
             }
             "--ids" => {
@@ -151,15 +163,16 @@ fn parse_cli() -> Cli {
                 batch_only.push("--ids");
             }
             "--timeout" => {
-                cli.timeout = Some(Duration::from_secs(
-                    value("--timeout").parse().unwrap_or_else(|_| usage()),
-                ))
+                cli.timeout = Some(Duration::from_secs(parse_flag(
+                    "--timeout",
+                    &value("--timeout"),
+                )))
             }
             "--no-obs-equiv" => cli.no_obs_equiv = true,
             "--spec" => cli.spec = Some(value("--spec")),
             "--trace" => cli.trace = Some(value("--trace")),
             "--trace-sample" => {
-                let n: u64 = value("--trace-sample").parse().unwrap_or_else(|_| usage());
+                let n: u64 = parse_flag("--trace-sample", &value("--trace-sample"));
                 if n == 0 {
                     eprintln!("--trace-sample must be >= 1");
                     usage();
@@ -172,7 +185,10 @@ fn parse_cli() -> Cli {
             }
             "--json" => cli.json = Some(value("--json")),
             "--help" | "-h" => usage(),
-            _ if a.starts_with("--") => usage(),
+            _ if a.starts_with("--") => {
+                eprintln!("unknown flag {a:?}");
+                usage()
+            }
             _ => positional.push(a),
         }
     }

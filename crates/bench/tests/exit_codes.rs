@@ -75,6 +75,33 @@ fn solve_unknown_flag_exits_2() {
     );
 }
 
+/// A numeric flag with a value that is not an unsigned integer, and an
+/// unknown flag, are usage errors that name the offending value (the
+/// usage text itself names every flag, so the check is on the value).
+#[test]
+fn solve_bad_flag_values_exit_2_and_name_them() {
+    let cases: [&[&str]; 5] = [
+        &["--all", "--parallel", "abc"],
+        &["--timeout", "-1"],
+        &["--timeout", "1e400"],
+        &["--trace", "t.json", "--trace-sample", "x"],
+        &["--bogus"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+            .args(args)
+            .output()
+            .expect("solve binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let value = args[args.len() - 1];
+        assert!(
+            stderr.contains(&format!("{value:?}")),
+            "{args:?}: stderr does not name {value:?}: {stderr}"
+        );
+    }
+}
+
 /// A positional argument past `<ID> [timeout_secs]` is a usage error
 /// that names it, not silently ignored.
 #[test]

@@ -5,11 +5,12 @@
 //! conditions) run the same type-guided enumeration of Algorithm 2. Both
 //! keep their candidates here: a candidate is a hash-consed node, a
 //! [`Kind`] plus the ids of its children, so interning a node costs one
-//! hash of a few words whatever the depth of the tree below it.
-//! Expanding a candidate re-interns only the path from its root to the
-//! filled hole, types each new node once from its children's stored
-//! types, and builds an [`Expr`] tree only when something (the
-//! interpreter, a returned solution) needs one.
+//! hash of a few words whatever the depth of the tree below it. A child
+//! candidate shares all of its parent but the path from its root to the
+//! filled hole, so building it interns only that path; each new node is
+//! typed once from its children's stored types, and an [`Expr`] tree is
+//! built only when something (the interpreter, a returned solution)
+//! needs one.
 //!
 //! **Scopes.** A hole's fill list depends on the typing environment `Γ`
 //! it sits in: `Γ` supplies the S-Var candidates and the receiver seeds of
@@ -24,12 +25,22 @@
 //! which applies [`crate::expand::simplify`]'s rules to the new child
 //! list, so every node is already simplified and the whole-tree
 //! `simplify` pass has nothing left to do.
+//!
+//! **Interned when popped.** A search pops far fewer candidates than it
+//! pushes, so expanding a popped call, hash literal or `let` interns
+//! nothing new at the top: [`NodeArena::children`] returns the memoized
+//! fill list of its leftmost-hole child, and a child is pushed as the
+//! 8-byte [`Entry`] `(parent, sub)`, sized and hole-checked exactly
+//! without a node. [`NodeArena::admit`] interns, type-narrows and
+//! deduplicates a partial child when it is popped, and an evaluable one
+//! when it is produced. Children of a hole or a sequence are interned at
+//! expansion, since sequence normalization can change their size.
 
 use crate::expand::Expander;
 use crate::infer::{app_ty, hash_ty, ty_of_value, var_ty, Gamma};
 use rbsyn_lang::{EffectSet, Expr, FxBuild, FxHasher, Symbol, Ty, Value};
 use rbsyn_ty::ClassTable;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -43,6 +54,16 @@ const NONE: u32 = u32::MAX;
 
 /// [`Node::hole`] of a node with no hole below it.
 const NO_HOLE: u16 = u16::MAX;
+
+/// A frontier entry `(parent, sub)`: the child `sub` makes of `parent`
+/// (see [`NodeArena::child`]), not yet interned, narrowed or deduplicated;
+/// or, with the parent [`CHECKED`], the node `sub` itself.
+pub(crate) type Entry = (NodeId, NodeId);
+
+/// The parent of an [`Entry`] whose `sub` is a node already admitted to
+/// the search: the root, an S-Eff wrap, or a pop the deadline rolled
+/// back.
+pub(crate) const CHECKED: NodeId = NONE;
 
 /// What a node is, apart from its children. Each payload is a [`Symbol`]
 /// or an index into one of the arena's side tables, so a kind hashes and
@@ -186,6 +207,12 @@ impl NodeArena {
         (t != NONE).then(|| self.tys.get(t))
     }
 
+    /// Nodes interned so far.
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// The id of environment `gamma`, interned on first sight.
     pub(crate) fn gamma(&mut self, gamma: Gamma) -> u32 {
         self.gammas.id(gamma)
@@ -205,7 +232,7 @@ impl NodeArena {
         }
         let id = NodeId::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
         let next = match self.heads.entry(h.finish()) {
-            Entry::Occupied(mut head) => {
+            Slot::Occupied(mut head) => {
                 let mut at = *head.get();
                 while at != NONE {
                     let n = &self.nodes[at as usize];
@@ -216,7 +243,7 @@ impl NodeArena {
                 }
                 std::mem::replace(head.get_mut(), id)
             }
-            Entry::Vacant(head) => {
+            Slot::Vacant(head) => {
                 head.insert(id);
                 NONE
             }
@@ -458,17 +485,82 @@ impl NodeArena {
         }
     }
 
-    /// `node` with its leftmost hole filled in every way the expander
-    /// offers, in the expander's order — what `Expander::expand_first`
-    /// returns for the node's tree, simplified. A hole's list is the
-    /// expander's fill list for the hole under its own `Γ`; any other
-    /// node's list is its leftmost-hole child's list with each entry put
-    /// back in place, one intern per entry.
+    /// The children of the popped candidate `node`, in the expander's
+    /// order — what `Expander::expand_first` returns for the node's tree,
+    /// simplified — as [`Entry`] subs of `node`. For a call, hash literal
+    /// or `let`, the subs are the memoized fill list of its leftmost-hole
+    /// child and no child is interned; for a hole or a sequence, they are
+    /// the interned children.
     ///
-    /// A search calls this for the candidate it pops. The candidate is
-    /// never popped again, so its own list is not kept; the lists of its
-    /// subtrees, which recur across many candidates, are.
-    pub(crate) fn expand(&mut self, node: NodeId, ex: &Expander<'_>) -> Arc<[NodeId]> {
+    /// The candidate is never popped again, so its own list is not kept;
+    /// the lists of its subtrees, which recur across many candidates, are.
+    pub(crate) fn children(&mut self, node: NodeId, ex: &Expander<'_>) -> Children {
+        let n = self.node(node);
+        if !matches!(n.kind, Kind::Call(_) | Kind::Hash(_) | Kind::Let(_)) {
+            let subs = self.expand(node, ex);
+            return Children {
+                subs,
+                base: 0,
+                rest_hole: false,
+            };
+        }
+        debug_assert_ne!(n.hole, NO_HOLE, "only a node with a hole expands");
+        let kids = self.kids_of(n);
+        let slot = n.hole as usize;
+        let child = kids[slot];
+        let rest_hole = kids[slot + 1..].iter().any(|&k| self.has_hole(k));
+        let base = n.size - self.node(child).size;
+        Children {
+            subs: self.expansions(child, ex),
+            base,
+            rest_hole,
+        }
+    }
+
+    /// The child the [`Entry`] `(parent, sub)` stands for, interned now:
+    /// `parent` with its leftmost-hole child replaced by `sub` for a call,
+    /// hash literal or `let`, else `sub` itself.
+    fn child(&mut self, parent: NodeId, sub: NodeId, typing: Typing<'_>) -> NodeId {
+        let n = self.node(parent);
+        match n.kind {
+            Kind::Call(_) | Kind::Hash(_) | Kind::Let(_) => {
+                self.with_kid(parent, n.hole, sub, typing)
+            }
+            _ => sub,
+        }
+    }
+
+    /// Admits `entry` to the search: the node it stands for, interned, or
+    /// `None` when type narrowing rejects it (only when `typing` is set)
+    /// or `seen` already holds it (counted in `deduped`). A [`CHECKED`]
+    /// entry's node is admitted as is.
+    pub(crate) fn admit(
+        &mut self,
+        (parent, sub): Entry,
+        typing: Typing<'_>,
+        seen: &mut NodeSet,
+        deduped: &mut u64,
+    ) -> Option<NodeId> {
+        if parent == CHECKED {
+            return Some(sub);
+        }
+        let id = self.child(parent, sub, typing);
+        if typing.is_some() && self.ty(id).is_none() {
+            return None;
+        }
+        if !seen.insert(id) {
+            *deduped += 1;
+            return None;
+        }
+        Some(id)
+    }
+
+    /// `node` with its leftmost hole filled in every way the expander
+    /// offers, in the expander's order. A hole's list is the expander's
+    /// fill list for the hole under its own `Γ`; any other node's list is
+    /// its leftmost-hole child's list with each entry put back in place,
+    /// one intern per entry.
+    fn expand(&mut self, node: NodeId, ex: &Expander<'_>) -> Arc<[NodeId]> {
         let typing = typing(ex);
         let n = self.node(node);
         let (kind, slot) = (n.kind, n.hole);
@@ -500,6 +592,30 @@ impl NodeArena {
         let list = self.expand(node, ex);
         self.expansions.insert(node, Arc::clone(&list));
         list
+    }
+}
+
+/// A popped candidate's children before any is interned (see
+/// [`NodeArena::children`]).
+pub(crate) struct Children {
+    /// The [`Entry`] subs, in the expander's order.
+    pub(crate) subs: Arc<[NodeId]>,
+    /// The parent's size less its leftmost-hole child's, or 0 when the
+    /// subs are the children themselves.
+    base: u32,
+    /// Has the parent a hole right of its leftmost-hole child?
+    rest_hole: bool,
+}
+
+impl Children {
+    /// AST node count of the child `sub` makes.
+    pub(crate) fn size(&self, arena: &NodeArena, sub: NodeId) -> usize {
+        (self.base + arena.node(sub).size) as usize
+    }
+
+    /// Does the child `sub` makes contain a hole?
+    pub(crate) fn has_hole(&self, arena: &NodeArena, sub: NodeId) -> bool {
+        self.rest_hole || arena.has_hole(sub)
     }
 }
 

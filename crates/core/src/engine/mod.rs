@@ -4,8 +4,8 @@
 //! [`crate::generate`](mod@crate::generate) into this module so each is a
 //! replaceable component:
 //!
-//! * [`Frontier`] — the candidate priority queue of Algorithm 2, in §4's
-//!   `(c desc, size asc, insertion order)`;
+//! * [`Frontier`] — the candidate work-list of Algorithm 2, in §4's
+//!   `(c desc, size asc, first pushed first)`, one FIFO per rank;
 //! * [`Scheduler`] — the per-run deadline, the tracing session and
 //!   deterministic stats aggregation ([`SearchStats`]).
 //!

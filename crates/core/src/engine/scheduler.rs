@@ -26,7 +26,8 @@ use std::time::Instant;
 /// jobs, so they are identical across batch thread counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
-    /// Work-list pops.
+    /// Work-list pops. An entry that type narrowing or the dedup filter
+    /// drops when it reaches the front is not a pop.
     pub popped: u64,
     /// Candidate expressions produced by expansion (pre type-filter).
     pub expanded: u64,
@@ -37,7 +38,10 @@ pub struct SearchStats {
     /// count (it is neither a fresh judgement nor a pure
     /// [`vector_hits`](Self::vector_hits) answer).
     pub tested: u64,
-    /// Duplicate candidates dropped by the work-list dedup filter.
+    /// Duplicate candidates dropped by the dedup filter: a partial one
+    /// when it reaches the front of the work-list (one behind the point
+    /// where the search stops is never built, so never counted), an
+    /// evaluable one when expansion produces it.
     pub deduped: u64,
     /// Frontier items pruned by observational-equivalence dedup: their
     /// evaluation vector matched an already-enqueued candidate of equal or

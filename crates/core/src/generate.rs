@@ -10,12 +10,15 @@
 //!
 //! Candidates live in a per-call node arena (`arena.rs`), the same
 //! representation the guard pool enumerates in: a candidate is a
-//! hash-consed node, expansion re-interns only the path to the filled
-//! hole, each node is typed once from its children's types, and an
-//! [`Expr`] is built only for the oracle run. The arena is dropped when
-//! the call returns. The deadline is polled through the [`Scheduler`].
+//! hash-consed node, each node is typed once from its children's types,
+//! and an [`Expr`] is built only for the oracle run. A partial child is
+//! pushed as a `(parent, sub)` entry and is interned, type-narrowed and
+//! deduplicated only when it is popped; an evaluable child is interned,
+//! narrowed and deduplicated when it is produced, and judged at once. The
+//! arena is dropped when the call returns. The deadline is polled through
+//! the [`Scheduler`].
 
-use crate::arena::{typing, NodeArena, NodeId, NodeSet};
+use crate::arena::{typing, Entry, NodeArena, NodeId, NodeSet, CHECKED};
 use crate::engine::{Frontier, Scheduler};
 use crate::error::SynthError;
 // Re-exported from its pre-engine home so harness and test code keeps one
@@ -204,12 +207,13 @@ fn generate_observed(
     let root_gamma = Gamma::from_params(params);
     let root = arena.gamma(root_gamma.clone());
 
-    // Work-list entries are `(c, node)`.
-    let mut frontier: Frontier<(usize, NodeId)> = Frontier::new();
-    let hole = arena.hole(goal, root, typing(&expander));
-    frontier.push(0, 1, (0, hole));
-    // Dedup filter: the work-list never holds two equal candidates, and a
-    // candidate judged once is never re-judged in this call.
+    let typing = typing(&expander);
+    // Work-list entries are arena entries; an entry's rank carries its `c`.
+    let mut frontier: Frontier<Entry> = Frontier::new();
+    let hole = arena.hole(goal, root, typing);
+    frontier.push(0, 1, (CHECKED, hole));
+    // Dedup filter: no candidate is popped twice, and a candidate judged
+    // once is never re-judged in this call.
     let mut seen = NodeSet::default();
     // Observational-equivalence filter over S-Eff wraps: maps a failing
     // candidate's (evaluation vector, inferred type) to the smallest
@@ -224,7 +228,13 @@ fn generate_observed(
     // Hoisted once: with tracing off every instrumentation site below is
     // a single `None` check on this copy.
     let tracer = sched.trace();
-    while let Some((c, node)) = frontier.pop() {
+    while let Some((pri, entry)) = frontier.pop_ranked() {
+        // A partial candidate is narrowed and deduplicated here; one that
+        // is dropped is not a pop.
+        let Some(node) = arena.admit(entry, typing, &mut seen, &mut stats.deduped) else {
+            continue;
+        };
+        let c = pri.major as usize;
         stats.popped += 1;
         pops += 1;
         if let Some(t) = tracer {
@@ -245,30 +255,26 @@ fn generate_observed(
         // are judged (and dropped) at expansion time.
         debug_assert!(arena.has_hole(node));
         // One-step expansion, simplified by construction (§3.1).
-        let children = arena.expand(node, &expander);
-        stats.expanded += children.len() as u64;
+        let children = arena.children(node, &expander);
+        stats.expanded += children.subs.len() as u64;
         if let Some(t) = tracer {
             if t.sampled(stats.popped - 1) {
                 t.mark(Mark::Expand);
             }
         }
-        for &id in children.iter() {
-            // Type narrowing: discard candidates with no typing derivation
-            // (skipped when type guidance is off).
-            if opts.guidance.types && arena.ty(id).is_none() {
-                continue;
-            }
-            if !seen.insert(id) {
-                stats.deduped += 1;
-                continue;
-            }
-            let size = arena.size(id);
-            if arena.has_hole(id) {
+        for &sub in children.subs.iter() {
+            let size = children.size(&arena, sub);
+            if children.has_hole(&arena, sub) {
                 if size <= max_size {
-                    frontier.push(c, size, (c, id));
+                    frontier.push(c, size, (node, sub));
                 }
                 continue;
             }
+            // Type narrowing (skipped when type guidance is off) and
+            // dedup.
+            let Some(id) = arena.admit((node, sub), typing, &mut seen, &mut stats.deduped) else {
+                continue;
+            };
             stats.tested += 1;
             if let Some(t) = tracer {
                 if t.sampled(stats.tested - 1) {
@@ -339,7 +345,7 @@ fn generate_observed(
             );
             let wsize = arena.size(w);
             if wsize <= max_size && seen.insert(w) {
-                frontier.push(out.passed, wsize, (out.passed, w));
+                frontier.push(out.passed, wsize, (CHECKED, w));
             }
         }
     }
@@ -603,25 +609,56 @@ mod tests {
         opts: Options,
     }
 
+    /// Does `e` (typed `ty`) pass type narrowing and the dedup filter? A
+    /// duplicate is counted in `stats.deduped`.
+    fn admit(
+        opts: &Options,
+        ty: &Option<Ty>,
+        seen: &mut HashSet<Expr>,
+        e: &Expr,
+        stats: &mut SearchStats,
+    ) -> bool {
+        if opts.guidance.types && ty.is_none() {
+            return false;
+        }
+        if !seen.insert(e.clone()) {
+            stats.deduped += 1;
+            return false;
+        }
+        true
+    }
+
     /// The whole-tree loop the node arena replaced, kept as the reference
     /// it must reproduce: expand the tree, simplify it, type it whole,
     /// dedup it structurally, and wrap failures in S-Eff as whole trees.
-    /// Also returns every candidate the dedup filter let through.
+    /// A partial candidate is pushed unchecked and narrowed and
+    /// deduplicated when popped; one dropped there is not a pop. Also
+    /// returns every well-typed candidate expansion produced, and every
+    /// wrap, for the fixture-coverage checks.
     fn reference_generate(f: &Fixture, oracle: &dyn Oracle) -> (Judged, HashSet<Expr>) {
         let (env, opts, goal) = (&f.env, &f.opts, &f.goal);
         let expander = Expander::new(&env.table, opts);
         let mut gamma = Gamma::from_params(&f.params);
         let param_syms: Vec<Symbol> = f.params.iter().map(|(n, _)| *n).collect();
+        // Entries are `(checked, candidate)`; the rank carries `c`.
         let mut frontier = Frontier::new();
-        frontier.push(0, 1, (0, Expr::Hole(goal.clone())));
+        frontier.push(0, 1, (true, Expr::Hole(goal.clone())));
         let mut seen = HashSet::new();
+        let mut produced = HashSet::new();
         let mut obs_seen: HashMap<(u128, Ty), usize> = HashMap::new();
         let mut stats = SearchStats::default();
         let mut cands = Vec::new();
         let program = 'search: loop {
-            let Some((c, e)) = frontier.pop() else {
+            let Some((pri, (checked, e))) = frontier.pop_ranked() else {
                 break None;
             };
+            if !checked {
+                let ty = infer_ty(&env.table, &mut gamma, &e);
+                if !admit(opts, &ty, &mut seen, &e, &mut stats) {
+                    continue;
+                }
+            }
+            let c = pri.major as usize;
             stats.popped += 1;
             if stats.popped > opts.max_expansions {
                 break None;
@@ -633,18 +670,17 @@ mod tests {
             for sub in subs {
                 let sub = simplify(sub);
                 let ty = infer_ty(&env.table, &mut gamma, &sub);
-                if opts.guidance.types && ty.is_none() {
-                    continue;
-                }
-                if !seen.insert(sub.clone()) {
-                    stats.deduped += 1;
-                    continue;
+                if !opts.guidance.types || ty.is_some() {
+                    produced.insert(sub.clone());
                 }
                 let size = node_count(&sub);
                 if sub.has_holes() {
                     if size <= opts.max_size {
-                        frontier.push(c, size, (c, sub));
+                        frontier.push(c, size, (false, sub));
                     }
+                    continue;
+                }
+                if !admit(opts, &ty, &mut seen, &sub, &mut stats) {
                     continue;
                 }
                 stats.tested += 1;
@@ -683,7 +719,8 @@ mod tests {
                 };
                 let wsize = node_count(&wrapped);
                 if wsize <= opts.max_size && seen.insert(wrapped.clone()) {
-                    frontier.push(out.passed, wsize, (out.passed, wrapped));
+                    produced.insert(wrapped.clone());
+                    frontier.push(out.passed, wsize, (true, wrapped));
                 }
             }
         };
@@ -692,7 +729,7 @@ mod tests {
             effort: stats.effort(),
             program,
         };
-        (judged, seen)
+        (judged, produced)
     }
 
     /// The arena search over the same fixture.
@@ -928,7 +965,7 @@ mod tests {
         let mut solved = Vec::new();
         for (name, f) in &fixtures {
             let oracle = SpecOracle::new(&f.env, &f.spec);
-            let (reference, seen) = reference_generate(f, &oracle);
+            let (reference, produced) = reference_generate(f, &oracle);
             let arena = arena_generate(f, &oracle);
             assert!(!reference.cands.is_empty(), "{name}: nothing tested");
             for (i, (a, r)) in arena.cands.iter().zip(&reference.cands).enumerate() {
@@ -938,10 +975,16 @@ mod tests {
             if let Some(p) = &reference.program {
                 solved.push(format!("{name}: {p}"));
             }
-            nested += seen.iter().filter(|e| nested_let(e)).count();
-            spliced += seen.iter().filter(|e| let_body_len(e) >= Some(3)).count();
-            unwrapped += seen.iter().filter(|e| let_body_len(e) == Some(1)).count();
-            hash_reads += seen
+            nested += produced.iter().filter(|e| nested_let(e)).count();
+            spliced += produced
+                .iter()
+                .filter(|e| let_body_len(e) >= Some(3))
+                .count();
+            unwrapped += produced
+                .iter()
+                .filter(|e| let_body_len(e) == Some(1))
+                .count();
+            hash_reads += produced
                 .iter()
                 .filter(|e| e.compact().contains("arg2["))
                 .count();

@@ -28,7 +28,11 @@
 //!
 //! The enumeration runs in a pool-local node arena (`arena.rs`, the
 //! representation phase-1 `generate` enumerates in too), so the stream
-//! shares no state with other searches and never takes a lock. Guard
+//! shares no state with other searches and never takes a lock. As in
+//! `generate`, a partial candidate waits in the frontier as a
+//! `(parent, sub)` entry and is interned, type-narrowed and deduplicated
+//! only when it is popped; an evaluable one is interned, narrowed and
+//! deduplicated when it is produced and joins the stream at once. Guard
 //! oracles never report effects, so the stream never wraps a candidate in
 //! S-Eff: all its holes sit under the method's parameters.
 //!
@@ -44,7 +48,7 @@
 //! them in stream order under the request's stopping rule; the tests check
 //! that order against a brute-force walk of a whole-tree stream.
 
-use crate::arena::{NodeArena, NodeId, NodeSet};
+use crate::arena::{typing, Entry, NodeArena, NodeId, NodeSet, CHECKED};
 use crate::engine::{Frontier, Scheduler, SearchStats};
 use crate::error::SynthError;
 use crate::expand::Expander;
@@ -225,8 +229,9 @@ pub struct GuardPool {
     checks: Vec<CheckSlot>,
     /// Words per bitvector plane: `⌈|specs| / 64⌉`.
     nwords: usize,
-    frontier: Option<Frontier<NodeId>>,
-    /// Candidates already enumerated (the dedup filter).
+    /// The enumeration's work-list (empty until the pool is ready).
+    frontier: Frontier<Entry>,
+    /// Candidates already popped or streamed (the dedup filter).
     seen: NodeSet,
     pops: u64,
     exhausted: bool,
@@ -256,7 +261,7 @@ impl GuardPool {
             ready: false,
             checks: Vec::new(),
             nwords: 1,
-            frontier: None,
+            frontier: Frontier::new(),
             seen: NodeSet::default(),
             pops: 0,
             exhausted: false,
@@ -287,9 +292,7 @@ impl GuardPool {
         let g = self.arena.gamma(Gamma::from_params(q.params));
         let typing = q.opts.guidance.types.then_some(&q.env.table);
         let root = self.arena.hole(&Ty::Bool, g, typing);
-        let mut frontier = Frontier::new();
-        frontier.push(0, 1, root);
-        self.frontier = Some(frontier);
+        self.frontier.push(0, 1, (CHECKED, root));
     }
 
     /// Advances the shared enumeration by one work-list pop, recording
@@ -302,47 +305,53 @@ impl GuardPool {
         q: &GuardQuery<'_>,
         stats: &mut SearchStats,
     ) -> Result<(), SynthError> {
-        let Some((pri, seq, node)) = self.frontier.as_mut().and_then(|f| f.pop_ranked()) else {
-            self.exhausted = true;
-            return Ok(());
+        let expander = Expander::new(&q.env.table, q.opts);
+        let typing = typing(&expander);
+        // Entries that narrowing or dedup drop here are not pops.
+        let (pri, node) = loop {
+            let Some((pri, entry)) = self.frontier.pop_ranked() else {
+                self.exhausted = true;
+                return Ok(());
+            };
+            if let Some(node) = self
+                .arena
+                .admit(entry, typing, &mut self.seen, &mut stats.deduped)
+            {
+                break (pri, node);
+            }
         };
         self.pops += 1;
         stats.popped += 1;
         if self.pops.is_multiple_of(64) && q.sched.should_stop() {
-            // Roll the un-expanded item (and the pop count) back so a
-            // hypothetical post-deadline continuation resumes exactly
-            // here; the caller decides whether the timeout is fatal.
+            // Roll the un-expanded node (and the pop count) back to the
+            // front of its rank so a hypothetical post-deadline
+            // continuation resumes exactly here; the caller decides
+            // whether the timeout is fatal.
             self.pops -= 1;
             stats.popped -= 1;
-            self.frontier
-                .as_mut()
-                .expect("pool is ready")
-                .requeue(pri, seq, node);
+            self.frontier.requeue(pri, (CHECKED, node));
             return Err(SynthError::Timeout);
         }
-        let expander = Expander::new(&q.env.table, q.opts);
-        let children = self.arena.expand(node, &expander);
-        stats.expanded += children.len() as u64;
-        let frontier = self.frontier.as_mut().expect("pool is ready");
-        for &id in children.iter() {
-            // Type narrowing, read off the node's stored type.
-            if q.opts.guidance.types && self.arena.ty(id).is_none() {
+        let children = self.arena.children(node, &expander);
+        stats.expanded += children.subs.len() as u64;
+        for &sub in children.subs.iter() {
+            let size = children.size(&self.arena, sub);
+            if children.has_hole(&self.arena, sub) {
+                if size <= q.opts.max_guard_size {
+                    self.frontier.push(0, size, (node, sub));
+                }
                 continue;
             }
-            if !self.seen.insert(id) {
-                stats.deduped += 1;
-                continue;
-            }
-            let size = self.arena.size(id);
-            if !self.arena.has_hole(id) {
+            if let Some(id) =
+                self.arena
+                    .admit((node, sub), typing, &mut self.seen, &mut stats.deduped)
+            {
                 self.cands.push(GuardCand {
                     node: id,
                     pop: self.pops,
                     bits: Bits::new(self.nwords),
                     expr: None,
                 });
-            } else if size <= q.opts.max_guard_size {
-                frontier.push(0, size, id);
             }
         }
         Ok(())
@@ -905,30 +914,62 @@ mod tests {
         stream: Stream,
         /// The evaluable candidates, in `stream.cands` order.
         exprs: Vec<Expr>,
-        /// The first candidate the dedup filter dropped.
+        /// Among every candidate expansion produced, in order: how many
+        /// repeated a well-typed one, and the first that did.
+        dups: u64,
         first_dup: Option<String>,
         /// Every candidate type narrowing rejected, in order.
         rejected: Vec<String>,
     }
 
+    /// Does `e` pass type narrowing and the dedup filter? A duplicate is
+    /// counted in `deduped`.
+    fn admit(
+        q: &GuardQuery<'_>,
+        gamma: &mut Gamma,
+        seen: &mut HashSet<Expr>,
+        e: &Expr,
+        deduped: &mut u64,
+    ) -> bool {
+        if q.opts.guidance.types && infer_ty(&q.env.table, gamma, e).is_none() {
+            return false;
+        }
+        if !seen.insert(e.clone()) {
+            *deduped += 1;
+            return false;
+        }
+        true
+    }
+
     /// The whole-tree pipeline the node arena replaced, kept as the
     /// reference it must reproduce: expand the tree, simplify it, type it
-    /// whole, dedup it structurally.
+    /// whole, dedup it structurally. A partial candidate is pushed
+    /// unchecked and narrowed and deduplicated when popped; one dropped
+    /// there is not a pop. An evaluable one is checked when produced.
     fn reference_stream(q: &GuardQuery<'_>, max_pops: u64) -> Reference {
         let expander = Expander::new(&q.env.table, q.opts);
         let mut gamma = Gamma::from_params(q.params);
         let mut seen = HashSet::new();
+        // Every well-typed candidate expansion produces.
+        let mut produced = HashSet::new();
+        // Entries are `(checked, candidate)`.
         let mut frontier = Frontier::new();
-        frontier.push(0, 1, Expr::Hole(Ty::Bool));
+        frontier.push(0, 1, (true, Expr::Hole(Ty::Bool)));
         let mut out = Reference {
             stream: Stream::default(),
             exprs: Vec::new(),
+            dups: 0,
             first_dup: None,
             rejected: Vec::new(),
         };
         let s = &mut out.stream;
         while s.popped < max_pops {
-            let Some(e) = frontier.pop() else { break };
+            let Some((checked, e)) = frontier.pop() else {
+                break;
+            };
+            if !checked && !admit(q, &mut gamma, &mut seen, &e, &mut s.deduped) {
+                continue;
+            }
             s.popped += 1;
             let subs = expander
                 .expand_first(&e, &mut gamma)
@@ -938,19 +979,18 @@ mod tests {
                 let sub = simplify(sub);
                 if q.opts.guidance.types && infer_ty(&q.env.table, &mut gamma, &sub).is_none() {
                     out.rejected.push(sub.compact());
-                    continue;
-                }
-                if !seen.insert(sub.clone()) {
-                    s.deduped += 1;
+                } else if !produced.insert(sub.clone()) {
+                    out.dups += 1;
                     out.first_dup.get_or_insert_with(|| sub.compact());
-                    continue;
                 }
                 let size = node_count(&sub);
-                if sub.evaluable() {
+                if !sub.evaluable() {
+                    if size <= q.opts.max_guard_size {
+                        frontier.push(0, size, (false, sub));
+                    }
+                } else if admit(q, &mut gamma, &mut seen, &sub, &mut s.deduped) {
                     s.cands.push((sub.compact(), s.popped));
                     out.exprs.push(sub);
-                } else if size <= q.opts.max_guard_size {
-                    frontier.push(0, size, sub);
                 }
             }
         }
@@ -1042,6 +1082,34 @@ mod tests {
     }
 
     #[test]
+    fn pool_interns_only_what_it_pops() {
+        let a3 = a3_env();
+        let opts = Options::default();
+        let sched = Scheduler::sequential();
+        let q = GuardQuery {
+            env: &a3,
+            name: Symbol::intern("m"),
+            params: &[(Symbol::intern("arg0"), Ty::Str)],
+            specs: &[],
+            opts: &opts,
+            sched: &sched,
+        };
+        let mut pool = GuardPool::new();
+        pool.ensure_ready(&q);
+        let mut stats = SearchStats::default();
+        while stats.popped < 2_000 {
+            assert!(!pool.exhausted, "the a3 stream outlasts 2,000 pops");
+            pool.extend_one_pop(&q, &mut stats).expect("no deadline");
+        }
+        // Interned at push, every waiting entry would be a node of its own.
+        let (nodes, waiting) = (pool.arena.node_count(), pool.frontier.len());
+        assert!(
+            nodes < waiting,
+            "{nodes} nodes interned for {waiting} waiting entries"
+        );
+    }
+
+    #[test]
     fn pool_stream_matches_the_tree_pipeline() {
         const POPS: u64 = 20_000;
         let a3 = a3_env();
@@ -1069,6 +1137,7 @@ mod tests {
         for (name, q) in fixtures {
             let Reference {
                 stream: reference,
+                dups,
                 first_dup,
                 rejected: rejections,
                 ..
@@ -1090,7 +1159,7 @@ mod tests {
                 assert_eq!(first_dup.as_deref(), Some("nil.nil?"));
                 assert_eq!(rejections.first().map(String::as_str), Some("User.nil?"));
             }
-            deduped += reference.deduped;
+            deduped += dups;
             rejected += rejections.len();
         }
         assert!(deduped > 0, "no fixture exercises the dedup filter");
