@@ -8,11 +8,10 @@
 //! cargo run --release -p rbsyn-bench --bin solve -- --spec examples/blog.rbspec
 //! ```
 //!
-//! Batch mode — the whole registry (or `--ids`), or a `.rbspec` corpus
-//! directory, through the parallel batch driver. The stdout section is
-//! deterministic (no timings), so two runs with different `--parallel`
-//! values — or a registry run against a `--spec-dir` run — can be
-//! byte-compared; timing goes to stderr:
+//! Batch mode — the 19 Table 1 problems (or `--ids`), or every `.rbspec`
+//! file of a directory, through the parallel batch driver. The stdout
+//! section is deterministic (no timings), so two runs with different
+//! `--parallel` values can be byte-compared; timing goes to stderr:
 //!
 //! ```text
 //! cargo run --release -p rbsyn-bench --bin solve -- --all --parallel 4
@@ -85,8 +84,8 @@ struct Cli {
     no_obs_equiv: bool,
     /// `--spec FILE`: synthesize one problem from a `.rbspec` file.
     spec: Option<String>,
-    /// `--spec-dir DIR`: with `--all`, run the file-driven corpus instead
-    /// of the Rust registry.
+    /// `--spec-dir DIR`: with `--all`, run every `.rbspec` file of `DIR`
+    /// instead of the 19 Table 1 problems.
     spec_dir: Option<String>,
     /// `--trace FILE` (or `RBSYN_TRACE=FILE`): record a search-event trace
     /// and write Chrome trace-event JSON here. Single-benchmark modes only.
@@ -425,9 +424,10 @@ fn run_spec_file(path: &str, cli: &Cli) -> ! {
     run_one(&b.id, &name, env, problem, (b.options)(), cli, None);
 }
 
-/// The batch benchmark set: the Rust registry, or — with `--spec-dir` —
-/// the file-driven corpus, narrowed to the id list. Exits with `PARSE`
-/// when a corpus file fails and with `USAGE` on an unknown id.
+/// The batch benchmark set: the 19 Table 1 problems, or — with
+/// `--spec-dir` — the directory's `.rbspec` files, narrowed to the id
+/// list. Exits with `PARSE` when a file fails and with `USAGE` on an
+/// unknown id.
 fn batch_benchmarks(cli: &Cli, cfg: &Config) -> Vec<Benchmark> {
     let pool = match &cli.spec_dir {
         Some(dir) => match benchmarks_from_dir(Path::new(dir)) {
@@ -455,7 +455,7 @@ fn main() {
     }
 
     // Flags override the harness env knobs (RBSYN_BENCH_IDS /
-    // RBSYN_TIMEOUT_SECS / RBSYN_NO_OBS_EQUIV); unset flags inherit them.
+    // RBSYN_TIMEOUT_SECS); unset flags inherit them.
     let mut cfg = Config::from_env_or_exit();
     if let Some(ids) = cli.ids.clone() {
         cfg.ids = ids;

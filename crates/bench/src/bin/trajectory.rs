@@ -1,16 +1,14 @@
-//! Perf-trajectory snapshot: runs the full benchmark suite under the
-//! execution configurations this repo has grown so far — sequential,
-//! inter-problem parallel (`--parallel`), the **file-driven corpus**
-//! (`benchmarks/*.rbspec` through the textual frontend), (since PR 5) the
-//! **observational-equivalence ablation** (`no-obs-equiv`), and (since
-//! PR 7) a deterministic **1-in-20 sample of the specgen stress corpus**
-//! (`generated`, 25 of the 500 pinned problems) — and writes one JSON
-//! file (`BENCH_pr8.json` in CI) with wall-clocks and effort counters per
-//! configuration and the corpus parse+lower time. Since PR 9 the top
-//! level carries a `host` header (CPU count, OS/arch, toolchain) so
-//! stored trajectories say what machine and build produced their numbers,
-//! and every timing row includes the `merge` phase next to
-//! generate/guard/eval.
+//! Perf-trajectory snapshot: runs the full benchmark suite under each
+//! execution configuration — sequential, inter-problem parallel
+//! (`--parallel`), the **observational-equivalence ablation**
+//! (`no-obs-equiv`), and a deterministic **1-in-20 sample of the specgen
+//! stress corpus** (`generated`, 25 of the 500 pinned problems) — and
+//! writes one JSON file (`BENCH_pr8.json` in CI) with wall-clocks and
+//! effort counters per configuration and the parse+lower time of the
+//! `--spec-dir` corpus. The top level carries a `host` header (CPU count,
+//! OS/arch, toolchain) so stored trajectories say what machine and build
+//! produced their numbers, and every timing row includes the `merge`
+//! phase next to generate/guard/eval.
 //!
 //! ```text
 //! cargo run --release -p rbsyn-bench --bin trajectory -- \
@@ -29,14 +27,13 @@
 //! field, kept under its honest name: a 1-core host can report 2.6× while
 //! being slower than sequential).
 //!
-//! The deterministic solution sections of every configuration — including
-//! the corpus run — are byte-compared against the sequential registry
-//! baseline (the `no-obs-equiv` ablation compares programs only, since its
-//! effort counters legitimately differ, and the `generated` row is a
-//! different problem set, so its gate is solved-count only); a mismatch
-//! (or any unsolved benchmark) exits nonzero, so the trajectory file
-//! doubles as the parallelism determinism gate, the registry-fidelity
-//! gate, and the obs-equiv soundness gate.
+//! The deterministic solution sections of every configuration are
+//! byte-compared against the sequential baseline (the `no-obs-equiv`
+//! ablation compares programs only, since its effort counters
+//! legitimately differ, and the `generated` row is a different problem
+//! set, so its gate is solved-count only); a mismatch (or any unsolved
+//! benchmark) exits nonzero, so the trajectory file doubles as the
+//! parallelism determinism gate and the obs-equiv soundness gate.
 
 use rbsyn_bench::harness::{
     format_batch_programs, format_batch_solutions, run_suite, run_suite_on, write_output_or_exit,
@@ -50,12 +47,10 @@ use std::time::{Duration, Instant};
 struct RunSpec {
     name: &'static str,
     threads: usize,
-    /// Run over the `.rbspec` corpus instead of the Rust registry.
-    corpus: bool,
     /// Run over a deterministic sample of `benchmarks/generated/` (the
-    /// specgen stress corpus) instead of the Rust registry. These are not
-    /// the 19 registry problems, so the row is excluded from the
-    /// baseline byte-compare — its gate is "every sampled problem solves".
+    /// specgen stress corpus) instead of the 19 Table 1 problems, so the
+    /// row is excluded from the baseline byte-compare — its gate is
+    /// "every sampled problem solves".
     generated: bool,
     /// Disable observational-equivalence pruning (the A/B ablation leg:
     /// programs must match the baseline byte-for-byte, effort may not).
@@ -82,8 +77,6 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
         spec.threads,
         if spec.generated {
             "generated-sample"
-        } else if spec.corpus {
-            "rbspec-corpus"
         } else {
             "registry"
         },
@@ -217,23 +210,12 @@ fn main() {
         RunSpec {
             name: "sequential",
             threads: 1,
-            corpus: false,
             generated: false,
             no_obs_equiv: false,
         },
         RunSpec {
             name: "parallel",
             threads,
-            corpus: false,
-            generated: false,
-            no_obs_equiv: false,
-        },
-        // The file-driven corpus through the textual frontend must
-        // synthesize byte-identical programs (registry fidelity).
-        RunSpec {
-            name: "corpus-files",
-            threads,
-            corpus: true,
             generated: false,
             no_obs_equiv: false,
         },
@@ -243,18 +225,16 @@ fn main() {
         RunSpec {
             name: "no-obs-equiv",
             threads: 1,
-            corpus: false,
             generated: false,
             no_obs_equiv: true,
         },
-        // A deterministic 1-in-20 sample of the specgen stress corpus
-        // (since PR 7): different problems than the registry, so no
+        // A deterministic 1-in-20 sample of the specgen stress corpus:
+        // different problems than the Table 1 suite, so no
         // baseline compare — the gate is that every sampled problem
         // solves within its own file-pinned budget.
         RunSpec {
             name: "generated",
             threads,
-            corpus: false,
             generated: true,
             no_obs_equiv: false,
         },
@@ -294,16 +274,6 @@ fn main() {
                 benchmarks.len(),
                 GENERATED_SAMPLE_STRIDE
             );
-            run_suite_on(benchmarks, &cfg, spec.threads)
-        } else if spec.corpus {
-            let benchmarks: Vec<Benchmark> =
-                match rbsyn_suite::benchmarks_from_dir(Path::new(&spec_dir)) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("trajectory: corpus load failed:\n{e}");
-                        std::process::exit(1);
-                    }
-                };
             run_suite_on(benchmarks, &cfg, spec.threads)
         } else {
             run_suite(&cfg, spec.threads)

@@ -24,9 +24,10 @@ pub struct Config {
     pub coarse_timeout: Duration,
     /// Benchmark ids to run (empty = all).
     pub ids: Vec<String>,
-    /// Observational-equivalence pruning (`Options::obs_equiv`);
-    /// `RBSYN_NO_OBS_EQUIV=1` or `solve --no-obs-equiv` turns it off for
-    /// the byte-identity A/B gate.
+    /// Observational-equivalence pruning (`Options::obs_equiv`) of the
+    /// batch jobs [`suite_jobs`] builds; on unless `solve --no-obs-equiv`
+    /// or `trajectory`'s `no-obs-equiv` row turns it off for the
+    /// byte-identity A/B gate.
     pub obs_equiv: bool,
 }
 
@@ -89,14 +90,13 @@ impl Config {
             Ok(v) => parse_ids("RBSYN_BENCH_IDS", &v)?,
             Err(_) => Vec::new(),
         };
-        let obs_equiv = !std::env::var("RBSYN_NO_OBS_EQUIV").is_ok_and(|v| v == "1" || v == "true");
         let cfg = Config {
             runs,
             timeout,
             ablation_timeout,
             coarse_timeout,
             ids,
-            obs_equiv,
+            obs_equiv: true,
         };
         cfg.select(all_benchmarks())?;
         Ok(cfg)
@@ -505,8 +505,8 @@ pub fn run_suite(cfg: &Config, threads: usize) -> BatchReport {
 }
 
 /// Like [`run_suite`] over an explicit benchmark list — the entry point
-/// for file-driven corpora (`solve --spec-dir`), where the benchmarks come
-/// from `.rbspec` files instead of the Rust registry.
+/// for a corpus directory (`solve --spec-dir`) or any other problem set
+/// besides the 19 Table 1 problems.
 pub fn run_suite_on(benchmarks: Vec<Benchmark>, cfg: &Config, threads: usize) -> BatchReport {
     let jobs = suite_jobs(
         benchmarks,
@@ -533,6 +533,19 @@ pub fn write_output_or_exit(flag: &str, path: &str, bytes: &[u8]) {
     if let Err(e) = atomic_write(Path::new(path), bytes) {
         eprintln!("cannot write {flag} file {path}: {e}");
         std::process::exit(exit_codes::OTHER);
+    }
+}
+
+/// For a binary configured only by environment variables (`fig7`,
+/// `fig8`): any command-line argument is a usage error that names it and
+/// exits with [`exit_codes::USAGE`], rather than being ignored.
+pub fn no_args_or_exit(bin: &str) {
+    if let Some(arg) = std::env::args_os().nth(1) {
+        eprintln!(
+            "{bin}: unexpected argument {arg:?}\n\
+             usage: {bin} (no arguments; set the RBSYN_* environment variables instead)"
+        );
+        std::process::exit(exit_codes::USAGE);
     }
 }
 

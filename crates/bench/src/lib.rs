@@ -15,9 +15,7 @@
 //!   `RBSYN_TIMEOUT_SECS`);
 //! * `RBSYN_BENCH_IDS` — comma-separated subset (default: all 19). An
 //!   unknown id, or a non-empty list that names none, is a usage error
-//!   (exit 2);
-//! * `RBSYN_NO_OBS_EQUIV` — `1` or `true` turns observational-equivalence
-//!   pruning off.
+//!   (exit 2).
 //!
 //! An unset or empty variable takes its default. A numeric variable set
 //! to anything but an unsigned integer (`1.5`, `abc`, `-1`) is a usage

@@ -10,15 +10,17 @@
 use std::path::Path;
 use std::process::Command;
 
-fn solve_spec(fixture: &str) -> std::process::Output {
-    let path = Path::new(concat!(
+fn fixture_dir() -> &'static Path {
+    Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../suite/tests/fixtures"
     ))
-    .join(fixture);
+}
+
+fn solve_spec(fixture: &str) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_solve"))
         .arg("--spec")
-        .arg(&path)
+        .arg(fixture_dir().join(fixture))
         .output()
         .expect("solve binary runs")
 }
@@ -37,6 +39,20 @@ fn solve_spec_parse_error_exits_3() {
         stderr.contains("error:"),
         "diagnostic must be rendered on stderr: {stderr}"
     );
+}
+
+/// A directory batch loads every file before it runs any: one file that
+/// does not parse fails the batch with exit 3 and its diagnostic.
+#[test]
+fn solve_spec_dir_with_a_parse_error_exits_3() {
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(["--all", "--spec-dir"])
+        .arg(fixture_dir())
+        .output()
+        .expect("solve binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("parse_error.rbspec"), "{stderr}");
 }
 
 #[test]
@@ -187,6 +203,34 @@ fn solve_empty_id_list_exits_2() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("names no benchmark id"));
 }
 
+/// `fig7` and `fig8` take no arguments: any argument is a usage error
+/// that names it, not a flag a whole-figure run ignores. The environment
+/// keeps a run that ignores its arguments to one problem and 1 s budgets.
+#[test]
+fn figures_reject_arguments_with_exit_2() {
+    let cases: [(&str, &[&str]); 2] = [
+        (env!("CARGO_BIN_EXE_fig7"), &["--timeout", "5", "--bogus"]),
+        (env!("CARGO_BIN_EXE_fig8"), &["--help"]),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .env("RBSYN_BENCH_IDS", "S1")
+            .env("RBSYN_TIMEOUT_SECS", "1")
+            .env("RBSYN_ABLATION_TIMEOUT_SECS", "1")
+            .env("RBSYN_COARSE_TIMEOUT_SECS", "1")
+            .output()
+            .expect("figure binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{:?}", args[0])),
+            "{bin} {args:?}: stderr does not name {:?}: {stderr}",
+            args[0]
+        );
+    }
+}
+
 /// A `--json` path under `name`, in a directory that does not exist.
 fn unwritable_json(name: &str) -> std::path::PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("missing-{name}"));
@@ -307,13 +351,7 @@ mod chaos {
     fn stalled_interpreter_still_exits_4() {
         let out = Command::new(env!("CARGO_BIN_EXE_solve"))
             .arg("--spec")
-            .arg(
-                Path::new(concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/../suite/tests/fixtures"
-                ))
-                .join("timeout.rbspec"),
-            )
+            .arg(fixture_dir().join("timeout.rbspec"))
             .env("RBSYN_FAILPOINTS", "interp::eval=delay(10)")
             .output()
             .expect("solve binary runs");

@@ -1,18 +1,11 @@
 //! Benchmark registry and metadata.
 //!
-//! Benchmarks come from two sources that produce the identical
-//! [`Benchmark`] shape:
-//!
-//! * the **Rust registry** — the hand-written builders in
-//!   [`crate::synthetic`], [`crate::discourse`], [`crate::gitlab`] and
-//!   [`crate::diaspora`] ([`all_benchmarks`]);
-//! * **`.rbspec` corpus files** — parsed and lowered by `rbsyn-front`
-//!   ([`benchmarks_from_dir`]), the file-driven path `solve --spec-dir`
-//!   uses.
-//!
-//! A CI diff gate keeps the two in lockstep: every corpus file must lower
-//! to a problem byte-identical to its Rust twin (see
-//! `tests/rbspec_fidelity.rs`).
+//! The 19 Table 1 problems are the committed `benchmarks/*.rbspec` files,
+//! embedded at build time and parsed and lowered by `rbsyn-front` when a
+//! caller asks for them ([`all_benchmarks`], [`benchmark`]), so a lookup
+//! neither fails nor depends on the working directory. Any other
+//! directory of `.rbspec` files loads the same way at run time
+//! ([`benchmarks_from_dir`], the path `solve --all --spec-dir` uses).
 
 use rbsyn_core::{Options, SynthesisProblem};
 use rbsyn_front::LoadedSpec;
@@ -58,7 +51,7 @@ impl Group {
 }
 
 /// The statistics Table 1 reports for a benchmark, used by the harness for
-/// the static columns and by tests as a cross-check.
+/// the static columns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Expected {
     /// Number of specs (after merging same-setup unit tests).
@@ -109,7 +102,7 @@ impl Benchmark {
     /// from the metadata block (with file-stem/`Synthetic` fallbacks),
     /// `Expected` spec and assertion counts are derived from the lowered
     /// problem, and the build closure re-lowers the parsed AST so every
-    /// run gets a fresh environment, exactly like the Rust builders.
+    /// run gets a fresh environment.
     pub fn from_spec(spec: LoadedSpec) -> Benchmark {
         let id = spec.id();
         let group = spec
@@ -153,18 +146,52 @@ impl Benchmark {
     }
 }
 
-/// All 19 benchmarks in Table 1 order.
-pub fn all_benchmarks() -> Vec<Benchmark> {
-    let mut v = crate::synthetic::benchmarks();
-    v.extend(crate::discourse::benchmarks());
-    v.extend(crate::gitlab::benchmarks());
-    v.extend(crate::diaspora::benchmarks());
-    v
+/// The Table 1 problems in Table 1 order, as (file stem, file text)
+/// pairs. Each file's metadata id is its stem.
+const TABLE1: [(&str, &str); 19] = [
+    ("S1", include_str!("../../../benchmarks/S1.rbspec")),
+    ("S2", include_str!("../../../benchmarks/S2.rbspec")),
+    ("S3", include_str!("../../../benchmarks/S3.rbspec")),
+    ("S4", include_str!("../../../benchmarks/S4.rbspec")),
+    ("S5", include_str!("../../../benchmarks/S5.rbspec")),
+    ("S6", include_str!("../../../benchmarks/S6.rbspec")),
+    ("S7", include_str!("../../../benchmarks/S7.rbspec")),
+    ("A1", include_str!("../../../benchmarks/A1.rbspec")),
+    ("A2", include_str!("../../../benchmarks/A2.rbspec")),
+    ("A3", include_str!("../../../benchmarks/A3.rbspec")),
+    ("A4", include_str!("../../../benchmarks/A4.rbspec")),
+    ("A5", include_str!("../../../benchmarks/A5.rbspec")),
+    ("A6", include_str!("../../../benchmarks/A6.rbspec")),
+    ("A7", include_str!("../../../benchmarks/A7.rbspec")),
+    ("A8", include_str!("../../../benchmarks/A8.rbspec")),
+    ("A9", include_str!("../../../benchmarks/A9.rbspec")),
+    ("A10", include_str!("../../../benchmarks/A10.rbspec")),
+    ("A11", include_str!("../../../benchmarks/A11.rbspec")),
+    ("A12", include_str!("../../../benchmarks/A12.rbspec")),
+];
+
+/// Parses and lowers one embedded Table 1 file.
+fn load_embedded(stem: &str, text: &str) -> LoadedSpec {
+    let origin = format!("benchmarks/{stem}.rbspec");
+    rbsyn_front::load_str(text, &origin)
+        .unwrap_or_else(|e| panic!("the embedded {origin} must load:\n{e}"))
 }
 
-/// Looks a benchmark up by id (`"S3"`, `"A7"`, …).
+/// All 19 benchmarks in Table 1 order.
+pub fn all_benchmarks() -> Vec<Benchmark> {
+    TABLE1
+        .iter()
+        .map(|(stem, text)| Benchmark::from_spec(load_embedded(stem, text)))
+        .collect()
+}
+
+/// Looks a benchmark up by id (`"S3"`, `"A7"`, …), parsing only its own
+/// file.
 pub fn benchmark(id: &str) -> Option<Benchmark> {
-    all_benchmarks().into_iter().find(|b| b.id == id)
+    TABLE1
+        .iter()
+        .find(|(stem, _)| *stem == id)
+        .map(|(stem, text)| Benchmark::from_spec(load_embedded(stem, text)))
 }
 
 /// Sort key reproducing Table 1 order for corpus files: `S*` rows first,
@@ -182,7 +209,7 @@ fn table1_order(id: &str) -> (u8, u64, String) {
 }
 
 /// Loads every `.rbspec` file of a corpus directory as [`Benchmark`]s, in
-/// Table 1 order — the file-backed twin of [`all_benchmarks`].
+/// Table 1 order.
 ///
 /// # Errors
 ///
@@ -231,19 +258,57 @@ mod tests {
         assert!(benchmark("Z9").is_none());
     }
 
+    /// Table 1's static columns: id, group, name, then specs, asserts
+    /// min and max, and paths through the original method.
+    const COLUMNS: [(&str, Group, &str, [usize; 4]); 19] = [
+        ("S1", Group::Synthetic, "lvar", [1, 1, 1, 1]),
+        ("S2", Group::Synthetic, "false", [1, 1, 1, 1]),
+        ("S3", Group::Synthetic, "method chains", [2, 1, 1, 1]),
+        ("S4", Group::Synthetic, "user exists", [2, 1, 1, 1]),
+        ("S5", Group::Synthetic, "branching", [3, 1, 1, 2]),
+        ("S6", Group::Synthetic, "overview (ext)", [3, 4, 4, 3]),
+        ("S7", Group::Synthetic, "fold branches", [3, 1, 1, 1]),
+        ("A1", Group::Discourse, "User#clear_glob…", [3, 2, 2, 3]),
+        ("A2", Group::Discourse, "User#activate", [2, 1, 4, 2]),
+        ("A3", Group::Discourse, "User#unstage", [3, 1, 5, 2]),
+        ("A4", Group::Discourse, "User#check_site…", [5, 1, 1, 2]),
+        ("A5", Group::Gitlab, "Discussion#build", [1, 4, 4, 1]),
+        ("A6", Group::Gitlab, "User#disable_two…", [1, 10, 10, 1]),
+        ("A7", Group::Gitlab, "Issue#close", [1, 3, 3, 1]),
+        ("A8", Group::Gitlab, "Issue#reopen", [1, 5, 5, 1]),
+        ("A9", Group::Diaspora, "Pod#schedule_…", [3, 1, 1, 2]),
+        ("A10", Group::Diaspora, "User#process_inv…", [1, 2, 2, 2]),
+        ("A11", Group::Diaspora, "InvitationCode#use!", [1, 1, 1, 1]),
+        ("A12", Group::Diaspora, "User#confirm_email", [7, 4, 4, 2]),
+    ];
+
     #[test]
     fn problems_validate_and_match_expected_spec_counts() {
-        for b in all_benchmarks() {
+        let all = all_benchmarks();
+        assert_eq!(all.len(), COLUMNS.len());
+        for (b, (id, group, name, [specs, min, max, orig_paths])) in all.iter().zip(COLUMNS) {
             let (_, problem) = (b.build)();
             problem
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", b.id));
-            assert_eq!(problem.specs.len(), b.expected.specs, "{} spec count", b.id);
-            let counts: Vec<usize> = problem.specs.iter().map(|s| s.asserts.len()).collect();
-            let min = counts.iter().copied().min().unwrap_or(0);
-            let max = counts.iter().copied().max().unwrap_or(0);
-            assert_eq!(min, b.expected.asserts_min, "{} assert min", b.id);
-            assert_eq!(max, b.expected.asserts_max, "{} assert max", b.id);
+            assert_eq!(b.id, id);
+            assert_eq!(b.group, group, "{id} group");
+            assert_eq!(b.name, name, "{id} name");
+            let want = Expected {
+                specs,
+                asserts_min: min,
+                asserts_max: max,
+                orig_paths,
+            };
+            assert_eq!(b.expected, want, "{id} Table 1 columns");
+        }
+    }
+
+    #[test]
+    fn embedded_files_carry_their_stem_as_id() {
+        for (stem, text) in TABLE1 {
+            let spec = load_embedded(stem, text);
+            assert_eq!(spec.lowered.id.as_deref(), Some(stem));
         }
     }
 

@@ -15,10 +15,11 @@
 //! * [`stdlib`] — the annotated "Ruby core + ActiveRecord" library;
 //! * [`core`] — the synthesizer itself (goals, search, merging);
 //! * [`front`] — the textual `.rbspec` frontend (problems as data);
-//! * [`suite`] — the 19 evaluation benchmarks of the paper, buildable
-//!   from the Rust registry or from `benchmarks/*.rbspec`.
+//! * [`suite`] — the 19 evaluation benchmarks of the paper, loaded from
+//!   `benchmarks/*.rbspec`.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the architecture.
+//! See `README.md` for a quickstart and `ARCHITECTURE.md` for the
+//! architecture.
 
 pub use rbsyn_core as core;
 pub use rbsyn_db as db;

@@ -61,6 +61,12 @@ fn s1_is_the_identity() {
 }
 
 #[test]
+fn s2_returns_false() {
+    let (_, p) = synthesize("S2");
+    assert_eq!(p.body.compact(), "false");
+}
+
+#[test]
 fn s3_is_a_query_chain() {
     let (_, p) = synthesize("S3");
     let s = p.body.compact();
@@ -69,9 +75,25 @@ fn s3_is_a_query_chain() {
 }
 
 #[test]
+fn s4_folds_to_a_single_query() {
+    let (_, p) = synthesize("S4");
+    assert_eq!(rbsyn::lang::metrics::program_paths(&p), 1, "\n{p}");
+    let s = p.body.compact();
+    assert!(s.contains("User."), "got {s}");
+}
+
+#[test]
 fn s5_branches_on_existence() {
     let (_, p) = synthesize("S5");
     assert_eq!(rbsyn::lang::metrics::program_paths(&p), 2, "\n{p}");
+}
+
+#[test]
+fn s7_folds_three_specs_into_one_line() {
+    let (_, p) = synthesize("S7");
+    assert_eq!(rbsyn::lang::metrics::program_paths(&p), 1, "\n{p}");
+    let s = p.body.compact();
+    assert!(s.contains("Post."), "got {s}");
 }
 
 #[test]
