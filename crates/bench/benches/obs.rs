@@ -61,8 +61,8 @@ fn bench_prepared_eval(c: &mut Criterion) {
         b.iter(|| prepared.run(black_box(&env), black_box(&program)))
     });
     // The traced variant adds the evaluation-vector fingerprint (result
-    // value + COW-aware state hash + effect trace) — its overhead over
-    // `obs/prepared_run` is the price of observational-equivalence dedup.
+    // value + COW-aware state hash + effect trace) that specgen's
+    // differential gate compares; the search itself runs the untraced one.
     c.bench_function("obs/prepared_run_traced", |b| {
         b.iter(|| prepared.run_traced(black_box(&env), black_box(&program)))
     });

@@ -78,10 +78,6 @@ struct Cli {
     /// `--timeout` / positional seconds, when given (overrides
     /// `RBSYN_TIMEOUT_SECS`).
     timeout: Option<Duration>,
-    /// `--no-obs-equiv`: disable observational-equivalence pruning (A/B
-    /// escape hatch; programs must be byte-identical either way, while the
-    /// effort counters legitimately shrink with pruning on).
-    no_obs_equiv: bool,
     /// `--spec FILE`: synthesize one problem from a `.rbspec` file.
     spec: Option<String>,
     /// `--spec-dir DIR`: with `--all`, run every `.rbspec` file of `DIR`
@@ -103,8 +99,7 @@ fn usage() -> ! {
          solve --spec FILE.rbspec [--timeout SECS] \
          [--trace FILE [--trace-sample N]] [--json PATH]\n       \
          solve --all [--spec-dir DIR] [--parallel N] \
-         [--ids S1,S2,..] [--timeout SECS] [--compare] [--no-obs-equiv] \
-         [--json PATH]"
+         [--ids S1,S2,..] [--timeout SECS] [--compare] [--json PATH]"
     );
     std::process::exit(exit_codes::USAGE);
 }
@@ -125,7 +120,6 @@ fn parse_cli() -> Cli {
         parallel: 0,
         ids: None,
         timeout: None,
-        no_obs_equiv: false,
         spec: None,
         spec_dir: None,
         trace: None,
@@ -167,7 +161,6 @@ fn parse_cli() -> Cli {
                     &value("--timeout"),
                 )))
             }
-            "--no-obs-equiv" => cli.no_obs_equiv = true,
             "--spec" => cli.spec = Some(value("--spec")),
             "--trace" => cli.trace = Some(value("--trace")),
             "--trace-sample" => {
@@ -294,9 +287,6 @@ fn run_one(
         (None, Some(d)) => opts.timeout = Some(d),
         (None, None) => {}
     }
-    if cli.no_obs_equiv {
-        opts.obs_equiv = false;
-    }
     let trace_cfg = cli
         .trace
         .as_ref()
@@ -328,11 +318,9 @@ fn run_one(
     match result {
         Ok(r) => {
             println!(
-                "{label} ({display}) solved in {:?} — {} candidates tested ({} obs-pruned), \
-                 size {}, paths {}",
+                "{label} ({display}) solved in {:?} — {} candidates tested, size {}, paths {}",
                 r.stats.elapsed,
                 r.stats.search.tested,
-                r.stats.search.obs_pruned,
                 r.stats.solution_size,
                 r.stats.solution_paths
             );
@@ -350,7 +338,7 @@ fn run_one(
                      \"elapsed_secs\": {:.6}, \"generate_secs\": {:.6}, \
                      \"guard_secs\": {:.6}, \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \
                      \"teardown_secs\": {:.6}, \
-                     \"size\": {}, \"paths\": {}, \"tested\": {}, \"obs_pruned\": {}, \
+                     \"size\": {}, \"paths\": {}, \"tested\": {}, \
                      \"vector_hits\": {}}}\n",
                     json_escape(label),
                     r.stats.elapsed.as_secs_f64(),
@@ -362,7 +350,6 @@ fn run_one(
                     r.stats.solution_size,
                     r.stats.solution_paths,
                     r.stats.search.tested,
-                    r.stats.search.obs_pruned,
                     r.stats.search.vector_hits,
                 );
                 write_output_or_exit("--json", path, json.as_bytes());
@@ -462,9 +449,6 @@ fn main() {
     }
     if let Some(t) = cli.timeout {
         cfg.timeout = t;
-    }
-    if cli.no_obs_equiv {
-        cfg.obs_equiv = false;
     }
 
     let benchmarks = batch_benchmarks(&cli, &cfg);

@@ -1,8 +1,7 @@
 //! Perf-trajectory snapshot: runs the full benchmark suite under each
-//! execution configuration — sequential, inter-problem parallel
-//! (`--parallel`), the **observational-equivalence ablation**
-//! (`no-obs-equiv`), and a deterministic **1-in-20 sample of the specgen
-//! stress corpus** (`generated`, 25 of the 500 pinned problems) — and
+//! execution configuration — sequential and inter-problem parallel
+//! (`--parallel`) — plus a deterministic **1-in-20 sample of the specgen
+//! stress corpus** (`generated`, 25 of the 500 pinned problems), and
 //! writes one JSON file (`BENCH_pr8.json` in CI) with wall-clocks and
 //! effort counters per configuration and the parse+lower time of the
 //! `--spec-dir` corpus. The top level carries a `host` header (CPU count,
@@ -27,17 +26,14 @@
 //! field, kept under its honest name: a 1-core host can report 2.6× while
 //! being slower than sequential).
 //!
-//! The deterministic solution sections of every configuration are
-//! byte-compared against the sequential baseline (the `no-obs-equiv`
-//! ablation compares programs only, since its effort counters
-//! legitimately differ, and the `generated` row is a different problem
-//! set, so its gate is solved-count only); a mismatch (or any unsolved
-//! benchmark) exits nonzero, so the trajectory file doubles as the
-//! parallelism determinism gate and the obs-equiv soundness gate.
+//! The deterministic solution section of the parallel run is
+//! byte-compared against the sequential baseline (the `generated` row is
+//! a different problem set, so its gate is solved-count only); a
+//! mismatch (or any unsolved benchmark) exits nonzero, so the trajectory
+//! file doubles as the parallelism determinism gate.
 
 use rbsyn_bench::harness::{
-    format_batch_programs, format_batch_solutions, run_suite, run_suite_on, write_output_or_exit,
-    Config,
+    format_batch_solutions, run_suite, run_suite_on, write_output_or_exit, Config,
 };
 use rbsyn_core::BatchReport;
 use rbsyn_suite::Benchmark;
@@ -52,9 +48,6 @@ struct RunSpec {
     /// row is excluded from the baseline byte-compare — its gate is
     /// "every sampled problem solves".
     generated: bool,
-    /// Disable observational-equivalence pruning (the A/B ablation leg:
-    /// programs must match the baseline byte-for-byte, effort may not).
-    no_obs_equiv: bool,
 }
 
 fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64>) -> String {
@@ -64,13 +57,11 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
     // sequential row itself reports 1.0 by construction.
     let wall_speedup = sequential_wall_secs.map_or(1.0, |base| base / wall.max(1e-9));
     format!(
-        "    {{\"config\": \"{}\", \"threads\": {}, \"source\": \"{}\", \
-         \"obs_equiv\": {},\n     \
+        "    {{\"config\": \"{}\", \"threads\": {}, \"source\": \"{}\",\n     \
          \"wall_clock_secs\": {:.6}, \"cpu_time_secs\": {:.6}, \"wall_speedup\": {:.4}, \
          \"cpu_ratio\": {:.4},\n     \
          \"solved\": {}, \"timeouts\": {}, \"failures\": {}, \"tested\": {},\n     \
-         \"popped\": {}, \"expanded\": {}, \"deduped\": {}, \"obs_pruned\": {}, \
-         \"vector_hits\": {},\n     \
+         \"popped\": {}, \"expanded\": {}, \"deduped\": {}, \"vector_hits\": {},\n     \
          \"generate_time_secs\": {:.6}, \"guard_time_secs\": {:.6}, \
          \"merge_time_secs\": {:.6}, \"eval_time_secs\": {:.6}}}",
         spec.name,
@@ -80,7 +71,6 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
         } else {
             "registry"
         },
-        !spec.no_obs_equiv,
         wall,
         s.cpu_time.as_secs_f64(),
         wall_speedup,
@@ -92,7 +82,6 @@ fn json_report(spec: &RunSpec, r: &BatchReport, sequential_wall_secs: Option<f64
         s.popped,
         s.expanded,
         s.deduped,
-        s.obs_pruned,
         s.vector_hits,
         s.generate_time.as_secs_f64(),
         s.guard_time.as_secs_f64(),
@@ -185,9 +174,9 @@ fn main() {
         }
     }
 
-    let mut base = Config::from_env_or_exit();
+    let mut cfg = Config::from_env_or_exit();
     if let Some(t) = timeout {
-        base.timeout = t;
+        cfg.timeout = t;
     }
 
     // Frontend cost: parse+lower the whole corpus (fails fast on a broken
@@ -211,22 +200,11 @@ fn main() {
             name: "sequential",
             threads: 1,
             generated: false,
-            no_obs_equiv: false,
         },
         RunSpec {
             name: "parallel",
             threads,
             generated: false,
-            no_obs_equiv: false,
-        },
-        // Pruning ablation: observational-equivalence dedup off must
-        // synthesize byte-identical *programs* (it legitimately tests
-        // more candidates — that is the point of the pruning).
-        RunSpec {
-            name: "no-obs-equiv",
-            threads: 1,
-            generated: false,
-            no_obs_equiv: true,
         },
         // A deterministic 1-in-20 sample of the specgen stress corpus:
         // different problems than the Table 1 suite, so no
@@ -236,31 +214,16 @@ fn main() {
             name: "generated",
             threads,
             generated: true,
-            no_obs_equiv: false,
         },
     ];
 
     let mut rows: Vec<String> = Vec::new();
     let mut baseline_solutions: Option<String> = None;
-    let mut baseline_programs: Option<String> = None;
     let mut sequential_wall: Option<f64> = None;
     let mut parallel_speedup: Option<f64> = None;
     let mut ok = true;
     for spec in &specs {
-        eprintln!(
-            "trajectory: {} (threads {}{})…",
-            spec.name,
-            spec.threads,
-            if spec.no_obs_equiv {
-                ", obs-equiv off"
-            } else {
-                ""
-            },
-        );
-        let cfg = Config {
-            obs_equiv: !spec.no_obs_equiv,
-            ..base.clone()
-        };
+        eprintln!("trajectory: {} (threads {})…", spec.name, spec.threads);
         let report = if spec.generated {
             let benchmarks = match load_generated_sample(&Path::new(&spec_dir).join("generated")) {
                 Ok(v) => v,
@@ -292,31 +255,11 @@ fn main() {
         if spec.generated {
             // Different problem set: nothing to byte-compare against. The
             // solved-count gate above already covers it.
-        } else if spec.no_obs_equiv {
-            // The ablation's effort counters differ by design; its
-            // *programs* must not.
-            let programs = format_batch_programs(&report);
-            match &baseline_programs {
-                Some(base_progs) if *base_progs != programs => {
-                    eprintln!(
-                        "trajectory: MISMATCH — {} synthesizes different programs:\n\
-                         --- baseline ---\n{base_progs}--- {} ---\n{programs}",
-                        spec.name, spec.name
-                    );
-                    ok = false;
-                }
-                None => {
-                    eprintln!("trajectory: no baseline before the ablation leg");
-                    ok = false;
-                }
-                Some(_) => {}
-            }
         } else {
             let solutions = format_batch_solutions(&report);
             match &baseline_solutions {
                 None => {
                     baseline_solutions = Some(solutions);
-                    baseline_programs = Some(format_batch_programs(&report));
                     sequential_wall = Some(report.stats.wall_clock.as_secs_f64());
                 }
                 Some(base_sols) if *base_sols != solutions => {
@@ -383,8 +326,8 @@ fn main() {
          \"corpus\": {{\"dir\": \"{}\", \"files\": {}, \"parse_secs\": {:.6}, \
          \"lower_secs\": {:.6}, \"parse_lower_secs\": {:.6}}},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
-        base.benchmarks().len(),
-        base.timeout.as_secs(),
+        cfg.benchmarks().len(),
+        cfg.timeout.as_secs(),
         host,
         host_json,
         ok,

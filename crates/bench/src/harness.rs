@@ -24,11 +24,6 @@ pub struct Config {
     pub coarse_timeout: Duration,
     /// Benchmark ids to run (empty = all).
     pub ids: Vec<String>,
-    /// Observational-equivalence pruning (`Options::obs_equiv`) of the
-    /// batch jobs [`suite_jobs`] builds; on unless `solve --no-obs-equiv`
-    /// or `trajectory`'s `no-obs-equiv` row turns it off for the
-    /// byte-identity A/B gate.
-    pub obs_equiv: bool,
 }
 
 /// Parses a comma-separated benchmark-id list (`--ids`,
@@ -96,7 +91,6 @@ impl Config {
             ablation_timeout,
             coarse_timeout,
             ids,
-            obs_equiv: true,
         };
         cfg.select(all_benchmarks())?;
         Ok(cfg)
@@ -472,13 +466,12 @@ pub fn format_fig8(rows: &[Fig8Row]) -> String {
 
 /// Converts the configured benchmark selection into [`BatchJob`]s for
 /// [`rbsyn_core::run_batch`], one per benchmark, each with its own
-/// `timeout` deadline and `cfg`'s pruning setting.
+/// `timeout` deadline.
 pub fn suite_jobs(
     benchmarks: Vec<Benchmark>,
     guidance: Guidance,
     precision: EffectPrecision,
     timeout: Duration,
-    cfg: &Config,
 ) -> Vec<BatchJob> {
     benchmarks
         .into_iter()
@@ -487,7 +480,6 @@ pub fn suite_jobs(
                 guidance,
                 precision,
                 timeout: Some(timeout),
-                obs_equiv: cfg.obs_equiv,
                 ..(b.options)()
             };
             // `b.build` is a shared factory closure: cheap to move,
@@ -513,7 +505,6 @@ pub fn run_suite_on(benchmarks: Vec<Benchmark>, cfg: &Config, threads: usize) ->
         Guidance::both(),
         EffectPrecision::Precise,
         cfg.timeout,
-        cfg,
     );
     run_batch(&jobs, threads)
 }
@@ -574,21 +565,6 @@ pub fn format_batch_solutions(report: &BatchReport) -> String {
     out
 }
 
-/// Renders only the synthesized programs of a batch (id + solution text),
-/// for byte-comparing runs whose *effort counters* legitimately differ —
-/// the observational-equivalence on/off gate compares this section, since
-/// pruning changes how much work finds the program, never the program.
-pub fn format_batch_programs(report: &BatchReport) -> String {
-    let mut out = String::new();
-    for o in &report.outcomes {
-        match &o.result {
-            Ok(r) => out.push_str(&format!("{:<4} {}\n", o.id, r.program.body.compact())),
-            Err(e) => out.push_str(&format!("{:<4} failed  {e}\n", o.id)),
-        }
-    }
-    out
-}
-
 /// Renders a batch report's timing summary (non-deterministic section; keep
 /// it on stderr when byte-comparing runs).
 pub fn format_batch_stats(report: &BatchReport) -> String {
@@ -596,7 +572,7 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
     format!(
         "batch: {} jobs on {} thread(s) — {} solved, {} timeout, {} failed \
          ({} panicked); \
-         {} candidates tested, {} deduped, {} obs-pruned, {} vector hits; \
+         {} candidates tested, {} deduped, {} vector hits; \
          phases generate {:.2}s | guard {:.2}s | merge {:.2}s | eval {:.2}s; \
          wall {:.2}s, cpu {:.2}s, cpu-ratio {:.2}x\n",
         s.jobs,
@@ -607,7 +583,6 @@ pub fn format_batch_stats(report: &BatchReport) -> String {
         s.panics,
         s.tested,
         s.deduped,
-        s.obs_pruned,
         s.vector_hits,
         s.generate_time.as_secs_f64(),
         s.guard_time.as_secs_f64(),
@@ -656,8 +631,8 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
         s.tested, s.expanded, s.popped
     ));
     out.push_str(&format!(
-        "  \"deduped\": {}, \"obs_pruned\": {}, \"vector_hits\": {},\n",
-        s.deduped, s.obs_pruned, s.vector_hits
+        "  \"deduped\": {}, \"vector_hits\": {},\n",
+        s.deduped, s.vector_hits
     ));
     // `cpu_ratio` is the old `speedup` field renamed: cpu-time over wall
     // time, which a 1-core host can report > 1 while the wall clock is
@@ -698,7 +673,7 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                  \"elapsed_secs\": {:.6}, \
                  \"generate_secs\": {:.6}, \"guard_secs\": {:.6}, \
                  \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \"teardown_secs\": {:.6}, \
-                 \"size\": {}, \"paths\": {}, \"tested\": {}, \"obs_pruned\": {}, \
+                 \"size\": {}, \"paths\": {}, \"tested\": {}, \
                  \"vector_hits\": {}, \"solution\": \"{}\"}}{sep}\n",
                 json_escape(&o.id),
                 o.elapsed.as_secs_f64(),
@@ -710,7 +685,6 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                 r.stats.solution_size,
                 r.stats.solution_paths,
                 r.stats.search.tested,
-                r.stats.search.obs_pruned,
                 r.stats.search.vector_hits,
                 json_escape(&r.program.body.compact()),
             )),
@@ -761,7 +735,6 @@ mod tests {
             ablation_timeout: Duration::from_secs(1),
             coarse_timeout: Duration::from_secs(1),
             ids: vec!["S1".into()],
-            obs_equiv: true,
         };
         assert_eq!(base.benchmarks().len(), 1);
         let typo = Config {

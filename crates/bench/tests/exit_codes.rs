@@ -94,14 +94,18 @@ fn solve_unknown_flag_exits_2() {
 /// A numeric flag with a value that is not an unsigned integer, and an
 /// unknown flag, are usage errors that name the offending value (the
 /// usage text itself names every flag, so the check is on the value).
+/// The flag that switched off observational-equivalence pruning is
+/// unknown now that the pruning is gone, so a batch run that names it
+/// must not run the suite and exit 0.
 #[test]
 fn solve_bad_flag_values_exit_2_and_name_them() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 6] = [
         &["--all", "--parallel", "abc"],
         &["--timeout", "-1"],
         &["--timeout", "1e400"],
         &["--trace", "t.json", "--trace-sample", "x"],
         &["--bogus"],
+        &["--all", "--no-obs-equiv"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_solve"))

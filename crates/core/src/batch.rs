@@ -147,12 +147,12 @@ pub struct BatchStats {
     /// Duplicate candidates dropped by the work-list dedup filter (solved
     /// jobs).
     pub deduped: u64,
-    /// Frontier items pruned by observational-equivalence dedup (solved
-    /// jobs).
-    pub obs_pruned: u64,
     /// Guard requests answered purely from pass/fail bitvectors (solved
     /// jobs).
     pub vector_hits: u64,
+    /// Always 0, as [`SearchStats::obs_pruned`](crate::SearchStats).
+    /// Kept because synthbench reads it.
+    pub obs_pruned: u64,
     /// Always 0, as [`SearchStats::expand_hits`](crate::SearchStats).
     /// Kept because synthbench reads it.
     pub expand_hits: u64,
@@ -219,7 +219,6 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
                 stats.expanded = stats.expanded.saturating_add(r.stats.search.expanded);
                 stats.popped = stats.popped.saturating_add(r.stats.search.popped);
                 stats.deduped = stats.deduped.saturating_add(r.stats.search.deduped);
-                stats.obs_pruned = stats.obs_pruned.saturating_add(r.stats.search.obs_pruned);
                 stats.vector_hits = stats.vector_hits.saturating_add(r.stats.search.vector_hits);
                 stats.expand_hits = stats.expand_hits.saturating_add(r.stats.search.expand_hits);
                 stats.type_hits = stats.type_hits.saturating_add(r.stats.search.type_hits);

@@ -21,7 +21,7 @@ use std::time::Instant;
 /// synthesis run.
 ///
 /// The effort counters (`popped`, `expanded`, `tested`, `deduped`,
-/// `obs_pruned`, `vector_hits`) are a pure function of the problem: a run
+/// `vector_hits`) are a pure function of the problem: a run
 /// searches on one thread and shares no search state with other batch
 /// jobs, so they are identical across batch thread counts.
 #[derive(Clone, Copy, Debug, Default)]
@@ -43,16 +43,13 @@ pub struct SearchStats {
     /// where the search stops is never built, so never counted), an
     /// evaluable one when expansion produces it.
     pub deduped: u64,
-    /// Frontier items pruned by observational-equivalence dedup: their
-    /// evaluation vector matched an already-enqueued candidate of equal or
-    /// smaller size, so their whole subtree was skipped. Deterministic for
-    /// a fixed [`Options::obs_equiv`](crate::Options) setting (and zero
-    /// when it is off).
-    pub obs_pruned: u64,
     /// Guard-covering requests answered purely from already-computed
     /// pass/fail bitvectors — no interpreter run (see
     /// [`GuardPool`](crate::guards::GuardPool)).
     pub vector_hits: u64,
+    /// Always 0: the observational-equivalence pruning this counted is
+    /// gone. Kept because synthbench reads it.
+    pub obs_pruned: u64,
     /// Always 0: the run-scoped expansion memo these counted hits of is
     /// gone. Kept because synthbench reads it.
     pub expand_hits: u64,
@@ -71,29 +68,25 @@ pub struct SearchStats {
 impl SearchStats {
     /// The effort counters as named series for a trace counter sample
     /// (the `search-stats` track of `--trace` exports).
-    pub fn counter_sample(&self) -> [(&'static str, u64); 6] {
+    pub fn counter_sample(&self) -> [(&'static str, u64); 5] {
         [
             ("popped", self.popped),
             ("expanded", self.expanded),
             ("tested", self.tested),
             ("deduped", self.deduped),
-            ("obs_pruned", self.obs_pruned),
             ("vector_hits", self.vector_hits),
         ]
     }
 
     /// The effort counters `(popped, expanded, tested, deduped,
-    /// obs_pruned, vector_hits)` — the tuple the determinism gates compare
-    /// across batch widths and tracing. For a fixed
-    /// [`Options::obs_equiv`](crate::Options) setting they are pure
-    /// functions of the problem.
-    pub fn effort(&self) -> (u64, u64, u64, u64, u64, u64) {
+    /// vector_hits)` — the tuple the determinism gates compare across
+    /// batch widths and tracing. They are pure functions of the problem.
+    pub fn effort(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.popped,
             self.expanded,
             self.tested,
             self.deduped,
-            self.obs_pruned,
             self.vector_hits,
         )
     }

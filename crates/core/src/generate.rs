@@ -28,9 +28,8 @@ use crate::expand::Expander;
 use crate::infer::{infer_ty, Gamma};
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
-use rbsyn_lang::{EffectPair, EffectSet, Expr, FxBuild, Program, Symbol, Ty};
+use rbsyn_lang::{EffectPair, EffectSet, Expr, Program, Symbol, Ty};
 use rbsyn_trace::{Mark, Phase};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// What the search asks of a fully concrete candidate.
@@ -53,12 +52,6 @@ pub struct OracleOutcome {
     /// Effects of the failing assertion, when one failed with observable
     /// reads (drives S-Eff).
     pub effects: Option<EffectPair>,
-    /// Evaluation-vector fingerprint of the candidate's behavior on the
-    /// oracle's test states (see [`PreparedSpec::run_traced`]), when the
-    /// oracle computes one. Drives observational-equivalence pruning;
-    /// `None` (crashed candidates) just disables pruning for this
-    /// candidate.
-    pub fp: Option<u128>,
 }
 
 /// Oracle for one spec (prepared once; see [`PreparedSpec`]): run it,
@@ -83,13 +76,11 @@ impl SpecOracle {
 
 impl Oracle for SpecOracle {
     fn test(&self, env: &InterpEnv, program: &Program) -> OracleOutcome {
-        let (outcome, fp) = self.prepared.run_traced(env, program);
-        match outcome {
+        match self.prepared.run(env, program) {
             SpecOutcome::Passed { asserts } => OracleOutcome {
                 success: true,
                 passed: asserts,
                 effects: None,
-                fp,
             },
             SpecOutcome::Failed { passed, effects } => {
                 let has_reads = !effects.read.is_pure();
@@ -97,14 +88,12 @@ impl Oracle for SpecOracle {
                     success: false,
                     passed,
                     effects: has_reads.then_some(effects),
-                    fp,
                 }
             }
             SpecOutcome::SetupError(_) => OracleOutcome {
                 success: false,
                 passed: 0,
                 effects: None,
-                fp: None,
             },
         }
     }
@@ -215,15 +204,6 @@ fn generate_observed(
     // Dedup filter: no candidate is popped twice, and a candidate judged
     // once is never re-judged in this call.
     let mut seen = NodeSet::default();
-    // Observational-equivalence filter over S-Eff wraps: maps a failing
-    // candidate's (evaluation vector, inferred type) to the smallest
-    // candidate size already enqueued with that behavior. A later
-    // same-or-larger candidate is pruned: its wrap's completions evaluate
-    // from an identical post-run world and binding, and the earlier,
-    // smaller representative's subtree reaches every corresponding
-    // completion first under the frontier order — so the pruned subtree
-    // could only re-derive work, never change the first solution found.
-    let mut obs_seen: HashMap<(u128, Ty), usize, FxBuild> = HashMap::default();
     let mut pops = 0u64;
     // Hoisted once: with tracing off every instrumentation site below is
     // a single `None` check on this copy.
@@ -263,8 +243,8 @@ fn generate_observed(
             }
         }
         for &sub in children.subs.iter() {
-            let size = children.size(&arena, sub);
             if children.has_hole(&arena, sub) {
+                let size = children.size(&arena, sub);
                 if size <= max_size {
                     frontier.push(c, size, (node, sub));
                 }
@@ -310,30 +290,6 @@ fn generate_observed(
             // The hole keeps the candidate's type; an untyped arena types
             // nothing, so without type guidance it is the goal.
             let ty = arena.ty(id).cloned().unwrap_or_else(|| goal.clone());
-            // Observational-equivalence dedup: skip the wrap (and with it
-            // the whole continuation subtree) when an equally-behaving
-            // candidate of equal or smaller size is already enqueued.
-            if opts.obs_equiv {
-                if let Some(fp) = out.fp {
-                    match obs_seen.entry((fp, ty.clone())) {
-                        std::collections::hash_map::Entry::Occupied(mut o) => {
-                            if size >= *o.get() {
-                                stats.obs_pruned += 1;
-                                if let Some(t) = tracer {
-                                    if t.sampled(stats.obs_pruned - 1) {
-                                        t.mark(Mark::ObsPrune);
-                                    }
-                                }
-                                continue;
-                            }
-                            o.insert(size);
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(size);
-                        }
-                    }
-                }
-            }
             let w = wrap_with_effect(
                 &mut arena,
                 &expander,
@@ -590,12 +546,12 @@ mod tests {
     }
 
     /// What a search judged: every tested candidate's compact text with
-    /// the pop that produced it, the six effort counters, and the program
+    /// the pop that produced it, the five effort counters, and the program
     /// it returned.
     #[derive(Debug, PartialEq)]
     struct Judged {
         cands: Vec<(String, u64)>,
-        effort: (u64, u64, u64, u64, u64, u64),
+        effort: (u64, u64, u64, u64, u64),
         program: Option<String>,
     }
 
@@ -645,7 +601,6 @@ mod tests {
         frontier.push(0, 1, (true, Expr::Hole(goal.clone())));
         let mut seen = HashSet::new();
         let mut produced = HashSet::new();
-        let mut obs_seen: HashMap<(u128, Ty), usize> = HashMap::new();
         let mut stats = SearchStats::default();
         let mut cands = Vec::new();
         let program = 'search: loop {
@@ -673,8 +628,8 @@ mod tests {
                 if !opts.guidance.types || ty.is_some() {
                     produced.insert(sub.clone());
                 }
-                let size = node_count(&sub);
                 if sub.has_holes() {
+                    let size = node_count(&sub);
                     if size <= opts.max_size {
                         frontier.push(c, size, (false, sub));
                     }
@@ -702,16 +657,6 @@ mod tests {
                     Some(t) if opts.guidance.types => t,
                     _ => goal.clone(),
                 };
-                if opts.obs_equiv {
-                    if let Some(fp) = out.fp {
-                        let best = obs_seen.entry((fp, ty.clone())).or_insert(usize::MAX);
-                        if size >= *best {
-                            stats.obs_pruned += 1;
-                            continue;
-                        }
-                        *best = size;
-                    }
-                }
                 let wrapped = Expr::Let {
                     var: sub.fresh_temp(),
                     val: Box::new(sub),

@@ -104,16 +104,6 @@ pub struct Options {
     /// [`SynthError::Timeout`](crate::SynthError::Timeout) a cooperative
     /// stop produces.
     pub timeout: Option<Duration>,
-    /// Observational-equivalence pruning: candidates whose evaluation
-    /// vector (result value, effect trace, post-run state hash on the
-    /// spec's test states) matches an already-enqueued candidate of equal
-    /// or smaller size are pruned from the frontier before their subtree
-    /// is ever explored. Defaults to `true`; the 19-benchmark byte-identity
-    /// gate (`trajectory`'s `no-obs-equiv` leg, the CI `obs-equiv`
-    /// determinism leg) holds the default to "programs are unchanged, only
-    /// the work to find them shrinks". `--no-obs-equiv` is the A/B escape
-    /// hatch.
-    pub obs_equiv: bool,
     /// Search-event tracing (`--trace`): `Some` activates the
     /// [`rbsyn_trace`] session threaded through every phase — phase
     /// spans, sampled candidate-lifecycle instants, counter samples.
@@ -139,7 +129,6 @@ impl Default for Options {
             max_hash_keys: 2,
             max_expansions: 2_000_000,
             timeout: Some(Duration::from_secs(300)),
-            obs_equiv: true,
             trace: None,
         }
     }
@@ -182,7 +171,6 @@ mod tests {
         assert_eq!(o.guidance, Guidance::both());
         assert_eq!(o.precision, EffectPrecision::Precise);
         assert!(o.timeout.is_some());
-        assert!(o.obs_equiv, "observational-equivalence pruning is on");
         assert!(o.trace.is_none(), "tracing is opt-in (zero-cost off)");
     }
 }

@@ -8,8 +8,7 @@
 //!   `Synthesizer` run: program text, effort counters, tuples, size and
 //!   paths;
 //! * a property test sweeps randomized spec sets through the same check;
-//! * observational-equivalence pruning and tracing must leave programs
-//!   unchanged.
+//! * tracing must leave programs and effort counters unchanged.
 
 use proptest::prelude::*;
 use rbsyn_core::{run_batch, BatchJob, Options, SynthResult, SynthesisProblem, Synthesizer};
@@ -142,66 +141,6 @@ fn solution_reuse_is_batch_width_independent() {
         lone.stats.tuples, 1,
         "specs b and c must reuse spec a's solution"
     );
-}
-
-#[test]
-fn obs_equiv_pruning_preserves_programs() {
-    // Observational-equivalence dedup may only change *how much work*
-    // finds the program, never the program: pruning on vs off must
-    // synthesize byte-identical programs (and sizes/paths) while doing no
-    // more work with pruning enabled. The full-corpus version of this
-    // gate is the CI `obs-equiv` determinism leg and the trajectory's
-    // `no-obs-equiv` row.
-    let run = |build: &dyn Fn() -> (InterpEnv, SynthesisProblem), obs: bool| {
-        let (env, problem) = build();
-        let opts = Options {
-            obs_equiv: obs,
-            ..Options::default()
-        };
-        Synthesizer::new(env, problem, opts)
-            .run()
-            .expect("determinism problems are solvable")
-    };
-    for build in [
-        &branching_problem as &dyn Fn() -> (InterpEnv, SynthesisProblem),
-        &reuse_problem,
-    ] {
-        let on = run(build, true);
-        let off = run(build, false);
-        assert_eq!(
-            on.program.to_string(),
-            off.program.to_string(),
-            "pruning must not change the synthesized program"
-        );
-        assert_eq!(on.stats.solution_size, off.stats.solution_size);
-        assert_eq!(on.stats.solution_paths, off.stats.solution_paths);
-        assert!(
-            on.stats.search.tested <= off.stats.search.tested,
-            "pruning must never test more candidates"
-        );
-        assert_eq!(
-            off.stats.search.obs_pruned, 0,
-            "disabled pruning counts nothing"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn random_spec_sets_prune_identically(mask in arb_spec_mask()) {
-        // Property form of the obs-equiv gate over randomized spec sets.
-        let run = |obs: bool| {
-            let (env, problem) = masked_problem(&mask);
-            let opts = Options { obs_equiv: obs, ..Options::default() };
-            Synthesizer::new(env, problem, opts).run().expect("solvable")
-        };
-        let on = run(true);
-        let off = run(false);
-        prop_assert_eq!(on.program.to_string(), off.program.to_string());
-        prop_assert!(on.stats.search.tested <= off.stats.search.tested);
-    }
 }
 
 #[test]

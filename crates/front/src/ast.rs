@@ -152,19 +152,10 @@ pub struct OptionEntry {
     pub key: String,
     /// Span of the key.
     pub key_span: Span,
-    /// The value.
-    pub value: OptValue,
+    /// The value (every option takes an integer).
+    pub value: i64,
     /// Span of the value.
     pub value_span: Span,
-}
-
-/// An option value.
-#[derive(Clone, PartialEq, Debug)]
-pub enum OptValue {
-    /// Integer value.
-    Int(i64),
-    /// Bare word (`true`). No option takes one, so lowering rejects it.
-    Word(String),
 }
 
 /// The `define name(params) -> Ty do … end` block.

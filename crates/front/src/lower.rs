@@ -5,7 +5,9 @@
 //! declaration order on a fresh [`EnvBuilder::with_stdlib`], so lowering
 //! the same file twice yields interchangeable environments (equal
 //! [`ClassTable::fingerprint`](rbsyn_ty::ClassTable::fingerprint)s) — the
-//! property the registry-fidelity diff gate relies on.
+//! property the frontend's rebuild and round-trip tests
+//! (`crates/front/src/lib.rs`, `crates/front/tests/roundtrip.rs`) check
+//! by comparing fingerprints.
 
 use crate::ast::*;
 use crate::span::{Diagnostic, Span};
@@ -316,12 +318,13 @@ impl Lowerer {
         let mut o = Options::default();
         for e in entries {
             let int = |what: &str| -> Result<i64, Diagnostic> {
-                match &e.value {
-                    OptValue::Int(n) if *n >= 0 => Ok(*n),
-                    _ => Err(Diagnostic::new(
+                if e.value >= 0 {
+                    Ok(e.value)
+                } else {
+                    Err(Diagnostic::new(
                         format!("{what} takes a non-negative integer"),
                         e.value_span,
-                    )),
+                    ))
                 }
             };
             match e.key.as_str() {

@@ -420,15 +420,11 @@ impl Parser {
             let value = match self.peek().clone() {
                 Tok::Int(n) => {
                     self.bump();
-                    OptValue::Int(n)
-                }
-                Tok::Ident(w) => {
-                    self.bump();
-                    OptValue::Word(w)
+                    n
                 }
                 other => {
                     return self.err(format!(
-                        "expected an option value (integer or word), found {}",
+                        "expected an integer option value, found {}",
                         other.describe()
                     ))
                 }

@@ -71,11 +71,7 @@ pub fn to_rbspec(file: &SpecFile) -> String {
     if !file.options.is_empty() {
         out.push_str("options do\n");
         for e in &file.options {
-            let v = match &e.value {
-                OptValue::Int(n) => n.to_string(),
-                OptValue::Word(w) => w.clone(),
-            };
-            out.push_str(&format!("  {}: {v}\n", e.key));
+            out.push_str(&format!("  {}: {}\n", e.key, e.value));
         }
         out.push_str("end\n\n");
     }

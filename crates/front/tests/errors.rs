@@ -158,6 +158,14 @@ fn unknown_option_key() {
 }
 
 #[test]
+fn option_value_must_be_a_non_negative_integer() {
+    let src = format!("options do\n  max_size: big\nend\n{TAIL}");
+    check(&src, "expected an integer option value, found `big`", 2, 13);
+    let src = format!("options do\n  max_size: -1\nend\n{TAIL}");
+    check(&src, "max_size takes a non-negative integer", 2, 13);
+}
+
+#[test]
 fn unknown_group() {
     let src = format!("benchmark do\n  group: Reddit\nend\n{TAIL}");
     check(&src, "unknown group `Reddit`", 2, 10);

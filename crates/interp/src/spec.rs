@@ -248,12 +248,13 @@ impl PreparedSpec {
     /// [`WorldState::obs_fingerprint`]), plus the outcome tag, passed
     /// count and failing-assert effect trace.
     ///
-    /// Two candidates with equal fingerprints behave identically w.r.t.
+    /// Two programs with equal fingerprints behave identically w.r.t.
     /// *this* prepared test: any expression completed around either
-    /// evaluates from the same post-call world and binding, so the search
-    /// may prune one of them (observational-equivalence dedup). The
-    /// fingerprint is `None` only when the candidate itself crashed — such
-    /// candidates are rejected outright and never compared.
+    /// evaluates from the same post-call world and binding. The caller is
+    /// specgen's differential gate, which requires a synthesized program
+    /// and the hidden reference to fingerprint alike on every spec world;
+    /// the search runs [`PreparedSpec::run`], which hashes nothing. The
+    /// fingerprint is `None` only when the program itself crashed.
     pub fn run_traced(&self, env: &InterpEnv, program: &Program) -> (SpecOutcome, Option<u128>) {
         self.run_impl(env, program, true)
     }
@@ -280,9 +281,9 @@ impl PreparedSpec {
             Err(e) => return (SpecOutcome::SetupError(e), None),
         };
         // The vector core is captured *here* — right after the call —
-        // because completions of a pruned candidate re-evaluate from
-        // exactly this point; later post-steps/asserts are a deterministic
-        // function of it.
+        // because completions of the candidate evaluate from exactly this
+        // point; later post-steps/asserts are a deterministic function of
+        // it.
         let core_fp = trace.then(|| {
             let mut h = ObsHasher::new();
             h.put_value(&v);

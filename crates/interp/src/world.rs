@@ -293,7 +293,8 @@ impl WorldState {
     /// [`ObsHasher`]). Two runs forked from the **same** snapshot get
     /// equal digests iff they left the world in the same observable state
     /// (modulo the false-*negative* of a run rewriting a table to its
-    /// original contents, which costs pruning power, never soundness).
+    /// original contents, which can only make two equal behaviors compare
+    /// unequal, never the reverse).
     pub fn obs_fingerprint(&self, base: &WorldState) -> u128 {
         let mut h = ObsHasher::new();
         h.put_u64(self.db.table_count() as u64);

@@ -1,24 +1,23 @@
 //! Deterministic observation hashing for evaluation vectors.
 //!
-//! Observational-equivalence pruning compares *behavior fingerprints* of
-//! candidates: the result value, effect trace and post-run state hash of a
-//! candidate run against a spec's prepared test state. Those fingerprints
-//! gate which frontier items the search explores, so they must be a pure
-//! function of the observed behavior — **never** of process-local
-//! accidents. The derived `Hash` impls in this crate are not good enough
-//! for that: [`Symbol`] hashes its interner index, and interning order
-//! varies with thread interleaving in a parallel batch, which would make
-//! pruning decisions (and therefore synthesized programs) depend on the
-//! thread count.
+//! An evaluation vector compares *behavior fingerprints* of programs: the
+//! result value, effect trace and post-run state hash of a run against a
+//! spec's prepared test state. specgen's differential gate accepts a
+//! synthesized program only when its fingerprints equal the hidden
+//! reference's, so they must be a pure function of the observed behavior
+//! — **never** of process-local accidents. The derived `Hash` impls in
+//! this crate are not good enough for that: [`Symbol`] hashes its
+//! interner index, and interning order varies with thread interleaving in
+//! a parallel batch, which would make the verdict depend on the thread
+//! count.
 //!
 //! This module provides an *observation hasher* that folds identifiers in
 //! by **string content** and aggregates unordered collections (instance
 //! variables, globals) with an order-independent combine, so a fingerprint
 //! is identical across threads, processes and batch shapes. Fingerprints
 //! are 128-bit (two independently seeded [`FxHasher`] lanes fed by one
-//! traversal): at the million-candidate scale of a hard search, 64 bits
-//! would put accidental collisions — which silently prune a genuinely
-//! novel candidate — within reach.
+//! traversal), which keeps accidental collisions — two genuinely
+//! different behaviors judged equal — out of reach.
 
 use crate::effects::{Effect, EffectPair, EffectSet};
 use crate::intern::{FxHasher, Symbol};

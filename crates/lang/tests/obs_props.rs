@@ -1,5 +1,5 @@
-//! Property tests for observation hashing, the foundation of both
-//! observational-equivalence pruning and specgen's differential gate:
+//! Property tests for observation hashing, the foundation of specgen's
+//! differential gate:
 //!
 //! - [`unordered_obs_fold`] must be insensitive to *any* permutation of
 //!   its input (HashMap iteration order must not leak into fingerprints);

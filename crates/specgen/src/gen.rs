@@ -32,8 +32,7 @@ use rand::{Rng, SeedableRng};
 use rbsyn_core::{SynthError, Synthesizer};
 use rbsyn_front::ast::{
     ConstItem, ConstKind, Decl, Define, EffPath, ExprKind, ExprNode, FieldDecl, Lit, Meta,
-    MethodDef, ModelDecl, OptValue, OptionEntry, ParamDecl, SpecBlock, SpecFile, Stmt, TypeExpr,
-    TypeKind,
+    MethodDef, ModelDecl, OptionEntry, ParamDecl, SpecBlock, SpecFile, Stmt, TypeExpr, TypeKind,
 };
 use rbsyn_front::{load_str, to_rbspec, LoadedSpec, Span};
 use rbsyn_interp::eval::{Evaluator, Locals};
@@ -1017,7 +1016,7 @@ fn build_options(ref_size: usize) -> Vec<OptionEntry> {
     let entry = |key: &str, v: i64| OptionEntry {
         key: key.to_owned(),
         key_span: sp(),
-        value: OptValue::Int(v),
+        value: v,
         value_span: sp(),
     };
     vec![

@@ -46,8 +46,8 @@ use std::time::Instant;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Candidate-lifecycle sampling stride: hot per-candidate events
-    /// (frontier pops, expansions, oracle runs, obs-equiv prunes) are
-    /// recorded every `sample`-th occurrence, counting from the first.
+    /// (frontier pops, expansions, oracle runs) are recorded every
+    /// `sample`-th occurrence, counting from the first.
     /// Phase spans and counter samples are never sampled away. Clamped to
     /// at least 1.
     pub sample: u64,
@@ -112,8 +112,6 @@ pub enum Mark {
     FrontierPop,
     /// A one-step candidate expansion (sampled).
     Expand,
-    /// A frontier item pruned by observational equivalence (sampled).
-    ObsPrune,
     /// An interpreter-backed oracle judgement (sampled).
     OracleRun,
     /// §4 solution reuse: an earlier spec's solution already passes this
@@ -131,7 +129,6 @@ impl Mark {
         match self {
             Mark::FrontierPop => "frontier_pop",
             Mark::Expand => "expand",
-            Mark::ObsPrune => "obs_prune",
             Mark::OracleRun => "oracle_run",
             Mark::CacheHit => "cache_hit",
             Mark::CoveringQuery => "covering_query",

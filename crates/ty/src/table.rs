@@ -191,10 +191,11 @@ impl ClassTable {
     /// constant set `Σ`, and the configured [`EffectPrecision`].
     ///
     /// Two tables with equal fingerprints answer every enumeration and
-    /// typing query identically. The registry/`.rbspec` fidelity tests
-    /// and the frontend's round-trip tests compare fingerprints to show
-    /// that two independently built environments are the same. 128 bits
-    /// keep accidental collisions out of reach.
+    /// typing query identically. The frontend's rebuild and round-trip
+    /// tests (`crates/front/src/lib.rs`, `crates/front/tests/roundtrip.rs`)
+    /// compare fingerprints to show that two independently built
+    /// environments are the same. 128 bits keep accidental collisions out
+    /// of reach.
     ///
     /// The fingerprint hashes the deterministic `Vec`-backed parts only
     /// (never the `HashMap` dispatch index, whose iteration order is
