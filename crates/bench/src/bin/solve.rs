@@ -46,7 +46,7 @@
 //! spans and counters are never sampled away). A compact self/total-time
 //! profile goes to stderr, so stdout stays byte-comparable: tracing never
 //! changes the synthesized program or the effort counters, and the CI
-//! `trace` leg diffs the two.
+//! `trace` job diffs the two.
 //!
 //! ## Exit codes
 //!
@@ -61,7 +61,7 @@ use rbsyn_bench::harness::{
     batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats, json_escape,
     parse_ids, run_suite_on, write_output_or_exit, Config,
 };
-use rbsyn_core::{BatchReport, Options, SynthError, SynthesisProblem, Synthesizer};
+use rbsyn_core::{Options, SynthError, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
 use rbsyn_suite::{benchmark, benchmarks_from_dir, Benchmark};
 use rbsyn_trace::{schema, Session, TraceConfig};
@@ -452,16 +452,14 @@ fn main() {
     }
 
     let benchmarks = batch_benchmarks(&cli, &cfg);
-    let run = |cfg: &Config, threads: usize| -> BatchReport {
-        run_suite_on(benchmarks.clone(), cfg, threads)
-    };
+    let run = |threads: usize| run_suite_on(benchmarks.clone(), cfg.timeout, threads);
     if cli.compare {
         // Baseline: one job thread; thread counts must never change the
         // deterministic section.
         eprintln!("compare: sequential baseline…");
-        let seq = run(&cfg, 1);
+        let seq = run(1);
         eprintln!("compare: parallel run ({} threads)…", cli.parallel);
-        let par = run(&cfg, cli.parallel);
+        let par = run(cli.parallel);
         let (a, b) = (format_batch_solutions(&seq), format_batch_solutions(&par));
         eprint!("sequential {}", format_batch_stats(&seq));
         eprint!("parallel   {}", format_batch_stats(&par));
@@ -484,7 +482,7 @@ fn main() {
         std::process::exit(exit_codes::for_batch(&seq));
     }
 
-    let report = run(&cfg, cli.parallel);
+    let report = run(cli.parallel);
     print!("{}", format_batch_solutions(&report));
     eprint!("{}", format_batch_stats(&report));
     if let Some(path) = &cli.json {

@@ -1,87 +1,24 @@
-//! Regenerates Table 1 of the paper.
-//!
-//! Full (paper-faithful, sequential) mode:
+//! Regenerates Table 1 of the paper (paper-faithful, sequential):
 //!
 //! ```text
-//! RBSYN_RUNS=11 RBSYN_TIMEOUT_SECS=300 cargo run --release -p rbsyn-bench --bin table1
+//! RBSYN_RUNS=11 RBSYN_TIMEOUT_SECS=300 cargo run --release -p rbsyn-bench --bin table1 [-- --json PATH]
 //! ```
 //!
-//! CI smoke mode — a small fixed subset of the registry through the
-//! parallel batch driver with a tight per-problem deadline, with machine-
-//! readable stats for the pipeline artifact. Exits nonzero if any smoke
-//! benchmark fails to synthesize (so synthesis regressions fail CI):
-//!
-//! ```text
-//! cargo run --release -p rbsyn-bench --bin table1 -- --smoke [--parallel N] [--json PATH]
-//! ```
+//! The `RBSYN_*` environment variables in the crate docs configure the
+//! run; `--json PATH` also writes the rows as JSON. Any other argument is
+//! a usage error (exit 2).
 
-use rbsyn_bench::harness::{
-    batch_stats_json, format_batch_solutions, format_batch_stats, format_table1, run_suite,
-    table1_rows, write_output_or_exit, Config,
-};
+use rbsyn_bench::harness::{format_table1, table1_rows, write_output_or_exit, Config};
 use std::time::Duration;
 
-/// The smoke subset: benchmarks that solve well under the smoke deadline in
-/// release builds, spanning all three search features (constant/var
-/// solutions, effect-guided writes, branch merging).
-const SMOKE_IDS: &[&str] = &["S1", "S2", "S3", "S4", "A7"];
-const SMOKE_TIMEOUT: Duration = Duration::from_secs(20);
-
 fn main() {
-    let mut smoke = false;
-    let mut parallel: usize = 0;
     let mut json: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--smoke" => smoke = true,
-            "--parallel" => {
-                parallel = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--parallel needs a number"))
-            }
             "--json" => json = Some(args.next().unwrap_or_else(|| die("--json needs a path"))),
-            _ => die(&format!(
-                "unknown argument {a:?} (try --smoke, --parallel N, --json PATH)"
-            )),
+            _ => die(&format!("unknown argument {a:?} (try --json PATH)")),
         }
-    }
-    // Full Table 1 timing is deliberately sequential (parallel runs would
-    // contend for cores and distort the medians); don't accept a flag we
-    // would silently ignore.
-    if parallel != 0 && !smoke {
-        die("--parallel is only meaningful with --smoke (full Table 1 timing runs sequentially)");
-    }
-
-    if smoke {
-        let cfg = Config {
-            ids: SMOKE_IDS.iter().map(|s| (*s).to_owned()).collect(),
-            timeout: SMOKE_TIMEOUT,
-            ..Config::from_env_or_exit()
-        };
-        eprintln!(
-            "table1 --smoke: {} benchmarks, {}s deadline each, {} thread(s)",
-            cfg.benchmarks().len(),
-            cfg.timeout.as_secs(),
-            if parallel == 0 {
-                "all".to_owned()
-            } else {
-                parallel.to_string()
-            }
-        );
-        let report = run_suite(&cfg, parallel);
-        print!("{}", format_batch_solutions(&report));
-        eprint!("{}", format_batch_stats(&report));
-        if let Some(path) = &json {
-            write_output_or_exit("--json", path, batch_stats_json(&report).as_bytes());
-            eprintln!("stats written to {path}");
-        }
-        std::process::exit(if report.stats.solved == report.stats.jobs {
-            0
-        } else {
-            1
-        });
     }
 
     let cfg = Config::from_env_or_exit();
@@ -94,7 +31,6 @@ fn main() {
     let rows = table1_rows(&cfg);
     print!("{}", format_table1(&rows));
     if let Some(path) = &json {
-        // Full mode reuses the batch JSON shape via a fresh solve pass? No —
         // Table 1 rows carry medians; serialize them directly.
         let mut out = String::from("{\n  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! known event kinds, balanced span begin/end per thread, numeric
 //! counter args) and then asserts the engine-level content contract: the
 //! trace of a solved benchmark must contain `generate`, `guard`, `eval`
-//! and `merge` spans plus at least one counter track. CI's `trace` leg
+//! and `merge` spans plus at least one counter track. CI's `trace` job
 //! runs this on the artifact it uploads, so a regression in either the
 //! exporter or the instrumentation fails the build rather than shipping
 //! an unreadable trace.

@@ -16,7 +16,7 @@ pub struct Config {
     pub timeout: Duration,
     /// Timeout for the guidance *ablations* (T-only / E-only / naive),
     /// which mostly just burn their whole budget (paper: same 300 s; the
-    /// default here is small so `cargo bench` stays tractable — raise
+    /// default here is small so a default run stays tractable — raise
     /// `RBSYN_ABLATION_TIMEOUT_SECS` for paper-faithful runs).
     pub ablation_timeout: Duration,
     /// Timeout for the coarse effect-precision runs of Fig. 8
@@ -411,8 +411,8 @@ pub fn format_fig7(rows: &[Fig7Row]) -> String {
 pub struct Fig8Row {
     /// Benchmark id.
     pub id: String,
-    /// Median solve time per precision (Precise, Class, Purity); `None` =
-    /// timeout.
+    /// Solve time of one run per precision (Precise, Class, Purity);
+    /// `None` = timeout.
     pub times: [Option<Duration>; 3],
 }
 
@@ -464,21 +464,17 @@ pub fn format_fig8(rows: &[Fig8Row]) -> String {
 
 // ───────────────────────── parallel batch driver ─────────────────────────
 
-/// Converts the configured benchmark selection into [`BatchJob`]s for
-/// [`rbsyn_core::run_batch`], one per benchmark, each with its own
-/// `timeout` deadline.
-pub fn suite_jobs(
-    benchmarks: Vec<Benchmark>,
-    guidance: Guidance,
-    precision: EffectPrecision,
-    timeout: Duration,
-) -> Vec<BatchJob> {
-    benchmarks
+/// Runs `benchmarks` as one parallel batch through
+/// [`rbsyn_core::run_batch`] (`threads` = 0 means all cores, 1 means
+/// sequential job dispatch): one job per benchmark under full guidance
+/// and precise effects, each with its own `timeout` deadline.
+pub fn run_suite_on(benchmarks: Vec<Benchmark>, timeout: Duration, threads: usize) -> BatchReport {
+    let jobs: Vec<BatchJob> = benchmarks
         .into_iter()
         .map(|b| {
             let opts = Options {
-                guidance,
-                precision,
+                guidance: Guidance::both(),
+                precision: EffectPrecision::Precise,
                 timeout: Some(timeout),
                 ..(b.options)()
             };
@@ -487,25 +483,7 @@ pub fn suite_jobs(
             let id = b.id.clone();
             BatchJob::new(id, move || (b.build)(), opts)
         })
-        .collect()
-}
-
-/// Runs the configured suite as a parallel batch (`threads` = 0 means all
-/// cores, 1 means sequential job dispatch).
-pub fn run_suite(cfg: &Config, threads: usize) -> BatchReport {
-    run_suite_on(cfg.benchmarks(), cfg, threads)
-}
-
-/// Like [`run_suite`] over an explicit benchmark list — the entry point
-/// for a corpus directory (`solve --spec-dir`) or any other problem set
-/// besides the 19 Table 1 problems.
-pub fn run_suite_on(benchmarks: Vec<Benchmark>, cfg: &Config, threads: usize) -> BatchReport {
-    let jobs = suite_jobs(
-        benchmarks,
-        Guidance::both(),
-        EffectPrecision::Precise,
-        cfg.timeout,
-    );
+        .collect();
     run_batch(&jobs, threads)
 }
 
@@ -613,7 +591,8 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Serializes a batch report as JSON (hand-rolled — the workspace is
-/// dependency-free). This is the CI bench-smoke artifact format.
+/// dependency-free): the `solve --all --json` format, which CI's effort
+/// gate reads.
 pub fn batch_stats_json(report: &BatchReport) -> String {
     let s = &report.stats;
     let mut out = String::from("{\n");
@@ -636,9 +615,9 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
     ));
     // `cpu_ratio` is the old `speedup` field renamed: cpu-time over wall
     // time, which a 1-core host can report > 1 while the wall clock is
-    // *worse* than sequential. Real speedups are `wall_speedup` in the
-    // trajectory report (sequential wall / config wall), which needs a
-    // sequential baseline a single batch run does not have.
+    // *worse* than sequential. A real speedup (sequential wall / parallel
+    // wall) needs a sequential baseline a single batch run does not have;
+    // `solve --compare` prints it on stderr.
     out.push_str(&format!(
         "  \"wall_clock_secs\": {:.6}, \"cpu_time_secs\": {:.6}, \"cpu_ratio\": {:.4},\n",
         s.wall_clock.as_secs_f64(),

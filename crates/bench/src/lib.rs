@@ -1,7 +1,7 @@
 //! Experiment harness regenerating the paper's evaluation (§5): Table 1,
 //! Figure 7 and Figure 8.
 //!
-//! Configuration comes from environment variables so `cargo bench` stays
+//! Configuration comes from environment variables so a default run stays
 //! hands-free while full paper-scale runs remain possible:
 //!
 //! * `RBSYN_RUNS` — timed runs per benchmark (paper: 11; default: 3;
@@ -25,6 +25,6 @@ pub mod harness;
 
 pub use harness::{
     batch_stats_json, exit_codes, fig7_rows, fig8_rows, format_batch_solutions, format_batch_stats,
-    median_siqr, run_benchmark, run_suite, run_suite_on, suite_jobs, table1_rows,
-    write_output_or_exit, Config, Fig7Row, Fig8Row, RunOutcome, Table1Row,
+    median_siqr, run_benchmark, run_suite_on, table1_rows, write_output_or_exit, Config, Fig7Row,
+    Fig8Row, RunOutcome, Table1Row,
 };

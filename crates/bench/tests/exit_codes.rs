@@ -292,6 +292,33 @@ fn table1_malformed_timeout_env_exits_2() {
     assert!(stderr.contains("RBSYN_TIMEOUT_SECS"), "{stderr}");
 }
 
+/// `table1` runs the whole paper table sequentially and has no fast
+/// subset or batch width (CI gates the suite with `solve --all
+/// --compare`), so either flag is a usage error that names it. The
+/// environment keeps a run that ignores its arguments to one problem and
+/// 1 s budgets.
+#[test]
+fn table1_rejects_smoke_and_parallel_with_exit_2() {
+    let cases: [&[&str]; 2] = [&["--smoke"], &["--parallel", "2"]];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+            .args(args)
+            .env("RBSYN_BENCH_IDS", "S1")
+            .env("RBSYN_RUNS", "1")
+            .env("RBSYN_TIMEOUT_SECS", "1")
+            .env("RBSYN_ABLATION_TIMEOUT_SECS", "1")
+            .output()
+            .expect("table1 binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{:?}", args[0])),
+            "{args:?}: stderr does not name {:?}: {stderr}",
+            args[0]
+        );
+    }
+}
+
 /// Fault-injected exit-code legs — compiled only with `--features
 /// failpoints` (the production binary carries no injection code).
 #[cfg(feature = "failpoints")]

@@ -115,8 +115,8 @@ pub fn load_file(path: &Path) -> Result<LoadedSpec, String> {
 }
 
 /// Lists a directory's `.rbspec` files, sorted by file name for
-/// determinism — the one corpus-walk rule every consumer (corpus loader,
-/// `speccheck`, `trajectory`) shares.
+/// determinism — the one corpus-walk rule every consumer
+/// (`benchmarks_from_dir`, `specgen`, synthbench) shares.
 ///
 /// # Errors
 ///

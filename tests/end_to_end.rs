@@ -2,9 +2,9 @@
 //! Table 1 benchmarks end-to-end and re-validate every synthesized program
 //! against its specs with a fresh interpreter.
 //!
-//! The slowest benchmarks are exercised by the bench harness
-//! (`cargo run -p rbsyn-bench --bin table1`) rather than here, keeping
-//! `cargo test` wall-clock reasonable in debug builds.
+//! The slowest benchmarks are exercised by CI's suite job (`solve --all
+//! --compare` in release) rather than here, keeping `cargo test`
+//! wall-clock reasonable in debug builds.
 
 use rbsyn::core::{Options, Synthesizer};
 use rbsyn::interp::run_spec;
