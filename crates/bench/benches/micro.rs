@@ -1,14 +1,13 @@
 //! Micro-benchmarks of the synthesizer's inner-loop primitives: subtyping,
-//! effect subsumption, candidate enumeration, spec execution and SAT
-//! implication. These are not paper experiments; they exist to catch
-//! performance regressions in the machinery Table 1 depends on.
+//! effect subsumption, candidate enumeration and spec execution. These are
+//! not paper experiments; they exist to catch performance regressions in
+//! the machinery Table 1 depends on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rbsyn_core::{Guidance, Options};
 use rbsyn_interp::{run_spec, InterpEnv};
 use rbsyn_lang::builder::*;
 use rbsyn_lang::{Program, Ty, Value};
-use rbsyn_sat::{is_valid_implication, Formula};
 use rbsyn_stdlib::EnvBuilder;
 use rbsyn_ty::{effect_subsumed, is_subtype, EffectPrecision};
 
@@ -111,17 +110,6 @@ fn bench_db_workload(c: &mut Criterion) {
     });
 }
 
-fn bench_sat(c: &mut Criterion) {
-    let f1 = Formula::and(
-        Formula::Var(0),
-        Formula::or(Formula::Var(1), Formula::Var(2)),
-    );
-    let f2 = Formula::or(Formula::Var(0), Formula::Var(3));
-    c.bench_function("micro/sat_implication", |b| {
-        b.iter(|| is_valid_implication(black_box(&f1), black_box(&f2)))
-    });
-}
-
 fn bench_end_to_end_small(c: &mut Criterion) {
     let bench = rbsyn_suite::benchmark("S2").expect("S2 exists");
     c.bench_function("micro/synthesize_s2", |b| {
@@ -145,7 +133,6 @@ criterion_group!(
     bench_enumeration,
     bench_spec_execution,
     bench_db_workload,
-    bench_sat,
     bench_end_to_end_small
 );
 criterion_main!(benches);

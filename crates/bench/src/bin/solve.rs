@@ -20,7 +20,10 @@
 //! ```
 //!
 //! Every synthesis run searches on its own job thread; `--parallel N`
-//! runs N jobs at a time.
+//! runs N jobs at a time. A job's budget is `--timeout`, else
+//! `RBSYN_TIMEOUT_SECS`, else — for a `--spec-dir` batch — its file's own
+//! `timeout_secs` (as `--spec` honours it) and, for the registry batch,
+//! 60 s (as `solve <ID>` defaults).
 //!
 //! `--compare` runs a sequential baseline first (one job thread), then
 //! the requested `--parallel` configuration,
@@ -58,8 +61,8 @@
 //! `--json` output.
 
 use rbsyn_bench::harness::{
-    batch_stats_json, exit_codes, format_batch_solutions, format_batch_stats, json_escape,
-    parse_ids, run_suite_on, write_output_or_exit, Config,
+    batch_stats_json, env_timeout, exit_codes, format_batch_solutions, format_batch_stats,
+    json_escape, parse_ids, run_suite_on, write_output_or_exit, Config,
 };
 use rbsyn_core::{Options, SynthError, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
@@ -305,13 +308,7 @@ fn run_one(
     if let (Some(t), Some(path)) = (tracer, cli.trace.as_deref()) {
         let status = match &result {
             Ok(_) => "solved",
-            Err(e) => {
-                if exit_codes::for_error(e) == exit_codes::TIMEOUT {
-                    "timeout"
-                } else {
-                    "failed"
-                }
-            }
+            Err(e) => exit_codes::status(e),
         };
         export_trace(t, path, label, status);
     }
@@ -360,17 +357,11 @@ fn run_one(
             let code = exit_codes::for_error(&e);
             println!("{label} failed: {e}");
             if let Some(path) = &cli.json {
-                let status = if code == exit_codes::TIMEOUT {
-                    "timeout"
-                } else if code == exit_codes::NO_SOLUTION {
-                    "no_solution"
-                } else {
-                    "failed"
-                };
                 let json = format!(
-                    "{{\"id\": \"{}\", \"status\": \"{status}\", \"exit_code\": {code}, \
+                    "{{\"id\": \"{}\", \"status\": \"{}\", \"exit_code\": {code}, \
                      \"error\": \"{}\"}}\n",
                     json_escape(label),
+                    exit_codes::status(&e),
                     json_escape(&e.to_string()),
                 );
                 write_output_or_exit("--json", path, json.as_bytes());
@@ -442,17 +433,21 @@ fn main() {
     }
 
     // Flags override the harness env knobs (RBSYN_BENCH_IDS /
-    // RBSYN_TIMEOUT_SECS); unset flags inherit them.
+    // RBSYN_TIMEOUT_SECS); unset flags inherit them. Given neither budget,
+    // a `--spec-dir` batch keeps each file's own deadline (module doc).
     let mut cfg = Config::from_env_or_exit();
     if let Some(ids) = cli.ids.clone() {
         cfg.ids = ids;
     }
-    if let Some(t) = cli.timeout {
-        cfg.timeout = t;
-    }
+    // `Config::from_env_or_exit` has already rejected a malformed value.
+    let timeout = match cli.timeout.or_else(|| env_timeout().ok().flatten()) {
+        Some(t) => Some(t),
+        None if cli.spec_dir.is_some() => None,
+        None => Some(cfg.timeout),
+    };
 
     let benchmarks = batch_benchmarks(&cli, &cfg);
-    let run = |threads: usize| run_suite_on(benchmarks.clone(), cfg.timeout, threads);
+    let run = |threads: usize| run_suite_on(benchmarks.clone(), timeout, threads);
     if cli.compare {
         // Baseline: one job thread; thread counts must never change the
         // deterministic section.

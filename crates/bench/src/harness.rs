@@ -64,6 +64,15 @@ fn env_uint(name: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// `RBSYN_TIMEOUT_SECS`, when it is set and not empty.
+///
+/// # Errors
+///
+/// A usage message when it holds anything but an unsigned integer.
+pub fn env_timeout() -> Result<Option<Duration>, String> {
+    Ok(env_uint("RBSYN_TIMEOUT_SECS")?.map(Duration::from_secs))
+}
+
 impl Config {
     /// Reads configuration from the environment.
     ///
@@ -76,7 +85,7 @@ impl Config {
     pub fn from_env() -> Result<Config, String> {
         let runs = env_uint("RBSYN_RUNS")?.unwrap_or(3).max(1) as usize;
         let env_secs = |name: &str| Ok::<_, String>(env_uint(name)?.map(Duration::from_secs));
-        let timeout = env_secs("RBSYN_TIMEOUT_SECS")?.unwrap_or(Duration::from_secs(60));
+        let timeout = env_timeout()?.unwrap_or(Duration::from_secs(60));
         let ablation_timeout = env_secs("RBSYN_ABLATION_TIMEOUT_SECS")?
             .unwrap_or_else(|| timeout.min(Duration::from_secs(8)));
         let coarse_timeout = env_secs("RBSYN_COARSE_TIMEOUT_SECS")?
@@ -467,16 +476,22 @@ pub fn format_fig8(rows: &[Fig8Row]) -> String {
 /// Runs `benchmarks` as one parallel batch through
 /// [`rbsyn_core::run_batch`] (`threads` = 0 means all cores, 1 means
 /// sequential job dispatch): one job per benchmark under full guidance
-/// and precise effects, each with its own `timeout` deadline.
-pub fn run_suite_on(benchmarks: Vec<Benchmark>, timeout: Duration, threads: usize) -> BatchReport {
+/// and precise effects, each with its own `timeout` deadline, or with the
+/// deadline of the benchmark's own options when `timeout` is `None`.
+pub fn run_suite_on(
+    benchmarks: Vec<Benchmark>,
+    timeout: Option<Duration>,
+    threads: usize,
+) -> BatchReport {
     let jobs: Vec<BatchJob> = benchmarks
         .into_iter()
         .map(|b| {
+            let base = (b.options)();
             let opts = Options {
                 guidance: Guidance::both(),
                 precision: EffectPrecision::Precise,
-                timeout: Some(timeout),
-                ..(b.options)()
+                timeout: timeout.or(base.timeout),
+                ..base
             };
             // `b.build` is a shared factory closure: cheap to move,
             // shares no mutable state.
@@ -671,11 +686,7 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
                 "    {{\"id\": \"{}\", \"status\": \"{}\", \"exit_code\": {}, \
                  \"elapsed_secs\": {:.6}, \"error\": \"{}\"}}{sep}\n",
                 json_escape(&o.id),
-                if exit_codes::for_error(e) == exit_codes::TIMEOUT {
-                    "timeout"
-                } else {
-                    "failed"
-                },
+                exit_codes::status(e),
                 exit_codes::for_error(e),
                 o.elapsed.as_secs_f64(),
                 json_escape(&e.to_string()),

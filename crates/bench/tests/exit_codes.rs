@@ -7,8 +7,9 @@
 //! The fault-injected legs (`chaos` module) need the `failpoints` feature:
 //! `cargo test -p rbsyn-bench --features failpoints`.
 
-use std::path::Path;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn fixture_dir() -> &'static Path {
     Path::new(concat!(
@@ -53,6 +54,87 @@ fn solve_spec_dir_with_a_parse_error_exits_3() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "{stderr}");
     assert!(stderr.contains("parse_error.rbspec"), "{stderr}");
+}
+
+/// A fresh directory holding only the fixture `name`.
+fn dir_with_only(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("only-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    std::fs::copy(fixture_dir().join(name), dir.join(name)).expect("fixture copies");
+    dir
+}
+
+/// Given no budget (no `--timeout`, no `RBSYN_TIMEOUT_SECS`), a
+/// `--spec-dir` batch runs each file under its own `timeout_secs`, as
+/// `solve --spec` does: the fixture's 1 s deadline ends the run, not the
+/// registry batch's 60 s default. A run still going after 20 s is killed
+/// and fails the test.
+#[test]
+fn spec_dir_batch_honours_each_files_timeout() {
+    let dir = dir_with_only("timeout.rbspec");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(["--all", "--spec-dir"])
+        .arg(&dir)
+        .env_remove("RBSYN_TIMEOUT_SECS")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("solve binary runs");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("solve can be waited on") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(20) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the batch ignored the file's 1 s timeout: still running after 20 s");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(status.code(), Some(4));
+}
+
+/// Batch and single-problem `--json` name a failure class with the same
+/// word: a no-solution job is `no_solution` in both.
+#[test]
+fn no_solution_status_is_the_same_in_batch_and_single_json() {
+    let dir = dir_with_only("no_solution.rbspec");
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (batch, single) = (
+        tmp.join("no_solution-batch.json"),
+        tmp.join("no_solution-single.json"),
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(["--all", "--spec-dir"])
+        .arg(&dir)
+        .arg("--json")
+        .arg(&batch)
+        .output()
+        .expect("solve binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .arg("--spec")
+        .arg(dir.join("no_solution.rbspec"))
+        .arg("--json")
+        .arg(&single)
+        .output()
+        .expect("solve binary runs");
+    assert_eq!(out.status.code(), Some(5));
+    for path in [batch, single] {
+        let json = std::fs::read_to_string(&path).expect("--json file is written");
+        assert!(
+            json.contains("\"status\": \"no_solution\""),
+            "{}: {json}",
+            path.display()
+        );
+    }
 }
 
 #[test]

@@ -15,8 +15,6 @@ pub enum SynthError {
     },
     /// Per-spec solutions exist but no merged program passes every spec.
     MergeFailed,
-    /// A needed branch condition could not be synthesized.
-    GuardNotFound,
     /// The problem is malformed (no specs, bad arity, …).
     BadProblem(String),
     /// The synthesizer itself failed — a panic inside the search,
@@ -50,7 +48,6 @@ impl fmt::Display for SynthError {
                 )
             }
             SynthError::MergeFailed => write!(f, "no merged program passes all specs"),
-            SynthError::GuardNotFound => write!(f, "no branch condition distinguishes the specs"),
             SynthError::BadProblem(msg) => write!(f, "malformed synthesis problem: {msg}"),
             SynthError::Internal(msg) => write!(f, "internal error: {msg}"),
         }

@@ -18,17 +18,26 @@ pub const PARSE: i32 = 3;
 /// Synthesis hit its deadline.
 pub const TIMEOUT: i32 = 4;
 /// The bounded search space was exhausted with no solution (no
-/// per-spec solution, merge failure, or missing guard).
+/// per-spec solution, or no merged program passes every spec).
 pub const NO_SOLUTION: i32 = 5;
 
 /// The exit code for one synthesis error.
 pub fn for_error(e: &SynthError) -> i32 {
     match e {
         SynthError::Timeout => TIMEOUT,
-        SynthError::NoSolution { .. } | SynthError::MergeFailed | SynthError::GuardNotFound => {
-            NO_SOLUTION
-        }
+        SynthError::NoSolution { .. } | SynthError::MergeFailed => NO_SOLUTION,
         SynthError::BadProblem(_) | SynthError::Internal(_) => OTHER,
+    }
+}
+
+/// The `"status"` word for a failed run in `--json` reports and trace
+/// metadata, one per failure class: `timeout`, `no_solution` or `failed`
+/// (a solved run is `solved`).
+pub fn status(e: &SynthError) -> &'static str {
+    match for_error(e) {
+        TIMEOUT => "timeout",
+        NO_SOLUTION => "no_solution",
+        _ => "failed",
     }
 }
 
@@ -97,5 +106,16 @@ mod tests {
         );
         assert_eq!(for_batch(&report(&[None, internal])), OTHER);
         assert_eq!(for_batch(&report(&[None, None])), OK);
+    }
+
+    #[test]
+    fn status_names_each_failure_class() {
+        assert_eq!(status(&SynthError::Timeout), "timeout");
+        assert_eq!(status(&SynthError::MergeFailed), "no_solution");
+        assert_eq!(
+            status(&SynthError::NoSolution { spec: "s".into() }),
+            "no_solution"
+        );
+        assert_eq!(status(&SynthError::Internal("boom".into())), "failed");
     }
 }

@@ -12,8 +12,9 @@
 //! 2. synthesizes branch conditions that distinguish the specs' setups
 //!    ([`guards`]);
 //! 3. merges per-spec solutions into one branching program with the rewrite
-//!    rules of Fig. 6/Fig. 13, deciding implications with a SAT solver
-//!    (Algorithm 1, [`merge`]).
+//!    rules of Fig. 6/Fig. 13, deciding implications between branch
+//!    conditions by checking every assignment of their atoms (Algorithm 1,
+//!    [`merge`]).
 //!
 //! The search is deterministic; candidates are explored by (passed
 //! assertions ↓, AST size ↑, insertion order) exactly as §4 describes. The

@@ -4,9 +4,9 @@
 //!
 //! A merge works over tuples `⟨e, b, Ψ⟩` — hypothesis "`if b then e`
 //! satisfies specs Ψ". Chains of tuples (one per `⊕`) are rewritten to
-//! fixpoint; implications between branch conditions are decided by the SAT
-//! solver over the conditions' boolean skeletons, exactly the heuristic
-//! encoding the paper describes.
+//! fixpoint; implications between branch conditions are decided on the
+//! conditions' boolean skeletons, exactly the heuristic encoding the paper
+//! describes, by checking every assignment of their atoms ([`implies`]).
 //!
 //! Because guard synthesis is an *oracle* search ("truthy under Ψ₁'s
 //! setups, falsy under Ψ₂'s"), the smallest oracle-passing condition can be
@@ -33,7 +33,6 @@ use crate::guards::{negate, GuardPool, GuardQuery};
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, Spec};
 use rbsyn_lang::{Expr, Program, Symbol, Ty, Value};
-use rbsyn_sat::{is_valid_implication, Formula};
 use rbsyn_trace::Phase;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -49,41 +48,74 @@ pub struct Tuple {
     pub specs: Vec<usize>,
 }
 
-/// Maps branch conditions to SAT formulas: each distinct atomic condition
-/// becomes a fresh boolean variable; `!` and `∨` map to the connectives
-/// (§3.3 "Checking Implication").
-#[derive(Default)]
-pub struct CondEncoder {
-    atoms: HashMap<String, u32>,
+/// `b₁ ⇒ b₂` on the conditions' boolean skeletons (§3.3 "Checking
+/// Implication"): each distinct atomic condition (keyed by its compact
+/// text) is a variable, `true`/`false` are constants and `!`/`∨` are the
+/// connectives. The implication holds when `b₂` is true under every
+/// assignment of the atoms that makes `b₁` true; the check stops at the
+/// first counterexample. No query the paper suite or either corpus makes
+/// has more than two atoms, so the 2^k assignments are at most four
+/// evaluations.
+pub fn implies(b1: &Expr, b2: &Expr) -> bool {
+    let mut atoms = Vec::new();
+    collect_atoms(b1, &mut atoms);
+    collect_atoms(b2, &mut atoms);
+    let mut values = Vec::with_capacity(atoms.len());
+    every_assignment(atoms.len(), &mut values, &|v| {
+        !skeleton_holds(b1, &atoms, v) || skeleton_holds(b2, &atoms, v)
+    })
 }
 
-impl CondEncoder {
-    /// Encodes a condition expression.
-    pub fn encode(&mut self, e: &Expr) -> Formula {
-        match e {
-            Expr::Lit(Value::Bool(true)) => Formula::True,
-            Expr::Lit(Value::Bool(false)) => Formula::False,
-            Expr::Not(b) => Formula::not(self.encode(b)),
-            Expr::Or(a, b) => Formula::or(self.encode(a), self.encode(b)),
-            atom => {
-                let key = atom.compact();
-                let next = self.atoms.len() as u32;
-                let id = *self.atoms.entry(key).or_insert(next);
-                Formula::Var(id)
+/// `b₁ ⇔ b₂`.
+fn equiv(b1: &Expr, b2: &Expr) -> bool {
+    implies(b1, b2) && implies(b2, b1)
+}
+
+/// Appends the compact text of each atom of `e` not yet in `atoms`.
+fn collect_atoms(e: &Expr, atoms: &mut Vec<String>) {
+    match e {
+        Expr::Lit(Value::Bool(_)) => {}
+        Expr::Not(b) => collect_atoms(b, atoms),
+        Expr::Or(a, b) => {
+            collect_atoms(a, atoms);
+            collect_atoms(b, atoms);
+        }
+        atom => {
+            let key = atom.compact();
+            if !atoms.contains(&key) {
+                atoms.push(key);
             }
         }
     }
+}
 
-    /// `b₁ ⇒ b₂` on the boolean skeleton.
-    pub fn implies(&mut self, b1: &Expr, b2: &Expr) -> bool {
-        let (f1, f2) = (self.encode(b1), self.encode(b2));
-        is_valid_implication(&f1, &f2)
+/// The value of `e`'s skeleton when `atoms[i]` is `values[i]`.
+fn skeleton_holds(e: &Expr, atoms: &[String], values: &[bool]) -> bool {
+    match e {
+        Expr::Lit(Value::Bool(b)) => *b,
+        Expr::Not(b) => !skeleton_holds(b, atoms, values),
+        Expr::Or(a, b) => skeleton_holds(a, atoms, values) || skeleton_holds(b, atoms, values),
+        atom => {
+            let key = atom.compact();
+            let i = atoms.iter().position(|a| *a == key);
+            values[i.expect("every atom was collected")]
+        }
     }
+}
 
-    /// `b₁ ⇔ b₂`.
-    pub fn equiv(&mut self, b1: &Expr, b2: &Expr) -> bool {
-        self.implies(b1, b2) && self.implies(b2, b1)
+/// Does `check` hold for every extension of `values` to `n` booleans?
+/// Recurses one variable at a time (no `1 << n` bit mask to overflow) and
+/// stops at the first assignment that fails.
+fn every_assignment(n: usize, values: &mut Vec<bool>, check: &dyn Fn(&[bool]) -> bool) -> bool {
+    if values.len() == n {
+        return check(values);
     }
+    [false, true].into_iter().all(|v| {
+        values.push(v);
+        let ok = every_assignment(n, values, check);
+        values.pop();
+        ok
+    })
 }
 
 /// A strengthening request: guard truthy on `pos` specs, falsy on `neg`.
@@ -328,7 +360,7 @@ pub fn merge_program(ctx: &mut MergeCtx<'_>, tuples: Vec<Tuple>) -> Result<Progr
             }
             let chain: Vec<Tuple> = order.iter().map(|&i| tuples[i].clone()).collect();
             let (chain, used) = rewrite_chain(ctx, chain, &selector)?;
-            let body = build_body(&chain, &mut CondEncoder::default());
+            let body = build_body(&chain);
             let valid = ctx.passes_all_specs(&body);
             if valid {
                 // §4: remember the validated branch conditions. Later `⊕`
@@ -376,7 +408,6 @@ fn rewrite_chain(
     mut chain: Vec<Tuple>,
     selector: &HashMap<GuardKey, usize>,
 ) -> Result<(Vec<Tuple>, GuardUses), SynthError> {
-    let mut enc = CondEncoder::default();
     let mut used: GuardUses = Vec::new();
     let pick = |ctx: &mut MergeCtx<'_>,
                 key: GuardKey,
@@ -402,7 +433,7 @@ fn rewrite_chain(
                 s
             };
             if a.expr == b.expr {
-                let t = if enc.implies(&a.cond, &b.cond) {
+                let t = if implies(&a.cond, &b.cond) {
                     // Rule 1.
                     Tuple {
                         expr: a.expr.clone(),
@@ -427,7 +458,7 @@ fn rewrite_chain(
                 (Expr::Lit(Value::Bool(true)), Expr::Lit(Value::Bool(false)))
                     | (Expr::Lit(Value::Bool(false)), Expr::Lit(Value::Bool(true)))
             );
-            if bool_pair && enc.equiv(&a.cond, &negate(&b.cond)) {
+            if bool_pair && equiv(&a.cond, &negate(&b.cond)) {
                 let expr = if matches!(a.expr, Expr::Lit(Value::Bool(true))) {
                     a.cond.clone() // Rule 4
                 } else {
@@ -446,7 +477,7 @@ fn rewrite_chain(
             // strengthen both via guard covering. Both halves of the pair
             // (and every backtracking re-request) are answered from the
             // problem's shared guard pool.
-            if enc.implies(&a.cond, &b.cond) {
+            if implies(&a.cond, &b.cond) {
                 let k1: GuardKey = (a.specs.clone(), b.specs.clone());
                 let k2: GuardKey = (b.specs.clone(), a.specs.clone());
                 let Some(b1) = pick(ctx, k1, &[], &mut used)? else {
@@ -504,16 +535,16 @@ fn guard_holds(ctx: &mut MergeCtx<'_>, bg: &Expr, specs: &[usize]) -> bool {
 /// Appendix A.4 simplifications: a tautological guard drops its
 /// conditional, and a final branch guarded by the negation of the previous
 /// condition becomes a plain `else`.
-fn build_body(chain: &[Tuple], enc: &mut CondEncoder) -> Expr {
+fn build_body(chain: &[Tuple]) -> Expr {
     // A tuple guarded by a tautology (e.g. the `b ∨ !b` rules 4/5 produce)
     // needs no conditional at all.
-    fn is_taut(enc: &mut CondEncoder, e: &Expr) -> bool {
-        matches!(e, Expr::Lit(Value::Bool(true))) || enc.implies(&Expr::Lit(Value::Bool(true)), e)
+    fn is_taut(e: &Expr) -> bool {
+        matches!(e, Expr::Lit(Value::Bool(true))) || implies(&Expr::Lit(Value::Bool(true)), e)
     }
-    fn go(chain: &[Tuple], enc: &mut CondEncoder) -> Expr {
+    fn go(chain: &[Tuple]) -> Expr {
         match chain {
             [] => Expr::Lit(Value::Nil),
-            [t] if is_taut(enc, &t.cond) => t.expr.clone(),
+            [t] if is_taut(&t.cond) => t.expr.clone(),
             [t, rest @ ..] => {
                 // `if b then e else if !b then e2 else nil` → else e2.
                 if let [next] = rest {
@@ -528,12 +559,12 @@ fn build_body(chain: &[Tuple], enc: &mut CondEncoder) -> Expr {
                 Expr::If {
                     cond: Box::new(t.cond.clone()),
                     then: Box::new(t.expr.clone()),
-                    els: Box::new(go(rest, enc)),
+                    els: Box::new(go(rest)),
                 }
             }
         }
     }
-    go(chain, enc)
+    go(chain)
 }
 
 /// Deterministic permutations of `0..n`, capped.
@@ -575,15 +606,21 @@ mod tests {
     use rbsyn_lang::builder::*;
 
     #[test]
-    fn encoder_maps_atoms_consistently() {
-        let mut enc = CondEncoder::default();
+    fn implication_treats_atoms_as_variables() {
         let b = call(var("Post"), "exists?", []);
-        assert!(enc.implies(&b, &b));
-        assert!(enc.implies(&b, &or(b.clone(), var("other"))));
-        assert!(!enc.implies(&b, &var("other")));
-        assert!(enc.equiv(&not(not(b.clone())), &b));
-        assert!(enc.implies(&false_(), &b));
-        assert!(enc.implies(&b, &true_()));
+        assert!(implies(&b, &b));
+        assert!(implies(&b, &or(b.clone(), var("other"))));
+        assert!(!implies(&b, &var("other")));
+        assert!(equiv(&not(not(b.clone())), &b));
+        assert!(implies(&false_(), &b));
+        assert!(implies(&b, &true_()));
+        // A tautology whose one atom repeats.
+        assert!(implies(&true_(), &or(b.clone(), not(b.clone()))));
+        assert!(!implies(&true_(), &or(b.clone(), not(var("other")))));
+        // Two separately built but equal atoms are one variable.
+        let again = call(var("Post"), "exists?", []);
+        assert!(equiv(&b, &again));
+        assert!(implies(&true_(), &or(b.clone(), not(again))));
     }
 
     #[test]
@@ -596,16 +633,12 @@ mod tests {
 
     #[test]
     fn build_body_shapes() {
-        let mut enc = CondEncoder::default();
         let t1 = Tuple {
             expr: int(1),
             cond: true_(),
             specs: vec![0],
         };
-        assert_eq!(
-            build_body(std::slice::from_ref(&t1), &mut enc).compact(),
-            "1"
-        );
+        assert_eq!(build_body(std::slice::from_ref(&t1)).compact(), "1");
         let b = var("b");
         let t2 = Tuple {
             expr: int(1),
@@ -619,7 +652,7 @@ mod tests {
         };
         // Negated pair collapses to if/else.
         assert_eq!(
-            build_body(&[t2.clone(), t3], &mut enc).compact(),
+            build_body(&[t2.clone(), t3]).compact(),
             "if b then 1 else 2 end"
         );
         // Non-negated tail keeps the else-if chain with nil default.
@@ -629,20 +662,19 @@ mod tests {
             specs: vec![1],
         };
         assert_eq!(
-            build_body(&[t2, t4], &mut enc).compact(),
+            build_body(&[t2, t4]).compact(),
             "if b then 1 else if c then 2 else nil end end"
         );
     }
 
     #[test]
     fn tautological_guards_drop_the_conditional() {
-        let mut enc = CondEncoder::default();
         let t = Tuple {
             expr: var("e"),
             cond: or(var("b"), not(var("b"))),
             specs: vec![0, 1],
         };
-        assert_eq!(build_body(&[t], &mut enc).compact(), "e");
+        assert_eq!(build_body(&[t]).compact(), "e");
     }
 
     #[test]

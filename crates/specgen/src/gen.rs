@@ -1294,9 +1294,7 @@ pub fn solve_and_check(c: &Candidate, honor_timeout: bool) -> Verdict {
             Verdict::Solved(Box::new(res.program))
         }
         Err(SynthError::Timeout) => Verdict::Timeout,
-        Err(
-            SynthError::NoSolution { .. } | SynthError::MergeFailed | SynthError::GuardNotFound,
-        ) => Verdict::NoSolution,
+        Err(SynthError::NoSolution { .. } | SynthError::MergeFailed) => Verdict::NoSolution,
         Err(e) => Verdict::Error(format!("{e:?}")),
     }
 }

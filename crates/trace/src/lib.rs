@@ -15,8 +15,8 @@
 //! plain `RefCell` access — no atomics, no locks, no allocation beyond
 //! the ring itself. Buffers drain into the session's collector (the only
 //! lock, taken once per flush, never per event) at explicit boundaries:
-//! speculation-worker shutdown, batch job-thread exit, and
-//! [`Session::finish`] on the coordinating thread. The
+//! batch job-thread exit and [`Session::finish`] on the coordinating
+//! thread. The
 //! engine holds the session as an `Option`: with tracing off every
 //! instrumentation site is one `None` check, so tracing off is zero-cost
 //! and — because recording only *reads* engine state — tracing on leaves
@@ -396,7 +396,7 @@ impl Session {
 
     /// Flushes the calling thread's buffer and collects every drained
     /// chunk into a [`Trace`]. Threads that recorded but have not flushed
-    /// (none, once the engine's task/worker/job boundaries are honoured)
+    /// (none, once the batch driver's job-thread exits are honoured)
     /// contribute nothing.
     pub fn finish(&self) -> Trace {
         flush_current_thread();
@@ -422,7 +422,7 @@ impl Session {
 }
 
 /// Flushes the calling thread's local buffer into its session, if it has
-/// one. The engine calls this at task, worker and job boundaries; with
+/// one. The batch driver calls this as each job thread exits; with
 /// tracing off (no local buffer) it is one thread-local `None` check.
 pub fn flush_current_thread() {
     LOCAL.with(|slot| {

@@ -9,7 +9,7 @@
 //! This is benchmark S6 ("overview (ext)") of Table 1 and exercises the
 //! full pipeline: type-guided search, effect-guided hole insertion from the
 //! failing assertions' read effects, branch-condition synthesis, and
-//! SAT-backed merging.
+//! merging under the rewrite rules.
 
 use rbsyn::core::Synthesizer;
 use rbsyn::suite::benchmark;

@@ -11,7 +11,6 @@
 //!   signatures with comp types, the class table;
 //! * [`db`] — in-memory relational store;
 //! * [`interp`] — effect-tracking interpreter and spec runner;
-//! * [`sat`] — DPLL SAT solver for branch-condition implications;
 //! * [`stdlib`] — the annotated "Ruby core + ActiveRecord" library;
 //! * [`core`] — the synthesizer itself (goals, search, merging);
 //! * [`front`] — the textual `.rbspec` frontend (problems as data);
@@ -26,7 +25,6 @@ pub use rbsyn_db as db;
 pub use rbsyn_front as front;
 pub use rbsyn_interp as interp;
 pub use rbsyn_lang as lang;
-pub use rbsyn_sat as sat;
 pub use rbsyn_stdlib as stdlib;
 pub use rbsyn_suite as suite;
 pub use rbsyn_ty as ty;

@@ -1,13 +1,14 @@
 //! Property-based tests over the core data structures and invariants:
 //! subtyping is a preorder with `Nil` bottom / `Obj` top, effect
-//! subsumption is a preorder compatible with union, the SAT solver agrees
-//! with truth tables, and metrics/printing behave structurally.
+//! subsumption is a preorder compatible with union, the merge's
+//! implication check agrees with truth tables, and metrics/printing behave
+//! structurally.
 
 use proptest::prelude::*;
+use rbsyn::core::merge::implies;
 use rbsyn::lang::builder::*;
 use rbsyn::lang::metrics::{node_count, path_count};
-use rbsyn::lang::{Effect, EffectSet, Expr, Symbol, Ty};
-use rbsyn::sat::{is_satisfiable, Formula};
+use rbsyn::lang::{Effect, EffectSet, Expr, Symbol, Ty, Value};
 use rbsyn::ty::{effect_subsumed, is_subtype, ClassHierarchy};
 
 fn hierarchy() -> (ClassHierarchy, Vec<rbsyn::lang::ClassId>) {
@@ -59,19 +60,37 @@ fn arb_effect() -> impl Strategy<Value = EffectSet> {
     prop::collection::vec(atom, 0..4).prop_map(EffectSet::from_atoms)
 }
 
-fn arb_formula() -> impl Strategy<Value = Formula> {
+/// The atoms of [`arb_skeleton`]; atom `i` is bit `i` of an assignment.
+const ATOMS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// A branch condition's boolean skeleton: `!`/`||` over the atoms `a`–`d`
+/// and the `true`/`false` literals.
+fn arb_skeleton() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        Just(Formula::True),
-        Just(Formula::False),
-        (0u32..4).prop_map(Formula::Var),
+        Just(true_()),
+        Just(false_()),
+        (0usize..4).prop_map(|i| var(ATOMS[i])),
     ];
     leaf.prop_recursive(4, 24, 2, |inner| {
         prop_oneof![
-            inner.clone().prop_map(Formula::not),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::and(a, b)),
-            (inner.clone(), inner).prop_map(|(a, b)| Formula::or(a, b)),
+            inner.clone().prop_map(not),
+            (inner.clone(), inner).prop_map(|(a, b)| or(a, b)),
         ]
     })
+}
+
+/// The value of an [`arb_skeleton`] condition under the assignment `bits`.
+fn truth(e: &Expr, bits: u32) -> bool {
+    match e {
+        Expr::Lit(Value::Bool(b)) => *b,
+        Expr::Not(x) => !truth(x, bits),
+        Expr::Or(x, y) => truth(x, bits) || truth(y, bits),
+        atom => {
+            let name = atom.compact();
+            let i = ATOMS.iter().position(|a| *a == name).expect("an atom a–d");
+            bits & (1 << i) != 0
+        }
+    }
 }
 
 fn arb_expr() -> impl Strategy<Value = Expr> {
@@ -163,17 +182,16 @@ proptest! {
     }
 
     #[test]
-    fn sat_agrees_with_truth_tables(f in arb_formula()) {
-        let n = f.num_vars().max(1);
-        let mut brute = false;
-        for bits in 0..(1u32 << n) {
-            let assignment: Vec<bool> = (0..n).map(|i| bits & (1 << i) != 0).collect();
-            if f.eval(&assignment) {
-                brute = true;
-                break;
-            }
-        }
-        prop_assert_eq!(is_satisfiable(&f), brute, "formula {}", f);
+    fn implies_agrees_with_truth_tables(p in arb_skeleton(), q in arb_skeleton()) {
+        let brute = (0..16u32).all(|bits| !truth(&p, bits) || truth(&q, bits));
+        prop_assert_eq!(implies(&p, &q), brute, "{} => {}", p.compact(), q.compact());
+        prop_assert!(implies(&p, &p), "reflexive: {}", p.compact());
+        prop_assert!(implies(&p, &or(p.clone(), q.clone())), "weakening");
+        prop_assert_eq!(
+            implies(&p, &q),
+            implies(&not(q.clone()), &not(p.clone())),
+            "contrapositive"
+        );
     }
 
     #[test]
