@@ -20,10 +20,14 @@
 //! ```
 //!
 //! Every synthesis run searches on its own job thread; `--parallel N`
-//! runs N jobs at a time. A job's budget is `--timeout`, else
-//! `RBSYN_TIMEOUT_SECS`, else — for a `--spec-dir` batch — its file's own
-//! `timeout_secs` (as `--spec` honours it) and, for the registry batch,
-//! 60 s (as `solve <ID>` defaults).
+//! runs N jobs at a time.
+//!
+//! One budget rule holds in every mode: a run's budget is `--timeout` (or
+//! `solve <ID>`'s positional seconds), else `RBSYN_TIMEOUT_SECS`, else a
+//! `.rbspec` file's own `timeout_secs` (`--spec FILE` and `--spec-dir`
+//! batches; `0` = no deadline), else 60 s (`solve <ID>` and the registry
+//! batch). An `RBSYN_TIMEOUT_SECS` that is not an unsigned integer is a
+//! usage error in every mode.
 //!
 //! `--compare` runs a sequential baseline first (one job thread), then
 //! the requested `--parallel` configuration,
@@ -268,13 +272,24 @@ fn export_trace(session: Session, path: &str, label: &str, status: &str) {
     );
 }
 
+/// The first two steps of the module doc's budget rule, shared by every
+/// mode: `--timeout` (or the positional seconds), else
+/// `RBSYN_TIMEOUT_SECS`. A malformed variable exits with `USAGE` even
+/// when the flag is given, as in a batch.
+fn flag_or_env_budget(cli: &Cli) -> Option<Duration> {
+    let env = env_timeout().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(exit_codes::USAGE)
+    });
+    cli.timeout.or(env)
+}
+
 /// Synthesizes one problem, prints the outcome (and `--json` if asked),
-/// and exits with the class-specific code. CLI flags override `base` only
-/// when actually given — a `.rbspec` file's `options do … end` (timeout,
-/// size bounds) is honoured otherwise. `default_timeout` backs
-/// the registry path's historical 60 s default; `None` leaves the base
-/// deadline alone (including a file's explicit `timeout_secs: 0` =
-/// unlimited).
+/// and exits with the class-specific code. The budget is
+/// [`flag_or_env_budget`], else `default_timeout` (the registry path's
+/// 60 s); `None` leaves `base`'s deadline alone, so a `.rbspec` file's
+/// `options do … end` is honoured (including an explicit
+/// `timeout_secs: 0` = unlimited).
 fn run_one(
     label: &str,
     display: &str,
@@ -285,10 +300,8 @@ fn run_one(
     default_timeout: Option<Duration>,
 ) -> ! {
     let mut opts = base;
-    match (cli.timeout, default_timeout) {
-        (Some(t), _) => opts.timeout = Some(t),
-        (None, Some(d)) => opts.timeout = Some(d),
-        (None, None) => {}
+    if let Some(t) = flag_or_env_budget(cli).or(default_timeout) {
+        opts.timeout = Some(t);
     }
     let trace_cfg = cli
         .trace
@@ -439,8 +452,7 @@ fn main() {
     if let Some(ids) = cli.ids.clone() {
         cfg.ids = ids;
     }
-    // `Config::from_env_or_exit` has already rejected a malformed value.
-    let timeout = match cli.timeout.or_else(|| env_timeout().ok().flatten()) {
+    let timeout = match flag_or_env_budget(&cli) {
         Some(t) => Some(t),
         None if cli.spec_dir.is_some() => None,
         None => Some(cfg.timeout),

@@ -65,35 +65,84 @@ fn dir_with_only(name: &str) -> PathBuf {
     dir
 }
 
-/// Given no budget (no `--timeout`, no `RBSYN_TIMEOUT_SECS`), a
-/// `--spec-dir` batch runs each file under its own `timeout_secs`, as
-/// `solve --spec` does: the fixture's 1 s deadline ends the run, not the
-/// registry batch's 60 s default. A run still going after 20 s is killed
-/// and fails the test.
-#[test]
-fn spec_dir_batch_honours_each_files_timeout() {
-    let dir = dir_with_only("timeout.rbspec");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_solve"))
-        .args(["--all", "--spec-dir"])
-        .arg(&dir)
-        .env_remove("RBSYN_TIMEOUT_SECS")
+/// Runs `cmd` with its output discarded and returns its exit code. A run
+/// still going after 20 s is killed and fails the test with `why`.
+fn exit_code_within_20s(cmd: &mut Command, why: &str) -> Option<i32> {
+    let mut child = cmd
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("solve binary runs");
     let started = Instant::now();
-    let status = loop {
+    loop {
         if let Some(status) = child.try_wait().expect("solve can be waited on") {
-            break status;
+            return status.code();
         }
         if started.elapsed() > Duration::from_secs(20) {
             let _ = child.kill();
             let _ = child.wait();
-            panic!("the batch ignored the file's 1 s timeout: still running after 20 s");
+            panic!("{why}: still running after 20 s");
         }
         std::thread::sleep(Duration::from_millis(50));
-    };
-    assert_eq!(status.code(), Some(4));
+    }
+}
+
+/// Given no budget (no `--timeout`, no `RBSYN_TIMEOUT_SECS`), a
+/// `--spec-dir` batch runs each file under its own `timeout_secs`, as
+/// `solve --spec` does: the fixture's 1 s deadline ends the run, not the
+/// registry batch's 60 s default.
+#[test]
+fn spec_dir_batch_honours_each_files_timeout() {
+    let dir = dir_with_only("timeout.rbspec");
+    let code = exit_code_within_20s(
+        Command::new(env!("CARGO_BIN_EXE_solve"))
+            .args(["--all", "--spec-dir"])
+            .arg(&dir)
+            .env_remove("RBSYN_TIMEOUT_SECS"),
+        "the batch ignored the file's 1 s timeout",
+    );
+    assert_eq!(code, Some(4));
+}
+
+/// `RBSYN_TIMEOUT_SECS` outranks a file's own budget in `solve --spec`,
+/// as it does in a batch: the timeout fixture with `timeout_secs: 0` (no
+/// deadline) stops after the variable's 1 s.
+#[test]
+fn solve_spec_honours_the_timeout_env() {
+    let text = std::fs::read_to_string(fixture_dir().join("timeout.rbspec"))
+        .expect("fixture reads")
+        .replace("timeout_secs: 1", "timeout_secs: 0");
+    assert!(
+        text.contains("timeout_secs: 0"),
+        "the fixture pins a budget"
+    );
+    let stall = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stall.rbspec");
+    std::fs::write(&stall, text).expect("temp dir is writable");
+    let code = exit_code_within_20s(
+        Command::new(env!("CARGO_BIN_EXE_solve"))
+            .arg("--spec")
+            .arg(&stall)
+            .env("RBSYN_TIMEOUT_SECS", "1"),
+        "solve --spec ignored RBSYN_TIMEOUT_SECS=1",
+    );
+    assert_eq!(code, Some(4));
+}
+
+/// A malformed `RBSYN_TIMEOUT_SECS` is a usage error in single-problem
+/// mode too, with the batch's message.
+#[test]
+fn solve_single_malformed_timeout_env_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .arg("S1")
+        .env("RBSYN_TIMEOUT_SECS", "1.5")
+        .output()
+        .expect("solve binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("RBSYN_TIMEOUT_SECS=\"1.5\" is not an unsigned integer"),
+        "{stderr}"
+    );
 }
 
 /// Batch and single-problem `--json` name a failure class with the same

@@ -49,7 +49,8 @@ pub type JobBuilder = Box<dyn Fn() -> (InterpEnv, SynthesisProblem) + Send + Syn
 
 /// One independent synthesis task in a batch.
 pub struct BatchJob {
-    /// Stable identifier (benchmark id, ticket id, …) used in reports.
+    /// Stable identifier (a benchmark id such as `A7` or `gen0108`) used
+    /// in reports.
     pub id: String,
     /// Environment + problem factory; must not capture shared mutable
     /// state.
@@ -319,9 +320,6 @@ pub fn run_batch(jobs: &[BatchJob], threads: usize) -> BatchReport {
                         });
                     *contention::lock(&slots[i]) = Some(outcome);
                 }
-                // Worker exit: hand any traced events to their session
-                // before the scoped thread disappears (no-op untraced).
-                rbsyn_trace::flush_current_thread();
             });
         }
     });

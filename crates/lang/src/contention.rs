@@ -3,7 +3,7 @@
 //! Every named lock in the synthesis pipeline (the lock hierarchy in
 //! `CONCURRENCY.md`) is taken through [`read()`], [`write()`] or [`lock()`].
 //! Poisoned locks are recovered, not propagated: every structure behind
-//! these locks (the interner's insert maps, the batch result slots) is
+//! these locks (the interner's insert map, the batch result slots) is
 //! valid at rest — an insert or a store either completes or does not —
 //! so a panic elsewhere cannot leave a half-updated value for a later
 //! reader.

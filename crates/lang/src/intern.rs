@@ -5,7 +5,7 @@
 //! names) appear everywhere in the synthesizer's inner loop, so they are
 //! interned once into a [`Symbol`] — a `Copy` integer handle with O(1)
 //! equality and hashing. The interner is a process-wide [`SymbolTable`]:
-//! inserts are striped over independently locked shards, and *resolution*
+//! inserts take its one locked map, and *resolution*
 //! ([`Symbol::as_str`], which every observation hash and every symbol
 //! comparison hits) is a lock-free indexed load from an append-only
 //! segment arena. Interning the same string twice returns the same handle
@@ -99,10 +99,10 @@ pub type FxBuild = BuildHasherDefault<FxHasher>;
 /// [`std::collections::hash_map::DefaultHasher`] passes (fixed-seed, so
 /// values are reproducible within a process) over `(tag, lane, content)`.
 ///
-/// Used wherever a content fingerprint doubles as a cache key — class-table
-/// identity, search-environment tokens — where 64 bits
-/// would leave accidental collisions within reach of a long-running
-/// service. Do not persist the output: it is stable per process, not per
+/// Its one caller is `ClassTable::fingerprint`, whose values only tests
+/// compare: its own unit test and the frontend's rebuild and round-trip
+/// tests, which show that two independently built environments are the
+/// same. Do not persist the output: it is stable per process, not per
 /// toolchain.
 pub fn hash128(tag: &str, content: &impl std::hash::Hash) -> u128 {
     use std::collections::hash_map::DefaultHasher;
@@ -119,8 +119,7 @@ pub fn hash128(tag: &str, content: &impl std::hash::Hash) -> u128 {
 /// Construct with [`Symbol::intern`] (or the `From<&str>` impl) and convert
 /// back with [`Symbol::as_str`]. Symbols are ordered by their *string*
 /// contents so that search exploration order is independent of interning
-/// order — and, since the table went sharded, independent of the shard
-/// layout too.
+/// order.
 ///
 /// # Example
 ///
@@ -135,12 +134,12 @@ pub fn hash128(tag: &str, content: &impl std::hash::Hash) -> u128 {
 pub struct Symbol(u32);
 
 /// Log₂ of the first segment's capacity: segment `i` holds
-/// `512 << i` slots, so a shard's capacity doubles with each segment and
+/// `512 << i` slots, so the arena's capacity doubles with each segment and
 /// 24 segments cover the whole `u32` slot space.
 const SEG0_BITS: u32 = 9;
 
-/// Segments per shard (enough that `segment_of` can never run off the
-/// end for any encodable slot).
+/// Segments in the arena (enough that `segment_of` can never run off the
+/// end for any `u32` slot).
 const SEGMENTS: usize = 24;
 
 /// `(segment, offset)` of a slot under the doubling layout: segment `s`
@@ -152,17 +151,27 @@ fn segment_of(slot: u32) -> (usize, usize) {
     (seg, (slot - base) as usize)
 }
 
-/// One stripe of a [`SymbolTable`]: a locked insert map plus a lock-free,
-/// append-only resolution arena.
+/// A string interner with lock-free resolution.
+///
+/// Interning probes one insert map under a shared lock and takes it
+/// exclusively only for a string it has not seen, while *resolution* —
+/// the hot direction, hit on every [`Symbol::as_str`], every
+/// content-based observation hash and every [`Symbol`] comparison — is a
+/// plain indexed load from an append-only segment arena with **no lock at
+/// all**.
 ///
 /// The arena is a chain of exponentially growing segments, each slot a
 /// [`OnceLock`]: readers resolve with two atomic loads (segment pointer,
 /// slot) and never block, writers fill slots strictly once while holding
-/// the shard's insert lock. Nothing is ever moved or freed, so a published
-/// `&'static str` stays valid for the process lifetime.
-struct Shard {
-    /// String → encoded [`Symbol`] id. Taken shared for the lookup fast
-    /// path, exclusively for inserts; never touched by resolution.
+/// the insert lock. Nothing is ever moved or freed, so a published
+/// `&'static str` stays valid for the process lifetime. An id is its
+/// slot, so ids are dense and follow interning order.
+///
+/// The table is instantiable for tests; everything else goes through the
+/// process-wide instance behind [`Symbol::intern`].
+pub struct SymbolTable {
+    /// String → id. Taken shared for the lookup fast path, exclusively
+    /// for inserts; never touched by resolution.
     map: RwLock<HashMap<&'static str, u32, FxBuild>>,
     /// Lazily allocated resolution segments (see [`segment_of`]).
     segments: [OnceLock<Box<[OnceLock<&'static str>]>>; SEGMENTS],
@@ -170,72 +179,25 @@ struct Shard {
     len: AtomicU32,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
+impl Default for SymbolTable {
+    fn default() -> SymbolTable {
+        SymbolTable::new()
+    }
+}
+
+impl SymbolTable {
+    /// An empty table.
+    pub fn new() -> SymbolTable {
+        SymbolTable {
             map: RwLock::new(HashMap::default()),
             segments: std::array::from_fn(|_| OnceLock::new()),
             len: AtomicU32::new(0),
         }
     }
 
-    /// Lock-free resolution of a local slot.
-    fn resolve(&self, slot: u32) -> &'static str {
-        let (seg, off) = segment_of(slot);
-        self.segments[seg]
-            .get()
-            .and_then(|s| s[off].get())
-            .expect("symbol slot resolved before publication")
-    }
-}
-
-/// A sharded string interner with lock-free resolution.
-///
-/// Interning stripes strings over independently
-/// locked insert maps (striped by content hash, so two threads interning
-/// different identifiers almost never touch the same lock), while
-/// *resolution* — the hot direction, hit on every [`Symbol::as_str`],
-/// every content-based observation hash and every [`Symbol`] comparison —
-/// is a plain indexed load from an append-only segment arena with **no
-/// lock at all**.
-///
-/// Ids encode `slot << shard_bits | shard`, so `id & (shards − 1)`
-/// recovers the owning stripe. The encoding (and therefore the raw
-/// [`Symbol::index`] values) varies with the shard count, but nothing
-/// observable does: symbols compare, order, print and observation-hash by
-/// string content. The process-wide table uses 16 stripes;
-/// `intern_stress.rs` pins the "layout is unobservable" contract across
-/// every layout from 1 to 16 stripes.
-///
-/// The table is instantiable for tests; everything else goes through the
-/// process-wide instance behind [`Symbol::intern`].
-pub struct SymbolTable {
-    shards: Box<[Shard]>,
-    shard_bits: u32,
-}
-
-impl SymbolTable {
-    /// A table with `shards` stripes, rounded up to a power of two and
-    /// clamped to `1..=64`.
-    pub fn with_shards(shards: usize) -> SymbolTable {
-        let n = shards.clamp(1, 64).next_power_of_two();
-        SymbolTable {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            shard_bits: n.trailing_zeros(),
-        }
-    }
-
-    /// The stripe count (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total symbols interned across all stripes (diagnostics).
+    /// Total symbols interned (diagnostics).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.len.load(Ordering::Relaxed) as usize)
-            .sum()
+        self.len.load(Ordering::Relaxed) as usize
     }
 
     /// Is the table empty?
@@ -243,21 +205,13 @@ impl SymbolTable {
         self.len() == 0
     }
 
-    fn shard_of(&self, s: &str) -> usize {
-        let mut h = FxHasher::default();
-        h.write(s.as_bytes());
-        (h.finish() as usize) & (self.shards.len() - 1)
-    }
-
-    /// Interns `s`, returning its encoded id. Idempotent: equal strings
-    /// always map to one id for the table's lifetime.
+    /// Interns `s`, returning its id. Idempotent: equal strings always
+    /// map to one id for the table's lifetime.
     pub fn intern(&self, s: &str) -> u32 {
-        let shard_idx = self.shard_of(s);
-        let shard = &self.shards[shard_idx];
-        if let Some(&id) = contention::read(&shard.map).get(s) {
+        if let Some(&id) = contention::read(&self.map).get(s) {
             return id;
         }
-        let mut map = contention::write(&shard.map);
+        let mut map = contention::write(&self.map);
         if let Some(&id) = map.get(s) {
             // A racing intern published this string between our probes.
             return id;
@@ -265,9 +219,9 @@ impl SymbolTable {
         // Leaking is fine: the set of identifiers in a synthesis session is
         // small and bounded by the library surface plus spec text.
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let slot = shard.len.load(Ordering::Relaxed);
+        let slot = self.len.load(Ordering::Relaxed);
         let (seg, off) = segment_of(slot);
-        let segment = shard.segments[seg].get_or_init(|| {
+        let segment = self.segments[seg].get_or_init(|| {
             (0..(1usize << (SEG0_BITS as usize + seg)))
                 .map(|_| OnceLock::new())
                 .collect()
@@ -275,10 +229,9 @@ impl SymbolTable {
         segment[off]
             .set(leaked)
             .expect("fresh slot filled twice (insert lock violated)");
-        shard.len.store(slot + 1, Ordering::Release);
-        let id = (slot << self.shard_bits) | (shard_idx as u32);
-        map.insert(leaked, id);
-        id
+        self.len.store(slot + 1, Ordering::Release);
+        map.insert(leaked, slot);
+        slot
     }
 
     /// Lock-free resolution of an id produced by [`SymbolTable::intern`].
@@ -287,18 +240,18 @@ impl SymbolTable {
     ///
     /// Panics on an id this table never handed out.
     pub fn resolve(&self, id: u32) -> &'static str {
-        let shard = (id as usize) & (self.shards.len() - 1);
-        self.shards[shard].resolve(id >> self.shard_bits)
+        let (seg, off) = segment_of(id);
+        self.segments[seg]
+            .get()
+            .and_then(|s| s[off].get())
+            .expect("symbol slot resolved before publication")
     }
 }
-
-/// Stripe count of the process-wide symbol table.
-const GLOBAL_SHARDS: usize = 16;
 
 /// The process-wide table behind [`Symbol`].
 fn global() -> &'static SymbolTable {
     static GLOBAL: OnceLock<SymbolTable> = OnceLock::new();
-    GLOBAL.get_or_init(|| SymbolTable::with_shards(GLOBAL_SHARDS))
+    GLOBAL.get_or_init(SymbolTable::new)
 }
 
 impl Symbol {
@@ -312,10 +265,11 @@ impl Symbol {
         global().resolve(self.0)
     }
 
-    /// Raw encoded handle (`slot << shard_bits | shard`). Stable for the
-    /// process lifetime but **sparse and layout-dependent** — key maps on
-    /// the `Symbol` itself, or order by contents, never index dense arrays
-    /// with this.
+    /// The raw id: this symbol's slot in the process-wide table, stable
+    /// for the process lifetime. Ids follow interning order, and that
+    /// order varies with how batch jobs interleave, so hash by ids (as
+    /// the search's type memo does) but never order by them: [`Symbol`]'s
+    /// `Ord` compares contents.
     pub fn index(self) -> u32 {
         self.0
     }

@@ -1,19 +1,18 @@
-//! Property and stress tests for the sharded, lock-free symbol table.
+//! Property and stress tests for the symbol table and its lock-free
+//! resolution.
 //!
 //! The table's contract: interning is idempotent and race-free (equal
 //! strings always agree on one id, no matter which thread wins the insert
-//! race), resolution round-trips every published id without locking, and
-//! none of this depends on the shard count — shard layout may change the
-//! raw id encoding, never any observable property.
+//! race), distinct strings get distinct ids, and resolution round-trips
+//! every published id without locking.
 
 use proptest::prelude::*;
 use rbsyn_lang::{Symbol, SymbolTable};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
-/// A mixed identifier corpus with deliberate shard-collision pressure:
-/// realistic method/region names plus numbered families that hash all
-/// over the stripe space.
+/// A mixed identifier corpus: realistic method/region names plus
+/// numbered families of them.
 fn corpus(n: usize) -> Vec<String> {
     let stems = [
         "title",
@@ -34,7 +33,7 @@ fn corpus(n: usize) -> Vec<String> {
 
 #[test]
 fn concurrent_overlapping_interns_agree_on_ids() {
-    let table = Arc::new(SymbolTable::with_shards(4));
+    let table = Arc::new(SymbolTable::new());
     let strings = Arc::new(corpus(400));
     const THREADS: usize = 8;
     let barrier = Arc::new(Barrier::new(THREADS));
@@ -79,7 +78,7 @@ fn barrier_race_on_the_insert_path_is_single_publication() {
     // insert-race arm (double-checked write lock) runs constantly. All
     // racers must observe one id, and the table must grow by exactly one
     // slot per round.
-    let table = Arc::new(SymbolTable::with_shards(16));
+    let table = Arc::new(SymbolTable::new());
     const THREADS: usize = 8;
     const ROUNDS: usize = 200;
     let barrier = Arc::new(Barrier::new(THREADS));
@@ -116,34 +115,29 @@ fn barrier_race_on_the_insert_path_is_single_publication() {
 }
 
 #[test]
-fn shard_count_is_unobservable() {
-    // Raw encodings legitimately differ across layouts; every observable
-    // property (round-trip, idempotence, distinctness) must not.
+fn interning_is_idempotent_distinct_and_round_trips() {
     let strings = corpus(300);
-    for shards in [1, 4, 16] {
-        let table = SymbolTable::with_shards(shards);
-        assert_eq!(table.shard_count(), shards);
-        let ids: Vec<u32> = strings.iter().map(|s| table.intern(s)).collect();
-        let again: Vec<u32> = strings.iter().map(|s| table.intern(s)).collect();
-        assert_eq!(ids, again, "{shards}-shard interning must be idempotent");
-        for (s, &id) in strings.iter().zip(&ids) {
-            assert_eq!(table.resolve(id), s.as_str());
-        }
-        let distinct: std::collections::HashSet<u32> = ids.iter().copied().collect();
-        assert_eq!(
-            distinct.len(),
-            strings.len(),
-            "distinct strings, distinct ids"
-        );
-        assert_eq!(table.len(), strings.len());
+    let table = SymbolTable::new();
+    let ids: Vec<u32> = strings.iter().map(|s| table.intern(s)).collect();
+    let again: Vec<u32> = strings.iter().map(|s| table.intern(s)).collect();
+    assert_eq!(ids, again, "interning must be idempotent");
+    for (s, &id) in strings.iter().zip(&ids) {
+        assert_eq!(table.resolve(id), s.as_str());
     }
+    let distinct: std::collections::HashSet<u32> = ids.iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        strings.len(),
+        "distinct strings, distinct ids"
+    );
+    assert_eq!(table.len(), strings.len());
 }
 
 #[test]
-fn segment_growth_survives_thousands_of_symbols_per_shard() {
-    // A 1-shard table forces every insert through one stripe, marching the
-    // arena across several segment boundaries (512, 1536, 3584, …).
-    let table = SymbolTable::with_shards(1);
+fn segment_growth_survives_thousands_of_symbols() {
+    // 5,000 inserts march the arena across several segment boundaries
+    // (512, 1536, 3584, …).
+    let table = SymbolTable::new();
     let strings = corpus(5000);
     let ids: Vec<u32> = strings.iter().map(|s| table.intern(s)).collect();
     for (s, &id) in strings.iter().zip(&ids) {
@@ -153,9 +147,9 @@ fn segment_growth_survives_thousands_of_symbols_per_shard() {
 }
 
 #[test]
-fn global_symbols_order_by_content_not_layout() {
-    // Whatever the process-wide table's layout, ordering must come from
-    // string contents alone.
+fn global_symbols_order_by_content_not_id() {
+    // Ids follow interning order; ordering must come from string contents
+    // alone.
     let mut syms: Vec<Symbol> = ["zeta", "alpha", "mu", "beta"]
         .iter()
         .map(|s| Symbol::intern(s))
@@ -174,19 +168,16 @@ proptest! {
     }
 
     #[test]
-    fn instantiated_tables_roundtrip_and_agree_across_layouts(
+    fn instantiated_table_roundtrips_arbitrary_strings(
         strings in proptest::collection::vec(".{0,32}", 1..40),
-        shards_a in 1usize..=16,
-        shards_b in 1usize..=16,
     ) {
-        let a = SymbolTable::with_shards(shards_a);
-        let b = SymbolTable::with_shards(shards_b);
+        let table = SymbolTable::new();
         for s in &strings {
-            let (ia, ib) = (a.intern(s), b.intern(s));
-            prop_assert_eq!(a.resolve(ia), s.as_str());
-            prop_assert_eq!(b.resolve(ib), s.as_str());
+            let id = table.intern(s);
+            prop_assert_eq!(table.resolve(id), s.as_str());
+            prop_assert_eq!(table.intern(s), id);
         }
-        // Observable state agrees even when the raw encodings differ.
-        prop_assert_eq!(a.len(), b.len());
+        let distinct: std::collections::HashSet<&String> = strings.iter().collect();
+        prop_assert_eq!(table.len(), distinct.len());
     }
 }

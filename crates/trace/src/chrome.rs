@@ -74,8 +74,8 @@ impl Trace {
             meta_event(&mut m, "thread_name", track.tid, &track.name);
             push(&mut out, &m);
             // Name stack: E events echo the matching B's name, and spans
-            // left open (a search cut short by a panic-path flush) are
-            // closed at the track's final timestamp.
+            // left open (a trace finished while a span guard was alive)
+            // are closed at the track's final timestamp.
             let mut open: Vec<&str> = Vec::new();
             let last_ts = track.events.last().map_or(0, |e| e.ts);
             for Event { ts, kind } in &track.events {

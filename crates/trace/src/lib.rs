@@ -1,22 +1,21 @@
 //! Search-event tracing for the synthesis engine.
 //!
 //! A [`Session`] collects timestamped events — RAII phase [`Span`]s,
-//! instant [`Mark`]s, and counter samples — from every thread that touches
-//! a synthesis run, and turns them into two exports: Chrome trace-event
-//! JSON ([`Trace::to_chrome_json`], loadable in Perfetto or
-//! `chrome://tracing`, one track per thread) and a compact aggregated
-//! self/total-time profile per phase and goal type ([`Trace::profile`]).
+//! instant [`Mark`]s, and counter samples — from one synthesis run, and
+//! turns them into two exports: Chrome trace-event JSON
+//! ([`Trace::to_chrome_json`], loadable in Perfetto or
+//! `chrome://tracing`) and a compact aggregated self/total-time profile
+//! per phase and goal type ([`Trace::profile`]).
 //!
 //! ## Recording model
 //!
-//! Threads never contend while recording. Each thread owns a
-//! **thread-local ring buffer** ([`TraceConfig::capacity`] events,
-//! wraparound drops the *oldest* and counts them) and pushes events with
-//! plain `RefCell` access — no atomics, no locks, no allocation beyond
-//! the ring itself. Buffers drain into the session's collector (the only
-//! lock, taken once per flush, never per event) at explicit boundaries:
-//! batch job-thread exit and [`Session::finish`] on the coordinating
-//! thread. The
+//! A run searches on the thread that runs it and starts no thread of its
+//! own, so a session records on one thread: the one that opened it. The
+//! session is an `Rc`, so the compiler keeps every clone on that thread.
+//! Events go into one ring buffer ([`TraceConfig::capacity`] events;
+//! wraparound drops the *oldest* and counts them) through plain
+//! `RefCell` access — no atomics, no locks, no allocation beyond the ring
+//! itself — and [`Session::finish`] drains the ring into the trace. The
 //! engine holds the session as an `Option`: with tracing off every
 //! instrumentation site is one `None` check, so tracing off is zero-cost
 //! and — because recording only *reads* engine state — tracing on leaves
@@ -25,8 +24,7 @@
 //! ## Timestamps
 //!
 //! A session carries one monotonic epoch ([`std::time::Instant`] captured
-//! at construction); every event stores nanoseconds since that epoch, so
-//! tracks from different threads share a timeline without clock math.
+//! at construction); every event stores nanoseconds since that epoch.
 
 #![deny(missing_docs)]
 
@@ -38,8 +36,7 @@ pub use profile::{Profile, ProfileRow};
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Tracing knobs, carried by the engine's `Options::trace`.
@@ -51,9 +48,8 @@ pub struct TraceConfig {
     /// Phase spans and counter samples are never sampled away. Clamped to
     /// at least 1.
     pub sample: u64,
-    /// Per-thread ring capacity in events; when a thread records more
-    /// than this between flushes, the oldest events are dropped (and
-    /// counted in [`Trace::dropped`]).
+    /// Ring capacity in events; when a session records more than this,
+    /// the oldest events are dropped (and counted in [`Trace::dropped`]).
     pub capacity: usize,
 }
 
@@ -141,7 +137,7 @@ impl Mark {
 #[derive(Clone, Debug)]
 pub enum EventKind {
     /// A span opened (closed by the matching [`EventKind::End`] on the
-    /// same thread). `detail` refines the phase — e.g. the goal type of a
+    /// same track). `detail` refines the phase — e.g. the goal type of a
     /// `generate` span — and feeds the per-goal-type profile rows.
     Begin {
         /// Phase name (static; see [`Phase::name`]).
@@ -149,7 +145,7 @@ pub enum EventKind {
         /// Optional refinement (goal type, spec name).
         detail: Option<Box<str>>,
     },
-    /// The innermost open span on this thread closed.
+    /// The innermost open span on this track closed.
     End,
     /// An instant event (see [`Mark::name`]).
     Instant(&'static str),
@@ -196,84 +192,53 @@ impl Ring {
     }
 }
 
-/// One thread's drained events.
-struct Chunk {
-    tid: u64,
-    name: String,
-    events: Vec<Event>,
-    dropped: u64,
-    synthetic: bool,
-}
-
 struct Inner {
-    /// Distinguishes sessions so a pooled thread whose local buffer
-    /// belongs to a finished session re-registers with the live one.
-    id: u64,
     epoch: Instant,
     cfg: TraceConfig,
-    next_tid: AtomicU64,
-    done: Mutex<Vec<Chunk>>,
+    /// The name of the thread that opened the session: the live track's.
+    thread: String,
+    ring: RefCell<Ring>,
+    /// [`Session::phase_totals`] tracks, in call order.
+    synthetic: RefCell<Vec<ThreadTrack>>,
 }
 
-/// A live tracing session. Cheap to clone (an `Arc`); the engine threads
-/// record through clones and the owner calls [`Session::finish`] once.
+/// A live tracing session. Cheap to clone (an `Rc`); the engine records
+/// through clones and the owner calls [`Session::finish`] once.
+///
+/// A session records on the thread that opened it and is not `Send`:
+/// its ring is a `RefCell`, and the live track carries that thread's
+/// name. Handing it to another thread does not compile:
+///
+/// ```compile_fail
+/// use rbsyn_trace::{Mark, Session, TraceConfig};
+///
+/// let session = Session::new(TraceConfig::default());
+/// // Must not compile: a second thread would push into the same
+/// // unsynchronised ring, and its events would land on a track named
+/// // after the thread that opened the session.
+/// std::thread::spawn(move || session.mark(Mark::Expand));
+/// ```
 #[derive(Clone)]
 pub struct Session {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
-
-thread_local! {
-    static LOCAL: RefCell<Option<LocalBuf>> = const { RefCell::new(None) };
-}
-
-struct LocalBuf {
-    session: Weak<Inner>,
-    session_id: u64,
-    tid: u64,
-    name: String,
-    ring: Ring,
-}
-
-impl LocalBuf {
-    /// Drains the ring into the owning session's collector (a no-op when
-    /// the session is gone). The buffer stays registered so the thread
-    /// keeps its track id across flushes.
-    fn flush(&mut self) {
-        if self.ring.buf.is_empty() && self.ring.dropped == 0 {
-            return;
-        }
-        let Some(inner) = self.session.upgrade() else {
-            self.ring.buf.clear();
-            self.ring.dropped = 0;
-            return;
-        };
-        let events: Vec<Event> = self.ring.buf.drain(..).collect();
-        let dropped = std::mem::take(&mut self.ring.dropped);
-        inner.done.lock().expect("trace collector").push(Chunk {
-            tid: self.tid,
-            name: self.name.clone(),
-            events,
-            dropped,
-            synthetic: false,
-        });
-    }
-}
-
-static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
 impl Session {
-    /// Opens a session; its epoch is *now*.
+    /// Opens a session on the calling thread; its epoch is *now*.
     pub fn new(cfg: TraceConfig) -> Session {
         Session {
-            inner: Arc::new(Inner {
-                id: NEXT_SESSION.fetch_add(1, Ordering::Relaxed),
+            inner: Rc::new(Inner {
                 epoch: Instant::now(),
+                thread: std::thread::current()
+                    .name()
+                    .unwrap_or("thread-0")
+                    .to_owned(),
+                ring: RefCell::new(Ring::new(cfg.capacity)),
                 cfg: TraceConfig {
                     sample: cfg.sample.max(1),
                     capacity: cfg.capacity.max(1),
                 },
-                next_tid: AtomicU64::new(0),
-                done: Mutex::new(Vec::new()),
+                synthetic: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -290,39 +255,9 @@ impl Session {
         n.is_multiple_of(self.inner.cfg.sample)
     }
 
-    fn now(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
-    }
-
     fn record(&self, kind: EventKind) {
-        let ts = self.now();
-        LOCAL.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let reinit = match slot.as_ref() {
-                Some(buf) => buf.session_id != self.inner.id,
-                None => true,
-            };
-            if reinit {
-                if let Some(mut old) = slot.take() {
-                    old.flush();
-                }
-                let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
-                let name = std::thread::current()
-                    .name()
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| format!("thread-{tid}"));
-                *slot = Some(LocalBuf {
-                    session: Arc::downgrade(&self.inner),
-                    session_id: self.inner.id,
-                    tid,
-                    name,
-                    ring: Ring::new(self.inner.cfg.capacity),
-                });
-            }
-            if let Some(buf) = slot.as_mut() {
-                buf.ring.push(Event { ts, kind });
-            }
-        });
+        let ts = self.inner.epoch.elapsed().as_nanos() as u64;
+        self.inner.ring.borrow_mut().push(Event { ts, kind });
     }
 
     /// Opens a phase span; it closes when the guard drops.
@@ -380,56 +315,37 @@ impl Session {
                 kind: EventKind::End,
             });
         }
-        let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .done
-            .lock()
-            .expect("trace collector")
-            .push(Chunk {
-                tid,
-                name: track.to_owned(),
-                events,
-                dropped: 0,
-                synthetic: true,
-            });
+        self.inner.synthetic.borrow_mut().push(ThreadTrack {
+            tid: 0, // numbered by `finish`
+            name: track.to_owned(),
+            events,
+            synthetic: true,
+        });
     }
 
-    /// Flushes the calling thread's buffer and collects every drained
-    /// chunk into a [`Trace`]. Threads that recorded but have not flushed
-    /// (none, once the batch driver's job-thread exits are honoured)
-    /// contribute nothing.
+    /// Drains the session into a [`Trace`]: the live track first (when
+    /// anything was recorded), then the [`Session::phase_totals`] tracks,
+    /// numbered in that order.
     pub fn finish(&self) -> Trace {
-        flush_current_thread();
-        let mut chunks: Vec<Chunk> =
-            std::mem::take(&mut *self.inner.done.lock().expect("trace collector"));
-        chunks.sort_by_key(|c| c.tid);
-        let mut tracks: Vec<ThreadTrack> = Vec::new();
-        let mut dropped = 0u64;
-        for c in chunks {
-            dropped += c.dropped;
-            match tracks.last_mut() {
-                Some(t) if t.tid == c.tid => t.events.extend(c.events),
-                _ => tracks.push(ThreadTrack {
-                    tid: c.tid,
-                    name: c.name,
-                    events: c.events,
-                    synthetic: c.synthetic,
-                }),
-            }
+        let mut ring = self.inner.ring.borrow_mut();
+        let mut tracks = Vec::new();
+        if !ring.buf.is_empty() {
+            tracks.push(ThreadTrack {
+                tid: 0,
+                name: self.inner.thread.clone(),
+                events: ring.buf.drain(..).collect(),
+                synthetic: false,
+            });
         }
-        Trace { tracks, dropped }
+        for mut t in self.inner.synthetic.borrow_mut().drain(..) {
+            t.tid = tracks.len() as u64;
+            tracks.push(t);
+        }
+        Trace {
+            tracks,
+            dropped: std::mem::take(&mut ring.dropped),
+        }
     }
-}
-
-/// Flushes the calling thread's local buffer into its session, if it has
-/// one. The batch driver calls this as each job thread exits; with
-/// tracing off (no local buffer) it is one thread-local `None` check.
-pub fn flush_current_thread() {
-    LOCAL.with(|slot| {
-        if let Some(buf) = slot.borrow_mut().as_mut() {
-            buf.flush();
-        }
-    });
 }
 
 /// RAII guard for a phase span; records the close on drop.
@@ -443,9 +359,10 @@ impl Drop for Span {
     }
 }
 
-/// One thread's chronological event track.
+/// One chronological event track: the recording thread's, or a
+/// synthetic one.
 pub struct ThreadTrack {
-    /// Session-scoped track id (registration order).
+    /// Track id: the track's position in [`Trace::tracks`].
     pub tid: u64,
     /// Thread (or synthetic track) name.
     pub name: String,
@@ -457,9 +374,9 @@ pub struct ThreadTrack {
 
 /// A finished session's collected events, ready for export.
 pub struct Trace {
-    /// Per-thread tracks, ordered by track id.
+    /// Tracks, ordered by track id.
     pub tracks: Vec<ThreadTrack>,
-    /// Events lost to ring wraparound, across all threads.
+    /// Events lost to ring wraparound.
     pub dropped: u64,
 }
 
@@ -504,22 +421,6 @@ mod tests {
         assert!(s.sampled(64));
         let every = Session::new(TraceConfig::with_sample(0));
         assert!(every.sampled(7), "stride clamps to 1");
-    }
-
-    #[test]
-    fn cross_thread_flush_lands_in_one_trace() {
-        let s = Session::new(TraceConfig::default());
-        s.mark(Mark::CacheHit);
-        let s2 = s.clone();
-        std::thread::spawn(move || {
-            s2.mark(Mark::Expand);
-            flush_current_thread();
-        })
-        .join()
-        .unwrap();
-        let t = s.finish();
-        assert_eq!(t.tracks.len(), 2, "each thread is its own track");
-        assert_eq!(t.dropped, 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! End-to-end: record a multi-thread session, export it, and re-validate
+//! End-to-end: record a session, export it, and re-validate
 //! the export with the crate's own schema checker — the same round trip
 //! `solve --trace` performs on every run.
 
-use rbsyn_trace::{flush_current_thread, Mark, Phase, Session, TraceConfig};
+use rbsyn_trace::{Mark, Phase, Session, TraceConfig};
 
 #[test]
 fn session_exports_valid_chrome_json_with_all_tracks() {
@@ -21,18 +21,10 @@ fn session_exports_valid_chrome_json_with_all_tracks() {
         }
         s.counter("search-stats", &[("popped", 12), ("tested", 7)]);
     }
-    let worker = s.clone();
-    std::thread::Builder::new()
-        .name("intra-worker".to_owned())
-        .spawn(move || {
-            let _eval = worker.span(Phase::Eval);
-            worker.mark(Mark::OracleRun);
-            drop(_eval);
-            flush_current_thread();
-        })
-        .unwrap()
-        .join()
-        .unwrap();
+    {
+        let _eval = s.span(Phase::Eval);
+        s.mark(Mark::OracleRun);
+    }
     s.phase_totals(
         "phase-totals",
         &[
@@ -44,7 +36,15 @@ fn session_exports_valid_chrome_json_with_all_tracks() {
     );
 
     let trace = s.finish();
-    assert_eq!(trace.tracks.len(), 3, "main, worker and synthetic tracks");
+    assert_eq!(trace.tracks.len(), 2, "the live and synthetic tracks");
+    let (live, totals) = (&trace.tracks[0], &trace.tracks[1]);
+    assert_eq!((live.tid, totals.tid), (0, 1));
+    assert!(!live.synthetic && totals.synthetic);
+    assert_eq!(
+        Some(live.name.as_str()),
+        std::thread::current().name(),
+        "the live track is named after the thread that opened the session"
+    );
     let json = trace.to_chrome_json(&[("benchmark", "roundtrip")]);
     let summary = rbsyn_trace::schema::check_chrome_trace(&json).expect("self-check passes");
     for phase in ["solve", "generate [Bool]", "guard", "merge", "eval"] {
@@ -56,7 +56,10 @@ fn session_exports_valid_chrome_json_with_all_tracks() {
         );
     }
     assert!(summary.counter_tracks.contains("search-stats"));
-    assert!(json.contains("\"intra-worker\""), "worker track is named");
+    assert!(
+        json.contains("\"phase-totals\""),
+        "synthetic track is named"
+    );
 
     let profile = trace.profile();
     let solve = profile.rows.iter().find(|r| r.name == "solve").unwrap();
