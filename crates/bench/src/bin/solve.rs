@@ -66,9 +66,9 @@
 
 use rbsyn_bench::harness::{
     batch_stats_json, env_timeout, exit_codes, format_batch_solutions, format_batch_stats,
-    json_escape, parse_ids, run_suite_on, write_output_or_exit, Config,
+    outcome_json, parse_ids, run_suite_on, write_output_or_exit, Config,
 };
-use rbsyn_core::{Options, SynthError, SynthesisProblem, Synthesizer};
+use rbsyn_core::{BatchOutcome, Options, SynthError, SynthStats, SynthesisProblem, Synthesizer};
 use rbsyn_interp::InterpEnv;
 use rbsyn_suite::{benchmark, benchmarks_from_dir, Benchmark};
 use rbsyn_trace::{schema, Session, TraceConfig};
@@ -316,8 +316,8 @@ fn run_one(
     // Supervision boundary: a panic anywhere inside the search must
     // surface as a reportable `Internal` failure (exit code 1) with the
     // trace still exported — not a process abort.
-    let result = catch_unwind(AssertUnwindSafe(|| synth.run()))
-        .unwrap_or_else(|panic| Err(SynthError::from_panic(&*panic)));
+    let (result, stats) = catch_unwind(AssertUnwindSafe(|| synth.run_with_stats()))
+        .unwrap_or_else(|panic| (Err(SynthError::from_panic(&*panic)), SynthStats::default()));
     if let (Some(t), Some(path)) = (tracer, cli.trace.as_deref()) {
         let status = match &result {
             Ok(_) => "solved",
@@ -325,7 +325,7 @@ fn run_one(
         };
         export_trace(t, path, label, status);
     }
-    match result {
+    let code = match &result {
         Ok(r) => {
             println!(
                 "{label} ({display}) solved in {:?} — {} candidates tested, size {}, paths {}",
@@ -342,46 +342,24 @@ fn run_one(
                 r.stats.search.eval_nanos as f64 / 1e9,
             );
             println!("{}", r.program);
-            if let Some(path) = &cli.json {
-                let json = format!(
-                    "{{\"id\": \"{}\", \"status\": \"solved\", \"exit_code\": 0, \
-                     \"elapsed_secs\": {:.6}, \"generate_secs\": {:.6}, \
-                     \"guard_secs\": {:.6}, \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \
-                     \"teardown_secs\": {:.6}, \
-                     \"size\": {}, \"paths\": {}, \"tested\": {}, \
-                     \"vector_hits\": {}}}\n",
-                    json_escape(label),
-                    r.stats.elapsed.as_secs_f64(),
-                    r.stats.generate_time.as_secs_f64(),
-                    r.stats.guard_time.as_secs_f64(),
-                    r.stats.merge_time.as_secs_f64(),
-                    r.stats.search.eval_nanos as f64 / 1e9,
-                    r.stats.teardown_time.as_secs_f64(),
-                    r.stats.solution_size,
-                    r.stats.solution_paths,
-                    r.stats.search.tested,
-                    r.stats.search.vector_hits,
-                );
-                write_output_or_exit("--json", path, json.as_bytes());
-            }
-            std::process::exit(exit_codes::OK);
+            exit_codes::OK
         }
         Err(e) => {
-            let code = exit_codes::for_error(&e);
             println!("{label} failed: {e}");
-            if let Some(path) = &cli.json {
-                let json = format!(
-                    "{{\"id\": \"{}\", \"status\": \"{}\", \"exit_code\": {code}, \
-                     \"error\": \"{}\"}}\n",
-                    json_escape(label),
-                    exit_codes::status(&e),
-                    json_escape(&e.to_string()),
-                );
-                write_output_or_exit("--json", path, json.as_bytes());
-            }
-            std::process::exit(code);
+            exit_codes::for_error(e)
         }
+    };
+    if let Some(path) = &cli.json {
+        let outcome = BatchOutcome {
+            id: label.to_owned(),
+            result,
+            stats,
+            elapsed: stats.elapsed,
+        };
+        let json = format!("{}\n", outcome_json(&outcome));
+        write_output_or_exit("--json", path, json.as_bytes());
     }
+    std::process::exit(code);
 }
 
 fn run_single(id: &str, cli: &Cli) -> ! {

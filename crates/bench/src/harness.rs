@@ -1,6 +1,8 @@
 //! Benchmark execution and table/figure assembly.
 
-use rbsyn_core::{run_batch, BatchJob, BatchReport, Guidance, Options, SynthError, Synthesizer};
+use rbsyn_core::{
+    run_batch, BatchJob, BatchOutcome, BatchReport, Guidance, Options, SynthError, Synthesizer,
+};
 use rbsyn_lang::persist::atomic_write;
 use rbsyn_suite::{all_benchmarks, Benchmark};
 use rbsyn_ty::EffectPrecision;
@@ -605,9 +607,57 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// One job's `--json` row, the same object in a batch report's `results`
+/// and in `solve`'s single-problem output. `generate_secs` is the phase-1
+/// per-spec search time, `guard_secs` the merge-time guard covering,
+/// `merge_secs` the rest of the merge call (rewrite rounds, odometer,
+/// validation), `eval_secs` the oracle/interpreter time across all
+/// phases, and `teardown_secs` the time spent freeing the run's state
+/// after its clock stopped. The five effort counters follow; a solved job
+/// adds its size, paths and program, a failed one its error. A failed
+/// job's phases and counters are the work it did before it stopped.
+pub fn outcome_json(o: &BatchOutcome) -> String {
+    let (st, search) = (&o.stats, &o.stats.search);
+    let (status, code) = match &o.result {
+        Ok(_) => ("solved", exit_codes::OK),
+        Err(e) => (exit_codes::status(e), exit_codes::for_error(e)),
+    };
+    let mut row = format!(
+        "{{\"id\": \"{}\", \"status\": \"{status}\", \"exit_code\": {code}, \
+         \"elapsed_secs\": {:.6}, \"generate_secs\": {:.6}, \"guard_secs\": {:.6}, \
+         \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \"teardown_secs\": {:.6}, ",
+        json_escape(&o.id),
+        o.elapsed.as_secs_f64(),
+        st.generate_time.as_secs_f64(),
+        st.guard_time.as_secs_f64(),
+        st.merge_time.as_secs_f64(),
+        search.eval_nanos as f64 / 1e9,
+        st.teardown_time.as_secs_f64(),
+    );
+    if o.result.is_ok() {
+        row.push_str(&format!(
+            "\"size\": {}, \"paths\": {}, ",
+            st.solution_size, st.solution_paths
+        ));
+    }
+    row.push_str(&format!(
+        "\"popped\": {}, \"expanded\": {}, \"tested\": {}, \"deduped\": {}, \
+         \"vector_hits\": {}, ",
+        search.popped, search.expanded, search.tested, search.deduped, search.vector_hits
+    ));
+    row.push_str(&match &o.result {
+        Ok(r) => format!(
+            "\"solution\": \"{}\"}}",
+            json_escape(&r.program.body.compact())
+        ),
+        Err(e) => format!("\"error\": \"{}\"}}", json_escape(&e.to_string())),
+    });
+    row
+}
+
 /// Serializes a batch report as JSON (hand-rolled — the workspace is
 /// dependency-free): the `solve --all --json` format, which CI's effort
-/// gate reads.
+/// gate reads. Each `results` row is [`outcome_json`].
 pub fn batch_stats_json(report: &BatchReport) -> String {
     let s = &report.stats;
     let mut out = String::from("{\n");
@@ -654,44 +704,7 @@ pub fn batch_stats_json(report: &BatchReport) -> String {
         } else {
             ","
         };
-        match &o.result {
-            // Per-task phase timing: `generate_secs` is the phase-1
-            // per-spec search time, `guard_secs` the merge-time guard
-            // covering, `merge_secs` the rest of the merge call (rewrite
-            // rounds, odometer, validation), `eval_secs` the
-            // oracle/interpreter time across all phases — no more single
-            // lumped total. `teardown_secs` is the time spent freeing the
-            // run's state after its clock stopped.
-            Ok(r) => out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"status\": \"solved\", \"exit_code\": 0, \
-                 \"elapsed_secs\": {:.6}, \
-                 \"generate_secs\": {:.6}, \"guard_secs\": {:.6}, \
-                 \"merge_secs\": {:.6}, \"eval_secs\": {:.6}, \"teardown_secs\": {:.6}, \
-                 \"size\": {}, \"paths\": {}, \"tested\": {}, \
-                 \"vector_hits\": {}, \"solution\": \"{}\"}}{sep}\n",
-                json_escape(&o.id),
-                o.elapsed.as_secs_f64(),
-                r.stats.generate_time.as_secs_f64(),
-                r.stats.guard_time.as_secs_f64(),
-                r.stats.merge_time.as_secs_f64(),
-                r.stats.search.eval_nanos as f64 / 1e9,
-                r.stats.teardown_time.as_secs_f64(),
-                r.stats.solution_size,
-                r.stats.solution_paths,
-                r.stats.search.tested,
-                r.stats.search.vector_hits,
-                json_escape(&r.program.body.compact()),
-            )),
-            Err(e) => out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"status\": \"{}\", \"exit_code\": {}, \
-                 \"elapsed_secs\": {:.6}, \"error\": \"{}\"}}{sep}\n",
-                json_escape(&o.id),
-                exit_codes::status(e),
-                exit_codes::for_error(e),
-                o.elapsed.as_secs_f64(),
-                json_escape(&e.to_string()),
-            )),
-        }
+        out.push_str(&format!("    {}{sep}\n", outcome_json(o)));
     }
     out.push_str("  ]\n}\n");
     out

@@ -186,6 +186,74 @@ fn no_solution_status_is_the_same_in_batch_and_single_json() {
     }
 }
 
+/// Every `"key": <number>` in `json`, in order.
+fn numbers(json: &str, key: &str) -> Vec<f64> {
+    let pat = format!("\"{key}\": ");
+    json.match_indices(&pat)
+        .map(|(i, _)| {
+            let rest = &json[i + pat.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(rest.len());
+            rest[..end].parse().expect("a number follows the key")
+        })
+        .collect()
+}
+
+/// A timed-out job reports the work it did, in a batch and alone: its
+/// `--json` row counts its pops and phase time, and a batch's totals are
+/// the sums of its rows' five effort counters. (The fixture declares no
+/// constant and no parameter, so no candidate ever loses its last hole:
+/// it tests none.)
+#[test]
+fn a_timed_out_job_counts_its_work() {
+    let dir = dir_with_only("timeout.rbspec");
+    std::fs::copy(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/S1.rbspec"),
+        dir.join("S1.rbspec"),
+    )
+    .expect("benchmark copies");
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (batch, single) = (
+        tmp.join("timeout-batch.json"),
+        tmp.join("timeout-single.json"),
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .args(["--all", "--spec-dir"])
+        .arg(&dir)
+        .arg("--json")
+        .arg(&batch)
+        .env_remove("RBSYN_TIMEOUT_SECS")
+        .output()
+        .expect("solve binary runs");
+    assert_eq!(out.status.code(), Some(4));
+    let json = std::fs::read_to_string(&batch).expect("--json file is written");
+    for key in ["popped", "expanded", "tested", "deduped", "vector_hits"] {
+        let n = numbers(&json, key);
+        assert_eq!(n.len(), 3, "{key}: the total and two rows: {json}");
+        assert_eq!(n[0], n[1] + n[2], "{key}: rows sum to the total: {json}");
+    }
+    // Rows follow file-name order: `S1`, then the timed-out `timeout`.
+    assert!(numbers(&json, "popped")[2] > 0.0, "{json}");
+    assert!(numbers(&json, "expanded")[2] > 0.0, "{json}");
+    assert!(numbers(&json, "generate_secs")[1] > 0.0, "{json}");
+    assert!(numbers(&json, "generate_time_secs")[0] > 0.0, "{json}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_solve"))
+        .arg("--spec")
+        .arg(dir.join("timeout.rbspec"))
+        .arg("--json")
+        .arg(&single)
+        .env_remove("RBSYN_TIMEOUT_SECS")
+        .output()
+        .expect("solve binary runs");
+    assert_eq!(out.status.code(), Some(4));
+    let json = std::fs::read_to_string(&single).expect("--json file is written");
+    assert!(json.contains("\"status\": \"timeout\""), "{json}");
+    assert!(numbers(&json, "popped")[0] > 0.0, "{json}");
+    assert!(numbers(&json, "generate_secs")[0] > 0.0, "{json}");
+}
+
 #[test]
 fn solve_spec_timeout_exits_4() {
     let out = solve_spec("timeout.rbspec");

@@ -35,7 +35,7 @@
 use crate::error::SynthError;
 use crate::goal::SynthesisProblem;
 use crate::options::Options;
-use crate::synthesizer::{SynthResult, Synthesizer};
+use crate::synthesizer::{SynthResult, SynthStats, Synthesizer};
 use rbsyn_interp::InterpEnv;
 use rbsyn_lang::contention;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,18 +75,19 @@ impl BatchJob {
 
     /// Runs this job once on the current thread — what [`run_batch`] does
     /// for every job. A panic in the job body becomes
-    /// [`SynthError::Internal`].
+    /// [`SynthError::Internal`] with empty statistics.
     pub fn run(&self) -> BatchOutcome {
         let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        let (result, stats) = catch_unwind(AssertUnwindSafe(|| {
             rbsyn_lang::failpoint::hit("batch::claim");
             let (env, problem) = (self.build)();
-            Synthesizer::new(env, problem, self.options.clone()).run()
+            Synthesizer::new(env, problem, self.options.clone()).run_with_stats()
         }))
-        .unwrap_or_else(|panic| Err(SynthError::from_panic(&*panic)));
+        .unwrap_or_else(|panic| BatchOutcome::panicked(&*panic));
         BatchOutcome {
             id: self.id.clone(),
             result,
+            stats,
             elapsed: started.elapsed(),
         }
     }
@@ -105,11 +106,23 @@ pub struct BatchOutcome {
     pub id: String,
     /// Synthesis result or failure.
     pub result: Result<SynthResult, SynthError>,
+    /// The run's statistics, whether it solved or not (on success, the
+    /// same as the result's [`SynthResult::stats`]): a failed job still
+    /// accounts for its work.
+    pub stats: SynthStats,
     /// Wall-clock time this job took on its worker thread.
     pub elapsed: Duration,
 }
 
 impl BatchOutcome {
+    /// The outcome parts of a job whose run panicked: the contained
+    /// failure, and no statistics.
+    fn panicked(
+        panic: &(dyn std::any::Any + Send),
+    ) -> (Result<SynthResult, SynthError>, SynthStats) {
+        (Err(SynthError::from_panic(panic)), SynthStats::default())
+    }
+
     /// Did synthesis produce a program?
     pub fn solved(&self) -> bool {
         self.result.is_ok()
@@ -137,19 +150,17 @@ pub struct BatchStats {
     /// Jobs whose panic was contained at the job boundary
     /// ([`SynthError::Internal`]); a subset of `failures`.
     pub panics: usize,
-    /// Candidates tested across all jobs (solved jobs report their search
-    /// counters; failed jobs contribute nothing — their stats die with the
-    /// error).
+    /// Candidates tested across all jobs. Effort and phase times fold
+    /// every job's [`BatchOutcome::stats`], failed jobs included (a
+    /// contained panic's are empty).
     pub tested: u64,
-    /// Candidate expansions across all solved jobs.
+    /// Candidate expansions across all jobs.
     pub expanded: u64,
-    /// Work-list pops across all solved jobs.
+    /// Work-list pops across all jobs.
     pub popped: u64,
-    /// Duplicate candidates dropped by the work-list dedup filter (solved
-    /// jobs).
+    /// Duplicate candidates dropped by the work-list dedup filter.
     pub deduped: u64,
-    /// Guard requests answered purely from pass/fail bitvectors (solved
-    /// jobs).
+    /// Guard requests answered purely from pass/fail bitvectors.
     pub vector_hits: u64,
     /// Always 0, as [`SearchStats::obs_pruned`](crate::SearchStats).
     /// Kept because synthbench reads it.
@@ -163,14 +174,14 @@ pub struct BatchStats {
     /// Always 0, as [`SearchStats::oracle_hits`](crate::SearchStats).
     /// Kept because synthbench reads it.
     pub oracle_hits: u64,
-    /// Phase-1 per-spec search time summed over solved jobs.
+    /// Phase-1 per-spec search time summed over all jobs.
     pub generate_time: Duration,
-    /// Merge-time guard search time summed over solved jobs.
+    /// Merge-time guard search time summed over all jobs.
     pub guard_time: Duration,
     /// Merge rewrite/validation time (guard search excluded) summed over
-    /// solved jobs.
+    /// all jobs.
     pub merge_time: Duration,
-    /// Interpreter/oracle wall time summed over solved jobs (the `eval`
+    /// Interpreter/oracle wall time summed over all jobs (the `eval`
     /// slice of the phase breakdown).
     pub eval_time: Duration,
     /// Wall-clock time of the whole batch.
@@ -212,23 +223,22 @@ fn aggregate(outcomes: Vec<BatchOutcome>, wall: Duration, threads: usize) -> Bat
     };
     for o in &outcomes {
         stats.cpu_time += o.elapsed;
+        // Saturating folds of per-job totals.
+        let (run, search) = (&o.stats, &o.stats.search);
+        stats.tested = stats.tested.saturating_add(search.tested);
+        stats.expanded = stats.expanded.saturating_add(search.expanded);
+        stats.popped = stats.popped.saturating_add(search.popped);
+        stats.deduped = stats.deduped.saturating_add(search.deduped);
+        stats.vector_hits = stats.vector_hits.saturating_add(search.vector_hits);
+        stats.expand_hits = stats.expand_hits.saturating_add(search.expand_hits);
+        stats.type_hits = stats.type_hits.saturating_add(search.type_hits);
+        stats.oracle_hits = stats.oracle_hits.saturating_add(search.oracle_hits);
+        stats.generate_time += run.generate_time;
+        stats.guard_time += run.guard_time;
+        stats.merge_time += run.merge_time;
+        stats.eval_time += Duration::from_nanos(search.eval_nanos);
         match &o.result {
-            Ok(r) => {
-                stats.solved += 1;
-                // Saturating folds of per-job totals.
-                stats.tested = stats.tested.saturating_add(r.stats.search.tested);
-                stats.expanded = stats.expanded.saturating_add(r.stats.search.expanded);
-                stats.popped = stats.popped.saturating_add(r.stats.search.popped);
-                stats.deduped = stats.deduped.saturating_add(r.stats.search.deduped);
-                stats.vector_hits = stats.vector_hits.saturating_add(r.stats.search.vector_hits);
-                stats.expand_hits = stats.expand_hits.saturating_add(r.stats.search.expand_hits);
-                stats.type_hits = stats.type_hits.saturating_add(r.stats.search.type_hits);
-                stats.oracle_hits = stats.oracle_hits.saturating_add(r.stats.search.oracle_hits);
-                stats.generate_time += r.stats.generate_time;
-                stats.guard_time += r.stats.guard_time;
-                stats.merge_time += r.stats.merge_time;
-                stats.eval_time += Duration::from_nanos(r.stats.search.eval_nanos);
-            }
+            Ok(_) => stats.solved += 1,
             Err(SynthError::Timeout) => stats.timeouts += 1,
             Err(SynthError::Internal(_)) => {
                 stats.failures += 1;
@@ -312,9 +322,11 @@ pub fn run_batch(jobs: &[BatchJob], threads: usize) -> BatchReport {
                     // thread would abort the whole batch.
                     let outcome =
                         catch_unwind(AssertUnwindSafe(|| job.run())).unwrap_or_else(|panic| {
+                            let (result, stats) = BatchOutcome::panicked(&*panic);
                             BatchOutcome {
                                 id: job.id.clone(),
-                                result: Err(SynthError::from_panic(&*panic)),
+                                result,
+                                stats,
                                 elapsed: Duration::ZERO,
                             }
                         });
@@ -337,6 +349,7 @@ pub fn run_batch(jobs: &[BatchJob], threads: usize) -> BatchReport {
                     result: Err(SynthError::Internal(
                         "worker exited without filling its claimed slot".to_owned(),
                     )),
+                    stats: SynthStats::default(),
                     elapsed: Duration::ZERO,
                 })
         })

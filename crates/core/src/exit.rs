@@ -84,6 +84,7 @@ mod tests {
                     }),
                     Some(e) => Err(e.clone()),
                 },
+                stats: SynthStats::default(),
                 elapsed: Duration::ZERO,
             })
             .collect();

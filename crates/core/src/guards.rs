@@ -39,7 +39,27 @@
 //! **Covering is set inclusion.** A candidate covers a request exactly
 //! when `Ψ₁ ⊆ truthy-ok(c)` and `Ψ₂ ⊆ falsy-ok(c)`, so the verdict reads
 //! straight off the candidate's bits — no second representation of the
-//! spec sets is needed.
+//! spec sets is needed. The same bits decide the *mirror* request
+//! `(Ψ₂, Ψ₁)`, and a candidate `c` that covers the mirror answers the
+//! request with `!c` (§4: one spec's condition is often the negation of
+//! another's). One walk over the bits of `Ψ₁`, then `Ψ₂`, decides both
+//! and stops as soon as both fail.
+//!
+//! **The size rule.** A mirrored guard `!c` is ranked at `c`'s size: it
+//! waits until the request's scan reaches a candidate produced by a pop
+//! of larger rank (or the scan ends). Every pop's children are at least
+//! as large as the popped node, so by then every native guard of `c`'s
+//! size has been judged and placed first. On release `!c` joins the list
+//! like a native guard found there: deduplicated, and counted toward the
+//! cap, the first-guard stamp and the 300-pop tail (`EXTRA_GUARD_BUDGET`).
+//! Released at once instead, mirrored guards displace native ones of the
+//! same size and change which guard the merge picks first.
+//!
+//! **Twins.** The interpreter is deterministic, so two specs whose setup
+//! steps are structurally equal get the same bits from every candidate
+//! (a `Native` step equals nothing: its closure cannot be compared). A
+//! request with a spec in `Ψ₁` and its twin in `Ψ₂` has no guard; it is
+//! answered empty without a scan.
 //!
 //! A request collects *several* covering guards because the smallest one
 //! can be semantically wrong for the final program (only running the
@@ -188,24 +208,57 @@ impl Bits {
 }
 
 /// One enumerated evaluable boolean candidate: its node, the work-list
-/// pop that produced it (for per-request stopping budgets), its lazily
+/// pop that produced it (for per-request stopping budgets) and that pop's
+/// rank (the popped node's size, for ranking mirrored guards), its lazily
 /// filled bitvector, and its expression tree once something needed it.
 struct GuardCand {
     node: NodeId,
     pop: u64,
+    rank: u32,
     bits: Bits,
     expr: Option<Expr>,
 }
 
 /// A strengthening request's lazy scan state: how far into the shared
-/// candidate stream it has looked, the covering guards found so far, and
-/// whether its (per-request) stopping rule has latched.
+/// candidate stream it has looked, the covering guards found so far, the
+/// candidates covering the mirror that wait to be released, and whether
+/// its (per-request) stopping rule has latched.
 #[derive(Default)]
 struct ReqState {
     found: Vec<Expr>,
+    /// `(size, candidate)` of every candidate that covers the mirror
+    /// request and whose negation is not released yet, sorted by size and
+    /// then stream order.
+    mirrored: Vec<(u32, usize)>,
     next_cand: usize,
     first: Option<u64>,
     done: bool,
+}
+
+impl ReqState {
+    /// Adds a covering guard unless `found` already holds it: it counts
+    /// toward the first-guard stamp (`pop`) and the cap `k`.
+    fn push_guard(&mut self, guard: Expr, pop: u64, k: usize) {
+        if self.found.contains(&guard) {
+            return;
+        }
+        self.found.push(guard);
+        self.first.get_or_insert(pop);
+        if self.found.len() >= k {
+            self.done = true;
+        }
+    }
+}
+
+/// What one walk over a candidate's bits decided about a request
+/// `(pos, neg)` and its mirror `(neg, pos)`.
+struct Walk {
+    /// The candidate covers the request.
+    covers: bool,
+    /// The candidate covers the mirror, so its negation covers the request.
+    mirrored: bool,
+    /// Some bit was newly determined: the tested/vector-hit accounting key.
+    filled: bool,
 }
 
 /// A strengthening request: spec indices that must be truthy / falsy.
@@ -227,6 +280,9 @@ type ReqKey = (Vec<usize>, Vec<usize>);
 pub struct GuardPool {
     ready: bool,
     checks: Vec<CheckSlot>,
+    /// Per spec, the first spec whose setup steps equal its own: twins get
+    /// the same bits from every candidate.
+    twin_of: Vec<usize>,
     /// Words per bitvector plane: `⌈|specs| / 64⌉`.
     nwords: usize,
     /// The enumeration's work-list (empty until the pool is ready).
@@ -260,6 +316,7 @@ impl GuardPool {
         GuardPool {
             ready: false,
             checks: Vec::new(),
+            twin_of: Vec::new(),
             nwords: 1,
             frontier: Frontier::new(),
             seen: NodeSet::default(),
@@ -286,6 +343,16 @@ impl GuardPool {
                     CheckSlot::Ready(Box::new(p.with_asserts(vec![Expr::Var(xr)])))
                 }
                 Err(e) => CheckSlot::Failed(format!("spec {:?} setup failed: {e}", s.name)),
+            })
+            .collect();
+        // The interpreter is deterministic, so specs with equal setups
+        // (a `Native` step equals nothing) get equal bits from every
+        // candidate, and no guard separates them.
+        self.twin_of = (0..q.specs.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| q.specs[j].steps == q.specs[i].steps)
+                    .unwrap_or(i)
             })
             .collect();
         self.nwords = q.specs.len().div_ceil(64).max(1);
@@ -322,6 +389,7 @@ impl GuardPool {
         };
         self.pops += 1;
         stats.popped += 1;
+        let rank = self.arena.size(node) as u32;
         if self.pops.is_multiple_of(64) && q.sched.should_stop() {
             // Roll the un-expanded node (and the pop count) back to the
             // front of its rank so a hypothetical post-deadline
@@ -349,6 +417,7 @@ impl GuardPool {
                 self.cands.push(GuardCand {
                     node: id,
                     pop: self.pops,
+                    rank,
                     bits: Bits::new(self.nwords),
                     expr: None,
                 });
@@ -363,13 +432,12 @@ impl GuardPool {
         expr.get_or_insert_with(|| self.arena.to_expr(*node))
     }
 
-    /// Fills any missing footprint bits of `bits` by interpreter runs and
-    /// checks the request bit by bit, short-circuiting on the first
-    /// violated spec. Returns `(covers, filled)`: `filled` reports whether
-    /// any bit was newly determined — the tested/vector-hit accounting
-    /// key. `expr` yields the candidate's body, and is called only when
-    /// an interpreter run is needed.
-    fn fill_and_check(
+    /// One walk over the footprint bits of `bits`, `pos` first and then
+    /// `neg`, that decides both the request `(pos, neg)` and its mirror
+    /// `(neg, pos)`: it fills a missing bit by an interpreter run and stops
+    /// as soon as both verdicts fail. `expr` yields the candidate's body,
+    /// and is called only when an interpreter run is needed.
+    fn walk(
         checks: &[CheckSlot],
         bits: &mut Bits,
         mut expr: impl FnMut() -> Expr,
@@ -377,15 +445,23 @@ impl GuardPool {
         pos: &[usize],
         neg: &[usize],
         stats: &mut SearchStats,
-    ) -> (bool, bool) {
+    ) -> Walk {
         let mut program: Option<Program> = None;
-        let mut filled = false;
+        let mut walk = Walk {
+            covers: true,
+            mirrored: true,
+            filled: false,
+        };
         for (specs, want_truthy) in [(pos, true), (neg, false)] {
             for &s in specs {
                 if !bits.evald(s) {
                     let check = match &checks[s] {
                         CheckSlot::Ready(p) => p,
-                        CheckSlot::Failed(_) => return (false, filled),
+                        CheckSlot::Failed(_) => {
+                            walk.covers = false;
+                            walk.mirrored = false;
+                            return walk;
+                        }
                     };
                     let p = program.get_or_insert_with(|| {
                         Program::from_parts(
@@ -404,39 +480,57 @@ impl GuardPool {
                         SpecOutcome::Failed { .. } => bits.record(s, true, false),
                         SpecOutcome::SetupError(_) => bits.record(s, false, false),
                     }
-                    filled = true;
+                    walk.filled = true;
                 }
-                if !(bits.ok(s) && bits.truthy(s) == want_truthy) {
-                    return (false, filled);
+                let (ok, truthy) = (bits.ok(s), bits.truthy(s));
+                walk.covers &= ok && truthy == want_truthy;
+                walk.mirrored &= ok && truthy != want_truthy;
+                if !walk.covers && !walk.mirrored {
+                    return walk;
                 }
             }
         }
-        (true, filled)
+        walk
     }
 
-    /// Does candidate `i` cover the request? Fills missing bits and
+    /// Walks candidate `i`'s bits for the request and its mirror, and
     /// maintains the tested/vector-hit counters.
-    fn cand_passes(
+    fn cand_walk(
         &mut self,
         i: usize,
         q: &GuardQuery<'_>,
         pos: &[usize],
         neg: &[usize],
         stats: &mut SearchStats,
-    ) -> bool {
+    ) -> Walk {
         let GuardCand {
             node, bits, expr, ..
         } = &mut self.cands[i];
         let fresh = !bits.any_evald();
         let arena = &self.arena;
         let body = || expr.get_or_insert_with(|| arena.to_expr(*node)).clone();
-        let (pass, filled) = Self::fill_and_check(&self.checks, bits, body, q, pos, neg, stats);
-        if fresh && filled {
+        let walk = Self::walk(&self.checks, bits, body, q, pos, neg, stats);
+        if fresh && walk.filled {
             stats.tested += 1;
-        } else if !filled {
+        } else if !walk.filled {
             stats.vector_hits += 1;
         }
-        pass
+        walk
+    }
+
+    /// Moves the waiting mirrored guards of size below `rank` into the
+    /// request's list, smallest first: `negate` of each, deduplicated and
+    /// stamped `pop` like a native guard found there.
+    fn release_mirrored(&mut self, state: &mut ReqState, rank: u32, pop: u64, k: usize) {
+        let n = state.mirrored.partition_point(|&(size, _)| size < rank);
+        for j in 0..n {
+            if state.done {
+                break;
+            }
+            let guard = negate(self.cand_expr(state.mirrored[j].1));
+            state.push_guard(guard, pop, k);
+        }
+        state.mirrored.drain(..n);
     }
 
     /// Advances one request's lazy scan over the shared stream until it
@@ -444,6 +538,12 @@ impl GuardPool {
     /// guards, or [`EXTRA_GUARD_BUDGET`] pops past the first one, or the
     /// pop budget, or stream exhaustion), or timed out. The stopping rule
     /// latches — once a request is done, its guard list is final.
+    ///
+    /// A candidate that covers the mirror request `(neg, pos)` answers the
+    /// request with its negation, ranked at its own size: the negation
+    /// waits until the scan reaches a candidate produced by a pop of
+    /// larger rank (or the scan ends), so every native guard of its size
+    /// comes first.
     #[allow(clippy::too_many_arguments)]
     fn advance_request(
         &mut self,
@@ -461,14 +561,18 @@ impl GuardPool {
             });
             if state.next_cand == self.cands.len() {
                 if self.exhausted || self.pops >= bound {
+                    self.release_mirrored(state, u32::MAX, self.pops, k);
                     state.done = true;
                     break;
                 }
                 match self.extend_one_pop(q, stats) {
                     Ok(()) => continue,
-                    Err(SynthError::Timeout) if !state.found.is_empty() => {
+                    Err(SynthError::Timeout)
+                        if !state.found.is_empty() || !state.mirrored.is_empty() =>
+                    {
                         // A timeout after the first guard finalizes the
                         // partial list.
+                        self.release_mirrored(state, u32::MAX, self.pops, k);
                         state.done = true;
                         break;
                     }
@@ -476,19 +580,24 @@ impl GuardPool {
                 }
             }
             let i = state.next_cand;
-            if self.cands[i].pop > bound {
+            let (pop, rank) = (self.cands[i].pop, self.cands[i].rank);
+            if pop > bound {
+                self.release_mirrored(state, u32::MAX, pop, k);
                 state.done = true;
                 break;
             }
-            if self.cand_passes(i, q, pos, neg, stats) {
+            self.release_mirrored(state, rank, pop, k);
+            if state.found.len() >= need || state.done {
+                break;
+            }
+            let walk = self.cand_walk(i, q, pos, neg, stats);
+            if walk.covers {
                 let guard = self.cand_expr(i).clone();
-                state.found.push(guard);
-                if state.found.len() >= k {
-                    state.done = true;
-                }
-                if state.first.is_none() {
-                    state.first = Some(self.cands[i].pop);
-                }
+                state.push_guard(guard, pop, k);
+            } else if walk.mirrored {
+                let size = self.arena.size(self.cands[i].node) as u32;
+                let at = state.mirrored.partition_point(|&(s, _)| s <= size);
+                state.mirrored.insert(at, (size, i));
             }
             state.next_cand += 1;
         }
@@ -504,7 +613,17 @@ impl GuardPool {
         f: impl FnOnce(&mut Self, &mut ReqState) -> Result<T, SynthError>,
     ) -> Result<T, SynthError> {
         let key: ReqKey = (pos.to_vec(), neg.to_vec());
-        let mut state = self.reqs.remove(&key).unwrap_or_default();
+        let mut state = match self.reqs.remove(&key) {
+            Some(state) => state,
+            // A request that splits twin specs has no guard: it is done
+            // before it scans anything.
+            None => ReqState {
+                done: pos
+                    .iter()
+                    .any(|&s| neg.iter().any(|&t| self.twin_of[s] == self.twin_of[t])),
+                ..ReqState::default()
+            },
+        };
         let out = f(self, &mut state);
         self.reqs.insert(key, state);
         out
@@ -573,9 +692,10 @@ impl GuardPool {
     }
 
     /// Eagerly materializes the ordered covering guards of a request:
-    /// the stream's covering candidates in order, at most `k` of them,
-    /// none found more than `EXTRA_GUARD_BUDGET` (300) pops after the
-    /// first.
+    /// the stream's covering candidates in order, with the negations of
+    /// the mirror's placed by the size rule (see the
+    /// [module docs](self)), at most `k` of them, none found more than
+    /// `EXTRA_GUARD_BUDGET` (300) pops after the first.
     /// Tests use this; the merge goes through the lazy
     /// [`GuardPool::nth_covering_guard`].
     pub fn covering_guards(
@@ -623,16 +743,17 @@ impl GuardPool {
             .get(e)
             .cloned()
             .unwrap_or_else(|| Bits::new(self.nwords));
-        let (pass, filled) =
-            Self::fill_and_check(&self.checks, &mut bits, || e.clone(), q, pos, neg, stats);
-        if !filled {
+        // The same walk as a stream candidate's; only its forward verdict
+        // matters here.
+        let walk = Self::walk(&self.checks, &mut bits, || e.clone(), q, pos, neg, stats);
+        if !walk.filled {
             // Pure word-op hit: nothing new to store — skip the AST clone
             // and re-hash (this is the merge's hottest re-check loop).
             stats.vector_hits += 1;
         } else {
             self.extra_bits.insert(e.clone(), bits);
         }
-        pass
+        walk.covers
     }
 }
 
@@ -743,6 +864,89 @@ mod tests {
             pool.covering_count(&q, &[0], &[1], 4, &mut stats).unwrap(),
             pooled.len()
         );
+    }
+
+    /// A request whose mirror has a one-node guard, `arg0`, while the
+    /// request's own guards are larger: `!arg0` ranks at size 1, so it
+    /// leads the list.
+    #[test]
+    fn mirrored_guard_ranks_at_its_own_size() {
+        let env = EnvBuilder::with_stdlib().finish();
+        let called_with = |name, arg| {
+            Spec::new(
+                name,
+                vec![SetupStep::CallTarget {
+                    bind: "xr".into(),
+                    args: vec![arg],
+                }],
+                vec![],
+            )
+        };
+        let specs = [called_with("yes", true_()), called_with("no", false_())];
+        let opts = Options::default();
+        let sched = Scheduler::sequential();
+        let q = GuardQuery {
+            env: &env,
+            name: Symbol::intern("m"),
+            params: &[(Symbol::intern("arg0"), Ty::Bool)],
+            specs: &specs,
+            opts: &opts,
+            sched: &sched,
+        };
+        let reference = reference_covering(&q, &[1], &[0], 4);
+        let mut pool = GuardPool::new();
+        let mut stats = SearchStats::default();
+        let pooled: Vec<String> = pool
+            .covering_guards(&q, &[1], &[0], 4, &mut stats)
+            .unwrap()
+            .iter()
+            .map(|g| g.compact())
+            .collect();
+        assert_eq!(pooled, reference, "the pool must follow the size rule");
+        assert_eq!(pooled, ["!arg0", "arg0.!", "!arg0.!.!", "!arg0 & arg0"]);
+    }
+
+    /// Two specs with equal setups get the same bits from every candidate,
+    /// so a request that splits them is answered empty without a scan. A
+    /// `Native` step equals nothing, so such specs are never twins.
+    #[test]
+    fn twin_specs_latch_without_a_scan() {
+        let (env, _) = env_with_post();
+        let opts = Options {
+            max_expansions: 200,
+            ..Options::default()
+        };
+        let sched = Scheduler::sequential();
+        let query = |specs| GuardQuery {
+            env: &env,
+            name: Symbol::intern("m"),
+            params: &[],
+            specs,
+            opts: &opts,
+            sched: &sched,
+        };
+        let twins = [call_spec("a", vec![]), call_spec("b", vec![])];
+        let mut pool = GuardPool::new();
+        let mut stats = SearchStats::default();
+        let q = query(&twins);
+        let g = pool.nth_covering_guard(&q, &[0], &[1], 0, 4, &mut stats);
+        assert_eq!(g.unwrap(), None);
+        assert_eq!(stats.popped, 0, "a twin split scans nothing");
+        assert_eq!(
+            pool.covering_count(&q, &[1], &[0], 4, &mut stats).unwrap(),
+            0
+        );
+        assert_eq!(stats.popped, 0);
+
+        let noop: rbsyn_interp::spec::NativeSetup = std::sync::Arc::new(|_, _| Ok(()));
+        let native = |name| call_spec(name, vec![SetupStep::Native(noop.clone())]);
+        let natives = [native("a"), native("b")];
+        let mut pool = GuardPool::new();
+        let mut stats = SearchStats::default();
+        let q = query(&natives);
+        let g = pool.nth_covering_guard(&q, &[0], &[1], 0, 4, &mut stats);
+        assert_eq!(g.unwrap(), None, "equal worlds have no guard");
+        assert!(stats.popped > 0, "native setups are compared by a scan");
     }
 
     #[test]
@@ -900,10 +1104,11 @@ mod tests {
     }
 
     /// What an enumeration produced: each evaluable candidate's compact
-    /// text and pop stamp, in order, and the effort counters.
+    /// text, pop stamp and that pop's rank, in order, and the effort
+    /// counters.
     #[derive(Debug, Default, PartialEq)]
     struct Stream {
-        cands: Vec<(String, u64)>,
+        cands: Vec<(String, u64, u32)>,
         popped: u64,
         expanded: u64,
         deduped: u64,
@@ -971,6 +1176,7 @@ mod tests {
                 continue;
             }
             s.popped += 1;
+            let rank = node_count(&e) as u32;
             let subs = expander
                 .expand_first(&e, &mut gamma)
                 .expect("a popped candidate has a hole");
@@ -989,7 +1195,7 @@ mod tests {
                         frontier.push(0, size, (false, sub));
                     }
                 } else if admit(q, &mut gamma, &mut seen, &sub, &mut s.deduped) {
-                    s.cands.push((sub.compact(), s.popped));
+                    s.cands.push((sub.compact(), s.popped, rank));
                     out.exprs.push(sub);
                 }
             }
@@ -999,8 +1205,11 @@ mod tests {
 
     /// A request answered by brute force over the whole-tree stream: judge
     /// each candidate in order with fresh `assert x_r` checks for `pos`
-    /// and `assert !x_r` checks for `neg`, keep at most `k` covering
-    /// guards, and stop [`EXTRA_GUARD_BUDGET`] pops after the first.
+    /// and `assert !x_r` checks for `neg`, and with the flipped checks for
+    /// the mirror request. A candidate `c` covering the mirror contributes
+    /// `!c` after the last candidate produced by a pop of rank up to `c`'s
+    /// size. Duplicates are skipped; keep at most `k` guards, and stop
+    /// [`EXTRA_GUARD_BUDGET`] pops after the first.
     fn reference_covering(
         q: &GuardQuery<'_>,
         pos: &[usize],
@@ -1008,37 +1217,65 @@ mod tests {
         k: usize,
     ) -> Vec<String> {
         const POPS: u64 = 5_000;
-        let checks: Vec<PreparedSpec> = pos
-            .iter()
-            .map(|&s| (s, true))
-            .chain(neg.iter().map(|&s| (s, false)))
-            .map(|(s, truthy)| {
-                let p = PreparedSpec::prepare(q.env, &q.specs[s]).expect("fixture setups run");
-                let xr = Expr::Var(p.result_var());
-                p.with_asserts(vec![if truthy { xr } else { Expr::Not(Box::new(xr)) }])
-            })
-            .collect();
+        let checks = |truthy: bool| -> Vec<PreparedSpec> {
+            pos.iter()
+                .map(|&s| (s, truthy))
+                .chain(neg.iter().map(|&s| (s, !truthy)))
+                .map(|(s, truthy)| {
+                    let p = PreparedSpec::prepare(q.env, &q.specs[s]).expect("fixture setups run");
+                    let xr = Expr::Var(p.result_var());
+                    p.with_asserts(vec![if truthy { xr } else { Expr::Not(Box::new(xr)) }])
+                })
+                .collect()
+        };
+        let (request, mirror) = (checks(true), checks(false));
         let params: Vec<Symbol> = q.params.iter().map(|(n, _)| *n).collect();
         let reference = reference_stream(q, POPS);
-        let mut found = Vec::new();
+        let mut found: Vec<String> = Vec::new();
         let mut first = None;
-        for (e, &(ref text, pop)) in reference.exprs.iter().zip(&reference.stream.cands) {
-            if first.is_some_and(|f| pop > f + EXTRA_GUARD_BUDGET) {
+        // `(size, !c)` of the mirror's guards not yet placed, by size.
+        let mut waiting: Vec<(usize, String)> = Vec::new();
+        let push = |found: &mut Vec<String>, first: &mut Option<u64>, g: String, pop| {
+            if !found.contains(&g) {
+                found.push(g);
+                first.get_or_insert(pop);
+            }
+            found.len() == k
+        };
+        for (e, &(ref text, pop, rank)) in reference.exprs.iter().zip(&reference.stream.cands) {
+            let end = first.is_some_and(|f| pop > f + EXTRA_GUARD_BUDGET);
+            while waiting
+                .first()
+                .is_some_and(|(size, _)| end || *size < rank as usize)
+            {
+                let (_, g) = waiting.remove(0);
+                if push(&mut found, &mut first, g, pop) {
+                    return found;
+                }
+            }
+            if end {
                 return found;
             }
             let program = Program::from_parts(q.name, params.clone(), e.clone());
-            if checks.iter().all(|c| c.run(q.env, &program).passed()) {
-                found.push(text.clone());
-                first.get_or_insert(pop);
-                if found.len() == k {
+            if request.iter().all(|c| c.run(q.env, &program).passed()) {
+                if push(&mut found, &mut first, text.clone(), pop) {
                     return found;
                 }
+            } else if mirror.iter().all(|c| c.run(q.env, &program).passed()) {
+                let size = node_count(e);
+                let at = waiting.partition_point(|(s, _)| *s <= size);
+                waiting.insert(at, (size, negate(e).compact()));
             }
         }
         assert!(
             reference.stream.popped < POPS,
             "the reference stream ended before the request's stopping rule"
         );
+        for (_, g) in waiting {
+            if push(&mut found, &mut first, g, 0) {
+                break;
+            }
+        }
         found
     }
 
@@ -1053,7 +1290,7 @@ mod tests {
         let cands = pool
             .cands
             .iter()
-            .map(|c| (pool.arena.to_expr(c.node).compact(), c.pop))
+            .map(|c| (pool.arena.to_expr(c.node).compact(), c.pop, c.rank))
             .collect();
         Stream {
             cands,

@@ -533,8 +533,9 @@ fn guard_holds(ctx: &mut MergeCtx<'_>, bg: &Expr, specs: &[usize]) -> bool {
 
 /// Builds `if b₁ then e₁ else if b₂ then e₂ … else nil`, with the
 /// Appendix A.4 simplifications: a tautological guard drops its
-/// conditional, and a final branch guarded by the negation of the previous
-/// condition becomes a plain `else`.
+/// conditional (and every branch after it, which can never run), and a
+/// final branch guarded by the negation of the previous condition becomes
+/// a plain `else`.
 fn build_body(chain: &[Tuple]) -> Expr {
     // A tuple guarded by a tautology (e.g. the `b ∨ !b` rules 4/5 produce)
     // needs no conditional at all.
@@ -544,7 +545,7 @@ fn build_body(chain: &[Tuple]) -> Expr {
     fn go(chain: &[Tuple]) -> Expr {
         match chain {
             [] => Expr::Lit(Value::Nil),
-            [t] if is_taut(&t.cond) => t.expr.clone(),
+            [t, ..] if is_taut(&t.cond) => t.expr.clone(),
             [t, rest @ ..] => {
                 // `if b then e else if !b then e2 else nil` → else e2.
                 if let [next] = rest {
@@ -639,6 +640,13 @@ mod tests {
             specs: vec![0],
         };
         assert_eq!(build_body(std::slice::from_ref(&t1)).compact(), "1");
+        // A leading always-true branch always runs: the rest is dead.
+        let t0 = Tuple {
+            expr: int(2),
+            cond: var("c"),
+            specs: vec![1],
+        };
+        assert_eq!(build_body(&[t1.clone(), t0]).compact(), "1");
         let b = var("b");
         let t2 = Tuple {
             expr: int(1),

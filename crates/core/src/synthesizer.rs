@@ -150,6 +150,24 @@ impl Synthesizer {
     /// search bounds, [`SynthError::MergeFailed`] when no branch merge
     /// passes every spec.
     pub fn run(self) -> Result<SynthResult, SynthError> {
+        self.run_with_stats().0
+    }
+
+    /// [`Synthesizer::run`], with the run's statistics beside its outcome,
+    /// so a run that fails (a timeout, say) still accounts for the work
+    /// and phase time it spent. On success they equal the result's
+    /// [`SynthResult::stats`].
+    pub fn run_with_stats(self) -> (Result<SynthResult, SynthError>, SynthStats) {
+        let mut stats = SynthStats::default();
+        let result = self
+            .solve(&mut stats)
+            .map(|program| SynthResult { program, stats });
+        (result, stats)
+    }
+
+    /// The pipeline behind [`Synthesizer::run_with_stats`]: fills `stats`
+    /// as it goes, on every path out.
+    fn solve(self, stats: &mut SynthStats) -> Result<Program, SynthError> {
         let Synthesizer {
             mut env,
             problem,
@@ -168,7 +186,6 @@ impl Synthesizer {
         if let Some(hard) = hard_deadline {
             env.set_hard_deadline(hard);
         }
-        let mut stats = SynthStats::default();
 
         // `Options::trace` is the switch; an externally attached session
         // (the CLI's, so it can export afterwards) takes precedence over
@@ -233,12 +250,18 @@ impl Synthesizer {
             if let Some(t) = &tracer {
                 t.counter("search-stats", &stats.search.counter_sample());
             }
-            let expr = outcome.map_err(|e| match e {
-                SynthError::NoSolution { .. } => SynthError::NoSolution {
-                    spec: spec.name.clone(),
-                },
-                other => other,
-            })?;
+            let expr = match outcome {
+                Ok(expr) => expr,
+                Err(e) => {
+                    stats.elapsed = start.elapsed();
+                    return Err(match e {
+                        SynthError::NoSolution { .. } => SynthError::NoSolution {
+                            spec: spec.name.clone(),
+                        },
+                        other => other,
+                    });
+                }
+            };
             tuples.push(Tuple {
                 expr,
                 cond: true_(),
@@ -263,7 +286,7 @@ impl Synthesizer {
         };
         let merge_started = Instant::now();
         let merge_span = tracer.as_ref().map(|t| t.span(Phase::Merge));
-        let program = merge_program(&mut ctx, tuples)?;
+        let merged = merge_program(&mut ctx, tuples);
         drop(merge_span);
         stats.guard_time = ctx.guard_time;
         // Guard covering runs *inside* the merge call; subtracting it
@@ -271,6 +294,7 @@ impl Synthesizer {
         stats.merge_time = merge_started.elapsed().saturating_sub(ctx.guard_time);
 
         stats.elapsed = start.elapsed();
+        let program = merged?;
         // Free the run's state here rather than on return, so the time it
         // takes is reported instead of falling into no phase.
         let teardown_started = Instant::now();
@@ -295,7 +319,7 @@ impl Synthesizer {
                 ],
             );
         }
-        Ok(SynthResult { program, stats })
+        Ok(program)
     }
 }
 

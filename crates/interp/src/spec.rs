@@ -58,6 +58,25 @@ impl fmt::Debug for SetupStep {
     }
 }
 
+/// Structural equality. A [`SetupStep::Native`] step equals nothing, not
+/// even itself, because its closure cannot be compared.
+impl PartialEq for SetupStep {
+    fn eq(&self, other: &SetupStep) -> bool {
+        match (self, other) {
+            (SetupStep::Bind(x, e), SetupStep::Bind(y, f)) => x == y && e == f,
+            (SetupStep::Exec(e), SetupStep::Exec(f)) => e == f,
+            (
+                SetupStep::CallTarget { bind, args },
+                SetupStep::CallTarget {
+                    bind: bind2,
+                    args: args2,
+                },
+            ) => bind == bind2 && args == args2,
+            _ => false,
+        }
+    }
+}
+
 /// A spec `⟨S, Q⟩`: named setup plus postcondition assertions.
 #[derive(Clone, Debug)]
 pub struct Spec {
