@@ -7,6 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rbsyn_core::engine::{Scheduler, SearchStats};
+use rbsyn_core::generate::SpecOracle;
 use rbsyn_core::guards::{GuardPool, GuardQuery};
 use rbsyn_core::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, SetupStep, Spec, WorldState};
@@ -127,12 +128,18 @@ fn seeded_and_empty(post: rbsyn_lang::ClassId) -> Vec<Spec> {
     vec![mk("seeded", true), mk("empty", false)]
 }
 
+/// The run's prepared oracles for `specs`.
+fn oracles(env: &InterpEnv, specs: &[Spec]) -> Vec<SpecOracle> {
+    specs.iter().map(|s| SpecOracle::new(env, s)).collect()
+}
+
 /// Bitvector guard covering: the first call pays the enumeration +
 /// interpreter bits; re-requests (what merge backtracking does) are pure
 /// word arithmetic over the pool's vectors.
 fn bench_guard_covering(c: &mut Criterion) {
     let (env, post) = blog_env();
     let specs = seeded_and_empty(post);
+    let oracles = oracles(&env, &specs);
     let opts = Options::default();
     let sched = Scheduler::sequential();
     let q = GuardQuery {
@@ -140,6 +147,7 @@ fn bench_guard_covering(c: &mut Criterion) {
         name: "m".into(),
         params: &[],
         specs: &specs,
+        oracles: &oracles,
         opts: &opts,
         sched: &sched,
     };
@@ -147,11 +155,13 @@ fn bench_guard_covering(c: &mut Criterion) {
     let mut stats = SearchStats::default();
     // Warm the pool: both request directions judged once.
     let g = pool
-        .nth_covering_guard(&q, &[0], &[1], 0, 1, &mut stats)
+        .covering_guards(&q, &[0], &[1], 1, &mut stats)
         .expect("no deadline")
+        .first()
+        .cloned()
         .expect("a separating guard exists");
     let _ = pool
-        .nth_covering_guard(&q, &[1], &[0], 0, 1, &mut stats)
+        .covering_guards(&q, &[1], &[0], 1, &mut stats)
         .expect("no deadline");
     c.bench_function("obs/guard_bitvector_recheck", |b| {
         b.iter(|| {
@@ -162,19 +172,39 @@ fn bench_guard_covering(c: &mut Criterion) {
     c.bench_function("obs/guard_bitvector_nth", |b| {
         b.iter(|| {
             let mut stats = SearchStats::default();
-            pool.nth_covering_guard(&q, &[0], &[1], 0, 1, &mut stats)
-                .expect("no deadline")
+            let guards = pool
+                .covering_guards(&q, &[0], &[1], 1, &mut stats)
+                .expect("no deadline");
+            black_box(guards.len())
         })
     });
 }
 
 /// Guard-pool enumeration: each iteration, a fresh pool answers a request
-/// no candidate can cover (`x_r` truthy and falsy under the same spec), so
-/// it enumerates exactly `max_expansions` pops and runs every evaluable
-/// candidate once. Reported per iteration and per expanded candidate.
+/// no candidate can cover. The two specs' only setup step is the same
+/// `Native` no-op, so they build equal worlds and every candidate gets
+/// equal bits under both; the twin rule cannot see that (a `Native` step
+/// equals nothing), so `pos [0] neg [1]` scans exactly `max_expansions`
+/// pops and runs every evaluable candidate once. Reported per iteration
+/// and per expanded candidate.
 fn bench_guard_pool_enumerate(c: &mut Criterion) {
-    let (env, post) = blog_env();
-    let specs = seeded_and_empty(post);
+    let (env, _) = blog_env();
+    let noop: rbsyn_interp::spec::NativeSetup = std::sync::Arc::new(|_, _| Ok(()));
+    let spec = |name: &str| {
+        Spec::new(
+            name,
+            vec![
+                SetupStep::Native(noop.clone()),
+                SetupStep::CallTarget {
+                    bind: "xr".into(),
+                    args: vec![],
+                },
+            ],
+            vec![],
+        )
+    };
+    let specs = [spec("a"), spec("b")];
+    let oracles = oracles(&env, &specs);
     let opts = Options {
         max_expansions: 2_000,
         ..Options::default()
@@ -185,16 +215,18 @@ fn bench_guard_pool_enumerate(c: &mut Criterion) {
         name: "m".into(),
         params: &[],
         specs: &specs,
+        oracles: &oracles,
         opts: &opts,
         sched: &sched,
     };
     let enumerate = || {
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let g = pool
-            .nth_covering_guard(&q, &[0], &[0], 0, 1, &mut stats)
+        let guards = pool
+            .covering_guards(&q, &[0], &[1], 1, &mut stats)
             .expect("no deadline");
-        assert!(g.is_none(), "nothing covers a contradictory request");
+        assert!(guards.is_empty(), "equal worlds have no guard");
+        assert!(stats.expanded > 0, "the request scanned nothing");
         stats.expanded
     };
     let expanded = enumerate();

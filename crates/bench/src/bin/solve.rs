@@ -45,8 +45,7 @@
 //! JSON. A `--json` or `--trace` path that cannot be written exits 1
 //! with `cannot write --<flag> file <path>: <error>` on stderr.
 //!
-//! `--trace FILE` (single-benchmark and `--spec` modes only; the env
-//! fallback `RBSYN_TRACE=FILE` is ignored in batch mode) records a
+//! `--trace FILE` (single-benchmark and `--spec` modes only) records a
 //! search-event trace and writes it as Chrome trace-event JSON — load it
 //! in Perfetto or `chrome://tracing`. `--trace-sample N` thins the
 //! per-candidate instants to every `N`-th occurrence (default 64; phase
@@ -90,8 +89,8 @@ struct Cli {
     /// `--spec-dir DIR`: with `--all`, run every `.rbspec` file of `DIR`
     /// instead of the 19 Table 1 problems.
     spec_dir: Option<String>,
-    /// `--trace FILE` (or `RBSYN_TRACE=FILE`): record a search-event trace
-    /// and write Chrome trace-event JSON here. Single-benchmark modes only.
+    /// `--trace FILE`: record a search-event trace and write Chrome
+    /// trace-event JSON here. Single-benchmark modes only.
     trace: Option<String>,
     /// `--trace-sample N`: record every N-th per-candidate instant
     /// (default 64).
@@ -191,20 +190,12 @@ fn parse_cli() -> Cli {
             _ => positional.push(a),
         }
     }
-    // Env fallback: RBSYN_TRACE names the output file. An explicit flag
-    // wins; batch mode ignores the env (a trace records *one* run).
-    if cli.trace.is_none() && !cli.all {
-        match std::env::var("RBSYN_TRACE") {
-            Ok(path) if !path.is_empty() => cli.trace = Some(path),
-            _ => {}
-        }
-    }
     if cli.all && cli.trace.is_some() {
         eprintln!("--trace records one synthesis run; use it with <ID> or --spec, not --all");
         usage();
     }
     if cli.trace_sample.is_some() && cli.trace.is_none() {
-        eprintln!("--trace-sample needs --trace (or RBSYN_TRACE)");
+        eprintln!("--trace-sample needs --trace");
         usage();
     }
     if cli.spec.is_some() && (cli.all || !positional.is_empty() || !batch_only.is_empty()) {
@@ -303,12 +294,10 @@ fn run_one(
     if let Some(t) = flag_or_env_budget(cli).or(default_timeout) {
         opts.timeout = Some(t);
     }
-    let trace_cfg = cli
+    let tracer = cli
         .trace
         .as_ref()
-        .map(|_| TraceConfig::with_sample(cli.trace_sample.unwrap_or(64)));
-    let tracer = trace_cfg.clone().map(Session::new);
-    opts.trace = trace_cfg;
+        .map(|_| Session::new(TraceConfig::with_sample(cli.trace_sample.unwrap_or(64))));
     let mut synth = Synthesizer::new(env, problem, opts);
     if let Some(t) = &tracer {
         synth = synth.with_tracer(t.clone());

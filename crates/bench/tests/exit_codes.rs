@@ -201,10 +201,9 @@ fn numbers(json: &str, key: &str) -> Vec<f64> {
 }
 
 /// A timed-out job reports the work it did, in a batch and alone: its
-/// `--json` row counts its pops and phase time, and a batch's totals are
-/// the sums of its rows' five effort counters. (The fixture declares no
-/// constant and no parameter, so no candidate ever loses its last hole:
-/// it tests none.)
+/// `--json` row counts its pops, the candidates it ran and their
+/// interpreter time, and a batch's totals are the sums of its rows' five
+/// effort counters.
 #[test]
 fn a_timed_out_job_counts_its_work() {
     let dir = dir_with_only("timeout.rbspec");
@@ -236,7 +235,9 @@ fn a_timed_out_job_counts_its_work() {
     // Rows follow file-name order: `S1`, then the timed-out `timeout`.
     assert!(numbers(&json, "popped")[2] > 0.0, "{json}");
     assert!(numbers(&json, "expanded")[2] > 0.0, "{json}");
+    assert!(numbers(&json, "tested")[2] > 0.0, "{json}");
     assert!(numbers(&json, "generate_secs")[1] > 0.0, "{json}");
+    assert!(numbers(&json, "eval_secs")[1] > 0.0, "{json}");
     assert!(numbers(&json, "generate_time_secs")[0] > 0.0, "{json}");
 
     let out = Command::new(env!("CARGO_BIN_EXE_solve"))
@@ -251,7 +252,9 @@ fn a_timed_out_job_counts_its_work() {
     let json = std::fs::read_to_string(&single).expect("--json file is written");
     assert!(json.contains("\"status\": \"timeout\""), "{json}");
     assert!(numbers(&json, "popped")[0] > 0.0, "{json}");
+    assert!(numbers(&json, "tested")[0] > 0.0, "{json}");
     assert!(numbers(&json, "generate_secs")[0] > 0.0, "{json}");
+    assert!(numbers(&json, "eval_secs")[0] > 0.0, "{json}");
 }
 
 #[test]
@@ -574,7 +577,8 @@ mod chaos {
     }
 
     /// With the interpreter stalled by injected delays, the run still
-    /// exits 4: the cooperative deadline poll ends it, and the
+    /// exits 4: the fixture's candidates run, so every evaluation
+    /// waits, the cooperative deadline poll ends the run, and the
     /// evaluator's hard-deadline check backs that poll up at
     /// `timeout × GRACE`.
     #[test]

@@ -123,12 +123,7 @@ impl Scheduler {
         self
     }
 
-    /// The run's deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// The run's tracing session, when `Options::trace` is active.
+    /// The run's tracing session, when one is attached.
     pub fn trace(&self) -> Option<&Session> {
         self.trace.as_ref()
     }

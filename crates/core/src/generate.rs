@@ -72,6 +72,12 @@ impl SpecOracle {
             .unwrap_or_else(|e| panic!("spec {:?} setup failed: {e}", spec.name));
         SpecOracle { prepared }
     }
+
+    /// The spec's prepared setup snapshot (the guard pool derives its
+    /// per-spec checks from it).
+    pub(crate) fn prepared(&self) -> &PreparedSpec {
+        &self.prepared
+    }
 }
 
 impl Oracle for SpecOracle {

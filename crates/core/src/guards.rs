@@ -22,9 +22,18 @@
 //! truthy and the ok bit for a spec; bits are filled lazily per
 //! (candidate, spec) — exactly the specs a request touches — so
 //! re-requests, reversed pairs and backtracking re-checks are pure bit
-//! arithmetic ([`SearchStats::vector_hits`]). Vectors hold one `u64`
-//! word inline for ≤64-spec problems and spill to boxed words beyond
-//! that.
+//! arithmetic ([`SearchStats::vector_hits`]).
+//!
+//! **One bit store.** A candidate's bits are three planes — `ok`,
+//! `truthy` and `evald` (the bit is known) — of `⌈|specs| / 64⌉` words
+//! each. The stream's candidates keep theirs in one flat `Vec<u64>` on the
+//! pool, in stream order; ad-hoc expressions (the merge's quick candidates
+//! and negation guesses) keep theirs in a map keyed by the expression.
+//!
+//! **Checks from the run's oracles.** Spec `i`'s check is `assert x_r`
+//! over the setup snapshot of the run's own prepared oracle for spec `i`
+//! ([`SpecOracle`]), so the pool runs no setup a second time; a setup that
+//! raises has already stopped the run when its oracle was prepared.
 //!
 //! The enumeration runs in a pool-local node arena (`arena.rs`, the
 //! representation phase-1 `generate` enumerates in too), so the stream
@@ -72,6 +81,7 @@ use crate::arena::{typing, Entry, NodeArena, NodeId, NodeSet, CHECKED};
 use crate::engine::{Frontier, Scheduler, SearchStats};
 use crate::error::SynthError;
 use crate::expand::Expander;
+use crate::generate::SpecOracle;
 use crate::infer::Gamma;
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
@@ -79,6 +89,10 @@ use rbsyn_lang::{Expr, FxBuild, Program, Symbol, Ty, Value};
 use rbsyn_trace::Mark;
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// How many covering guards a strengthening request keeps: the merge
+/// backtracks over at most this many pool guards per request.
+pub const GUARDS_PER_REQUEST: usize = 5;
 
 /// Extra work-list pops to spend hunting alternative guards after the
 /// first covering one. Each pop can test hundreds of candidates, so this
@@ -97,125 +111,26 @@ pub struct GuardQuery<'a> {
     /// Method parameters.
     pub params: &'a [(Symbol, Ty)],
     /// All specs of the problem — bit `i` of every vector refers to
-    /// `specs[i]`.
+    /// `specs[i]`. The twin rule compares their setup steps.
     pub specs: &'a [Spec],
+    /// The run's prepared per-spec oracles, index-aligned with `specs`:
+    /// spec `i`'s check runs from `oracles[i]`'s setup snapshot.
+    pub oracles: &'a [SpecOracle],
     /// Search options (guard size bound, pop budget).
     pub opts: &'a Options,
     /// Deadline and tracing session.
     pub sched: &'a Scheduler,
 }
 
-/// Per-spec prepared check, or why it cannot be evaluated.
-enum CheckSlot {
-    /// `assert x_r` over the spec's prepared setup.
-    Ready(Box<PreparedSpec>),
-    /// The spec's own setup failed (a suite bug): the message raised when
-    /// a covering request actually touches this spec, as
-    /// [`crate::generate::SpecOracle::new`] does for a phase-1 search.
-    Failed(String),
-}
-
-/// Lazily filled pass/fail bitvector of one guard candidate over the
-/// problem's specs: `evald` marks which bits are known, `ok` whether the
-/// candidate ran to the assert without error, `truthy` whether `x_r` was
-/// truthy. One interpreter run per bit, ever; everything else is word
-/// arithmetic. One inline word covers ≤64 specs (every Table-1 problem);
-/// larger problems spill to boxed words — same engine, no fallback.
-#[derive(Clone, Debug)]
-enum Bits {
-    One { ok: u64, truthy: u64, evald: u64 },
-    Wide(Box<WideBits>),
-}
-
-/// The spilled representation: parallel word planes.
-#[derive(Clone, Debug)]
-struct WideBits {
-    ok: Vec<u64>,
-    truthy: Vec<u64>,
-    evald: Vec<u64>,
-}
-
-impl Bits {
-    fn new(nwords: usize) -> Bits {
-        if nwords <= 1 {
-            Bits::One {
-                ok: 0,
-                truthy: 0,
-                evald: 0,
-            }
-        } else {
-            Bits::Wide(Box::new(WideBits {
-                ok: vec![0; nwords],
-                truthy: vec![0; nwords],
-                evald: vec![0; nwords],
-            }))
-        }
-    }
-
-    fn evald(&self, s: usize) -> bool {
-        match self {
-            Bits::One { evald, .. } => evald & (1u64 << s) != 0,
-            Bits::Wide(w) => w.evald[s / 64] & (1u64 << (s % 64)) != 0,
-        }
-    }
-
-    fn ok(&self, s: usize) -> bool {
-        match self {
-            Bits::One { ok, .. } => ok & (1u64 << s) != 0,
-            Bits::Wide(w) => w.ok[s / 64] & (1u64 << (s % 64)) != 0,
-        }
-    }
-
-    fn truthy(&self, s: usize) -> bool {
-        match self {
-            Bits::One { truthy, .. } => truthy & (1u64 << s) != 0,
-            Bits::Wide(w) => w.truthy[s / 64] & (1u64 << (s % 64)) != 0,
-        }
-    }
-
-    fn any_evald(&self) -> bool {
-        match self {
-            Bits::One { evald, .. } => *evald != 0,
-            Bits::Wide(w) => w.evald.iter().any(|&x| x != 0),
-        }
-    }
-
-    /// Records one spec's outcome (and marks the bit evaluated).
-    fn record(&mut self, s: usize, ok_bit: bool, truthy_bit: bool) {
-        match self {
-            Bits::One { ok, truthy, evald } => {
-                let m = 1u64 << s;
-                *evald |= m;
-                if ok_bit {
-                    *ok |= m;
-                }
-                if truthy_bit {
-                    *truthy |= m;
-                }
-            }
-            Bits::Wide(w) => {
-                let (i, m) = (s / 64, 1u64 << (s % 64));
-                w.evald[i] |= m;
-                if ok_bit {
-                    w.ok[i] |= m;
-                }
-                if truthy_bit {
-                    w.truthy[i] |= m;
-                }
-            }
-        }
-    }
-}
-
 /// One enumerated evaluable boolean candidate: its node, the work-list
 /// pop that produced it (for per-request stopping budgets) and that pop's
-/// rank (the popped node's size, for ranking mirrored guards), its lazily
-/// filled bitvector, and its expression tree once something needed it.
+/// rank (the popped node's size, for ranking mirrored guards), and its
+/// expression tree once something needed it. Its bits live in
+/// [`GuardPool`]'s flat store.
 struct GuardCand {
     node: NodeId,
     pop: u64,
     rank: u32,
-    bits: Bits,
     expr: Option<Expr>,
 }
 
@@ -237,14 +152,15 @@ struct ReqState {
 
 impl ReqState {
     /// Adds a covering guard unless `found` already holds it: it counts
-    /// toward the first-guard stamp (`pop`) and the cap `k`.
-    fn push_guard(&mut self, guard: Expr, pop: u64, k: usize) {
+    /// toward the first-guard stamp (`pop`) and the cap
+    /// [`GUARDS_PER_REQUEST`].
+    fn push_guard(&mut self, guard: Expr, pop: u64) {
         if self.found.contains(&guard) {
             return;
         }
         self.found.push(guard);
         self.first.get_or_insert(pop);
-        if self.found.len() >= k {
+        if self.found.len() >= GUARDS_PER_REQUEST {
             self.done = true;
         }
     }
@@ -269,21 +185,22 @@ type ReqKey = (Vec<usize>, Vec<usize>);
 /// The pool is deterministic by construction: the candidate stream is
 /// one oracle-independent enumeration (the expander's fill order, the
 /// frontier order, dedup), and every request walks it in order under the
-/// same stopping rule, so [`GuardPool::nth_covering_guard`] returns the
+/// same stopping rule, so [`GuardPool::covering_guards`] returns the
 /// same guards in the same order however requests interleave. It never
 /// re-enumerates or re-judges anything, and it is **lazy twice over**:
 /// the stream extends only as far as the deepest request needs, and a
-/// request only scans far enough to answer the guard index the merge
-/// actually consumes, so alternatives #2–#5 and the
+/// request only scans far enough to hold the number of guards the merge
+/// actually asks for, so alternatives #2–#5 and the
 /// `EXTRA_GUARD_BUDGET` tail are paid for only when a failed validation
 /// asks for them.
 pub struct GuardPool {
     ready: bool,
-    checks: Vec<CheckSlot>,
+    /// Per spec, `assert x_r` over its oracle's setup snapshot.
+    checks: Vec<PreparedSpec>,
     /// Per spec, the first spec whose setup steps equal its own: twins get
     /// the same bits from every candidate.
     twin_of: Vec<usize>,
-    /// Words per bitvector plane: `⌈|specs| / 64⌉`.
+    /// Words per bit plane: `⌈|specs| / 64⌉`.
     nwords: usize,
     /// The enumeration's work-list (empty until the pool is ready).
     frontier: Frontier<Entry>,
@@ -292,11 +209,15 @@ pub struct GuardPool {
     pops: u64,
     exhausted: bool,
     cands: Vec<GuardCand>,
+    /// The bits of `cands`, `3 × nwords` words each in `cands` order: the
+    /// `ok`, `truthy` and `evald` planes (see [`GuardPool::walk`]).
+    bits: Vec<u64>,
     /// Per-request lazy scan state.
     reqs: HashMap<ReqKey, ReqState, FxBuild>,
-    /// Bitvectors for ad-hoc expressions (the merge's quick candidates and
-    /// rule-6/7 negation guesses), keyed structurally.
-    extra_bits: HashMap<Expr, Bits, FxBuild>,
+    /// Bits of ad-hoc expressions (the merge's quick candidates and
+    /// rule-6/7 negation guesses), keyed structurally, laid out as one
+    /// stream candidate's.
+    extra_bits: HashMap<Expr, Vec<u64>, FxBuild>,
     /// Pool-private hash-consing arena: the enumeration shares no state
     /// with other searches and takes no lock.
     arena: NodeArena,
@@ -309,7 +230,7 @@ impl Default for GuardPool {
 }
 
 impl GuardPool {
-    /// An empty pool; all state (prepared checks, the enumeration
+    /// An empty pool; all state (per-spec checks, the enumeration
     /// frontier) is created lazily on the first request, so
     /// merges that never need a guard pay nothing.
     pub fn new() -> GuardPool {
@@ -323,6 +244,7 @@ impl GuardPool {
             pops: 0,
             exhausted: false,
             cands: Vec::new(),
+            bits: Vec::new(),
             reqs: HashMap::default(),
             extra_bits: HashMap::default(),
             arena: NodeArena::default(),
@@ -335,14 +257,11 @@ impl GuardPool {
         }
         self.ready = true;
         self.checks = q
-            .specs
+            .oracles
             .iter()
-            .map(|s| match PreparedSpec::prepare(q.env, s) {
-                Ok(p) => {
-                    let xr = p.result_var();
-                    CheckSlot::Ready(Box::new(p.with_asserts(vec![Expr::Var(xr)])))
-                }
-                Err(e) => CheckSlot::Failed(format!("spec {:?} setup failed: {e}", s.name)),
+            .map(|o| {
+                let p = o.prepared();
+                p.with_asserts(vec![Expr::Var(p.result_var())])
             })
             .collect();
         // The interpreter is deterministic, so specs with equal setups
@@ -418,9 +337,9 @@ impl GuardPool {
                     node: id,
                     pop: self.pops,
                     rank,
-                    bits: Bits::new(self.nwords),
                     expr: None,
                 });
+                self.bits.resize(self.bits.len() + 3 * self.nwords, 0);
             }
         }
         Ok(())
@@ -435,17 +354,20 @@ impl GuardPool {
     /// One walk over the footprint bits of `bits`, `pos` first and then
     /// `neg`, that decides both the request `(pos, neg)` and its mirror
     /// `(neg, pos)`: it fills a missing bit by an interpreter run and stops
-    /// as soon as both verdicts fail. `expr` yields the candidate's body,
-    /// and is called only when an interpreter run is needed.
+    /// as soon as both verdicts fail. `bits` is one candidate's three
+    /// planes, `ok`, `truthy` and `evald`, of equal length. `expr` yields
+    /// the candidate's body, and is called only when an interpreter run is
+    /// needed.
     fn walk(
-        checks: &[CheckSlot],
-        bits: &mut Bits,
+        checks: &[PreparedSpec],
+        bits: &mut [u64],
         mut expr: impl FnMut() -> Expr,
         q: &GuardQuery<'_>,
         pos: &[usize],
         neg: &[usize],
         stats: &mut SearchStats,
     ) -> Walk {
+        let nwords = bits.len() / 3;
         let mut program: Option<Program> = None;
         let mut walk = Walk {
             covers: true,
@@ -454,15 +376,10 @@ impl GuardPool {
         };
         for (specs, want_truthy) in [(pos, true), (neg, false)] {
             for &s in specs {
-                if !bits.evald(s) {
-                    let check = match &checks[s] {
-                        CheckSlot::Ready(p) => p,
-                        CheckSlot::Failed(_) => {
-                            walk.covers = false;
-                            walk.mirrored = false;
-                            return walk;
-                        }
-                    };
+                // Spec `s`'s word in each plane, and its bit there.
+                let (ok, m) = (s / 64, 1u64 << (s % 64));
+                let (truthy, evald) = (ok + nwords, ok + 2 * nwords);
+                if bits[evald] & m == 0 {
                     let p = program.get_or_insert_with(|| {
                         Program::from_parts(
                             q.name,
@@ -471,18 +388,22 @@ impl GuardPool {
                         )
                     });
                     let started = Instant::now();
-                    let outcome = check.run(q.env, p);
+                    let outcome = checks[s].run(q.env, p);
                     stats.eval_nanos = stats
                         .eval_nanos
                         .saturating_add(started.elapsed().as_nanos() as u64);
+                    bits[evald] |= m;
                     match outcome {
-                        SpecOutcome::Passed { .. } => bits.record(s, true, true),
-                        SpecOutcome::Failed { .. } => bits.record(s, true, false),
-                        SpecOutcome::SetupError(_) => bits.record(s, false, false),
+                        SpecOutcome::Passed { .. } => {
+                            bits[ok] |= m;
+                            bits[truthy] |= m;
+                        }
+                        SpecOutcome::Failed { .. } => bits[ok] |= m,
+                        SpecOutcome::SetupError(_) => {}
                     }
                     walk.filled = true;
                 }
-                let (ok, truthy) = (bits.ok(s), bits.truthy(s));
+                let (ok, truthy) = (bits[ok] & m != 0, bits[truthy] & m != 0);
                 walk.covers &= ok && truthy == want_truthy;
                 walk.mirrored &= ok && truthy != want_truthy;
                 if !walk.covers && !walk.mirrored {
@@ -503,10 +424,10 @@ impl GuardPool {
         neg: &[usize],
         stats: &mut SearchStats,
     ) -> Walk {
-        let GuardCand {
-            node, bits, expr, ..
-        } = &mut self.cands[i];
-        let fresh = !bits.any_evald();
+        let GuardCand { node, expr, .. } = &mut self.cands[i];
+        let len = 3 * self.nwords;
+        let bits = &mut self.bits[i * len..(i + 1) * len];
+        let fresh = bits[2 * self.nwords..].iter().all(|&w| w == 0);
         let arena = &self.arena;
         let body = || expr.get_or_insert_with(|| arena.to_expr(*node)).clone();
         let walk = Self::walk(&self.checks, bits, body, q, pos, neg, stats);
@@ -521,30 +442,30 @@ impl GuardPool {
     /// Moves the waiting mirrored guards of size below `rank` into the
     /// request's list, smallest first: `negate` of each, deduplicated and
     /// stamped `pop` like a native guard found there.
-    fn release_mirrored(&mut self, state: &mut ReqState, rank: u32, pop: u64, k: usize) {
+    fn release_mirrored(&mut self, state: &mut ReqState, rank: u32, pop: u64) {
         let n = state.mirrored.partition_point(|&(size, _)| size < rank);
         for j in 0..n {
             if state.done {
                 break;
             }
             let guard = negate(self.cand_expr(state.mirrored[j].1));
-            state.push_guard(guard, pop, k);
+            state.push_guard(guard, pop);
         }
         state.mirrored.drain(..n);
     }
 
     /// Advances one request's lazy scan over the shared stream until it
-    /// has found `need` guards, hit its per-request stopping rule (`k`
-    /// guards, or [`EXTRA_GUARD_BUDGET`] pops past the first one, or the
-    /// pop budget, or stream exhaustion), or timed out. The stopping rule
-    /// latches — once a request is done, its guard list is final.
+    /// has found `need` guards, hit its per-request stopping rule
+    /// ([`GUARDS_PER_REQUEST`] guards, or [`EXTRA_GUARD_BUDGET`] pops past
+    /// the first one, or the pop budget, or stream exhaustion), or timed
+    /// out. The stopping rule latches — once a request is done, its guard
+    /// list is final.
     ///
     /// A candidate that covers the mirror request `(neg, pos)` answers the
     /// request with its negation, ranked at its own size: the negation
     /// waits until the scan reaches a candidate produced by a pop of
     /// larger rank (or the scan ends), so every native guard of its size
     /// comes first.
-    #[allow(clippy::too_many_arguments)]
     fn advance_request(
         &mut self,
         q: &GuardQuery<'_>,
@@ -552,7 +473,6 @@ impl GuardPool {
         neg: &[usize],
         state: &mut ReqState,
         need: usize,
-        k: usize,
         stats: &mut SearchStats,
     ) -> Result<(), SynthError> {
         while state.found.len() < need && !state.done {
@@ -561,7 +481,7 @@ impl GuardPool {
             });
             if state.next_cand == self.cands.len() {
                 if self.exhausted || self.pops >= bound {
-                    self.release_mirrored(state, u32::MAX, self.pops, k);
+                    self.release_mirrored(state, u32::MAX, self.pops);
                     state.done = true;
                     break;
                 }
@@ -572,7 +492,7 @@ impl GuardPool {
                     {
                         // A timeout after the first guard finalizes the
                         // partial list.
-                        self.release_mirrored(state, u32::MAX, self.pops, k);
+                        self.release_mirrored(state, u32::MAX, self.pops);
                         state.done = true;
                         break;
                     }
@@ -582,18 +502,18 @@ impl GuardPool {
             let i = state.next_cand;
             let (pop, rank) = (self.cands[i].pop, self.cands[i].rank);
             if pop > bound {
-                self.release_mirrored(state, u32::MAX, pop, k);
+                self.release_mirrored(state, u32::MAX, pop);
                 state.done = true;
                 break;
             }
-            self.release_mirrored(state, rank, pop, k);
+            self.release_mirrored(state, rank, pop);
             if state.found.len() >= need || state.done {
                 break;
             }
             let walk = self.cand_walk(i, q, pos, neg, stats);
             if walk.covers {
                 let guard = self.cand_expr(i).clone();
-                state.push_guard(guard, pop, k);
+                state.push_guard(guard, pop);
             } else if walk.mirrored {
                 let size = self.arena.size(self.cands[i].node) as u32;
                 let at = state.mirrored.partition_point(|&(s, _)| s <= size);
@@ -604,122 +524,47 @@ impl GuardPool {
         Ok(())
     }
 
-    /// Runs `f` with the request's scan state temporarily checked out of
-    /// the pool (so `f` may extend the shared stream through `&mut self`).
-    fn with_request<T>(
-        &mut self,
-        pos: &[usize],
-        neg: &[usize],
-        f: impl FnOnce(&mut Self, &mut ReqState) -> Result<T, SynthError>,
-    ) -> Result<T, SynthError> {
-        let key: ReqKey = (pos.to_vec(), neg.to_vec());
-        let mut state = match self.reqs.remove(&key) {
-            Some(state) => state,
-            // A request that splits twin specs has no guard: it is done
-            // before it scans anything.
-            None => ReqState {
-                done: pos
-                    .iter()
-                    .any(|&s| neg.iter().any(|&t| self.twin_of[s] == self.twin_of[t])),
-                ..ReqState::default()
-            },
-        };
-        let out = f(self, &mut state);
-        self.reqs.insert(key, state);
-        out
-    }
-
-    /// The `n`-th (0-based) covering guard for a strengthening request
-    /// (`pos` truthy, `neg` falsy) under the request cap `k` — index `n`
-    /// of [`GuardPool::covering_guards`]' list. Scans lazily: a merge that
+    /// The covering guards of a strengthening request (`pos` truthy, `neg`
+    /// falsy), in order: the stream's covering candidates, with the
+    /// negations of the mirror's placed by the size rule (see the
+    /// [module docs](self)). The request's scan advances until it holds
+    /// `need` guards or its stopping rule has latched
+    /// ([`GUARDS_PER_REQUEST`] guards, none found more than
+    /// `EXTRA_GUARD_BUDGET` (300) pops after the first), and the call
+    /// returns every guard found so far. Scans lazily: a merge that
     /// validates on the first guard never pays for the alternatives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a requested spec's own setup raises — that is a suite
-    /// bug, not a candidate failure (same contract as
-    /// [`crate::generate::SpecOracle::new`]).
-    pub fn nth_covering_guard(
-        &mut self,
-        q: &GuardQuery<'_>,
-        pos: &[usize],
-        neg: &[usize],
-        n: usize,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Result<Option<Expr>, SynthError> {
-        if let Some(t) = q.sched.trace() {
-            t.mark(Mark::CoveringQuery);
-        }
-        self.prepare_request(q, pos, neg);
-        self.with_request(pos, neg, |pool, state| {
-            pool.advance_request(q, pos, neg, state, n + 1, k, stats)?;
-            Ok(state.found.get(n).cloned())
-        })
-    }
-
-    /// The final number of covering guards a request yields under cap `k`
-    /// (materializes the request's full list — the merge only calls this
-    /// from the backtracking odometer, after a failed validation).
-    pub fn covering_count(
-        &mut self,
-        q: &GuardQuery<'_>,
-        pos: &[usize],
-        neg: &[usize],
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Result<usize, SynthError> {
-        if let Some(t) = q.sched.trace() {
-            t.mark(Mark::CoveringQuery);
-        }
-        self.prepare_request(q, pos, neg);
-        self.with_request(pos, neg, |pool, state| {
-            pool.advance_request(q, pos, neg, state, k, k, stats)?;
-            Ok(state.found.len())
-        })
-    }
-
-    /// Shared request entry: the `guards::cover` failpoint, readiness and
-    /// the suite-bug panic contract.
-    fn prepare_request(&mut self, q: &GuardQuery<'_>, pos: &[usize], neg: &[usize]) {
-        rbsyn_lang::failpoint::hit("guards::cover");
-        self.ensure_ready(q);
-        for &s in pos.iter().chain(neg) {
-            if let CheckSlot::Failed(msg) = &self.checks[s] {
-                panic!("{msg}");
-            }
-        }
-    }
-
-    /// Eagerly materializes the ordered covering guards of a request:
-    /// the stream's covering candidates in order, with the negations of
-    /// the mirror's placed by the size rule (see the
-    /// [module docs](self)), at most `k` of them, none found more than
-    /// `EXTRA_GUARD_BUDGET` (300) pops after the first.
-    /// Tests use this; the merge goes through the lazy
-    /// [`GuardPool::nth_covering_guard`].
     pub fn covering_guards(
         &mut self,
         q: &GuardQuery<'_>,
         pos: &[usize],
         neg: &[usize],
-        k: usize,
+        need: usize,
         stats: &mut SearchStats,
-    ) -> Result<Vec<Expr>, SynthError> {
+    ) -> Result<&[Expr], SynthError> {
         if let Some(t) = q.sched.trace() {
             t.mark(Mark::CoveringQuery);
         }
-        self.prepare_request(q, pos, neg);
-        self.with_request(pos, neg, |pool, state| {
-            pool.advance_request(q, pos, neg, state, k, k, stats)?;
-            Ok(state.found.clone())
-        })
+        rbsyn_lang::failpoint::hit("guards::cover");
+        self.ensure_ready(q);
+        let key: ReqKey = (pos.to_vec(), neg.to_vec());
+        // The state is checked out of the pool while it scans, so the scan
+        // may extend the shared stream through `&mut self`.
+        let mut state = self.reqs.remove(&key).unwrap_or_else(|| ReqState {
+            // A request that splits twin specs has no guard: it is done
+            // before it scans anything.
+            done: pos
+                .iter()
+                .any(|&s| neg.iter().any(|&t| self.twin_of[s] == self.twin_of[t])),
+            ..ReqState::default()
+        });
+        let scanned = self.advance_request(q, pos, neg, &mut state, need, stats);
+        let state = self.reqs.entry(key).or_insert(state);
+        scanned.map(|()| state.found.as_slice())
     }
 
     /// Checks an ad-hoc expression (quick candidate, negation guess)
-    /// against a request, through the same lazily filled bitvectors.
-    /// Unpreparable specs answer `false` (the lenient contract
-    /// `guard_holds` always had).
+    /// against a request, through lazily filled bits kept like a stream
+    /// candidate's.
     pub fn check_expr(
         &mut self,
         q: &GuardQuery<'_>,
@@ -729,29 +574,23 @@ impl GuardPool {
         stats: &mut SearchStats,
     ) -> bool {
         self.ensure_ready(q);
-        // Unpreparable specs answer `false` without touching (or
-        // counting) any bit — the lenient `guard_holds` contract.
-        if pos
-            .iter()
-            .chain(neg)
-            .any(|&s| matches!(self.checks[s], CheckSlot::Failed(_)))
-        {
-            return false;
-        }
-        let mut bits = self
-            .extra_bits
-            .get(e)
-            .cloned()
-            .unwrap_or_else(|| Bits::new(self.nwords));
         // The same walk as a stream candidate's; only its forward verdict
-        // matters here.
-        let walk = Self::walk(&self.checks, &mut bits, || e.clone(), q, pos, neg, stats);
+        // matters here. A stored entry is walked in place, so a pure
+        // word-op hit (the merge's hottest re-check loop) neither clones
+        // nor re-hashes the expression.
+        let walk = match self.extra_bits.get_mut(e) {
+            Some(bits) => Self::walk(&self.checks, bits, || e.clone(), q, pos, neg, stats),
+            None => {
+                let mut bits = vec![0; 3 * self.nwords];
+                let walk = Self::walk(&self.checks, &mut bits, || e.clone(), q, pos, neg, stats);
+                if walk.filled {
+                    self.extra_bits.insert(e.clone(), bits);
+                }
+                walk
+            }
+        };
         if !walk.filled {
-            // Pure word-op hit: nothing new to store — skip the AST clone
-            // and re-hash (this is the merge's hottest re-check loop).
             stats.vector_hits += 1;
-        } else {
-            self.extra_bits.insert(e.clone(), bits);
         }
         walk.covers
     }
@@ -801,18 +640,10 @@ mod tests {
         assert_eq!(negate(&true_()).compact(), "false");
     }
 
-    #[test]
-    fn wide_bits_round_trip() {
-        let mut b = Bits::new(2);
-        assert!(!b.any_evald());
-        b.record(0, true, true);
-        b.record(64, true, false);
-        b.record(100, false, false);
-        assert!(b.any_evald());
-        assert!(b.evald(0) && b.ok(0) && b.truthy(0));
-        assert!(b.evald(64) && b.ok(64) && !b.truthy(64));
-        assert!(b.evald(100) && !b.ok(100) && !b.truthy(100));
-        assert!(!b.evald(63) && !b.evald(101));
+    /// The run's prepared oracles for `specs`, as the synthesizer builds
+    /// them before the merge.
+    fn oracles(env: &InterpEnv, specs: &[Spec]) -> Vec<SpecOracle> {
+        specs.iter().map(|s| SpecOracle::new(env, s)).collect()
     }
 
     /// Two specs a guard must separate: seeded world vs empty world.
@@ -833,6 +664,7 @@ mod tests {
     #[test]
     fn pool_covering_matches_the_per_request_search() {
         let (env, specs) = pool_fixture();
+        let oracles = oracles(&env, &specs);
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -840,30 +672,43 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[],
             specs: &specs,
+            oracles: &oracles,
             opts: &opts,
             sched: &sched,
         };
-        let reference = reference_covering(&q, &[0], &[1], 4);
+        let reference = reference_covering(&q, &[0], &[1]);
         assert!(reference.len() > 1, "the request has alternatives");
-        // Pool: same guards, same order — eager and lazy agree.
+        // Pool: same guards, same order — whole and one at a time agree.
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let pooled = pool.covering_guards(&q, &[0], &[1], 4, &mut stats).unwrap();
         assert_eq!(
-            pooled.iter().map(|g| g.compact()).collect::<Vec<_>>(),
+            compact(pool.covering_guards(&q, &[0], &[1], usize::MAX, &mut stats)),
             reference,
             "pool covering must reproduce the brute-force request"
         );
-        for (n, g) in pooled.iter().enumerate() {
-            let nth = pool
-                .nth_covering_guard(&q, &[0], &[1], n, 4, &mut stats)
-                .unwrap();
-            assert_eq!(nth.as_ref().map(|e| e.compact()), Some(g.compact()));
+        assert_eq!(one_at_a_time(&q, &[0], &[1]), reference);
+    }
+
+    /// A request's guards as compact text.
+    fn compact(guards: Result<&[Expr], SynthError>) -> Vec<String> {
+        guards.unwrap().iter().map(|g| g.compact()).collect()
+    }
+
+    /// A fresh pool's list for a request, fetched one guard at a time as
+    /// the merge does: ask for `n + 1` guards until the list stops
+    /// growing.
+    fn one_at_a_time(q: &GuardQuery<'_>, pos: &[usize], neg: &[usize]) -> Vec<String> {
+        let mut pool = GuardPool::new();
+        let mut stats = SearchStats::default();
+        let mut out = Vec::new();
+        while let Some(g) = pool
+            .covering_guards(q, pos, neg, out.len() + 1, &mut stats)
+            .unwrap()
+            .get(out.len())
+        {
+            out.push(g.compact());
         }
-        assert_eq!(
-            pool.covering_count(&q, &[0], &[1], 4, &mut stats).unwrap(),
-            pooled.len()
-        );
+        out
     }
 
     /// A request whose mirror has a one-node guard, `arg0`, while the
@@ -883,6 +728,7 @@ mod tests {
             )
         };
         let specs = [called_with("yes", true_()), called_with("no", false_())];
+        let oracles = oracles(&env, &specs);
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -890,20 +736,25 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[(Symbol::intern("arg0"), Ty::Bool)],
             specs: &specs,
+            oracles: &oracles,
             opts: &opts,
             sched: &sched,
         };
-        let reference = reference_covering(&q, &[1], &[0], 4);
+        let reference = reference_covering(&q, &[1], &[0]);
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let pooled: Vec<String> = pool
-            .covering_guards(&q, &[1], &[0], 4, &mut stats)
-            .unwrap()
-            .iter()
-            .map(|g| g.compact())
-            .collect();
+        let pooled = compact(pool.covering_guards(&q, &[1], &[0], usize::MAX, &mut stats));
         assert_eq!(pooled, reference, "the pool must follow the size rule");
-        assert_eq!(pooled, ["!arg0", "arg0.!", "!arg0.!.!", "!arg0 & arg0"]);
+        assert_eq!(
+            pooled,
+            [
+                "!arg0",
+                "arg0.!",
+                "!arg0.!.!",
+                "!arg0 & arg0",
+                "!arg0 | arg0"
+            ]
+        );
     }
 
     /// Two specs with equal setups get the same bits from every candidate,
@@ -917,41 +768,43 @@ mod tests {
             ..Options::default()
         };
         let sched = Scheduler::sequential();
-        let query = |specs| GuardQuery {
+        let query = |specs, oracles| GuardQuery {
             env: &env,
             name: Symbol::intern("m"),
             params: &[],
             specs,
+            oracles,
             opts: &opts,
             sched: &sched,
         };
         let twins = [call_spec("a", vec![]), call_spec("b", vec![])];
+        let twin_oracles = oracles(&env, &twins);
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let q = query(&twins);
-        let g = pool.nth_covering_guard(&q, &[0], &[1], 0, 4, &mut stats);
-        assert_eq!(g.unwrap(), None);
+        let q = query(&twins, &twin_oracles);
+        let g = pool.covering_guards(&q, &[0], &[1], 1, &mut stats);
+        assert!(g.unwrap().is_empty());
         assert_eq!(stats.popped, 0, "a twin split scans nothing");
-        assert_eq!(
-            pool.covering_count(&q, &[1], &[0], 4, &mut stats).unwrap(),
-            0
-        );
+        let all = pool.covering_guards(&q, &[1], &[0], usize::MAX, &mut stats);
+        assert!(all.unwrap().is_empty());
         assert_eq!(stats.popped, 0);
 
         let noop: rbsyn_interp::spec::NativeSetup = std::sync::Arc::new(|_, _| Ok(()));
         let native = |name| call_spec(name, vec![SetupStep::Native(noop.clone())]);
         let natives = [native("a"), native("b")];
+        let native_oracles = oracles(&env, &natives);
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let q = query(&natives);
-        let g = pool.nth_covering_guard(&q, &[0], &[1], 0, 4, &mut stats);
-        assert_eq!(g.unwrap(), None, "equal worlds have no guard");
+        let q = query(&natives, &native_oracles);
+        let g = pool.covering_guards(&q, &[0], &[1], 1, &mut stats);
+        assert!(g.unwrap().is_empty(), "equal worlds have no guard");
         assert!(stats.popped > 0, "native setups are compared by a scan");
     }
 
     #[test]
     fn pool_reverse_request_reuses_bitvectors() {
         let (env, specs) = pool_fixture();
+        let oracles = oracles(&env, &specs);
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -959,22 +812,17 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[],
             specs: &specs,
+            oracles: &oracles,
             opts: &opts,
             sched: &sched,
         };
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let fwd = pool
-            .nth_covering_guard(&q, &[0], &[1], 0, 1, &mut stats)
-            .unwrap()
-            .expect("a separating guard exists");
+        let fwd = pool.covering_guards(&q, &[0], &[1], 1, &mut stats).unwrap()[0].clone();
         let tested_after_fwd = stats.tested;
         // The reverse request re-walks already-judged candidates: any
         // candidate whose bits are fully known answers from the vector.
-        let rev = pool
-            .nth_covering_guard(&q, &[1], &[0], 0, 1, &mut stats)
-            .unwrap()
-            .expect("the reverse guard exists");
+        let rev = pool.covering_guards(&q, &[1], &[0], 1, &mut stats).unwrap()[0].clone();
         assert_ne!(fwd.compact(), rev.compact());
         assert!(stats.tested >= tested_after_fwd);
         // Ad-hoc checks ride the same bitvectors: the found guards really
@@ -988,9 +836,9 @@ mod tests {
         assert_eq!(stats.vector_hits, hits + 1);
     }
 
-    /// A 65-spec problem — one spec past the inline bitvector word — whose
-    /// first 32 specs seed a `Post` and whose rest are empty. The same
-    /// pool engine (spilled words) must answer it.
+    /// A 65-spec problem — one spec past a one-word bit plane — whose
+    /// first 32 specs seed a `Post` and whose rest are empty. Its planes
+    /// are two words wide.
     fn oversized_fixture() -> (InterpEnv, Vec<Spec>) {
         let (env, post) = env_with_post();
         let mut specs = Vec::with_capacity(65);
@@ -1015,6 +863,7 @@ mod tests {
     fn oversized_pool_matches_the_per_request_search() {
         let (env, specs) = oversized_fixture();
         assert!(specs.len() > 64, "fixture must overflow one bitvector word");
+        let oracles = oracles(&env, &specs);
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -1022,44 +871,38 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[],
             specs: &specs,
+            oracles: &oracles,
             opts: &opts,
             sched: &sched,
         };
-        let reference = reference_covering(&q, &[0], &[64], 4);
+        let reference = reference_covering(&q, &[0], &[64]);
         assert!(!reference.is_empty(), "a separating guard exists");
 
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let pooled = pool
-            .covering_guards(&q, &[0], &[64], 4, &mut stats)
-            .unwrap();
         assert_eq!(
-            pooled.iter().map(|g| g.compact()).collect::<Vec<_>>(),
+            compact(pool.covering_guards(&q, &[0], &[64], usize::MAX, &mut stats)),
             reference,
-            "the spilled bitvectors must reproduce the brute-force request"
+            "two-word bit planes must reproduce the brute-force request"
         );
-        // The request latches: nth/count answer from the stored scan
+        // The request latches: asking again answers from the stored scan
         // without extending the stream.
         let popped = stats.popped;
-        for (n, g) in pooled.iter().enumerate() {
-            let nth = pool
-                .nth_covering_guard(&q, &[0], &[64], n, 4, &mut stats)
-                .unwrap();
-            assert_eq!(nth.as_ref().map(|e| e.compact()), Some(g.compact()));
+        for need in 1..=reference.len() + 1 {
+            let guards = pool.covering_guards(&q, &[0], &[64], need, &mut stats);
+            assert_eq!(compact(guards), reference);
         }
-        assert_eq!(
-            pool.covering_count(&q, &[0], &[64], 4, &mut stats).unwrap(),
-            pooled.len()
-        );
         assert_eq!(
             stats.popped, popped,
             "request state is reused, not re-searched"
         );
+        assert_eq!(one_at_a_time(&q, &[0], &[64]), reference);
     }
 
     #[test]
     fn oversized_check_expr_agrees_with_oracle() {
         let (env, specs) = oversized_fixture();
+        let oracles = oracles(&env, &specs);
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -1067,6 +910,7 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[],
             specs: &specs,
+            oracles: &oracles,
             opts: &opts,
             sched: &sched,
         };
@@ -1085,6 +929,7 @@ mod tests {
     #[test]
     fn pool_guard_holds_semantics() {
         let (env, specs) = pool_fixture();
+        let oracles = oracles(&env, &specs);
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -1092,6 +937,7 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[],
             specs: &specs,
+            oracles: &oracles,
             opts: &opts,
             sched: &sched,
         };
@@ -1208,14 +1054,9 @@ mod tests {
     /// and `assert !x_r` checks for `neg`, and with the flipped checks for
     /// the mirror request. A candidate `c` covering the mirror contributes
     /// `!c` after the last candidate produced by a pop of rank up to `c`'s
-    /// size. Duplicates are skipped; keep at most `k` guards, and stop
-    /// [`EXTRA_GUARD_BUDGET`] pops after the first.
-    fn reference_covering(
-        q: &GuardQuery<'_>,
-        pos: &[usize],
-        neg: &[usize],
-        k: usize,
-    ) -> Vec<String> {
+    /// size. Duplicates are skipped; keep at most [`GUARDS_PER_REQUEST`]
+    /// guards, and stop [`EXTRA_GUARD_BUDGET`] pops after the first.
+    fn reference_covering(q: &GuardQuery<'_>, pos: &[usize], neg: &[usize]) -> Vec<String> {
         const POPS: u64 = 5_000;
         let checks = |truthy: bool| -> Vec<PreparedSpec> {
             pos.iter()
@@ -1240,7 +1081,7 @@ mod tests {
                 found.push(g);
                 first.get_or_insert(pop);
             }
-            found.len() == k
+            found.len() == GUARDS_PER_REQUEST
         };
         for (e, &(ref text, pop, rank)) in reference.exprs.iter().zip(&reference.stream.cands) {
             let end = first.is_some_and(|f| pop > f + EXTRA_GUARD_BUDGET);
@@ -1328,6 +1169,7 @@ mod tests {
             name: Symbol::intern("m"),
             params: &[(Symbol::intern("arg0"), Ty::Str)],
             specs: &[],
+            oracles: &[],
             opts: &opts,
             sched: &sched,
         };
@@ -1352,23 +1194,34 @@ mod tests {
         let a3 = a3_env();
         let (post_env, post_specs) = pool_fixture();
         let (wide_env, wide_specs) = oversized_fixture();
+        let (post_oracles, wide_oracles) = (
+            oracles(&post_env, &post_specs),
+            oracles(&wide_env, &wide_specs),
+        );
         let str_param = [(Symbol::intern("arg0"), Ty::Str)];
         let untyped = Options::with_guidance(Guidance::effects_only());
         let paper = Options::default();
         let sched = Scheduler::sequential();
-        let query = |env, params, specs, opts| GuardQuery {
+        let query = |env, params, specs, oracles, opts| GuardQuery {
             env,
             name: Symbol::intern("m"),
             params,
             specs,
+            oracles,
             opts,
             sched: &sched,
         };
         let fixtures = [
-            ("a3", query(&a3, &str_param, &[], &paper)),
-            ("post", query(&post_env, &[], &post_specs, &paper)),
-            ("65 specs", query(&wide_env, &[], &wide_specs, &paper)),
-            ("effects only", query(&a3, &str_param, &[], &untyped)),
+            ("a3", query(&a3, &str_param, &[], &[], &paper)),
+            (
+                "post",
+                query(&post_env, &[], &post_specs, &post_oracles, &paper),
+            ),
+            (
+                "65 specs",
+                query(&wide_env, &[], &wide_specs, &wide_oracles, &paper),
+            ),
+            ("effects only", query(&a3, &str_param, &[], &[], &untyped)),
         ];
         let (mut deduped, mut rejected) = (0, 0);
         for (name, q) in fixtures {

@@ -150,8 +150,6 @@ pub struct MergeCtx<'a> {
     pub guards: GuardPool,
 }
 
-/// How many oracle-passing guards to keep per strengthening request.
-const GUARDS_PER_REQUEST: usize = 5;
 /// How many guard-choice combinations to try per `⊕` order.
 const ATTEMPTS_PER_ORDER: usize = 64;
 
@@ -173,6 +171,7 @@ impl<'a> MergeCtx<'a> {
             name: self.name,
             params: self.params,
             specs: self.specs,
+            oracles: self.spec_oracles,
             opts: self.opts,
             sched: self.sched,
         }
@@ -221,102 +220,73 @@ impl<'a> MergeCtx<'a> {
         out
     }
 
-    /// The `idx`-th guard candidate for a request — quick passers first,
-    /// then the pool's covering guards (lazily fetched, deduplicated
-    /// against the quick ones), clamped to the last available candidate;
-    /// `None` when the request has no candidate at all. Exactly the list
-    /// the eager per-request materialization produced, paged on demand:
-    /// a merge that validates with guard 0 never pays for alternatives.
+    /// A request's candidate list, up to `need` entries: the quick
+    /// passers, then the pool's covering guards not among them, fetched
+    /// one at a time (`need = n + 1`) so the pool scans no further than
+    /// the list needs. The one place guard covering is traced and timed.
+    fn candidates(
+        &mut self,
+        key: &GuardKey,
+        extra: &[Expr],
+        need: usize,
+    ) -> Result<Vec<Expr>, SynthError> {
+        let started = Instant::now();
+        let span = self.sched.trace().map(|t| t.span(Phase::Guard));
+        let mut out = self.quick_passers(key, extra);
+        let q = self.guard_query();
+        let mut scanned = Ok(());
+        let mut n = 0;
+        while out.len() < need {
+            let guards = match self
+                .guards
+                .covering_guards(&q, &key.0, &key.1, n + 1, self.stats)
+            {
+                Ok(guards) => guards,
+                Err(e) => {
+                    scanned = Err(e);
+                    break;
+                }
+            };
+            let Some(g) = guards.get(n) else {
+                break;
+            };
+            // The pool's guards are distinct, so this skips quick ones.
+            if !out.contains(g) {
+                out.push(g.clone());
+            }
+            n += 1;
+        }
+        drop(span);
+        self.guard_time += started.elapsed();
+        scanned.map(|()| out)
+    }
+
+    /// The `idx`-th candidate for a request, clamped to the last one;
+    /// `None` when the request has none. A merge that validates with
+    /// candidate 0 never pays for the alternatives.
     fn guard_pick(
         &mut self,
         key: &GuardKey,
         extra: &[Expr],
         idx: usize,
     ) -> Result<Option<Expr>, SynthError> {
-        let started = Instant::now();
-        let span = self.sched.trace().map(|t| t.span(Phase::Guard));
-        let r = self.guard_pick_inner(key, extra, idx);
-        drop(span);
-        self.guard_time += started.elapsed();
-        r
-    }
-
-    fn guard_pick_inner(
-        &mut self,
-        key: &GuardKey,
-        extra: &[Expr],
-        idx: usize,
-    ) -> Result<Option<Expr>, SynthError> {
-        let quick = self.quick_passers(key, extra);
-        if idx < quick.len() {
-            return Ok(Some(quick[idx].clone()));
-        }
-        let q = self.guard_query();
-        let mut last: Option<Expr> = quick.last().cloned();
-        let mut combined = quick.len();
-        let mut n = 0;
-        loop {
-            let g = self.guards.nth_covering_guard(
-                &q,
-                &key.0,
-                &key.1,
-                n,
-                GUARDS_PER_REQUEST,
-                self.stats,
-            )?;
-            let Some(g) = g else {
-                return Ok(last);
-            };
-            n += 1;
-            if quick.contains(&g) {
-                continue;
-            }
-            if combined == idx {
-                return Ok(Some(g));
-            }
-            last = Some(g);
-            combined += 1;
-        }
-    }
-
-    /// The final combined candidate-list length for a request (quick
-    /// passers plus all covering guards, deduplicated) — the odometer
-    /// digit base. Materializes the request's full guard list; only the
-    /// backtracking path calls this.
-    fn combined_len(&mut self, key: &GuardKey, extra: &[Expr]) -> Result<usize, SynthError> {
-        let started = Instant::now();
-        let _span = self.sched.trace().map(|t| t.span(Phase::Guard));
-        let quick = self.quick_passers(key, extra);
-        let q = self.guard_query();
-        let total =
-            self.guards
-                .covering_count(&q, &key.0, &key.1, GUARDS_PER_REQUEST, self.stats)?;
-        let mut len = quick.len();
-        for n in 0..total {
-            let g = self
-                .guards
-                .nth_covering_guard(&q, &key.0, &key.1, n, GUARDS_PER_REQUEST, self.stats)?
-                .expect("covering_count bounds the list");
-            if !quick.contains(&g) {
-                len += 1;
-            }
-        }
-        self.guard_time += started.elapsed();
-        Ok(len)
+        let mut candidates = self.candidates(key, extra, idx + 1)?;
+        candidates.truncate(idx + 1);
+        Ok(candidates.pop())
     }
 
     /// Advances the guard-choice odometer: increments the *first* used key
     /// (the structurally dominant pick), carrying rightward; returns
-    /// `Ok(false)` when all combinations are exhausted. Digit bases come
-    /// from [`MergeCtx::combined_len`], so only a failed validation pays
-    /// for materializing the alternatives.
+    /// `Ok(false)` when all combinations are exhausted. A digit's base is
+    /// its request's whole candidate list, so only a failed validation
+    /// pays for materializing the alternatives.
     fn bump_selector(
         &mut self,
         selector: &mut HashMap<GuardKey, usize>,
         used: &GuardUses,
     ) -> Result<bool, SynthError> {
-        bump_digits(selector, used, |ctx_key, extra| {
-            self.combined_len(ctx_key, extra)
+        bump_digits(selector, used, |key, extra| {
+            Ok(self.candidates(key, extra, usize::MAX)?.len())
         })
     }
 }
@@ -353,10 +323,8 @@ pub fn merge_program(ctx: &mut MergeCtx<'_>, tuples: Vec<Tuple>) -> Result<Progr
     for order in orders {
         let mut selector: HashMap<GuardKey, usize> = HashMap::new();
         'attempts: for _attempt in 0..ATTEMPTS_PER_ORDER {
-            if let Some(d) = ctx.sched.deadline() {
-                if Instant::now() >= d {
-                    return Err(SynthError::Timeout);
-                }
+            if ctx.sched.should_stop() {
+                return Err(SynthError::Timeout);
             }
             let chain: Vec<Tuple> = order.iter().map(|&i| tuples[i].clone()).collect();
             let (chain, used) = rewrite_chain(ctx, chain, &selector)?;

@@ -1,7 +1,6 @@
 //! Search configuration: guidance modes (§5.3), effect precision (§5.4),
 //! size bounds and budgets.
 
-use rbsyn_trace::TraceConfig;
 use rbsyn_ty::EffectPrecision;
 use std::time::Duration;
 
@@ -104,19 +103,6 @@ pub struct Options {
     /// [`SynthError::Timeout`](crate::SynthError::Timeout) a cooperative
     /// stop produces.
     pub timeout: Option<Duration>,
-    /// Search-event tracing (`--trace`): `Some` activates the
-    /// [`rbsyn_trace`] session threaded through every phase — phase
-    /// spans, sampled candidate-lifecycle instants, counter samples.
-    /// `None` (the default) is zero-cost: every instrumentation site is
-    /// one `Option` check. Tracing never changes synthesized programs or
-    /// effort counters — instrumentation only *reads* engine state — and
-    /// the CI `trace` determinism leg byte-compares solve output with
-    /// tracing on vs off. Callers that want
-    /// the recorded events attach their own session via
-    /// [`Synthesizer::with_tracer`](crate::Synthesizer::with_tracer);
-    /// with only this field set the run traces into a private session
-    /// that is discarded (useful for determinism tests).
-    pub trace: Option<TraceConfig>,
 }
 
 impl Default for Options {
@@ -129,7 +115,6 @@ impl Default for Options {
             max_hash_keys: 2,
             max_expansions: 2_000_000,
             timeout: Some(Duration::from_secs(300)),
-            trace: None,
         }
     }
 }
@@ -171,6 +156,5 @@ mod tests {
         assert_eq!(o.guidance, Guidance::both());
         assert_eq!(o.precision, EffectPrecision::Precise);
         assert!(o.timeout.is_some());
-        assert!(o.trace.is_none(), "tracing is opt-in (zero-cost off)");
     }
 }

@@ -126,11 +126,14 @@ impl Synthesizer {
         }
     }
 
-    /// Attaches an externally owned tracing [`Session`] so the caller can
-    /// export the recorded events after the run (`solve --trace` does
-    /// this, then writes the Chrome JSON). Without it, a run whose
-    /// [`Options::trace`] is set records into a private session that is
-    /// discarded — same engine behaviour, no export.
+    /// Attaches a tracing [`Session`], the one switch for search-event
+    /// tracing: the session threads through every phase (phase spans,
+    /// sampled candidate-lifecycle instants, counter samples), and the
+    /// caller exports the recorded events after the run (`solve --trace`
+    /// writes them as Chrome JSON). Without one, every instrumentation
+    /// site is one `Option` check. Tracing never changes synthesized
+    /// programs or effort counters: instrumentation only *reads* engine
+    /// state.
     pub fn with_tracer(mut self, tracer: Session) -> Synthesizer {
         self.tracer = Some(tracer);
         self
@@ -187,10 +190,6 @@ impl Synthesizer {
             env.set_hard_deadline(hard);
         }
 
-        // `Options::trace` is the switch; an externally attached session
-        // (the CLI's, so it can export afterwards) takes precedence over
-        // the private one a bare `Options::trace` provisions.
-        let tracer: Option<Session> = tracer.or_else(|| opts.trace.clone().map(Session::new));
         let _solve_span = tracer.as_ref().map(|t| t.span(Phase::Solve));
 
         let sched = Scheduler::new(deadline).with_trace(tracer.clone());
@@ -328,7 +327,7 @@ mod tests {
     use super::*;
     use rbsyn_interp::{SetupStep, Spec};
     use rbsyn_lang::builder::*;
-    use rbsyn_lang::{Ty, Value};
+    use rbsyn_lang::{Expr, Ty, Value};
     use rbsyn_stdlib::EnvBuilder;
 
     fn blog_env() -> (InterpEnv, rbsyn_lang::ClassId) {
@@ -517,6 +516,48 @@ mod tests {
         // Post table.
         let s = out.program.body.compact();
         assert!(s.contains("Post."), "expected a Post query in {s}");
+    }
+
+    /// A spec's setup runs once per run: the guard pool checks guards
+    /// from the snapshot the spec's oracle prepared. Each spec of a
+    /// two-spec branching problem opens with a `Native` step that counts
+    /// its runs.
+    #[test]
+    fn each_spec_setup_runs_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let (env, post) = blog_env();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = |name: &str, mut steps: Vec<SetupStep>, want: Expr| {
+            let runs = Arc::clone(&runs);
+            let count: rbsyn_interp::spec::NativeSetup = Arc::new(move |_, _| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+            steps.insert(0, SetupStep::Native(count));
+            steps.push(SetupStep::CallTarget {
+                bind: "xr".into(),
+                args: vec![],
+            });
+            Spec::new(name, steps, vec![call(var("xr"), "==", [want])])
+        };
+        let seed = SetupStep::Exec(call(
+            cls(post),
+            "create",
+            [hash([("author", str_("alice"))])],
+        ));
+        let problem = SynthesisProblem::builder("m")
+            .returns(Ty::Bool)
+            .base_consts()
+            .constant(Value::Class(post))
+            .spec(counted("seeded returns true", vec![seed], true_()))
+            .spec(counted("empty returns false", vec![], false_()))
+            .build();
+        let out = Synthesizer::new(env, problem, Options::default())
+            .run()
+            .unwrap();
+        assert_eq!(out.stats.tuples, 2, "the merge needs a guard");
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "one setup run per spec");
     }
 
     #[test]

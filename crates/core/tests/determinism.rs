@@ -152,11 +152,12 @@ fn tracing_is_invisible() {
     // `--json` output).
     let run = |trace: bool| {
         let (env, problem) = branching_problem();
-        let opts = Options {
-            trace: trace.then(|| rbsyn_trace::TraceConfig::with_sample(1)),
-            ..Options::default()
-        };
-        Synthesizer::new(env, problem, opts).run().unwrap()
+        let mut synth = Synthesizer::new(env, problem, Options::default());
+        if trace {
+            let session = rbsyn_trace::Session::new(rbsyn_trace::TraceConfig::with_sample(1));
+            synth = synth.with_tracer(session);
+        }
+        synth.run().unwrap()
     };
     let off = run(false);
     let on = run(true);
@@ -189,11 +190,7 @@ fn attached_tracer_records_the_run_without_changing_it() {
     let session = rbsyn_trace::Session::new(rbsyn_trace::TraceConfig::with_sample(1));
     let traced = {
         let (env, problem) = branching_problem();
-        let opts = Options {
-            trace: Some(rbsyn_trace::TraceConfig::with_sample(1)),
-            ..Options::default()
-        };
-        Synthesizer::new(env, problem, opts)
+        Synthesizer::new(env, problem, Options::default())
             .with_tracer(session.clone())
             .run()
             .unwrap()

@@ -1419,10 +1419,10 @@ mod tests {
 
     #[test]
     fn oversized_spec_count_survives_the_pipeline() {
-        // 65 specs is one past the guard pool's inline bitvector word:
+        // 65 specs is one past a one-word guard-pool bit plane:
         // problems this wide must still generate, print, re-load, and
-        // validate. The guard pool spills its vectors into heap words, so
-        // one engine answers every spec count.
+        // validate. The pool's planes are `⌈specs / 64⌉` words wide, so
+        // one representation answers every spec count.
         let mut produced = None;
         'outer: for index in 0..4 {
             for attempt in 0..80 {

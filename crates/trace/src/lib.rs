@@ -39,7 +39,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Tracing knobs, carried by the engine's `Options::trace`.
+/// Tracing knobs of a [`Session`]; a run traces when one is attached
+/// (`Synthesizer::with_tracer` in `rbsyn-core`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Candidate-lifecycle sampling stride: hot per-candidate events
